@@ -204,6 +204,11 @@ SHARDABLE = frozenset(
 STREAMABLE = frozenset({"megatrace"})
 
 
+def _only(names) -> str:
+    """``"a, b, c only"``: the artifacts an option applies to."""
+    return ", ".join(sorted(names)) + " only"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -237,22 +242,21 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="write per-invocation span trees to PATH (Chrome trace-event "
-        "JSON; JSONL if PATH ends in .jsonl) — headline, fault-study and "
-        "megatrace only",
+        "JSON; JSONL if PATH ends in .jsonl) — " + _only(TRACEABLE),
     )
     parser.add_argument(
         "--shards",
         type=int,
         default=1,
         help="split each simulation across N shard processes "
-        "(scale-frontier, megatrace and hybrid-study only)",
+        f"({_only(SHARDABLE)})",
     )
     parser.add_argument(
         "--streaming",
         choices=["auto", "on", "off"],
         default="auto",
         help="bounded-RSS replay fast path: chunked arrival generation + "
-        "autocompacting power traces (megatrace only; auto = on past "
+        f"autocompacting power traces ({_only(STREAMABLE)}; auto = on past "
         f"{megatrace.STREAMING_THRESHOLD:,} invocations)",
     )
     parser.add_argument(
@@ -317,9 +321,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     jobs = args.jobs if args.jobs > 0 else None  # None -> cpu_count
     if args.trace is not None and args.artifact not in TRACEABLE:
         print(
-            "error: --trace applies to "
-            + "/".join(sorted(TRACEABLE))
-            + " only",
+            "error: --trace applies to " + _only(TRACEABLE),
             file=sys.stderr,
         )
         return 2
@@ -328,9 +330,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.shards > 1 and args.artifact not in SHARDABLE:
         print(
-            "error: --shards applies to "
-            + "/".join(sorted(SHARDABLE))
-            + " only",
+            "error: --shards applies to " + _only(SHARDABLE),
             file=sys.stderr,
         )
         return 2

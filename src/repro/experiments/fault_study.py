@@ -101,13 +101,6 @@ class FaultStudyResult:
         return sum(point.jobs_lost for point in self.points)
 
 
-def _percentile(values: Sequence[float], p: float) -> float:
-    """Nearest-rank percentile via the shared sort-once helper."""
-    if not values:
-        return 0.0
-    return percentiles(values, [p], method="nearest")[0]
-
-
 def _build_point_cluster(
     task: FaultStudyTask, trace: Optional[TraceConfig] = None
 ) -> Tuple[MicroFaaSCluster, ChaosEngine]:
@@ -165,7 +158,11 @@ def _run_fault_point(task: FaultStudyTask) -> FaultStudyPoint:
         jobs_delivered=delivered,
         jobs_lost=orchestrator.jobs_lost,
         goodput_per_min=delivered / result.duration_s * 60.0,
-        p99_latency_s=_percentile(latencies, 99.0),
+        p99_latency_s=(
+            percentiles(latencies, [99.0], method="nearest")[0]
+            if latencies
+            else 0.0
+        ),
         mean_recovery_s=engine.mean_recovery_s,
         faults_injected=engine.injected,
         resubmissions=orchestrator.resubmissions,

@@ -111,6 +111,7 @@ def build_backend(kind: str, seed: int, trace: Optional[TraceConfig] = None):
     raise ValueError(f"unknown backend kind {kind!r}")
 
 
+# Rank round(p*n)-1, unlike percentiles(method="nearest"): do not merge.
 def _percentile(sorted_values: Sequence[float], pct: float) -> float:
     """Nearest-rank percentile (deterministic, no interpolation)."""
     if not sorted_values:

@@ -8,8 +8,9 @@ backend-service SBCs on the same segment.  Provides:
   protocol-stack latency, and an optional simulated-contention resource.
 - :mod:`repro.net.switch` — store-and-forward switch with port
   accounting and constant power draw.
-- :mod:`repro.net.topology` — a networkx-backed cluster network graph
-  with path resolution.
+- :mod:`repro.net.topology` — the cluster network graph and its router:
+  per-source-switch route tables answer path and bottleneck/latency
+  lookups without a per-request graph search.
 - :mod:`repro.net.transfer` — round-trip and bulk-transfer time
   calculators used by the cluster simulation and workload profiles.
 """

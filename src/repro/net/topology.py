@@ -1,12 +1,21 @@
-"""Cluster network topology graph.
+"""Cluster network topology and routing.
 
-A thin networkx wrapper tying endpoints and switches into one graph so
-the transfer model can resolve paths (endpoint → switch → ... → endpoint)
-and find the bottleneck bandwidth and accumulated forwarding latency
-along them.  The testbed topology is a single switch, but the TCO
-analysis reasons about multi-switch fabrics (989 SBCs across 21 ToR
-switches), so paths through multiple switches are supported via
-inter-switch trunk edges.
+Endpoints and switches are joined into one graph (kept as a networkx
+graph for inspection) so the transfer model can resolve paths
+(endpoint → switch → ... → endpoint) and find the bottleneck bandwidth
+and accumulated forwarding latency along them.  The testbed topology is
+a single switch, but the TCO analysis reasons about multi-switch
+fabrics (989 SBCs across 21 ToR switches), so paths through multiple
+switches are supported via inter-switch trunk edges.
+
+Routing does not search the graph per request.  The first request from
+a source switch runs one breadth-first search over the switch skeleton
+and keeps the result as a route table (parent, bottleneck trunk, depth
+and cumulative forwarding latency of every reachable switch); each later
+path or property lookup from that switch is read off the table.  Every
+fabric the repo builds is a tree, so the table's path is *the* path; on
+a cyclic skeleton it is one shortest path.  Tables are dropped with the
+path memos on any topology mutation.
 """
 
 from __future__ import annotations
@@ -17,6 +26,10 @@ import networkx as nx
 
 from repro.net.link import Endpoint, Link
 from repro.net.switch import Switch
+
+#: Switch name -> ``(parent, bottleneck_bps, depth, latency_s)`` as seen
+#: from one source switch; the source itself has parent ``None``.
+RouteTable = Dict[str, Tuple[Optional[str], float, int, float]]
 
 
 class NetworkTopology:
@@ -34,15 +47,21 @@ class NetworkTopology:
         # tens of switches instead of thousands of endpoint nodes.
         self._switch_graph = nx.Graph()
         self._endpoint_switch: Dict[str, str] = {}
+        # Endpoint -> link bandwidth, fixed at attach time.
+        self._endpoint_bandwidth: Dict[str, float] = {}
         # Resolved-path memo, flushed on any topology mutation.  Edge
         # bandwidths and switch forwarding latencies are fixed at attach
         # time, so cached entries stay valid until the graph changes.
         self._path_cache: Dict[Tuple[str, str], List[str]] = {}
         self._props_cache: Dict[Tuple[str, str], Tuple[float, float, int]] = {}
+        # Route tables keyed by (source switch, source is an endpoint
+        # behind it); see _route_table.
+        self._route_tables: Dict[Tuple[str, bool], RouteTable] = {}
 
     def _invalidate_paths(self) -> None:
         self._path_cache.clear()
         self._props_cache.clear()
+        self._route_tables.clear()
 
     def add_switch(self, switch: Switch) -> None:
         if switch.name in self.switches:
@@ -60,13 +79,13 @@ class NetworkTopology:
         link = switch.attach(endpoint)
         self.endpoints[endpoint.name] = endpoint
         self.links[endpoint.name] = link
+        bandwidth = link.effective_bandwidth_bps
         self.graph.add_node(endpoint.name, kind="endpoint")
         self.graph.add_edge(
-            endpoint.name,
-            switch_name,
-            bandwidth_bps=link.effective_bandwidth_bps,
+            endpoint.name, switch_name, bandwidth_bps=bandwidth
         )
         self._endpoint_switch[endpoint.name] = switch_name
+        self._endpoint_bandwidth[endpoint.name] = bandwidth
         self._invalidate_paths()
         return link
 
@@ -94,6 +113,9 @@ class NetworkTopology:
             self.endpoints[endpoint.name] = endpoint
             self.links[endpoint.name] = link
             self._endpoint_switch[endpoint.name] = switch_name
+            self._endpoint_bandwidth[endpoint.name] = (
+                link.effective_bandwidth_bps
+            )
             links.append(link)
         self.graph.add_nodes_from(
             (endpoint.name, {"kind": "endpoint"}) for endpoint in endpoints
@@ -102,9 +124,9 @@ class NetworkTopology:
             (
                 endpoint.name,
                 switch_name,
-                {"bandwidth_bps": link.effective_bandwidth_bps},
+                {"bandwidth_bps": self._endpoint_bandwidth[endpoint.name]},
             )
-            for endpoint, link in zip(endpoints, links)
+            for endpoint in endpoints
         )
         self._invalidate_paths()
         return links
@@ -121,17 +143,15 @@ class NetworkTopology:
         self.switches[a].reserve_trunk(b)
         self.switches[b].reserve_trunk(a)
         self.graph.add_edge(a, b, bandwidth_bps=trunk_bandwidth_bps)
-        self._switch_graph.add_edge(a, b)
+        self._switch_graph.add_edge(a, b, bandwidth_bps=trunk_bandwidth_bps)
         self._invalidate_paths()
 
     def path(self, src: str, dst: str) -> List[str]:
         """Shortest node path from ``src`` to ``dst`` (memoized).
 
-        Cache misses resolve over the switch skeleton: each endpoint
-        terminal is rewritten to its attachment switch, the BFS runs
-        switch-to-switch, and the endpoints are spliced back on.  On a
-        5,000-worker fabric that turns an O(endpoints) search into an
-        O(switches) one.
+        Cache misses are read off the source switch's route table: the
+        switch spine follows parent pointers from the destination's
+        switch back to the source's, and the endpoints are spliced on.
         """
         cached = self._path_cache.get((src, dst))
         if cached is None:
@@ -141,25 +161,18 @@ class NetworkTopology:
         return cached
 
     def _resolve_path(self, src: str, dst: str) -> List[str]:
-        src_switch = self._endpoint_switch.get(src, src)
-        dst_switch = self._endpoint_switch.get(dst, dst)
-        if (
-            src_switch not in self._switch_graph
-            or dst_switch not in self._switch_graph
-        ):
-            # Unknown terminal: let networkx raise its usual errors.
-            return nx.shortest_path(self.graph, src, dst)
-        if src == dst:
+        route = self._route(src, dst)
+        if route is None:
             return [src]
-        if src_switch == dst_switch:
-            spine = [src_switch]
-        else:
-            spine = nx.shortest_path(self._switch_graph, src_switch, dst_switch)
-        nodes = list(spine)
-        if src != src_switch:
-            nodes.insert(0, src)
-        if dst != dst_switch:
-            nodes.append(dst)
+        table, dst_switch = route
+        nodes = [dst] if dst in self._endpoint_switch else []
+        node: Optional[str] = dst_switch
+        while node is not None:
+            nodes.append(node)
+            node = table[node][0]
+        if src in self._endpoint_switch:
+            nodes.append(src)
+        nodes.reverse()
         return nodes
 
     def path_properties(self, src: str, dst: str) -> Tuple[float, float, int]:
@@ -172,18 +185,95 @@ class NetworkTopology:
         props = self._props_cache.get((src, dst))
         if props is not None:
             return props
-        nodes = self.path(src, dst)
-        bottleneck = float("inf")
-        switch_latency = 0.0
-        for u, v in zip(nodes, nodes[1:]):
-            bottleneck = min(bottleneck, self.graph.edges[u, v]["bandwidth_bps"])
-        for node in nodes[1:-1]:
-            if self.graph.nodes[node]["kind"] == "switch":
-                switch_latency += self.switches[node].forwarding_latency_s
-        props = (bottleneck, switch_latency, len(nodes) - 1)
+        props = self._resolve_properties(src, dst)
         self._props_cache[(src, dst)] = props
         self._props_cache[(dst, src)] = props
         return props
+
+    def _resolve_properties(
+        self, src: str, dst: str
+    ) -> Tuple[float, float, int]:
+        route = self._route(src, dst)
+        if route is None:
+            return (float("inf"), 0.0, 0)
+        table, dst_switch = route
+        parent, bottleneck, hops, latency = table[dst_switch]
+        bandwidth = self._endpoint_bandwidth
+        if src in bandwidth:
+            bottleneck = min(bandwidth[src], bottleneck)
+            hops += 1
+        if dst in bandwidth:
+            bottleneck = min(bottleneck, bandwidth[dst])
+            hops += 1
+        else:
+            # A switch terminal is an end of the path, not a hop through
+            # it: stop the latency sum at its parent.
+            latency = 0.0 if parent is None else table[parent][3]
+        return (bottleneck, latency, hops)
+
+    def _route(self, src: str, dst: str) -> Optional[Tuple[RouteTable, str]]:
+        """``(route table of src's switch, dst's switch)``, or ``None`` if
+        ``src == dst``.
+
+        Raises the errors ``nx.shortest_path`` would: ``NodeNotFound``
+        for an unknown terminal, ``NetworkXNoPath`` for an unreachable
+        one.
+        """
+        src_switch = self._endpoint_switch.get(src, src)
+        dst_switch = self._endpoint_switch.get(dst, dst)
+        if src_switch not in self.switches:
+            raise nx.NodeNotFound(f"Source {src} is not in G")
+        if dst_switch not in self.switches:
+            raise nx.NodeNotFound(f"Target {dst} is not in G")
+        if src == dst:
+            return None
+        table = self._route_table(src_switch, src != src_switch)
+        if dst_switch not in table:
+            raise nx.NetworkXNoPath(
+                f"No path between {src_switch} and {dst_switch}."
+            )
+        return table, dst_switch
+
+    def _route_table(self, root: str, count_root: bool) -> RouteTable:
+        """Route table from switch ``root`` (memoized)."""
+        key = (root, count_root)
+        table = self._route_tables.get(key)
+        if table is None:
+            table = self._build_route_table(root, count_root)
+            self._route_tables[key] = table
+        return table
+
+    def _build_route_table(self, root: str, count_root: bool) -> RouteTable:
+        """One breadth-first search over the switch skeleton from ``root``.
+
+        Maps every reachable switch to ``(parent, bottleneck_bps, depth,
+        latency_s)``: the bottleneck is the slowest trunk on the way
+        from ``root``, and the latency sums forwarding latencies from
+        ``root`` outward — including ``root``'s own when the source is
+        an endpoint behind it (``count_root``), excluding it when the
+        source is ``root`` itself — in the order a per-hop walk adds
+        them, so the floats match one bit for bit.
+        """
+        switches = self.switches
+        latency = 0.0
+        if count_root:
+            latency += switches[root].forwarding_latency_s
+        table = {root: (None, float("inf"), 0, latency)}
+        adjacency = self._switch_graph.adj
+        queue = [root]
+        # ``queue`` grows while it is iterated: a FIFO without popping.
+        for node in queue:
+            _parent, bottleneck, depth, latency = table[node]
+            for peer, trunk in adjacency[node].items():
+                if peer not in table:
+                    table[peer] = (
+                        node,
+                        min(bottleneck, trunk["bandwidth_bps"]),
+                        depth + 1,
+                        latency + switches[peer].forwarding_latency_s,
+                    )
+                    queue.append(peer)
+        return table
 
     def endpoint(self, name: str) -> Endpoint:
         return self.endpoints[name]

@@ -104,8 +104,12 @@ class TransferModel:
     def one_way_latency_s(self, src: str, dst: str) -> float:
         """Small-message one-way latency: stacks plus switch hops."""
         _bw, switch_latency, _hops = self.topology.path_properties(src, dst)
-        src_stack = self.topology.endpoint(src).stack_latency_s
-        dst_stack = self.topology.endpoint(dst).stack_latency_s
+        return self._one_way_s(src, dst, switch_latency)
+
+    def _one_way_s(self, src: str, dst: str, switch_latency: float) -> float:
+        endpoints = self.topology.endpoints
+        src_stack = endpoints[src].stack_latency_s
+        dst_stack = endpoints[dst].stack_latency_s
         return src_stack + dst_stack + switch_latency
 
     def rtt_s(self, src: str, dst: str) -> float:
@@ -127,11 +131,11 @@ class TransferModel:
         """
         if nbytes < 0:
             raise ValueError(f"negative byte count: {nbytes}")
-        bottleneck, _switch_latency, _hops = self.topology.path_properties(
+        bottleneck, switch_latency, _hops = self.topology.path_properties(
             src, dst
         )
         serialization = nbytes * 8.0 / bottleneck
-        latency = self.one_way_latency_s(src, dst)
+        latency = self._one_way_s(src, dst, switch_latency)
         session = (
             SESSION_OVERHEAD_S[self.topology.endpoint(src).host_class]
             if include_session

@@ -4,7 +4,14 @@ import pstats
 
 import pytest
 
-from repro.cli import ARTIFACTS, build_parser, main
+from repro.cli import (
+    ARTIFACTS,
+    SHARDABLE,
+    STREAMABLE,
+    TRACEABLE,
+    build_parser,
+    main,
+)
 
 
 def test_every_artifact_has_description_and_runner():
@@ -60,3 +67,23 @@ def test_invalid_invocations_rejected(capsys):
 def test_unknown_artifact_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fig99"])
+
+
+@pytest.mark.parametrize(
+    "option,members",
+    [
+        ("--trace", TRACEABLE),
+        ("--shards", SHARDABLE),
+        ("--streaming", STREAMABLE),
+    ],
+)
+def test_option_help_lists_every_artifact_it_applies_to(option, members):
+    text = build_parser().format_help()
+    # The option's own entry (the usage line lists every artifact), with
+    # argparse's wrapping at spaces and hyphens undone.
+    options = " ".join(text[text.index("options:") :].split())
+    entry = options[options.index(f"{option} ") :]
+    entry = entry[: entry.index(" only")].replace("- ", "-")
+    for name in members:
+        assert name in ARTIFACTS
+        assert name in entry

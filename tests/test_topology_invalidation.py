@@ -1,10 +1,11 @@
 """Path-cache hygiene for NetworkTopology.
 
-The memoized path/properties caches are only sound if (a) every graph
-mutation — including the bulk ``attach_endpoints`` fast path — flushes
-them, and (b) time-gated chaos (``Switch.fail_until``, link
-``drop_until``) stays out of the graph entirely, so a fault window never
-poisons a cached route."""
+The memoized path/properties caches and the per-source-switch route
+tables behind them are only sound if (a) every graph mutation —
+including the bulk ``attach_endpoints`` fast path — flushes them, and
+(b) time-gated chaos (``Switch.fail_until``, link ``drop_until``) stays
+out of the graph entirely, so a fault window never poisons a cached
+route."""
 
 import pytest
 
@@ -30,9 +31,11 @@ def test_attach_endpoint_invalidates_cached_paths():
     topo.attach_endpoint(endpoint("b"), "s0")
     assert topo.path("a", "b") == ["a", "s0", "b"]
     assert ("a", "b") in topo._path_cache
+    assert topo._route_tables
     topo.attach_endpoint(endpoint("c"), "s0")
     assert topo._path_cache == {}
     assert topo._props_cache == {}
+    assert topo._route_tables == {}
 
 
 def test_bulk_attach_invalidates_cached_paths():
@@ -44,6 +47,7 @@ def test_bulk_attach_invalidates_cached_paths():
     topo.attach_endpoints([endpoint("c"), endpoint("d")], "s0")
     assert topo._path_cache == {}
     assert topo._props_cache == {}
+    assert topo._route_tables == {}
     # The new endpoints resolve as if attached one at a time.
     assert topo.path("c", "d") == ["c", "s0", "d"]
 
@@ -64,6 +68,7 @@ def test_graph_mutation_mid_run_reroutes():
     topo.path_properties("a", "b")
     topo.add_switch(Switch(clock=lambda: 0.0, name="s2"))
     assert topo._path_cache == {}
+    assert topo._route_tables == {}
     topo.connect_switches("s1", "s2")
     assert topo.path("a", "b") == ["a", "s0", "s1", "b"]
 
@@ -83,17 +88,49 @@ def test_path_properties_recomputed_after_mutation():
     assert latency_two_hop > latency_one_hop
 
 
+MUTATIONS = {
+    "add_switch": lambda topo: topo.add_switch(
+        Switch(clock=lambda: 0.0, name="s3")
+    ),
+    "attach_endpoint": lambda topo: topo.attach_endpoint(endpoint("c"), "s1"),
+    "attach_endpoints": lambda topo: topo.attach_endpoints(
+        [endpoint("c"), endpoint("d")], "s1"
+    ),
+    "connect_switches": lambda topo: topo.connect_switches("s1", "s2"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_every_mutation_flushes_route_tables(mutation):
+    topo = make_topology("s0", "s1", "s2")
+    topo.connect_switches("s0", "s1")
+    topo.attach_endpoint(endpoint("a"), "s0")
+    topo.attach_endpoint(endpoint("b"), "s1")
+    topo.path_properties("a", "b")
+    topo.path("s1", "a")
+    assert set(topo._route_tables) == {("s0", True), ("s1", False)}
+    MUTATIONS[mutation](topo)
+    assert topo._path_cache == {}
+    assert topo._props_cache == {}
+    assert topo._route_tables == {}
+    # Routing rebuilds from the mutated fabric.
+    assert topo.path("a", "b") == ["a", "s0", "s1", "b"]
+    assert set(topo._route_tables) == {("s0", True)}
+
+
 def test_switch_fail_until_does_not_touch_graph_or_caches():
     topo = make_topology("s0")
     topo.attach_endpoint(endpoint("a"), "s0")
     topo.attach_endpoint(endpoint("b"), "s0")
     before = topo.path("a", "b")
     cache_snapshot = dict(topo._path_cache)
+    tables = dict(topo._route_tables)
     switch = topo.switches["s0"]
     switch.fail_until(10.0)
     # Chaos is a time gate, not a topology change: the cached route is
     # still the route, and no flush happened.
     assert topo._path_cache == cache_snapshot
+    assert topo._route_tables == tables
     assert topo.path("a", "b") is before
     assert switch.outage_remaining_s(4.0) == 6.0
     assert switch.outage_remaining_s(11.0) == 0.0
