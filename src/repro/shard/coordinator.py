@@ -19,7 +19,8 @@ boundaries are known in advance:
 So the coordinator advances every shard to the next boundary, replays
 the assignment policy on integer virtual queue state (fed by the
 shards' completion/liveness reports, applied in timestamp order), and
-injects the resulting placements.  Shards run their windows in
+sends the resulting placements with the command that advances each
+shard to the following boundary.  Shards run their windows in
 parallel; no shard ever waits on another except at boundaries.
 Conservative lookahead degenerates to an exact schedule: the lookahead
 between boundaries is infinite because *no* cross-shard event can
@@ -120,6 +121,9 @@ class ShardedCluster:
             )
         self._chaos_boundaries = list(boundaries)
         self._chaos_cursor = 0
+        #: Placements decided at the current boundary, per shard; they
+        #: ride on the next ``advance`` (see :meth:`_round`).
+        self._pending = self._empty_directives()
         # One blueprint for the whole fleet: each shard adopts the
         # precomputed construction skeleton instead of replaying the
         # full serial build to rediscover switch growth (see
@@ -223,13 +227,20 @@ class ShardedCluster:
             return self._chaos_boundaries[self._chaos_cursor]
         return None
 
-    def _round(self, until: Optional[float], directives: List[list]) -> None:
-        """One rendezvous: advance all shards, fold reports, inject."""
-        reports = self.executor.advance(until)
+    def _round(self, until: Optional[float]) -> None:
+        """One rendezvous, one message per shard: inject the placements
+        decided at the previous boundary, advance every shard to
+        ``until``, and fold the reports into fresh pending placements.
+
+        Deferring the injection is exact: a shard's clock moves only
+        inside a command, so between two messages it stays parked at the
+        previous boundary, and injecting at the start of the next
+        message happens at the same simulated instant, in the same
+        order, as injecting right after the last reply."""
+        directives, self._pending = self._pending, self._empty_directives()
+        reports = self.executor.advance(until, directives)
         self.stats.rounds += 1
-        self._process_reports(reports, directives)
-        if any(directives):
-            self.executor.inject(directives)
+        self._process_reports(reports, self._pending)
 
     def _drain(self) -> None:
         """Run until every submitted job has completed, stopping at each
@@ -239,7 +250,7 @@ class ShardedCluster:
             if boundary is not None:
                 self._chaos_cursor += 1
                 self.stats.boundaries += 1
-            self._round(boundary, self._empty_directives())
+            self._round(boundary)
 
     def _consume_boundaries_until(self, t: float) -> None:
         """Rendezvous at every chaos boundary strictly before ``t``."""
@@ -249,7 +260,7 @@ class ShardedCluster:
                 return
             self._chaos_cursor += 1
             self.stats.boundaries += 1
-            self._round(boundary, self._empty_directives())
+            self._round(boundary)
 
     # -- experiment entry points -----------------------------------------------
 
@@ -261,11 +272,9 @@ class ShardedCluster:
         """Sharded twin of ``ClusterHarness.run_saturated``."""
         if invocations_per_function < 1:
             raise ValueError("invocations_per_function must be >= 1")
-        directives = self._empty_directives()
         for _ in range(invocations_per_function):
             for function in functions:
-                self._assign_new(function, directives)
-        self.executor.inject(directives)
+                self._assign_new(function, self._pending)
         self._drain()
         return self._finish()
 
@@ -298,13 +307,13 @@ class ShardedCluster:
             if index > 0:
                 self._consume_boundaries_until(t_batch)
                 # Advance to the arrival mark itself before submitting.
-                self._round(t_batch, self._empty_directives())
+                self._round(t_batch)
                 self.stats.boundaries += 1
             self.replayer.advance_to(t_batch)
-            directives = self._empty_directives()
+            # Appended after any salvages decided at ``t_batch``: the
+            # shards inject both, in that order, with the next advance.
             for function in batch:
-                self._assign_new(function, directives)
-            self.executor.inject(directives)
+                self._assign_new(function, self._pending)
         self._drain()
         return self._finish()
 
@@ -337,13 +346,13 @@ class ShardedCluster:
         """Rendezvous at ``t_batch`` and submit one arrival batch."""
         if t_batch > 0:
             self._consume_boundaries_until(t_batch)
-            self._round(t_batch, self._empty_directives())
+            self._round(t_batch)
             self.stats.boundaries += 1
         self.replayer.advance_to(t_batch)
-        directives = self._empty_directives()
+        # Appended after any salvages decided at ``t_batch`` (see
+        # run_paper_arrivals).
         for function in batch:
-            self._assign_new(function, directives)
-        self.executor.inject(directives)
+            self._assign_new(function, self._pending)
 
     # -- result merging --------------------------------------------------------
 
@@ -396,6 +405,10 @@ class ShardedCluster:
         return total, tuple(pool_energy)
 
     def _finish(self, end_time: float = 0.0) -> ClusterResult:
+        if any(self._pending):
+            # Unreachable while the drain loop runs until every job has
+            # completed: a placement is only decided for a live job.
+            raise RuntimeError("placements still pending at finish")
         t_global = max(self._last_completion, end_time)
         finishes = self.executor.finish(t_global)
         telemetry = self._merge_telemetry(finishes)

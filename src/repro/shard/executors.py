@@ -1,19 +1,24 @@
 """Shard execution backends.
 
-The coordinator speaks one verb set — ``inject`` / ``advance`` /
-``finish`` — against N shards.  :class:`InlineExecutor` runs them in
-the coordinator's own process (zero parallelism, bit-identical to the
-process backend; the determinism tests and tiny sharded points use it).
+The coordinator speaks two verbs — ``advance`` / ``finish`` — against
+N shards.  :class:`InlineExecutor` runs them in the coordinator's own
+process (zero parallelism, bit-identical to the process backend; the
+determinism tests and tiny sharded points use it).
 :class:`ProcessExecutor` forks one child per shard and pipes pickled
 commands: each child builds its :class:`~repro.shard.runtime.ShardRuntime`
 locally (cluster construction parallelizes too, which matters at 100k
 workers) and the coordinator overlaps all shards' windows.
 
-The protocol is strictly synchronous per round: broadcast a command to
-every shard, then collect every reply.  Shards never talk to each
-other — all cross-shard traffic flows through the coordinator at
-rendezvous boundaries, which is what keeps the run deterministic
-regardless of process scheduling.
+The protocol is one message per shard per rendezvous: ``advance``
+carries the placements the coordinator decided at the previous
+boundary, and the shard injects them before it runs its next window.
+That deferral is exact — a shard's clock moves only inside a command,
+so between two messages it is parked at the previous boundary, and the
+injection lands at the same simulated instant, in the same order.
+Each round broadcasts a command to every shard, then collects every
+reply.  Shards never talk to each other — all cross-shard traffic flows
+through the coordinator at rendezvous boundaries, which is what keeps
+the run deterministic regardless of process scheduling.
 """
 
 from __future__ import annotations
@@ -35,7 +40,10 @@ class InlineExecutor:
             if directives:
                 runtime.inject(directives)
 
-    def advance(self, until: Optional[float]) -> List[dict]:
+    def advance(
+        self, until: Optional[float], directives_per_shard: Sequence[list]
+    ) -> List[dict]:
+        self.inject(directives_per_shard)
         return [runtime.advance(until) for runtime in self.runtimes]
 
     def finish(self, t_global: float) -> List[dict]:
@@ -57,11 +65,11 @@ def _shard_child(spec: ShardSpec, conn) -> None:
     try:
         while True:
             verb, payload = conn.recv()
-            if verb == "inject":
-                runtime.inject(payload)
-                conn.send(("ok", None))
-            elif verb == "advance":
-                conn.send(("ok", runtime.advance(payload)))
+            if verb == "advance":
+                until, directives = payload
+                if directives:
+                    runtime.inject(directives)
+                conn.send(("ok", runtime.advance(until)))
             elif verb == "finish":
                 conn.send(("ok", runtime.finish(payload)))
             elif verb == "exit":
@@ -119,11 +127,13 @@ class ProcessExecutor:
             replies.append(value)
         return replies
 
-    def inject(self, directives_per_shard: Sequence[list]) -> None:
-        self._broadcast("inject", list(directives_per_shard))
-
-    def advance(self, until: Optional[float]) -> List[dict]:
-        return self._broadcast("advance", [until] * len(self._conns))
+    def advance(
+        self, until: Optional[float], directives_per_shard: Sequence[list]
+    ) -> List[dict]:
+        return self._broadcast(
+            "advance",
+            [(until, directives) for directives in directives_per_shard],
+        )
 
     def finish(self, t_global: float) -> List[dict]:
         return self._broadcast("finish", [t_global] * len(self._conns))

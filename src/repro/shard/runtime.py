@@ -424,8 +424,6 @@ class ShardRuntime:
                 step()
         report = {
             "shard": self.spec.shard_index,
-            "now": env.now,
-            "pending": orch.pending,
             "completions": self._completions,
             "salvages": self._salvages,
             "liveness": self._liveness,

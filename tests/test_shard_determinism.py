@@ -4,11 +4,12 @@ The whole value proposition of :mod:`repro.shard` is that splitting a
 simulation over N processes changes wall-clock and memory, never
 results.  These tests pin that with exact (``==``, not ``isclose``)
 comparisons between the serial engine and 2- and 4-way sharded runs of
-the same spec, across the three workload shapes the protocol covers:
-saturated bursts, the paper's interval arrival process, and chaos runs
-with cross-shard job salvage.  The inline executor runs the identical
-code path as the forked one (a separate test pins process == inline),
-so the suite stays fork-free and fast.
+the same spec, across the workload shapes the protocol covers:
+saturated bursts, the paper's interval arrival process, open-loop trace
+replay, and chaos runs with cross-shard job salvage.  The inline
+executor runs the identical code path as the forked one (separate tests
+pin process == inline and process == serial), so most of the suite
+stays fork-free and fast.
 """
 
 import random
@@ -16,12 +17,23 @@ import random
 import pytest
 
 from repro.cluster.microfaas import MicroFaaSCluster
+from repro.cluster.replay import replay_trace
 from repro.core.scheduler import make_policy
+from repro.experiments.megatrace import WORKER_JOBS_PER_S
 from repro.obs.export import validate_chrome_trace_file, write_trace_file
 from repro.obs.trace import TraceConfig, merge_traces
-from repro.reliability.chaos import ChaosEngine, ChaosPlan, ChaosProfile
+from repro.reliability.chaos import (
+    ChaosEngine,
+    ChaosEvent,
+    ChaosKind,
+    ChaosPlan,
+    ChaosProfile,
+)
 from repro.shard import ClusterSpec, ShardedCluster
+from repro.shard.executors import InlineExecutor, ProcessExecutor
 from repro.sim.rng import RandomStreams
+from repro.workloads.base import ALL_FUNCTION_NAMES
+from repro.workloads.traces import ArrivalTrace, TraceEvent, poisson_trace
 
 
 def assert_identical(serial_result, sharded_result):
@@ -140,6 +152,158 @@ def test_chaos_run_with_cross_shard_salvage_is_bit_identical(shards):
     assert stats.chaos["recovered_jobs"] == engine.recovered_jobs
     if shards > 1:
         assert stats.salvage_assignments == engine.recovered_jobs
+
+
+def integer_mark_plan():
+    """Board crashes on integer seconds with a 1 s detection delay, so
+    every detection lands exactly on an arrival mark.  The salvages
+    decided in the round that reaches a mark then travel to the shards
+    in the same message as that mark's new arrivals.  Repair times are
+    off the marks and off each other, keeping every other cross-kind
+    timestamp distinct."""
+    crashes = [(3.0, 1, 4.25), (6.0, 7, 3.75), (9.0, 2, 3.5), (12.0, 8, 2.25)]
+    return ChaosPlan(
+        events=tuple(
+            ChaosEvent(ChaosKind.WORKER_CRASH, t, worker, repair)
+            for t, worker, repair in crashes
+        )
+    )
+
+
+def integer_mark_trace(jobs_per_second, total_jobs):
+    """The paper arrival schedule written out as a trace."""
+    functions = ALL_FUNCTION_NAMES
+    events = tuple(
+        TraceEvent(
+            float(issued // jobs_per_second),
+            functions[issued % len(functions)],
+        )
+        for issued in range(total_jobs)
+    )
+    return ArrivalTrace(events=events, duration_s=events[-1].time_s)
+
+
+@pytest.mark.parametrize("entry", ["paper_arrivals", "replay_trace"])
+def test_salvage_and_arrivals_share_a_message(entry, monkeypatch):
+    """Pending placements are appended to, never replaced: a salvage
+    decided at an arrival mark must reach its shard together with, and
+    ahead of, the new jobs submitted at that mark."""
+    plan = integer_mark_plan()
+    spec = ClusterSpec(
+        kind="microfaas",
+        worker_count=10,
+        seed=21,
+        policy="least-loaded",
+        chaos_plan=plan,
+        chaos_detection_delay_s=1.0,
+        chaos_max_power_cycles=3,
+    )
+    serial_cluster = spec.build()
+    engine = ChaosEngine(
+        serial_cluster, detection_delay_s=1.0, max_power_cycles=3
+    )
+    engine.apply(plan)
+    trace = integer_mark_trace(8, 160)
+    if entry == "paper_arrivals":
+        serial = serial_cluster.run_paper_arrivals(
+            jobs_per_second=8, total_jobs=160
+        )
+    else:
+        serial = replay_trace(serial_cluster, trace)
+    assert engine.skipped_last_worker == 0
+    assert engine.recovered_jobs > 0
+
+    shared = []
+    advance = InlineExecutor.advance
+
+    def spy(self, until, directives_per_shard):
+        for directives in directives_per_shard:
+            verbs = {directive[0] for directive in directives}
+            if "new" in verbs and verbs & {"salvage", "migrate_out", "adopt"}:
+                shared.append(until)
+        return advance(self, until, directives_per_shard)
+
+    monkeypatch.setattr(InlineExecutor, "advance", spy)
+    with ShardedCluster(spec, 2, executor="inline") as sharded:
+        if entry == "paper_arrivals":
+            result = sharded.run_paper_arrivals(
+                jobs_per_second=8, total_jobs=160
+            )
+        else:
+            result = sharded.replay_trace(trace)
+        stats = sharded.stats
+    assert shared, "no message carried both a salvage and new arrivals"
+    assert_identical(serial, result)
+    assert stats.migrations > 0
+    assert stats.salvage_assignments == engine.recovered_jobs
+    assert stats.resubmissions == serial_cluster.orchestrator.resubmissions
+
+
+def small_fleet_spec():
+    """The ``fleet`` benchmark shape, scaled down: 40 least-loaded
+    workers (paired with :func:`small_fleet_trace`)."""
+    return ClusterSpec(
+        kind="microfaas", worker_count=40, seed=1, policy="least-loaded"
+    )
+
+
+def small_fleet_trace(arrivals=300):
+    """Open-loop Poisson arrivals at 85% of the 40 workers' capacity."""
+    rate = 40 * WORKER_JOBS_PER_S * 0.85
+    return poisson_trace(
+        rate, arrivals / rate, streams=RandomStreams(1), columnar=True
+    )
+
+
+@pytest.mark.parametrize("executor", ["inline", "process"])
+def test_trace_replay_is_bit_identical(executor):
+    spec = small_fleet_spec()
+    trace = small_fleet_trace()
+    serial = replay_trace(spec.build(), trace)
+    with ShardedCluster(spec, 2, executor=executor) as sharded:
+        result = sharded.replay_trace(trace)
+    assert_identical(serial, result)
+    assert result.jobs_completed == len(trace)
+
+
+def test_one_broadcast_per_rendezvous(monkeypatch):
+    """Each rendezvous is one message per shard — placements ride on the
+    next ``advance`` — plus a final ``finish``."""
+    verbs = []
+    broadcast = ProcessExecutor._broadcast
+
+    def spy(self, verb, payloads):
+        verbs.append(verb)
+        return broadcast(self, verb, payloads)
+
+    monkeypatch.setattr(ProcessExecutor, "_broadcast", spy)
+    with ShardedCluster(small_fleet_spec(), 2, executor="process") as sharded:
+        sharded.replay_trace(small_fleet_trace(arrivals=120))
+        rounds = sharded.stats.rounds
+    assert rounds > 0
+    assert len(verbs) == rounds + 1
+    assert verbs[-1] == "finish"
+
+
+def test_forked_shards_match_serial_and_merged_trace_validates(tmp_path):
+    """Four forked shards against a serial run, traced, with the merged
+    trace file passing the validator."""
+    spec = ClusterSpec(
+        kind="microfaas",
+        worker_count=40,
+        seed=9,
+        policy="least-loaded",
+        trace=TraceConfig(sample_rate=1.0),
+    )
+    serial = spec.build().run_saturated(invocations_per_function=4)
+    with ShardedCluster(spec, 4, executor="process") as sharded:
+        result = sharded.run_saturated(invocations_per_function=4)
+        traces = sharded.traces
+    assert_identical(serial, result)
+    assert traces
+    path = tmp_path / "shard-trace.json"
+    write_trace_file(traces, str(path))
+    assert validate_chrome_trace_file(str(path)) == []
 
 
 def test_process_executor_matches_inline():
