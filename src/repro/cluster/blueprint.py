@@ -1,35 +1,27 @@
 """Cluster construction blueprints.
 
-Building a 100k-worker cluster is dominated by topology growth
-bookkeeping that is *identical* on every build of the same shape: which
-ToR switches exist, what they are named, where the inter-switch trunks
-go, and which switch each worker's endpoint lands on.  In a sharded run
-(:mod:`repro.shard`) every shard process used to rediscover all of it
-by replaying the full serial build — attaching every remote worker's
-endpoint just to advance the switch-growth counters.
+Every cluster is built from a :class:`ClusterBlueprint`: the switch
+chain and the run-length ``(switch, first_id, count)`` spans mapping
+workers to switches, computed once by pure-integer arithmetic before
+any object exists.  :func:`compute_blueprint` is the single home of the
+fabric growth rule — ToR switch names and the keep-one-port-spare rule
+that decides when the chain grows; the pools only create what the plan
+names.
 
-A :class:`ClusterBlueprint` lifts that skeleton out of the build: a
-pure-integer simulation of the legacy construction loop computes, once,
-the switch chain and the run-length ``(switch, first_id, count)`` spans
-mapping workers to switches.  The blueprint is an immutable tree of
-strings and ints — cheap to pickle into shard processes — and a build
-that adopts one can:
+The blueprint is an immutable tree of strings and ints — cheap to
+pickle into shard processes (:mod:`repro.shard`) — and a build that
+adopts one can:
 
 * bulk-attach each span's endpoints in one topology operation instead
   of per-endpoint growth checks;
 * skip remote workers' endpoints and hardware entirely on a shard
   (their queue slots become :class:`~repro.core.queue.RemoteQueueStub`
-  placeholders), because the spans already encode the growth the
-  remote attachments used to drive.
+  placeholders), because the spans already fix every switch's place.
 
-Bit-identity: the arithmetic below mirrors
-:meth:`repro.cluster.pool.SbcPool.build_workers` /
-:meth:`~repro.cluster.pool.SbcPool._grow_fabric` exactly — same names,
-same trunk order, same keep-one-port-spare growth rule — and the
-planned build paths create switches one at a time at span boundaries,
-so ``harness.switches`` order, graph insertion order, and worker
-creation order all match the legacy build.  ``bind`` re-derives each
-pool's shape and refuses a blueprint computed for a different cluster.
+The pools create switches one at a time at span boundaries, so
+``harness.switches`` order, graph insertion order and worker creation
+order follow global worker ids.  ``bind`` re-derives each pool's shape
+and refuses a blueprint computed for a different cluster.
 """
 
 from __future__ import annotations
@@ -84,8 +76,7 @@ class ClusterBlueprint:
     for (``bind`` validates against them); ``pool_plans`` holds one
     :class:`SbcFabricPlan` / :class:`VmFabricPlan` per pool in build
     order; ``switch_names`` is the full harness switch list in creation
-    order (chain switches interleaved with the VM host bridge exactly
-    as the legacy build creates them).
+    order (chain switches interleaved with the VM host bridge).
     """
 
     descriptors: Tuple[PoolDescriptor, ...]
@@ -123,11 +114,10 @@ def compute_blueprint(
 ) -> ClusterBlueprint:
     """Run the construction arithmetic for a pool list.
 
-    This is the legacy build loop with every object creation deleted:
-    only names and port counters remain.  It must stay in lockstep with
-    ``SbcPool.build_fabric`` / ``build_workers`` and
-    ``MicroVmPool.build_fabric`` — the planned build paths assert the
-    correspondence (first-id checks, switch-name checks) at build time.
+    The one growth rule for every cluster: which switches exist, what
+    they are named, and which switch each worker lands on, from names
+    and port counters alone.  The pools' ``build_fabric`` /
+    ``build_workers`` create exactly what the returned plans name.
     """
     descriptors = tuple(descriptors)
     if not descriptors:
@@ -178,7 +168,7 @@ def compute_blueprint(
         for _ in range(desc.worker_count):
             current = chain[-1]
             # Keep one port spare on the newest switch for the next
-            # trunk — the exact legacy growth rule.
+            # trunk.
             if ports_total[current] - ports_used[current] <= 1:
                 grown = f"switch-{len(switch_names)}"
                 switch_names.append(grown)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.cluster.blueprint import blueprint_for_pools
 from repro.cluster.pool import WorkerPool
 from repro.cluster.result import ClusterResult
 from repro.core.gpio import GpioBank
@@ -74,19 +75,19 @@ class ClusterHarness:
         if not pools:
             raise ValueError("need at least one worker pool")
         self.pools: List[WorkerPool] = list(pools)
-        #: Adopted construction skeleton (see
-        #: :mod:`repro.cluster.blueprint`).  Binding validates the
-        #: blueprint against each pool's shape and switches the pools
-        #: onto their planned build paths; ``None`` keeps the legacy
-        #: discover-as-you-go build.
-        self.blueprint = blueprint
-        if blueprint is not None:
-            blueprint.bind(self.pools)
+        #: Construction skeleton (see :mod:`repro.cluster.blueprint`):
+        #: switch names, trunks and worker→switch spans.  Computed from
+        #: the pools unless the caller passes a precomputed one (shards
+        #: receive the coordinator's); binding validates it against each
+        #: pool's shape and hands every pool its plan.
+        self.blueprint = blueprint or blueprint_for_pools(self.pools)
+        self.blueprint.bind(self.pools)
         #: Sharded execution (see :mod:`repro.shard`): when set, only
-        #: these global worker ids get real hardware and worker
-        #: processes — every other id still gets its queue, endpoint,
-        #: and switch-fabric slot so ids, stream names, and topology are
-        #: identical to the serial build, but costs no simulation state.
+        #: these global worker ids get real hardware, endpoints and
+        #: worker processes — every other id still gets a stub queue
+        #: and its blueprint span, so ids, stream names, and the switch
+        #: fabric are identical to the serial build, but costs no
+        #: simulation state.
         self.local_worker_ids = (
             frozenset(local_ids) if local_ids is not None else None
         )
@@ -212,8 +213,7 @@ class ClusterHarness:
 
         Equivalent to ``count`` :meth:`register_worker` calls with
         ``worker=None`` and endpoints ``f"{endpoint_prefix}{id}"`` —
-        the bulk path blueprint-built shards use for whole remote
-        spans.
+        the bulk path shards use for whole remote spans.
         """
         if first_id != len(self.workers):
             raise ValueError(

@@ -67,15 +67,15 @@ class WorkerPool(abc.ABC):
     #: this pool's queues, records, and spans.
     platform: str = ""
 
+    #: This pool's :class:`~repro.cluster.blueprint.SbcFabricPlan` or
+    #: :class:`~repro.cluster.blueprint.VmFabricPlan`, set by
+    #: ``ClusterBlueprint.bind`` before the harness builds.
+    plan: object
+
     def __init__(self):
         #: Global orchestrator worker ids owned by this pool, in
         #: registration order.
         self.worker_ids: List[int] = []
-        #: Construction plan adopted from a
-        #: :class:`~repro.cluster.blueprint.ClusterBlueprint` (set by
-        #: ``ClusterBlueprint.bind`` before the harness builds; None
-        #: for the legacy discover-as-you-go build).
-        self.plan = None
 
     @abc.abstractmethod
     def plan_descriptor(self) -> PoolDescriptor:
@@ -177,17 +177,9 @@ class SbcPool(WorkerPool):
             switch_ports=TESTBED_SWITCH.ports,
         )
 
-    def _grow_fabric(self, harness) -> Switch:
-        """Add one more ToR switch, trunked to the previous one."""
-        switch = Switch(
-            lambda: harness.env.now,
-            TESTBED_SWITCH,
-            name=(
-                "switch"
-                if not harness.switches
-                else f"switch-{len(harness.switches)}"
-            ),
-        )
+    def _add_switch(self, harness, name: str) -> None:
+        """Add one ToR switch to the chain, trunked to the previous one."""
+        switch = Switch(lambda: harness.env.now, TESTBED_SWITCH, name=name)
         harness.topology.add_switch(switch)
         if self.switches:
             harness.topology.connect_switches(
@@ -195,46 +187,18 @@ class SbcPool(WorkerPool):
             )
         self.switches.append(switch)
         harness.switches.append(switch)
-        return switch
 
     def build_fabric(self, harness) -> None:
-        self._grow_fabric(harness)
+        self._add_switch(harness, self.plan.chain[0])
 
     def build_workers(self, harness) -> None:
-        if self.plan is not None:
-            self._build_workers_planned(harness)
-            return
-        for _ in range(self.worker_count):
-            node_id = harness.orchestrator.worker_count
-            endpoint_name = f"sbc-{node_id}"
-            # Keep one port spare on the newest switch for the next trunk.
-            if self.switches[-1].ports_free <= 1:
-                self._grow_fabric(harness)
-            harness.topology.attach_endpoint(
-                Endpoint(endpoint_name, self.sbc_spec.nic, ARM_BARE),
-                self.switches[-1].name,
-            )
-            queue = harness.orchestrator.add_worker(platform=ARM)
-            if not harness.owns_worker(node_id):
-                # Sharded build: a remote shard simulates this board.
-                # The queue, endpoint, and switch slot above keep global
-                # ids and topology identical to the serial build; no
-                # hardware, GPIO line, or worker process is created.
-                self.worker_ids.append(node_id)
-                harness.register_worker(self, node_id, None, endpoint_name)
-                continue
-            self._spawn_worker(harness, node_id, endpoint_name, queue)
+        """Spans drive attachment: each span's local endpoints attach in
+        one topology operation, remote ids get stub queues and no
+        endpoint at all.
 
-    def _build_workers_planned(self, harness) -> None:
-        """Blueprint build: spans drive attachment instead of growth
-        checks, remote ids get stub queues and no endpoint at all.
-
-        Switch creation still happens one switch at a time, at span
-        boundaries, through the legacy ``_grow_fabric`` — so the
-        harness switch list, trunk order, and graph insertion order are
-        identical to the discover-as-you-go build.  Every derived name
-        is cross-checked against the plan: a blueprint computed for a
-        different shape fails loudly instead of mis-wiring the fabric.
+        Chain switches are created one at a time, at span boundaries,
+        under the names the plan gives, so the harness switch list,
+        trunk order and graph insertion order follow worker order.
         """
         plan: SbcFabricPlan = self.plan
         orchestrator = harness.orchestrator
@@ -244,28 +208,13 @@ class SbcPool(WorkerPool):
                 f"{plan.first_worker_id}, orchestrator is at "
                 f"{orchestrator.worker_count}"
             )
-        if self.switches[-1].name != plan.chain[0]:
-            raise ValueError(
-                f"blueprint drift: fabric starts at "
-                f"{self.switches[-1].name!r}, plan says {plan.chain[0]!r}"
-            )
-        topology = harness.topology
+        owns = harness.owns_worker
         nic = self.sbc_spec.nic
-        owned_set = harness.local_worker_ids  # None: serial, all owned
         for switch_name, first_id, count in plan.spans:
             if self.switches[-1].name != switch_name:
-                grown = self._grow_fabric(harness)
-                if grown.name != switch_name:
-                    raise ValueError(
-                        f"blueprint drift: grew {grown.name!r}, plan "
-                        f"says {switch_name!r}"
-                    )
+                self._add_switch(harness, switch_name)
             span_ids = range(first_id, first_id + count)
-            local_ids = (
-                span_ids
-                if owned_set is None
-                else [i for i in span_ids if i in owned_set]
-            )
+            local_ids = [node_id for node_id in span_ids if owns(node_id)]
             if not local_ids:
                 # Contiguous shard partitions make most spans wholly
                 # remote: bulk stub registration, no endpoints at all.
@@ -275,7 +224,7 @@ class SbcPool(WorkerPool):
                     self, first_id, count, endpoint_prefix="sbc-"
                 )
                 continue
-            topology.attach_endpoints(
+            harness.topology.attach_endpoints(
                 [
                     Endpoint(f"sbc-{node_id}", nic, ARM_BARE)
                     for node_id in local_ids
@@ -284,7 +233,7 @@ class SbcPool(WorkerPool):
             )
             for node_id in span_ids:
                 endpoint_name = f"sbc-{node_id}"
-                owned = owned_set is None or node_id in owned_set
+                owned = owns(node_id)
                 queue = orchestrator.add_worker(platform=ARM, stub=not owned)
                 if not owned:
                     self.worker_ids.append(node_id)
@@ -427,7 +376,9 @@ class MicroVmPool(WorkerPool):
             )
         if not harness.switches:
             switch = Switch(
-                lambda: harness.env.now, TESTBED_SWITCH, name="switch"
+                lambda: harness.env.now,
+                TESTBED_SWITCH,
+                name=harness.blueprint.switch_names[0],
             )
             harness.topology.add_switch(switch)
             harness.switches.append(switch)
@@ -450,35 +401,10 @@ class MicroVmPool(WorkerPool):
         harness.switches.append(self.bridge)
 
     def build_workers(self, harness) -> None:
-        if self.plan is not None:
-            self._build_workers_planned(harness)
-            return
-        default_policy = RunToCompletionPolicy(
-            reboot_between_jobs=True, power_off_when_idle=False
-        )
-        for _ in range(self.vm_count):
-            vm_id = harness.orchestrator.worker_count
-            endpoint_name = f"vm-{vm_id}"
-            harness.topology.attach_endpoint(
-                Endpoint(endpoint_name, GIGABIT_ETHERNET, X86_VIRTIO),
-                self.bridge.name,
-            )
-            queue = harness.orchestrator.add_worker(platform=X86)
-            if not harness.owns_worker(vm_id):
-                # A VM pool is atomic to one shard (see repro.shard);
-                # other shards keep only its queue/endpoint skeleton.
-                self.worker_ids.append(vm_id)
-                harness.register_worker(self, vm_id, None, endpoint_name)
-                continue
-            self._spawn_worker(
-                harness, vm_id, endpoint_name, queue, default_policy
-            )
-
-    def _build_workers_planned(self, harness) -> None:
-        """Blueprint build: bulk-attach the local guests' endpoints to
-        the bridge, register stub queues for remote ids (no endpoint —
-        a VM pool is atomic to one shard, so a remote VM's traffic can
-        never be simulated here)."""
+        """Bulk-attach the local guests' endpoints to the bridge and
+        register stub queues for remote ids (no endpoint: a VM pool is
+        atomic to one shard, so a remote VM's traffic can never be
+        simulated here)."""
         plan: VmFabricPlan = self.plan
         orchestrator = harness.orchestrator
         if plan.first_worker_id != orchestrator.worker_count:
@@ -490,9 +416,8 @@ class MicroVmPool(WorkerPool):
         vm_ids = range(
             plan.first_worker_id, plan.first_worker_id + self.vm_count
         )
-        local_ids = [
-            vm_id for vm_id in vm_ids if harness.owns_worker(vm_id)
-        ]
+        owns = harness.owns_worker
+        local_ids = [vm_id for vm_id in vm_ids if owns(vm_id)]
         if not local_ids:
             orchestrator.add_worker_stubs(self.vm_count, platform=X86)
             self.worker_ids.extend(vm_ids)
@@ -501,20 +426,19 @@ class MicroVmPool(WorkerPool):
                 endpoint_prefix="vm-",
             )
             return
-        if local_ids:
-            harness.topology.attach_endpoints(
-                [
-                    Endpoint(f"vm-{vm_id}", GIGABIT_ETHERNET, X86_VIRTIO)
-                    for vm_id in local_ids
-                ],
-                self.bridge.name,
-            )
+        harness.topology.attach_endpoints(
+            [
+                Endpoint(f"vm-{vm_id}", GIGABIT_ETHERNET, X86_VIRTIO)
+                for vm_id in local_ids
+            ],
+            self.bridge.name,
+        )
         default_policy = RunToCompletionPolicy(
             reboot_between_jobs=True, power_off_when_idle=False
         )
         for vm_id in vm_ids:
             endpoint_name = f"vm-{vm_id}"
-            owned = harness.owns_worker(vm_id)
+            owned = owns(vm_id)
             queue = orchestrator.add_worker(platform=X86, stub=not owned)
             if not owned:
                 self.worker_ids.append(vm_id)

@@ -124,10 +124,8 @@ class ShardedCluster:
         #: Placements decided at the current boundary, per shard; they
         #: ride on the next ``advance`` (see :meth:`_round`).
         self._pending = self._empty_directives()
-        # One blueprint for the whole fleet: each shard adopts the
-        # precomputed construction skeleton instead of replaying the
-        # full serial build to rediscover switch growth (see
-        # repro.cluster.blueprint).
+        # One blueprint for the whole fleet, computed here once and
+        # shipped to every shard (see repro.cluster.blueprint).
         blueprint = spec.blueprint()
         specs = [
             ShardSpec(

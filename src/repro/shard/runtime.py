@@ -266,7 +266,7 @@ class ShardSpec:
     local_ids: Tuple[int, ...]
     #: Construction skeleton computed once by the coordinator and
     #: shipped (387 bytes of names and ints, not a topology) into every
-    #: shard process; None falls back to the legacy full rebuild.
+    #: shard process; None lets the shard compute its own.
     blueprint: Optional[ClusterBlueprint] = None
 
 

@@ -1,7 +1,9 @@
-"""Blueprint construction: planned builds must be indistinguishable
-from the legacy discover-as-you-go builds (serial), and shard builds
-must keep the full id space while materializing only local state."""
+"""Blueprint construction: builds must reproduce recorded fabric
+structure and simulation results, whether the blueprint is passed in or
+computed by the harness, and shard builds must keep the full id space
+while materializing only local state."""
 
+import hashlib
 import pickle
 
 import pytest
@@ -52,22 +54,66 @@ CASES = [
 ]
 
 
+#: sha256 of ``repr(structure(cluster))`` per CASES label, recorded
+#: before the blueprint became the only construction path.
+RECORDED_STRUCTURE = {
+    "microfaas-10": "5f36f173dcf409c4596b5c25ab76c1ad43e1464069d5ba9ca55a0c963ecdf6a1",
+    "microfaas-21": "280bd57a9c450dfc4ad54d9fa0b840abeb756fd880020c8659913e5b46ef566e",
+    "microfaas-22": "ff96d062275810fc88c609e338cb7da4898b280260fa3d87be37218cdec0c487",
+    "microfaas-150": "99922ae0ddb58a8bf5f1261b803d0499966493ced740f7253eb389c796e71bdf",
+    "hybrid-30+6": "c27ee30ca39a8bcdf707de6546cb9da799fb86c6229d46b859c66c608953d199",
+    "hybrid-1+1": "8dcfa8cf6d7244bbd4aee52361e5f7a349b33ff6e3649af33be8cd64ad8beaf6",
+    "conventional-6": "9ff239bfb6aacc7abde11e630963216787ad3843a8841d7700f1f26af847e4c7",
+}
+
+
+def structure_digest(cluster):
+    return hashlib.sha256(repr(structure(cluster)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("label,make", CASES, ids=[c[0] for c in CASES])
 def test_planned_build_matches_legacy_structure(label, make):
-    legacy = make(None)
-    planned = make(blueprint_for_pools(legacy.pools))
-    assert structure(planned) == structure(legacy)
+    computed = make(None)
+    passed = make(blueprint_for_pools(computed.pools))
+    assert structure_digest(computed) == RECORDED_STRUCTURE[label]
+    assert structure_digest(passed) == RECORDED_STRUCTURE[label]
+
+
+#: ``run_saturated(invocations_per_function=4)`` results recorded
+#: before the blueprint became the only construction path: (jobs,
+#: duration, energy, pool energy, mean latency, final clock).
+RECORDED_RUNS = {
+    "microfaas": (
+        68,
+        21.293810476719866,
+        442.5347463662449,
+        (("arm", 442.5347463662449),),
+        6.266754467905319,
+        21.293810476719866,
+    ),
+    "hybrid": (
+        68,
+        11.435672643679917,
+        1193.7298413830845,
+        (("arm", 347.42686108601094), ("x86", 846.3029802970734)),
+        5.0919360086311976,
+        11.435672643679917,
+    ),
+}
 
 
 @pytest.mark.parametrize(
-    "make",
+    "label,make",
     [
-        lambda bp: MicroFaaSCluster(worker_count=30, blueprint=bp),
-        lambda bp: HybridCluster(sbc_count=24, vm_count=4, blueprint=bp),
+        ("microfaas", lambda bp: MicroFaaSCluster(worker_count=30, blueprint=bp)),
+        (
+            "hybrid",
+            lambda bp: HybridCluster(sbc_count=24, vm_count=4, blueprint=bp),
+        ),
     ],
     ids=["microfaas", "hybrid"],
 )
-def test_planned_build_runs_bit_identically(make):
+def test_planned_build_runs_bit_identically(label, make):
     blueprint = blueprint_for_pools(make(None).pools)
 
     def run(bp):
@@ -82,7 +128,8 @@ def test_planned_build_runs_bit_identically(make):
             cluster.env.now,
         )
 
-    assert run(blueprint) == run(None)
+    assert run(blueprint) == RECORDED_RUNS[label]
+    assert run(None) == RECORDED_RUNS[label]
 
 
 def test_blueprint_is_small_and_picklable():
@@ -130,20 +177,20 @@ def test_shard_build_elides_remote_state():
     shard = MicroFaaSCluster(
         worker_count=100, local_ids=local, blueprint=blueprint
     )
-    legacy = MicroFaaSCluster(worker_count=100, local_ids=local)
+    serial = MicroFaaSCluster(worker_count=100)
     # Full id space either way.
     assert len(shard.orchestrator.queues) == 100
     assert len(shard.workers) == 100
-    # Same switch skeleton as the legacy shard build (paths must agree).
-    assert [s.name for s in shard.switches] == [s.name for s in legacy.switches]
+    # Same switch skeleton as the serial build (paths must agree).
+    assert [s.name for s in shard.switches] == [s.name for s in serial.switches]
     assert list(shard.topology._switch_graph.edges) == list(
-        legacy.topology._switch_graph.edges
+        serial.topology._switch_graph.edges
     )
     # Local ids: live queues, endpoints attached to the planned switch.
     for wid in local:
         assert isinstance(shard.orchestrator.queues[wid], WorkerQueue)
         assert shard.topology._endpoint_switch[f"sbc-{wid}"] == (
-            legacy.topology._endpoint_switch[f"sbc-{wid}"]
+            serial.topology._endpoint_switch[f"sbc-{wid}"]
         )
     # Remote ids: stub queues, no endpoint in the graph at all.
     for wid in (0, 21, 44, 99):

@@ -114,14 +114,21 @@ def test_degenerate_mixes_build_single_platform_clusters():
     assert vm_only.run_saturated(invocations_per_function=1).jobs_completed == 17
 
 
-def test_hybrid_run_serves_both_platforms_and_splits_the_bill():
-    cluster = HybridCluster(sbc_count=6, vm_count=3, seed=1)
-    result = cluster.run_saturated(invocations_per_function=10)
-    assert result.jobs_completed == 170
+@pytest.mark.parametrize(
+    "sbc_count,vm_count,invocations,jobs",
+    [(6, 3, 10, 170), (4, 2, 4, 68)],
+    ids=["6+3x10", "4+2x4"],
+)
+def test_hybrid_run_serves_both_platforms_and_splits_the_bill(
+    sbc_count, vm_count, invocations, jobs
+):
+    cluster = HybridCluster(sbc_count=sbc_count, vm_count=vm_count, seed=1)
+    result = cluster.run_saturated(invocations_per_function=invocations)
+    assert result.jobs_completed == jobs
     telemetry = result.telemetry
     assert telemetry.platforms_seen == [ARM, X86]
     assert (
-        telemetry.platform_count(ARM) + telemetry.platform_count(X86) == 170
+        telemetry.platform_count(ARM) + telemetry.platform_count(X86) == jobs
     )
     # The energy-aware policy keeps the bulk of the work on the SBCs.
     assert telemetry.platform_count(ARM) > telemetry.platform_count(X86)
