@@ -10,6 +10,25 @@ per-invocation lognormal jitter (mean-preserving, so the cluster-level
 calibration holds); the input/result overhead comes from the network
 transfer model, so payload sizes and NIC speed determine Fig. 3's
 overhead bars.
+
+The worker wakes only at phase ends that something outside it can
+observe, so an invocation costs one kernel event per observed stretch:
+
+- the boot end (the board's draw changes, and warm pools read
+  ``BOOT``);
+- inbound transfer + session overhead, as one absolute-time wait:
+  nothing happens between the two;
+- the CPU end (the draw changes to ``IO_WAIT``);
+- I/O + result transfer, as one wait, unless the I/O end is observed —
+  by a traced job's execute span, by chaos accounting (which prices
+  the outbound transfer at the instant it starts) or by a contended
+  backend (which decides when the I/O ends).  Then each is its own
+  wait.  A fused stretch books the I/O end's same-state re-entry with
+  :meth:`~repro.hardware.power.PowerStateMachine.reenter_at`, so
+  time-in-state sums match the unfused path float for float.
+
+Each stretch end is the float the chained relative timeouts would
+reach, so every record, span and joule is unchanged by the fusion.
 """
 
 from __future__ import annotations
@@ -26,6 +45,7 @@ from repro.core.lifecycle import RunToCompletionPolicy
 from repro.core.orchestrator import Orchestrator
 from repro.core.queue import WorkerQueue
 from repro.core.telemetry import InvocationRecord
+from repro.hardware.power import PowerState
 from repro.hardware.sbc import SingleBoardComputer
 from repro.net.transfer import SESSION_OVERHEAD_S, TransferModel
 from repro.services.latency import ServiceLatencyModel
@@ -180,7 +200,7 @@ class SbcWorker:
             # was built without a wired line, wake up now.
             if not self.sbc.is_powered:
                 self.sbc.power_on()
-            if self.sbc.state.value == "boot":
+            if self.sbc.state is PowerState.BOOT:
                 start = self.env.now
                 yield from self._boot()
                 boot_s = self.env.now - start
@@ -232,8 +252,10 @@ class SbcWorker:
                 job.trace_attempt = None
 
     def _execute(self, job: Job, boot_s: float):
+        env = self.env
         profile = self.profiles[job.function]
-        inbound_start = self.env.now
+        traced = job.trace_id is not None
+        inbound_start = env.now
         # Receive the invocation input (overhead, I/O bound).  With a
         # control-plane model, the OP must first find CPU to dispatch us.
         self.sbc.start_io_wait()
@@ -242,15 +264,17 @@ class SbcWorker:
         inbound = self.transfers.transfer(
             self.orchestrator_endpoint, self.endpoint, job.input_bytes
         )
-        yield self.env.timeout(inbound.total_s)
-        # Session overhead: TCP setup + payload codec on the slow core.
+        # Transfer, then session overhead (TCP setup + payload codec on
+        # the slow core): one wait, ending where the two chained
+        # timeouts would.
         session_s = SESSION_OVERHEAD_S["arm-bare"]
-        yield self.env.timeout(session_s)
-        inbound_overhead_s = self.env.now - inbound_start
-        if job.trace_id is not None:
+        inbound_end = (env.now + inbound.total_s) + session_s
+        yield env.timeout_at(inbound_end)
+        inbound_overhead_s = inbound_end - inbound_start
+        if traced:
             self.orchestrator.tracer.span(
                 job.trace_id, obs.INPUT_TRANSFER, inbound_start,
-                self.env.now, parent_id=job.trace_attempt,
+                inbound_end, parent_id=job.trace_attempt,
                 worker_id=self.sbc.node_id,
                 attrs={"bytes": job.input_bytes, **inbound.as_attrs(),
                        "session_s": session_s},
@@ -265,42 +289,57 @@ class SbcWorker:
             # Down-clocked board: CPU phase stretches, I/O doesn't.
             cpu_s /= dvfs.perf_scale
         io_s = nominal_s * (1 - profile.cpu_fraction_arm)
-        working_start = self.env.now
+        working_start = env.now
         if cpu_s > 0:
             self.sbc.start_compute()
-            yield self.env.timeout(cpu_s)
-        if io_s > 0:
+            yield env.timeout(cpu_s)
+        # The I/O end gets its own wake-up only if something observes
+        # it: a traced job's execute span closes there, chaos accounting
+        # prices the outbound transfer at the instant it starts, and a
+        # contended backend decides when the I/O phase ends.
+        contended = self.backend is not None and profile.service_op is not None
+        fuse_io = io_s > 0 and not (
+            traced or contended or self.transfers.chaos_enabled
+        )
+        outbound_start = env.now
+        if fuse_io:
             self.sbc.start_io_wait()
-            if self.backend is not None and profile.service_op is not None:
+            outbound_start += io_s
+            # Book the outbound start's same-state start_io_wait.
+            self.sbc.psm.reenter_at(outbound_start)
+        elif io_s > 0:
+            self.sbc.start_io_wait()
+            if contended:
                 # Contended backends queue the service share of the wait.
                 yield from self.backend.serve(profile.service_op, io_s)
             else:
-                yield self.env.timeout(io_s)
-        working_s = self.env.now - working_start
-        if job.trace_id is not None:
+                yield env.timeout(io_s)
+            outbound_start = env.now
+        working_s = outbound_start - working_start
+        if traced:
             # The execute span's duration IS working_s (same endpoints),
             # which is what lets the critical-path analyzer reconcile
             # with TelemetryCollector exactly.
             self.orchestrator.tracer.span(
-                job.trace_id, obs.EXECUTE, working_start, self.env.now,
+                job.trace_id, obs.EXECUTE, working_start, outbound_start,
                 parent_id=job.trace_attempt, worker_id=self.sbc.node_id,
                 attrs={"cpu_s": cpu_s, "io_s": io_s},
             )
         # Return the result (overhead); the OP must ingest it.
-        outbound_start = self.env.now
-        self.sbc.start_io_wait()
+        if not fuse_io:
+            self.sbc.start_io_wait()
         outbound = self.transfers.transfer(
             self.endpoint, self.orchestrator_endpoint, job.output_bytes
         )
-        yield self.env.timeout(outbound.total_s)
+        yield env.timeout_at(outbound_start + outbound.total_s)
         if self.control_plane is not None:
             yield from self.control_plane.collect()
         self.sbc.finish_job()
-        overhead_s = inbound_overhead_s + (self.env.now - outbound_start)
-        if job.trace_id is not None:
+        overhead_s = inbound_overhead_s + (env.now - outbound_start)
+        if traced:
             self.orchestrator.tracer.span(
                 job.trace_id, obs.RESULT_TRANSFER, outbound_start,
-                self.env.now, parent_id=job.trace_attempt,
+                env.now, parent_id=job.trace_attempt,
                 worker_id=self.sbc.node_id,
                 attrs={"bytes": job.output_bytes, **outbound.as_attrs()},
             )
@@ -311,7 +350,7 @@ class SbcWorker:
             platform=ARM,
             t_queued=job.t_queued,
             t_started=job.t_started,
-            t_completed=self.env.now,
+            t_completed=env.now,
             boot_s=boot_s,
             working_s=working_s,
             overhead_s=overhead_s,

@@ -46,10 +46,21 @@ class WorkerQueue:
         self._on_enqueue.append(callback)
 
     def push(self, job: Job) -> None:
-        """Enqueue a job (the store is unbounded, so this never blocks)."""
+        """Enqueue a job (the store is unbounded, so this never blocks).
+
+        No ``StorePut`` event is made: the put of an unbounded store
+        succeeds at once and nobody waits on it, so it would only cost
+        a heap push and pop.  A waiting :meth:`pop` is satisfied exactly
+        as ``Store.put`` would: oldest getter first, head of the FIFO.
+        """
         job.worker_id = self.worker_id
         job.transition(JobStatus.QUEUED, self.env.now)
-        self._store.put(job)
+        store = self._store
+        items = store.items
+        items.append(job)
+        getters = store._getters
+        while getters and items:
+            getters.popleft().succeed(items.pop(0))
         self.jobs_enqueued += 1
         self.outstanding += 1
         self.peak_depth = max(self.peak_depth, self.depth)

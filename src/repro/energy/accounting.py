@@ -68,21 +68,6 @@ def sbc_state_breakdown(
     return EnergyBreakdown(by_state=totals)
 
 
-def per_platform_joules(cluster, start: float, end: float) -> Dict[str, float]:
-    """Energy attributed to each worker platform over a window.
-
-    Works on any harness-built cluster: each pool integrates its own
-    metered hardware's power trace (per-board meters for SBCs, the wall
-    meter for a VM host), so on a hybrid cluster this splits the bill
-    between the ``arm`` and ``x86`` fleets.  Shared fabric switches are
-    cluster-level and not attributed to either platform.
-    """
-    totals: Dict[str, float] = {}
-    for platform, joules in cluster.pool_energy_joules(start, end):
-        totals[platform] = totals.get(platform, 0.0) + joules
-    return totals
-
-
 def per_function_active_joules(
     records: Iterable[InvocationRecord],
     sbcs: Iterable[SingleBoardComputer],
@@ -113,6 +98,5 @@ __all__ = [
     "joules_to_kwh",
     "kwh_to_joules",
     "per_function_active_joules",
-    "per_platform_joules",
     "sbc_state_breakdown",
 ]

@@ -18,7 +18,6 @@ from repro.federation.gateway import (
 )
 from repro.federation.region import Region, RegionSpec, build_region_cluster
 from repro.federation.router import (
-    CarbonAwareRoutingPolicy,
     FederationRouter,
     LatencyAwarePolicy,
     LoadSpillPolicy,
@@ -27,7 +26,6 @@ from repro.federation.router import (
 )
 
 __all__ = [
-    "CarbonAwareRoutingPolicy",
     "FedJob",
     "FederatedCluster",
     "FederationResult",

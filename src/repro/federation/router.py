@@ -133,59 +133,6 @@ class LoadSpillPolicy(RoutingPolicy):
         return best
 
 
-class CarbonAwareRoutingPolicy(RoutingPolicy):
-    """Shift load to cheap/green regions under a latency constraint.
-
-    Each region carries a :class:`~repro.energy.controlplane.
-    CarbonSignal` (carbon intensity or spot price).  The policy first
-    finds the nearest candidate by ingress latency, keeps only regions
-    within ``max_extra_latency_s`` of that floor (the latency budget),
-    and among those picks the cheapest signal at ``now`` — ties break
-    on candidate index.  A region with no configured signal costs
-    ``default_cost``, so partial deployments keep routing sensibly.
-
-    Signals are pre-sampled at construction (see
-    :meth:`CarbonSignal.from_stream`), so routing reads them without
-    drawing RNG — region streams stay unperturbed.
-    """
-
-    name = "carbon-aware"
-
-    def __init__(
-        self,
-        signals=None,
-        max_extra_latency_s: float = 0.05,
-        default_cost: float = float("inf"),
-    ):
-        if max_extra_latency_s < 0:
-            raise ValueError("latency budget must be non-negative")
-        #: region name -> CarbonSignal
-        self.signals = dict(signals) if signals else {}
-        self.max_extra_latency_s = max_extra_latency_s
-        self.default_cost = default_cost
-
-    def select(self, geo, candidates, wan, now):
-        costs = [
-            _ingress_cost_s(geo, region, wan, now) for region in candidates
-        ]
-        floor = min(costs)
-        best = None
-        best_price = None
-        for index, region in enumerate(candidates):
-            if costs[index] > floor + self.max_extra_latency_s:
-                continue
-            signal = self.signals.get(region.name)
-            price = (
-                signal.cost_at(now) if signal is not None
-                else self.default_cost
-            )
-            if best is None or price < best_price - 1e-12:
-                best, best_price = index, price
-        # floor came from the candidate list, so at least the nearest
-        # region always survives the latency gate.
-        return best
-
-
 class FederationRouter:
     """Health-checked routing over a federation's regions."""
 
@@ -250,7 +197,6 @@ class FederationRouter:
 
 
 __all__ = [
-    "CarbonAwareRoutingPolicy",
     "FederationRouter",
     "LatencyAwarePolicy",
     "LoadSpillPolicy",

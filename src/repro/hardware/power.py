@@ -204,13 +204,30 @@ def combine_traces(
     return combined
 
 
-#: Enum members and a zeroed per-state accumulator template, computed
-#: once: a 100k-worker cluster constructs one state machine per board,
-#: and per-instance enum iteration plus five member hashes each was a
-#: measurable slice of cold-build time.  ``.copy()`` of the template
-#: reuses stored hashes, so instances pay no enum hashing at all.
+#: Enum members in declaration order.  Each member also carries a dense
+#: ``_index`` (its position here): state machines keep their per-state
+#: tables in short lists indexed by it, so a transition costs two list
+#: subscripts instead of two ``Enum.__hash__`` calls.
 _ALL_STATES = tuple(PowerState)
-_ZERO_TIME_IN_STATE = {state: 0.0 for state in _ALL_STATES}
+for _index, _state in enumerate(_ALL_STATES):
+    _state._index = _index
+del _index, _state
+
+
+def _watts_row(state_watts: Mapping[PowerState, float]) -> list:
+    """``state_watts`` as a list indexed by ``PowerState._index``.
+
+    Walks the mapping's items rather than looking every state up, so a
+    100k-board build pays no enum hashing.
+    """
+    row: list = [None] * len(_ALL_STATES)
+    for state, watts in state_watts.items():
+        if isinstance(state, PowerState):
+            row[state._index] = watts
+    if None in row:
+        missing = [s for s in _ALL_STATES if row[s._index] is None]
+        raise ValueError(f"missing wattages for states: {missing}")
+    return row
 
 
 class PowerStateMachine:
@@ -232,20 +249,16 @@ class PowerStateMachine:
         state_watts: Mapping[PowerState, float],
         initial_state: PowerState = PowerState.OFF,
     ):
-        watts = dict(state_watts)
-        if not _ZERO_TIME_IN_STATE.keys() <= watts.keys():
-            missing = [s for s in _ALL_STATES if s not in watts]
-            raise ValueError(f"missing wattages for states: {missing}")
         self._clock = clock
-        self._state_watts = watts
+        self._watts = _watts_row(state_watts)
         self._state = initial_state
         self.trace = PowerTrace(
-            initial_time=clock(), initial_watts=watts[initial_state]
+            initial_time=clock(), initial_watts=self._watts[initial_state._index]
         )
         self._state_entered_at = clock()
-        self._time_in_state: dict[PowerState, float] = (
-            _ZERO_TIME_IN_STATE.copy()
-        )
+        self._time_in_state = [0.0] * len(_ALL_STATES)
+        #: Pending same-state re-entry instant (see :meth:`reenter_at`).
+        self._reentry_at: Optional[float] = None
 
     @property
     def state(self) -> PowerState:
@@ -254,21 +267,53 @@ class PowerStateMachine:
     @property
     def watts(self) -> float:
         """Current instantaneous draw."""
-        return self._state_watts[self._state]
+        return self._watts[self._state._index]
+
+    def _settle_reentry(self, now: float) -> None:
+        """Apply (or, for a call before it, drop) a pending re-entry."""
+        reentry = self._reentry_at
+        self._reentry_at = None
+        if now >= reentry:
+            self._time_in_state[self._state._index] += (
+                reentry - self._state_entered_at
+            )
+            self._state_entered_at = reentry
 
     def set_state(self, state: PowerState) -> None:
         """Transition to ``state``, recording the change on the trace."""
         now = self._clock()
-        self._time_in_state[self._state] += now - self._state_entered_at
+        if self._reentry_at is not None:
+            self._settle_reentry(now)
+        self._time_in_state[self._state._index] += now - self._state_entered_at
         self._state_entered_at = now
         self._state = state
-        self.trace.record(now, self._state_watts[state])
+        self.trace.record(now, self._watts[state._index])
+
+    def reenter_at(self, when: float) -> None:
+        """Book a same-state :meth:`set_state` at the future instant ``when``.
+
+        Re-entering the current state changes nothing on the trace (the
+        wattage is the same); it only splits the state's time-in-state
+        sum at ``when``.  A caller that would otherwise wake up at
+        ``when`` just to make that call books it here instead.  The
+        first :meth:`set_state` or :meth:`time_in_state` at or after
+        ``when`` applies the split first, so every sum matches the
+        woken-up caller's float for float.  A :meth:`set_state` before
+        ``when`` (the device crashed first) drops the booking.
+        """
+        if when < self._clock():
+            raise ValueError(f"re-entry at {when} is in the past")
+        self._reentry_at = when
 
     def time_in_state(self, state: PowerState) -> float:
         """Cumulative seconds spent in ``state`` so far."""
-        total = self._time_in_state[state]
+        now = self._clock()
+        reentry = self._reentry_at
+        if reentry is not None and now >= reentry:
+            self._settle_reentry(now)
+        total = self._time_in_state[state._index]
         if state is self._state:
-            total += self._clock() - self._state_entered_at
+            total += now - self._state_entered_at
         return total
 
     def rescale(self, state_watts: Mapping[PowerState, float]) -> None:
@@ -279,12 +324,8 @@ class PowerStateMachine:
         time-in-state bookkeeping.  The mapping is copied — callers may
         pass a shared template.
         """
-        watts = dict(state_watts)
-        if not _ZERO_TIME_IN_STATE.keys() <= watts.keys():
-            missing = [s for s in _ALL_STATES if s not in watts]
-            raise ValueError(f"missing wattages for states: {missing}")
-        self._state_watts = watts
-        self.trace.record(self._clock(), watts[self._state])
+        self._watts = _watts_row(state_watts)
+        self.trace.record(self._clock(), self._watts[self._state._index])
 
 
 class PowerCap:

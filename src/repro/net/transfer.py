@@ -83,6 +83,12 @@ class TransferModel:
             raise RuntimeError("chaos accounting needs a clock")
         self._chaos = True
 
+    @property
+    def chaos_enabled(self) -> bool:
+        """True once fault accounting is on: estimates then depend on
+        the instant a transfer starts."""
+        return self._chaos
+
     def _fault_s(self, src: str, dst: str) -> float:
         """One-way fault penalty for a message entering the fabric now."""
         if not self._chaos or self.clock is None:

@@ -498,7 +498,7 @@ class ChaosEngine:
 
     def apply(self, plan: ChaosPlan) -> None:
         """Schedule every event (call before running the simulation)."""
-        if plan.events and not self.cluster.transfers._chaos:
+        if plan.events and not self.cluster.transfers.chaos_enabled:
             self.cluster.transfers.enable_chaos()
         for index, event in enumerate(plan.events):
             self.cluster.env.process(

@@ -6,7 +6,7 @@ list of callbacks.  Generator-based processes interact with the loop by
 yielding events; when a yielded event fires, the process is resumed with
 the event's value (or the event's exception is thrown into it).
 
-Three fast paths keep large runs cheap without changing a single firing
+Four fast paths keep large runs cheap without changing a single firing
 (the regression suite pins bit-identical results against the per-event
 loop):
 
@@ -30,6 +30,12 @@ loop):
   heap — whichever is cheaper).  Sequence numbers are allocated exactly
   as the unbatched path would, so pop order is unchanged.  Inside a
   bulk window nothing may step or peek the queue.
+- **Absolute-time timeouts.**  :meth:`Environment.timeout_at` schedules
+  a pooled :class:`Timeout` at an absolute instant.  A process whose
+  next few phase ends are fixed (and unobserved) computes the last one
+  with the same float additions a chain of relative timeouts would
+  perform, and waits once instead of once per phase — one heap push,
+  one pop and one generator resume instead of several.
 """
 
 from __future__ import annotations
@@ -430,6 +436,38 @@ class Environment:
             self._schedule(timeout, NORMAL, delay)
             return timeout
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Create an event that fires at the absolute time ``when``.
+
+        The event is keyed at exactly ``when`` — not at
+        ``now + (when - now)``, which can round to a neighbouring float —
+        so a process can chain several phase ends by hand and land on
+        the instant the chained relative timeouts would have reached.
+        """
+        now = self._now
+        if when < now:
+            raise ValueError(f"timeout_at({when}) is in the past (now={now})")
+        pool = self._timeout_pool
+        if pool:
+            timeout = pool.pop()
+            timeout.callbacks = []
+            timeout._value = value
+            timeout._processed = False
+        else:
+            # Bypass Timeout.__init__: it schedules relative to now.
+            timeout = Timeout.__new__(Timeout)
+            Event.__init__(timeout, self)
+            timeout._value = value
+            timeout._triggered = True
+        timeout.delay = when - now
+        self._sequence += 1
+        entry = (when, NORMAL, self._sequence, timeout)
+        if self._bulk is None:
+            heappush(self._queue, entry)
+        else:
+            self._bulk.append(entry)
+        return timeout
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Register ``generator`` as a new process starting now."""

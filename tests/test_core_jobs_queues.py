@@ -107,6 +107,49 @@ def test_queue_enqueue_hook_fires():
     assert seen == [9]
 
 
+def test_queue_push_without_pending_pop_schedules_no_event():
+    env = Environment()
+    queue = WorkerQueue(env, worker_id=0)
+    before = env._sequence
+    queue.push(make_job(1))
+    queue.push(make_job(2))
+    assert env._sequence == before
+    assert queue.depth == 2
+    assert queue.jobs_enqueued == 2
+
+
+def test_queue_push_hands_jobs_to_pending_pops_in_fifo_order():
+    env = Environment()
+    queue = WorkerQueue(env, worker_id=0)
+    first, second = queue.pop(), queue.pop()
+    before = env._sequence
+    queue.push(make_job(1))
+    # The only event a push makes is the waiting pop's.
+    assert env._sequence == before + 1
+    queue.push(make_job(2))
+    queue.push(make_job(3))
+    assert first.triggered and second.triggered
+    env.run()
+    assert (first.value.job_id, second.value.job_id) == (1, 2)
+    assert queue.jobs_dequeued == 2
+    assert queue.depth == 1
+    assert queue.peak_depth == 1
+
+
+def test_queue_cancel_pop_and_drain():
+    env = Environment()
+    queue = WorkerQueue(env, worker_id=0)
+    withdrawn = queue.pop()
+    queue.cancel_pop(withdrawn)
+    queue.push(make_job(1))
+    queue.push(make_job(2))
+    assert not withdrawn.triggered
+    assert [job.job_id for job in queue.drain()] == [1, 2]
+    assert queue.depth == 0
+    env.run()
+    assert queue.jobs_dequeued == 0
+
+
 # -- GpioBank -----------------------------------------------------------------------
 
 

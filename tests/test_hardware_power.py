@@ -1,7 +1,7 @@
 """Unit and property tests for power traces and power models."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.hardware.power import (
     PowerState,
@@ -503,3 +503,97 @@ def test_dvfs_curve_for_unknown_spec_is_single_step():
     curve = dvfs_curve_for(unknown)
     assert len(curve.steps) == 1
     assert curve.nominal.perf_scale == 1.0
+
+
+# ---------------------------------------------------------------------------
+# PowerStateMachine.reenter_at: a booked same-state set_state
+# ---------------------------------------------------------------------------
+
+DURATIONS = st.floats(
+    min_value=1e-4, max_value=500.0, allow_nan=False, allow_infinity=False
+)
+
+
+def _all_time_in_state(psm):
+    return [repr(psm.time_in_state(state)) for state in PowerState]
+
+
+def _io_stretch(clock, psm, start, io_s):
+    """Run to ``start``, enter IO_WAIT; return the I/O end."""
+    clock.t = start
+    psm.set_state(PowerState.IO_WAIT)
+    return start + io_s
+
+
+@settings(max_examples=1000)
+@given(first=DURATIONS, earlier_io=DURATIONS, io=DURATIONS, out=DURATIONS,
+       later=DURATIONS, read_first=st.booleans(),
+       next_state=st.sampled_from([PowerState.IDLE, PowerState.OFF]))
+def test_psm_reenter_at_matches_same_state_set_state(
+    first, earlier_io, io, out, later, read_first, next_state
+):
+    """Booking the re-entry gives every time-in-state float the woken-up
+    caller's ``set_state`` at the same instant gives, whether the next
+    call after the booked instant is a read, the job's finish (IDLE) or
+    a crash (OFF)."""
+    results = []
+    for booked in (False, True):
+        clock = FakeClock()
+        psm = PowerStateMachine(clock, STATE_WATTS)
+        io_end = _io_stretch(clock, psm, first, earlier_io)
+        clock.t = io_end
+        psm.set_state(PowerState.CPU_BUSY)
+        io_end = _io_stretch(clock, psm, io_end, io)
+        if booked:
+            psm.reenter_at(io_end)
+        else:
+            clock.t = io_end
+            psm.set_state(PowerState.IO_WAIT)
+        clock.t = io_end + out
+        reads = _all_time_in_state(psm) if read_first else None
+        psm.set_state(next_state)
+        clock.t = clock.t + later
+        results.append((reads, _all_time_in_state(psm)))
+    assert results[0] == results[1]
+
+
+@settings(max_examples=500)
+@given(first=DURATIONS, io=DURATIONS, crash=st.floats(0.0, 1.0),
+       later=DURATIONS, reboot=DURATIONS)
+def test_psm_crash_before_reenter_at_drops_the_booking(first, io, crash,
+                                                       later, reboot):
+    """A transition before the booked instant (the board crashed first)
+    drops the booking: the sums equal a machine that never booked.  A
+    read before the instant leaves the booking in place."""
+    results = []
+    for booked in (False, True):
+        clock = FakeClock()
+        psm = PowerStateMachine(clock, STATE_WATTS)
+        io_end = _io_stretch(clock, psm, first, io)
+        crash_at = first + io * crash
+        assume(crash_at < io_end)
+        if booked:
+            psm.reenter_at(io_end)
+        clock.t = crash_at
+        reads = _all_time_in_state(psm)
+        psm.set_state(PowerState.OFF)
+        clock.t = io_end + later
+        psm.set_state(PowerState.BOOT)
+        clock.t = clock.t + reboot
+        results.append((reads, _all_time_in_state(psm)))
+    assert results[0] == results[1]
+
+
+def test_psm_reenter_at_in_the_past_rejected():
+    clock = FakeClock()
+    psm = PowerStateMachine(clock, STATE_WATTS)
+    clock.t = 2.0
+    with pytest.raises(ValueError):
+        psm.reenter_at(1.0)
+
+
+def test_psm_state_tables_ignore_foreign_keys():
+    """Extra mapping keys are ignored, as with the enum-keyed dicts."""
+    clock = FakeClock()
+    psm = PowerStateMachine(clock, {**STATE_WATTS, "turbo": 9.0})
+    assert psm.watts == 0.1

@@ -158,3 +158,57 @@ def test_bulk_schedule_matches_incremental(program):
         return log, env.now
 
     assert run_with(True) == run_with(False)
+
+
+# Programs mixing relative and absolute-time timeouts: each step is a
+# delay and a flag; flagged steps wait on ``timeout_at(now + delay)``.
+MIXED_PROGRAMS = st.lists(
+    st.lists(st.tuples(DELAYS, st.booleans()), min_size=1, max_size=6),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _mixed_trace_with(driver, program, bulk=False):
+    env = Environment()
+    log = []
+
+    def proc(pid, steps):
+        for k, (delay, absolute) in enumerate(steps):
+            if absolute:
+                event = env.timeout_at(env.now + delay, value=(pid, k))
+            else:
+                event = env.timeout(delay, value=(pid, k))
+            value = yield event
+            log.append((env.now, value))
+
+    if bulk:
+        env.begin_bulk()
+    for pid, steps in enumerate(program):
+        env.process(proc(pid, steps))
+        # A first absolute wait scheduled from outside any process.
+        delay, absolute = steps[0]
+        if absolute:
+            env.timeout_at(delay, value=("outside", pid)).callbacks.append(
+                lambda event: log.append((env.now, event.value))
+            )
+    if bulk:
+        env.end_bulk()
+    driver(env)
+    return log, env.now
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(program=MIXED_PROGRAMS)
+def test_absolute_timeouts_match_per_event_step(program):
+    reference = _mixed_trace_with(_step_loop, program)
+    assert _mixed_trace_with(_run, program) == reference
+    assert _mixed_trace_with(_step_batch_loop, program) == reference
+
+
+@settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow])
+@given(program=MIXED_PROGRAMS)
+def test_absolute_timeouts_in_bulk_window_match_incremental(program):
+    assert _mixed_trace_with(_run, program, bulk=True) == _mixed_trace_with(
+        _step_loop, program
+    )

@@ -459,3 +459,66 @@ def test_thousand_process_fan_in():
     env.process(collector())
     env.run()
     assert done == [sum(range(1000))]
+
+
+# -- absolute-time timeouts ------------------------------------------------------
+
+
+def test_timeout_at_fires_at_exactly_when():
+    now, when = 1.171, 3.376
+    # The relative round trip rounds to a neighbouring float, so a
+    # delay-based timeout could not land on ``when``.
+    assert now + (when - now) != when
+    env = Environment(initial_time=now)
+    fired = []
+
+    def proc():
+        value = yield env.timeout_at(when, value="v")
+        fired.append((env.now, value))
+
+    env.process(proc())
+    env.run()
+    assert fired == [(when, "v")]
+
+
+def test_timeout_at_in_the_past_rejected():
+    env = Environment(initial_time=2.0)
+    with pytest.raises(ValueError):
+        env.timeout_at(1.999)
+    assert env.timeout_at(2.0).delay == 0.0
+
+
+def test_timeout_at_reuses_a_pooled_carrier():
+    env = Environment()
+    env.timeout(1.0)
+    env.run()
+    assert len(env._timeout_pool) == 1
+    pooled = env._timeout_pool[0]
+    timeout = env.timeout_at(5.0, value=7)
+    assert timeout is pooled
+    assert not env._timeout_pool
+    env.run()
+    assert env.now == 5.0
+    assert timeout.value == 7
+
+
+def test_timeout_at_inside_bulk_window_pops_in_unbatched_order():
+    def fire_order(bulk):
+        env = Environment()
+        log = []
+        if bulk:
+            env.begin_bulk()
+        for k, when in enumerate([2.0, 1.0, 2.0, 0.0, 1.0, 0.0]):
+            if k % 2:
+                event = env.timeout_at(when, value=k)
+            else:
+                event = env.timeout(when, value=k)
+            event.callbacks.append(lambda e: log.append((env.now, e.value)))
+        if bulk:
+            env.end_bulk()
+        env.run()
+        return log
+
+    assert fire_order(True) == fire_order(False) == [
+        (0.0, 3), (0.0, 5), (1.0, 1), (1.0, 4), (2.0, 0), (2.0, 2),
+    ]
