@@ -39,6 +39,7 @@ from repro.core.scheduler import (
     PackingPolicy,
     RandomSamplingPolicy,
     RoundRobinPolicy,
+    SchedulingState,
     make_policy,
 )
 from repro.core.telemetry import InvocationRecord, TelemetryCollector
@@ -61,6 +62,7 @@ __all__ = [
     "RecoveryPolicy",
     "RoundRobinPolicy",
     "RunToCompletionPolicy",
+    "SchedulingState",
     "TelemetryCollector",
     "TenantBudgetController",
     "WorkerHealthTracker",

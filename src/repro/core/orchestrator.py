@@ -29,7 +29,12 @@ from repro.core.job import Job, JobStatus
 from repro.core.platform import ARM
 from repro.core.policies import RecoveryPolicy, WorkerHealthTracker
 from repro.core.queue import RemoteQueueStub, WorkerQueue
-from repro.core.scheduler import AssignmentPolicy, RandomSamplingPolicy
+from repro.core.scheduler import (
+    NO_BARRED,
+    AssignmentPolicy,
+    RandomSamplingPolicy,
+    SchedulingState,
+)
 from repro.core.telemetry import InvocationRecord, TelemetryCollector
 from repro.obs import trace as obs
 from repro.obs.trace import NULL_RECORDER
@@ -76,8 +81,11 @@ class Orchestrator:
         #: opt in explicitly.
         self.evict_finished = False
         self.queues: List[WorkerQueue] = []
+        #: Per-worker outstanding loads, the dead set and platform tags:
+        #: everything the policy reads (see :mod:`repro.core.scheduler`).
+        self.state = SchedulingState(clock=lambda: env.now)
+        self.policy.bind(self.state, self.queues, self._is_powered)
         self.jobs: Dict[int, Job] = {}
-        self.dead_workers: set = set()
         #: Energy control plane (opt-in; see
         #: :mod:`repro.energy.controlplane` and
         #: :class:`~repro.core.policies.TenantBudgetController`).  With
@@ -111,7 +119,7 @@ class Orchestrator:
         self._supervisor_running = False
         #: Sharding hooks (see :mod:`repro.shard`).  ``assign_override``
         #: lets a shard runtime capture policy-driven assignments (chaos
-        #: salvage) for the coordinator to replay globally; the
+        #: salvage) for the coordinator to decide globally; the
         #: ``on_*`` callbacks report completions and worker liveness
         #: transitions at window boundaries.  All default to ``None``
         #: and cost one comparison when unused.
@@ -139,6 +147,7 @@ class Orchestrator:
         paying for a store, wake hook, or enqueue path the shard can
         never use (see :mod:`repro.cluster.blueprint`).
         """
+        self.state.add_workers(1, platform)
         if stub:
             queue = RemoteQueueStub(
                 worker_id=len(self.queues), platform=platform
@@ -146,7 +155,10 @@ class Orchestrator:
             self.queues.append(queue)
             return queue
         queue = WorkerQueue(
-            self.env, worker_id=len(self.queues), platform=platform
+            self.env,
+            worker_id=len(self.queues),
+            platform=platform,
+            state=self.state,
         )
         queue.on_enqueue(lambda job, wid=queue.worker_id: self._wake(wid, job))
         self.queues.append(queue)
@@ -161,6 +173,7 @@ class Orchestrator:
         """
         queues = self.queues
         base = len(queues)
+        self.state.add_workers(count, platform)
         queues.extend(
             [
                 RemoteQueueStub(worker_id=base + offset, platform=platform)
@@ -193,19 +206,24 @@ class Orchestrator:
 
     # -- worker health -------------------------------------------------------------
 
+    @property
+    def dead_workers(self) -> set:
+        """Ids of workers the policy must not pick."""
+        return self.state.dead
+
     def mark_worker_dead(self, worker_id: int) -> None:
         """Stop assigning jobs to a failed worker."""
         if not 0 <= worker_id < len(self.queues):
             raise KeyError(f"no worker {worker_id}")
-        self.dead_workers.add(worker_id)
-        if len(self.dead_workers) == len(self.queues):
+        self.state.mark_dead(worker_id)
+        if len(self.state.dead) == len(self.queues):
             raise RuntimeError("every worker is dead; cluster is lost")
         if self.on_worker_dead is not None:
             self.on_worker_dead(worker_id)
 
     def mark_worker_alive(self, worker_id: int) -> None:
         """A replaced/repaired worker rejoins the assignment pool."""
-        self.dead_workers.discard(worker_id)
+        self.state.mark_alive(worker_id)
         if self.on_worker_alive is not None:
             self.on_worker_alive(worker_id)
 
@@ -219,40 +237,27 @@ class Orchestrator:
         if self.health is not None:
             self.health.reset(worker_id, self.env.now)
 
-    def _alive_queues(self) -> List[WorkerQueue]:
-        if not self.dead_workers:
-            # Fast path for healthy clusters: no per-submit list copy.
-            # Callers only read/index the candidate list, never mutate.
-            return self.queues
-        return [
-            queue for queue in self.queues
-            if queue.worker_id not in self.dead_workers
-        ]
+    def _barred(self, exclude: Optional[int], alive: int):
+        """Alive workers this assignment must skip.
 
-    def _candidate_queues(self, exclude: Optional[int] = None) -> List[WorkerQueue]:
-        """Schedulable queues: alive, un-quarantined, optionally minus one.
-
-        Falls back one constraint at a time — the breaker never starves
-        the cluster: if every alive worker is quarantined we schedule on
-        alive workers anyway, and the ``exclude`` preference (avoid the
-        worker a retry/hedge is fleeing) yields when it would leave no
-        candidates.
+        Quarantined workers are barred unless that would bar every
+        alive worker — the breaker never starves the cluster — and the
+        ``exclude`` preference (avoid the worker a retry/hedge is
+        fleeing) yields when it would leave no candidate.
         """
-        alive = self._alive_queues()
-        candidates = alive
+        barred = NO_BARRED
         if self.health is not None:
-            now = self.env.now
-            healthy = [
-                queue for queue in alive
-                if self.health.is_available(queue.worker_id, now)
-            ]
-            if healthy:
-                candidates = healthy
-        if exclude is not None:
-            spread = [q for q in candidates if q.worker_id != exclude]
-            if spread:
-                candidates = spread
-        return candidates
+            barred = self.health.unavailable(self.env.now, self.state.dead)
+            if len(barred) == alive:
+                barred = NO_BARRED
+        if (
+            exclude is not None
+            and exclude not in barred
+            and exclude not in self.state.dead
+            and alive - len(barred) > 1
+        ):
+            barred = barred | {exclude}
+        return barred
 
     # -- job submission -----------------------------------------------------------
 
@@ -271,27 +276,27 @@ class Orchestrator:
         return job
 
     def _assign(self, job: Job, exclude: Optional[int] = None) -> None:
-        """Pick a schedulable queue via the policy and push the job."""
+        """Pick a schedulable worker via the policy and push the job."""
         if self.assign_override is not None and self.assign_override(job, exclude):
             return
-        candidates = self._candidate_queues(exclude)
-        if not candidates:
+        state = self.state
+        alive = len(state.loads) - len(state.dead)
+        if alive <= 0:
             raise RuntimeError("no alive workers available")
-        index = self.policy.select(job, candidates, self._is_powered)
-        if not 0 <= index < len(candidates):
-            raise RuntimeError(
-                f"policy {self.policy.name!r} chose invalid queue {index}"
-            )
+        barred = NO_BARRED
+        if self.health is not None or exclude is not None:
+            barred = self._barred(exclude, alive)
+        worker_id = self.policy.select(job, barred)
         if job.trace_id is not None:
             self.tracer.annotate(
                 job.trace_id, obs.ASSIGN, self.env.now,
-                worker_id=candidates[index].worker_id,
+                worker_id=worker_id,
                 attrs={
                     "policy": self.policy.name,
-                    "candidates": len(candidates),
+                    "candidates": alive - len(barred),
                 },
             )
-        candidates[index].push(job)
+        self.queues[worker_id].push(job)
 
     def submit(self, job: Job) -> Job:
         """Accept a job and assign it to a worker queue."""
@@ -338,8 +343,8 @@ class Orchestrator:
         """Accept a job whose placement was decided elsewhere.
 
         Identical to :meth:`submit` except the assignment policy is
-        never consulted — the caller (a shard coordinator replaying the
-        policy on global queue state) names the target worker directly.
+        never consulted — the caller (a shard coordinator running the
+        policy on global scheduling state) names the target worker directly.
         Stamps, traces, and counters match :meth:`submit` exactly.
         """
         if not 0 <= worker_id < len(self.queues):

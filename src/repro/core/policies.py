@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.backoff import backoff_delay_s
 
@@ -292,6 +292,8 @@ class WorkerHealthTracker:
         self.failure_threshold = failure_threshold
         self.quarantine_s = quarantine_s
         self._workers: Dict[int, WorkerHealth] = {}
+        #: Workers whose breaker is not CLOSED.
+        self._tripped: Set[int] = set()
 
     @classmethod
     def from_policy(cls, policy: RecoveryPolicy) -> "WorkerHealthTracker":
@@ -310,6 +312,7 @@ class WorkerHealthTracker:
         if health.state is not BreakerState.CLOSED:
             health.state = BreakerState.CLOSED
             health.open_until = 0.0
+            self._tripped.discard(worker_id)
 
     def record_failure(self, worker_id: int, now: float) -> None:
         """A failure was attributed to the worker; may open the breaker."""
@@ -329,6 +332,7 @@ class WorkerHealthTracker:
         health.state = BreakerState.OPEN
         health.open_until = now + self.quarantine_s
         health.times_opened += 1
+        self._tripped.add(health.worker_id)
 
     def reset(self, worker_id: int, now: float) -> None:
         """A repaired/replaced worker rejoins with a clean slate."""
@@ -336,6 +340,7 @@ class WorkerHealthTracker:
         health.state = BreakerState.CLOSED
         health.consecutive_failures = 0
         health.open_until = 0.0
+        self._tripped.discard(worker_id)
 
     def is_available(self, worker_id: int, now: float) -> bool:
         """Whether the scheduler may assign to the worker right now.
@@ -353,6 +358,19 @@ class WorkerHealthTracker:
                 return True
             return False
         return True  # HALF_OPEN: probing
+
+    def unavailable(self, now: float, dead) -> Set[int]:
+        """Alive workers the breaker bars from assignment right now.
+
+        Reads :meth:`is_available` (and so moves elapsed quarantines to
+        HALF_OPEN) for exactly the alive workers whose breaker is not
+        CLOSED; a read on a CLOSED breaker would change nothing.
+        """
+        return {
+            wid
+            for wid in self._tripped
+            if wid not in dead and not self.is_available(wid, now)
+        }
 
     def state_of(self, worker_id: int) -> BreakerState:
         health = self._workers.get(worker_id)

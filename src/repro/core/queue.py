@@ -3,7 +3,10 @@
 The OP "maintains a job queue for each worker" (Sec. IV-D).  A
 :class:`WorkerQueue` wraps a simulation :class:`~repro.sim.resources.Store`
 with job bookkeeping: depth statistics and the enqueue hook the
-orchestrator uses to trigger GPIO power-on for sleeping workers.
+orchestrator uses to trigger GPIO power-on for sleeping workers.  The
+outstanding-work count lives in the orchestrator's
+:class:`~repro.core.scheduler.SchedulingState`, which the queue updates
+on every push and finish.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from typing import Callable, List, Optional
 
 from repro.core.job import Job, JobStatus
 from repro.core.platform import ARM
+from repro.core.scheduler import SchedulingState
 from repro.sim.kernel import Environment
 from repro.sim.resources import Store
 
@@ -19,7 +23,13 @@ from repro.sim.resources import Store
 class WorkerQueue:
     """FIFO job queue owned by one worker."""
 
-    def __init__(self, env: Environment, worker_id: int, platform: str = ARM):
+    def __init__(
+        self,
+        env: Environment,
+        worker_id: int,
+        platform: str = ARM,
+        state: Optional[SchedulingState] = None,
+    ):
         self.env = env
         self.worker_id = worker_id
         #: Worker platform tag (see :mod:`repro.core.platform`) —
@@ -29,10 +39,11 @@ class WorkerQueue:
         self._store = Store(env)
         self.jobs_enqueued = 0
         self.jobs_dequeued = 0
-        #: Jobs assigned here and not yet completed (queued + in-flight).
-        #: This is the load signal join-shortest-queue policies need —
-        #: depth alone misses the job the worker is executing.
-        self.outstanding = 0
+        if state is None:
+            # A standalone queue (no orchestrator) keeps a private state.
+            state = SchedulingState()
+            state.add_workers(worker_id + 1, platform)
+        self._state = state
         self.peak_depth = 0
         self._on_enqueue: List[Callable[[Job], None]] = []
 
@@ -40,6 +51,15 @@ class WorkerQueue:
     def depth(self) -> int:
         """Jobs currently waiting."""
         return len(self._store)
+
+    @property
+    def outstanding(self) -> int:
+        """Jobs assigned here and not yet completed (queued + in-flight).
+
+        This is the load signal join-shortest-queue policies need —
+        depth alone misses the job the worker is executing.
+        """
+        return self._state.loads[self.worker_id]
 
     def on_enqueue(self, callback: Callable[[Job], None]) -> None:
         """Register a hook fired on every enqueue (e.g. GPIO power-on)."""
@@ -62,7 +82,7 @@ class WorkerQueue:
         while getters and items:
             getters.popleft().succeed(items.pop(0))
         self.jobs_enqueued += 1
-        self.outstanding += 1
+        self._state.add_load(self.worker_id, 1)
         self.peak_depth = max(self.peak_depth, self.depth)
         for callback in self._on_enqueue:
             callback(job)
@@ -83,11 +103,11 @@ class WorkerQueue:
     def job_finished(self) -> None:
         """One assigned job completed/failed/left: drop it from the
         outstanding count."""
-        if self.outstanding <= 0:
+        if self._state.loads[self.worker_id] <= 0:
             raise RuntimeError(
                 f"queue {self.worker_id}: outstanding underflow"
             )
-        self.outstanding -= 1
+        self._state.add_load(self.worker_id, -1)
 
     def drain(self) -> List[Job]:
         """Remove and return every queued job (dead-worker recovery)."""

@@ -5,33 +5,136 @@ The paper's OP adds each job "to a random sampling of those queues"
 queue.  Alternative policies are provided for the scheduling ablation:
 round-robin, least-loaded, and a packing policy that prefers workers
 that are already powered on (trading energy proportionality for fewer
-cold boots).
+cold boots), plus the hybrid cluster's energy- and carbon-aware
+placement.
+
+Every policy reads one integer :class:`SchedulingState` — per-worker
+outstanding loads, the dead set, platform tags and a decision clock.
+The serial orchestrator's queues update it as work is pushed and
+finished; the shard coordinator updates it from shard reports.  Both
+call the same policy objects, so there is exactly one implementation of
+each placement rule.
+
+A pick is always made among the *alive* workers in worker-id order,
+minus an optional ``barred`` set (quarantined workers, the worker a
+retry is fleeing).  Tie-breaks are part of the contract:
+
+* ``random-sampling`` — ``rng.randrange(len(candidates))`` indexed into
+  the candidate ids;
+* ``round-robin`` — a monotone counter modulo the candidate count;
+* ``least-loaded`` — the lowest-id worker among the minimum loads,
+  kept as a lazy min-heap of ``(load, worker_id)`` entries: stale
+  entries (the load changed since the push, or the worker died) are
+  dropped when they surface, so each pick and update is O(log W);
+* ``energy-aware``/``carbon-aware`` — the same heap per platform plus
+  the spill rule.
 """
 
 from __future__ import annotations
 
-import abc
+import heapq
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.job import Job
 from repro.core.platform import ARM
-from repro.core.queue import WorkerQueue
+
+#: The empty barred set: every alive worker is a candidate.
+NO_BARRED = frozenset()
 
 
-class AssignmentPolicy(abc.ABC):
-    """Chooses a worker queue for each incoming job."""
+class SchedulingState:
+    """The integer scheduling state every policy reads.
+
+    ``loads[w]`` counts worker ``w``'s outstanding jobs (queued + in
+    flight).  Load and liveness changes go through :meth:`add_load`,
+    :meth:`mark_dead` and :meth:`mark_alive`, which notify the bound
+    policy so its indexes stay current.
+    """
+
+    def __init__(
+        self,
+        platforms: Sequence[str] = (),
+        clock: Optional[Callable[[], float]] = None,
+    ):
+        self.loads: List[int] = [0] * len(platforms)
+        self.platforms: List[str] = list(platforms)
+        self.dead: set = set()
+        #: Decision time source (carbon-aware reads it).
+        self.clock = clock if clock is not None else (lambda: 0.0)
+        #: Listener for load/liveness changes; replaced by
+        #: :meth:`AssignmentPolicy.bind`.
+        self.policy: "AssignmentPolicy" = AssignmentPolicy()
+        self._alive: Optional[List[int]] = None
+
+    def add_workers(self, count: int, platform: str = ARM) -> None:
+        """Register ``count`` new workers (ids continue the sequence)."""
+        self.loads.extend([0] * count)
+        self.platforms.extend([platform] * count)
+        self._alive = None
+
+    def alive_ids(self) -> Sequence[int]:
+        """Alive worker ids in ascending order."""
+        if not self.dead:
+            return range(len(self.loads))
+        if self._alive is None:
+            dead = self.dead
+            self._alive = [
+                wid for wid in range(len(self.loads)) if wid not in dead
+            ]
+        return self._alive
+
+    def add_load(self, worker_id: int, delta: int) -> None:
+        self.loads[worker_id] += delta
+        self.policy.on_load_change(worker_id)
+
+    def mark_dead(self, worker_id: int) -> None:
+        self.dead.add(worker_id)
+        self._alive = None
+        self.policy.on_alive_change(worker_id)
+
+    def mark_alive(self, worker_id: int) -> None:
+        self.dead.discard(worker_id)
+        self._alive = None
+        self.policy.on_alive_change(worker_id)
+
+
+class AssignmentPolicy:
+    """Chooses a worker for each incoming job.
+
+    The base class is also the null listener an unbound
+    :class:`SchedulingState` notifies.
+    """
 
     name: str = ""
+    #: Whether every pick depends only on :class:`SchedulingState`, so
+    #: the shard coordinator can make it without the shards' queues.
+    shardable: bool = True
+    state: Optional[SchedulingState] = None
 
-    @abc.abstractmethod
-    def select(
-        self,
-        job: Job,
-        queues: Sequence[WorkerQueue],
-        is_powered: Callable[[int], bool],
-    ) -> int:
-        """Return the index of the queue to assign ``job`` to."""
+    def bind(self, state: SchedulingState, queues=(), is_powered=None) -> None:
+        """Attach to ``state`` (and the live queues, for policies that
+        read queue depth or board power)."""
+        self.state = state
+        state.policy = self
+
+    def select(self, job, barred=NO_BARRED) -> int:
+        """Return the id of the worker to assign ``job`` to."""
+        raise NotImplementedError
+
+    def on_load_change(self, worker_id: int) -> None:
+        """``worker_id``'s outstanding load changed."""
+
+    def on_alive_change(self, worker_id: int) -> None:
+        """``worker_id`` died or was revived."""
+
+
+def _candidates(state: SchedulingState, barred) -> Sequence[int]:
+    ids = state.alive_ids()
+    if barred:
+        ids = [wid for wid in ids if wid not in barred]
+    if not ids:
+        raise ValueError("no worker queues")
+    return ids
 
 
 class RandomSamplingPolicy(AssignmentPolicy):
@@ -42,10 +145,9 @@ class RandomSamplingPolicy(AssignmentPolicy):
     def __init__(self, rng: Optional[random.Random] = None):
         self.rng = rng if rng is not None else random.Random(0)
 
-    def select(self, job, queues, is_powered) -> int:
-        if not queues:
-            raise ValueError("no worker queues")
-        return self.rng.randrange(len(queues))
+    def select(self, job, barred=NO_BARRED) -> int:
+        ids = _candidates(self.state, barred)
+        return ids[self.rng.randrange(len(ids))]
 
 
 class RoundRobinPolicy(AssignmentPolicy):
@@ -56,12 +158,37 @@ class RoundRobinPolicy(AssignmentPolicy):
     def __init__(self):
         self._next = 0
 
-    def select(self, job, queues, is_powered) -> int:
-        if not queues:
-            raise ValueError("no worker queues")
-        index = self._next % len(queues)
+    def select(self, job, barred=NO_BARRED) -> int:
+        ids = _candidates(self.state, barred)
+        index = self._next % len(ids)
         self._next += 1
-        return index
+        return ids[index]
+
+
+def _heap_top(heap: list, loads: List[int], dead, barred) -> Optional[tuple]:
+    """The lowest live ``(load, worker_id)`` entry not in ``barred``.
+
+    Stale entries are dropped for good; barred ones are set aside and
+    pushed back, since they are valid again at the next pick.
+    """
+    skipped = None
+    top = None
+    while heap:
+        top = heap[0]
+        load, wid = top
+        if wid in dead or loads[wid] != load:
+            heapq.heappop(heap)
+        elif wid in barred:
+            if skipped is None:
+                skipped = []
+            skipped.append(heapq.heappop(heap))
+        else:
+            break
+        top = None
+    if skipped is not None:
+        for entry in skipped:
+            heapq.heappush(heap, entry)
+    return top
 
 
 class LeastLoadedPolicy(AssignmentPolicy):
@@ -72,41 +199,82 @@ class LeastLoadedPolicy(AssignmentPolicy):
     """
 
     name = "least-loaded"
+    #: One heap per platform (True) or one for the whole cluster.
+    by_platform = False
 
-    def select(self, job, queues, is_powered) -> int:
-        if not queues:
+    def bind(self, state: SchedulingState, queues=(), is_powered=None) -> None:
+        super().bind(state, queues, is_powered)
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Rebuild the heaps from the state: on new workers, and when
+        stale entries outnumber live ones (bounds memory at O(W))."""
+        state = self.state
+        loads, dead = state.loads, state.dead
+        heaps: Dict[Optional[str], list] = {} if self.by_platform else {None: []}
+        # Worker id -> the heap holding its entries.
+        heap_of = []
+        for wid, platform in enumerate(state.platforms):
+            heap = heaps.setdefault(platform if self.by_platform else None, [])
+            heap_of.append(heap)
+            if wid not in dead:
+                heap.append((loads[wid], wid))
+        for heap in heaps.values():
+            heapq.heapify(heap)
+        self._heaps = heaps
+        self._heap_of = heap_of
+        self._limit = 2 * len(loads) + 64
+
+    def select(self, job, barred=NO_BARRED) -> int:
+        state = self.state
+        if len(self._heap_of) != len(state.loads):
+            self._rebuild()
+        top = _heap_top(self._heaps[None], state.loads, state.dead, barred)
+        if top is None:
             raise ValueError("no worker queues")
-        # list.index(min(...)) runs the scan at C speed and returns the
-        # first (= lowest-index) minimum — the same tie-break as the
-        # old min-with-key-lambda, at a fraction of the cost.  This is
-        # the hottest line of a large scale_study run: it executes once
-        # per submission over every candidate queue.
-        loads = [queue.outstanding for queue in queues]
-        return loads.index(min(loads))
+        return top[1]
+
+    def on_load_change(self, worker_id: int) -> None:
+        try:
+            heap = self._heap_of[worker_id]
+        except IndexError:  # a worker added since the last rebuild
+            self._rebuild()
+            return
+        heapq.heappush(heap, (self.state.loads[worker_id], worker_id))
+        if len(heap) > self._limit:
+            self._rebuild()
+
+    def on_alive_change(self, worker_id: int) -> None:
+        self.on_load_change(worker_id)
 
 
 class PackingPolicy(AssignmentPolicy):
     """Prefer already-powered workers; wake the fewest boards possible.
 
-    Among powered workers, pick the least loaded; if everyone is off,
-    wake the lowest-numbered board.  Concentrates load (good for boot
-    amortization, bad for queueing delay) — the opposite corner of the
-    design space from random sampling.
+    Among powered workers, pick the one with the shallowest queue; if
+    everyone is off, wake the lowest-numbered board.  Concentrates load
+    (good for boot amortization, bad for queueing delay) — the opposite
+    corner of the design space from random sampling.  It reads board
+    power and queue depth, which only the shard owning a worker knows,
+    so it is not shardable.
     """
 
     name = "packing"
+    shardable = False
 
-    def select(self, job, queues, is_powered) -> int:
-        if not queues:
-            raise ValueError("no worker queues")
-        powered = [
-            i for i in range(len(queues)) if is_powered(queues[i].worker_id)
-        ]
-        candidates = powered if powered else list(range(len(queues)))
-        return min(candidates, key=lambda i: (queues[i].depth, i))
+    def bind(self, state: SchedulingState, queues=(), is_powered=None) -> None:
+        super().bind(state, queues, is_powered)
+        self.queues = queues
+        self.is_powered = is_powered
+
+    def select(self, job, barred=NO_BARRED) -> int:
+        ids = _candidates(self.state, barred)
+        queues = self.queues
+        powered = [wid for wid in ids if self.is_powered(wid)]
+        return min(powered or ids, key=lambda wid: (queues[wid].depth, wid))
 
 
-class EnergyAwarePolicy(AssignmentPolicy):
+class EnergyAwarePolicy(LeastLoadedPolicy):
     """Prefer the cheap platform; spill to the expensive one under load.
 
     The hybrid cluster's default: every job goes to the least-loaded
@@ -119,12 +287,13 @@ class EnergyAwarePolicy(AssignmentPolicy):
     saturating burst from dumping everything on the VMs: once their
     queues are as deep as the SBCs', spilling buys nothing.
 
-    Deterministic (no RNG): ties break toward the lowest queue index,
+    Deterministic (no RNG): ties break toward the lowest worker id,
     like :class:`LeastLoadedPolicy`.  On a homogeneous cluster it
     degrades to exactly least-loaded behaviour.
     """
 
     name = "energy-aware"
+    by_platform = True
 
     def __init__(self, spill_threshold: int = 2, preferred: str = ARM):
         if spill_threshold < 1:
@@ -132,31 +301,36 @@ class EnergyAwarePolicy(AssignmentPolicy):
         self.spill_threshold = spill_threshold
         self.preferred = preferred
 
-    def select(self, job, queues, is_powered) -> int:
-        if not queues:
-            raise ValueError("no worker queues")
+    def select(self, job, barred=NO_BARRED) -> int:
+        return self._place(self.preferred, barred)
+
+    def _place(self, preferred: str, barred) -> int:
+        state = self.state
+        if len(self._heap_of) != len(state.loads):
+            self._rebuild()
+        loads, dead = state.loads, state.dead
         best_pref = None
-        best_pref_load = None
         best_other = None
-        best_other_load = None
-        for index, queue in enumerate(queues):
-            load = queue.outstanding
-            if queue.platform == self.preferred:
-                if best_pref is None or load < best_pref_load:
-                    best_pref, best_pref_load = index, load
-            else:
-                if best_other is None or load < best_other_load:
-                    best_other, best_other_load = index, load
+        for platform, heap in self._heaps.items():
+            top = _heap_top(heap, loads, dead, barred)
+            if top is None:
+                continue
+            if platform == preferred:
+                best_pref = top
+            elif best_other is None or top < best_other:
+                best_other = top
+        if best_pref is None and best_other is None:
+            raise ValueError("no worker queues")
         if best_pref is None:
-            return best_other
+            return best_other[1]
         if best_other is None:
-            return best_pref
+            return best_pref[1]
         if (
-            best_pref_load >= self.spill_threshold
-            and best_other_load < best_pref_load
+            best_pref[0] >= self.spill_threshold
+            and best_other[0] < best_pref[0]
         ):
-            return best_other
-        return best_pref
+            return best_other[1]
+        return best_pref[1]
 
 
 def carbon_preferred_platform(
@@ -167,9 +341,7 @@ def carbon_preferred_platform(
     Cost of a platform = its signal value at ``now`` × its
     joules-per-function weight; iteration is over sorted platform names
     and a candidate must beat the incumbent by >1e-12, so ties resolve
-    deterministically toward the alphabetically-first platform.  Shared
-    with the shard-side policy replayer, which must reproduce the same
-    preference from the same inputs.
+    deterministically toward the alphabetically-first platform.
     """
     best = None
     best_cost = None
@@ -188,10 +360,11 @@ class CarbonAwarePolicy(EnergyAwarePolicy):
     Each platform carries a :class:`~repro.energy.controlplane.
     CarbonSignal` (gCO2/kWh or $/kWh — any cost-per-joule curve) and a
     joules-per-function weight; at every assignment the policy prefers
-    the platform with the cheapest cost × joules product *right now*,
-    then delegates to :class:`EnergyAwarePolicy`'s spill logic, so the
-    latency guardrail (spill when the preferred queues back up) is
-    unchanged.  With no signals configured it is exactly energy-aware.
+    the platform with the cheapest cost × joules product at the state's
+    decision time, then applies :class:`EnergyAwarePolicy`'s spill
+    rule, so the latency guardrail (spill when the preferred queues
+    back up) is unchanged.  With no signals configured it is exactly
+    energy-aware.
 
     Signals are pre-sampled and the clock is read, never advanced —
     the policy stays deterministic and RNG-free.
@@ -209,39 +382,55 @@ class CarbonAwarePolicy(EnergyAwarePolicy):
         super().__init__(spill_threshold=spill_threshold, preferred=preferred)
         self.signals = dict(signals) if signals else {}
         self.joules_weights = dict(joules_weights) if joules_weights else {}
-        self.default_preferred = preferred
-        self._clock: Optional[Callable[[], float]] = None
 
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Give the policy a simulated-time source (the harness env)."""
-        self._clock = clock
-
-    def select(self, job, queues, is_powered) -> int:
+    def select(self, job, barred=NO_BARRED) -> int:
+        preferred = self.preferred
         if self.signals:
-            now = self._clock() if self._clock is not None else 0.0
-            self.preferred = carbon_preferred_platform(
-                self.signals, self.joules_weights, now,
-                self.default_preferred,
+            preferred = carbon_preferred_platform(
+                self.signals, self.joules_weights, self.state.clock(),
+                preferred,
             )
-        return super().select(job, queues, is_powered)
+        return self._place(preferred, barred)
 
 
 _POLICIES = {
-    RandomSamplingPolicy.name: RandomSamplingPolicy,
-    RoundRobinPolicy.name: RoundRobinPolicy,
-    LeastLoadedPolicy.name: LeastLoadedPolicy,
-    PackingPolicy.name: PackingPolicy,
-    EnergyAwarePolicy.name: EnergyAwarePolicy,
-    CarbonAwarePolicy.name: CarbonAwarePolicy,
+    policy.name: policy
+    for policy in (
+        RandomSamplingPolicy,
+        RoundRobinPolicy,
+        LeastLoadedPolicy,
+        PackingPolicy,
+        EnergyAwarePolicy,
+        CarbonAwarePolicy,
+    )
 }
 
+#: Policies the shard coordinator can run (see ``shardable``).
+SHARDABLE_POLICIES = tuple(
+    name for name, policy in _POLICIES.items() if policy.shardable
+)
 
-def make_policy(name: str, rng: Optional[random.Random] = None) -> AssignmentPolicy:
-    """Build a policy by name (rng only applies to random-sampling)."""
+
+def make_policy(
+    name: str,
+    seed: int = 0,
+    spill_threshold: int = 2,
+    signals=None,
+    joules_weights=None,
+) -> AssignmentPolicy:
+    """Build a policy by name; each takes the arguments it uses."""
     if name not in _POLICIES:
         raise KeyError(f"unknown policy {name!r}; known: {sorted(_POLICIES)}")
     if name == RandomSamplingPolicy.name:
-        return RandomSamplingPolicy(rng)
+        return RandomSamplingPolicy(random.Random(seed))
+    if name == EnergyAwarePolicy.name:
+        return EnergyAwarePolicy(spill_threshold=spill_threshold)
+    if name == CarbonAwarePolicy.name:
+        return CarbonAwarePolicy(
+            signals=signals,
+            joules_weights=joules_weights,
+            spill_threshold=spill_threshold,
+        )
     return _POLICIES[name]()
 
 
@@ -249,6 +438,9 @@ __all__ = [
     "AssignmentPolicy",
     "CarbonAwarePolicy",
     "EnergyAwarePolicy",
+    "NO_BARRED",
+    "SHARDABLE_POLICIES",
+    "SchedulingState",
     "carbon_preferred_platform",
     "LeastLoadedPolicy",
     "PackingPolicy",

@@ -215,7 +215,7 @@ class ChaosPlan:
     events: Tuple[ChaosEvent, ...]
 
     #: Board-level kinds whose detection reassigns salvaged jobs (the
-    #: policy decisions a shard coordinator must replay globally).
+    #: policy decisions a shard coordinator must make globally).
     BOARD_KINDS = frozenset(
         {"worker-crash", "boot-failure", "gpio-stuck"}
     )

@@ -16,11 +16,11 @@ boundaries are known in advance:
   queue through the policy — and the chaos plan is pre-sampled from
   dedicated named streams, so all parties know it up front.
 
-So the coordinator advances every shard to the next boundary, replays
-the assignment policy on integer virtual queue state (fed by the
-shards' completion/liveness reports, applied in timestamp order), and
-sends the resulting placements with the command that advances each
-shard to the following boundary.  Shards run their windows in
+So the coordinator advances every shard to the next boundary, runs the
+assignment policy — the same object a serial run uses — on the integer
+scheduling state (fed by the shards' completion/liveness reports,
+applied in timestamp order), and sends the resulting placements with
+the command that advances each shard to the following boundary.  Shards run their windows in
 parallel; no shard ever waits on another except at boundaries.
 Conservative lookahead degenerates to an exact schedule: the lookahead
 between boundaries is infinite because *no* cross-shard event can
@@ -42,11 +42,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.result import ClusterResult
 from repro.core.platform import ARM, HYBRID, MICROFAAS, X86
+from repro.core.scheduler import SchedulingState
 from repro.core.telemetry import TelemetryCollector
 from repro.obs.trace import merge_traces
 from repro.shard.executors import InlineExecutor, ProcessExecutor
 from repro.shard.partition import ShardPlan, plan_shards
-from repro.shard.replay import VirtualCluster, make_replayer
 from repro.shard.runtime import ClusterSpec, ShardSpec
 from repro.workloads.base import ALL_FUNCTION_NAMES
 
@@ -96,16 +96,11 @@ class ShardedCluster:
         self.spec = spec
         self.plan: ShardPlan = plan_shards(spec.pool_shapes(), shards)
         platforms = spec.platforms()
-        self.state = VirtualCluster(platforms)
-        self.replayer = make_replayer(
-            spec.policy_name,
-            self.state,
-            spec.seed,
-            spill_threshold=spec.spill_threshold,
-            preferred=ARM,
-            signals=spec.carbon_signals,
-            joules_weights=spec.carbon_weights,
-        )
+        #: Decision time: the boundary whose placements are being made.
+        self._now = 0.0
+        self.state = SchedulingState(platforms, clock=lambda: self._now)
+        self.policy = spec.assignment_policy()
+        self.policy.bind(self.state)
         self._owner = [
             self.plan.shard_of(wid) for wid in range(len(platforms))
         ]
@@ -148,12 +143,11 @@ class ShardedCluster:
 
     def _assign_new(self, function: str, directives: List[list]) -> None:
         """Mirror ``Orchestrator.submit_function``: allocate the id, let
-        the replayer pick the worker, route to the owning shard."""
+        the policy pick the worker, route to the owning shard."""
         job_id = self._next_job_id
         self._next_job_id += 1
-        worker_id = self.replayer.select(None)
-        self.state.loads[worker_id] += 1
-        self.replayer.on_load_change(worker_id)
+        worker_id = self.policy.select(None)
+        self.state.add_load(worker_id, 1)
         directives[self._owner[worker_id]].append(
             ("new", job_id, function, worker_id)
         )
@@ -167,8 +161,8 @@ class ShardedCluster:
     def _process_reports(
         self, reports: Sequence[dict], directives: List[list]
     ) -> None:
-        """Apply one window's events to the virtual state in timestamp
-        order, deciding salvage placements as they occur."""
+        """Apply one window's events to the scheduling state in
+        timestamp order, deciding salvage placements as they occur."""
         events = []
         for report in reports:
             shard = report["shard"]
@@ -183,8 +177,7 @@ class ShardedCluster:
         for t, rank, shard, _seq, payload in events:
             if rank == _RANK_COMPLETION:
                 wid, _job_id = payload
-                self.state.loads[wid] -= 1
-                self.replayer.on_load_change(wid)
+                self.state.add_load(wid, -1)
                 self._completed += 1
                 if t > self._last_completion:
                     self._last_completion = t
@@ -192,22 +185,18 @@ class ShardedCluster:
                 wid = payload
                 # The serial engine drains the dead queue: every job it
                 # held is salvaged (reported right after this event), so
-                # its virtual load zeroes here and re-adds elsewhere.
+                # its load zeroes here and re-adds elsewhere.
                 self.state.loads[wid] = 0
                 self.state.mark_dead(wid)
-                self.replayer.on_alive_change(wid)
             elif rank == _RANK_ALIVE:
-                wid = payload
-                self.state.mark_alive(wid)
-                self.replayer.on_alive_change(wid)
+                self.state.mark_alive(payload)
             else:  # salvage
                 job_id, job_snapshot = payload
                 # Salvage decisions happen at the detection instant;
                 # time-varying policies read their signals there.
-                self.replayer.advance_to(t)
-                target = self.replayer.select(None)
-                self.state.loads[target] += 1
-                self.replayer.on_load_change(target)
+                self._now = t
+                target = self.policy.select(None)
+                self.state.add_load(target, 1)
                 self.stats.salvage_assignments += 1
                 if self._owner[target] == shard:
                     directives[shard].append(("salvage", job_id, target))
@@ -307,7 +296,7 @@ class ShardedCluster:
                 # Advance to the arrival mark itself before submitting.
                 self._round(t_batch)
                 self.stats.boundaries += 1
-            self.replayer.advance_to(t_batch)
+            self._now = t_batch
             # Appended after any salvages decided at ``t_batch``: the
             # shards inject both, in that order, with the next advance.
             for function in batch:
@@ -346,7 +335,7 @@ class ShardedCluster:
             self._consume_boundaries_until(t_batch)
             self._round(t_batch)
             self.stats.boundaries += 1
-        self.replayer.advance_to(t_batch)
+        self._now = t_batch
         # Appended after any salvages decided at ``t_batch`` (see
         # run_paper_arrivals).
         for function in batch:

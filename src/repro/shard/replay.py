@@ -1,372 +1,18 @@
-"""Policy replay on virtual queue state.
+"""The shard coordinator's placement policy, by its historical name.
 
-The shard coordinator owns every assignment decision: shards simulate
-worker execution between rendezvous boundaries, report completions and
-liveness transitions, and the coordinator replays the assignment policy
-against integer *virtual* queue loads that mirror what the serial
-orchestrator's queues would hold at each decision instant.
-
-Replayers must reproduce the serial policies' selections **exactly**,
-including tie-breaks:
-
-* ``random-sampling`` — ``rng.randrange(len(candidates))`` indexed into
-  the candidate list (alive queues in worker-id order);
-* ``round-robin`` — a monotone counter modulo the candidate count;
-* ``least-loaded`` — serial scans ``loads.index(min(loads))``: the
-  lowest-id worker among the minimum loads.  That is O(N) per job —
-  ruinous at 100k workers × 10⁵ jobs — so the replayer keeps a lazy
-  min-heap of ``(load, worker_id)`` entries: stale entries (the load
-  changed since push, or the worker died) are discarded on pop, and the
-  surviving top is precisely the lowest-id minimum, at O(log N) per
-  update;
-* ``energy-aware`` — the same heap trick twice (preferred platform vs.
-  the rest) plus the serial spill rule.  Serial keeps the *first*
-  strict minimum per group, i.e. the lowest-id minimum — exactly the
-  ``(load, id)`` heap order.
-
-Loads count *outstanding* work (queued + in flight), matching
-``WorkerQueue.outstanding``, and are integers — so the virtual state is
-exact, with no float drift to accumulate across boundaries.
+The coordinator owns every assignment decision of a sharded run.  It
+makes them with the same policy objects the serial orchestrator uses
+(:mod:`repro.core.scheduler`), over a
+:class:`~repro.core.scheduler.SchedulingState` it feeds from the
+shards' completion and liveness reports instead of from live queues.
 """
 
 from __future__ import annotations
 
-import heapq
-import random
-from typing import List, Optional, Sequence
+from repro.core.scheduler import LeastLoadedPolicy
 
-from repro.core.platform import ARM
+#: Least-loaded placement — the same class serial runs use; the name
+#: stays for the benchmark's per-layer table.
+LeastLoadedReplayer = LeastLoadedPolicy
 
-#: Policies whose decisions depend only on (rng state, candidate order,
-#: outstanding counts, platform tags) — i.e. state the coordinator can
-#: mirror exactly.  ``packing`` reads per-board power state and queue
-#: depth mid-simulation, which only the owning shard knows, so it is
-#: not shardable.
-SHARDABLE_POLICIES = (
-    "random-sampling",
-    "round-robin",
-    "least-loaded",
-    "energy-aware",
-    "carbon-aware",
-)
-
-
-class VirtualCluster:
-    """Integer mirror of the serial orchestrator's scheduling state."""
-
-    def __init__(self, platforms: Sequence[str]):
-        #: Per-worker outstanding job counts (queued + running).
-        self.loads: List[int] = [0] * len(platforms)
-        self.platforms = tuple(platforms)
-        self.dead: set = set()
-        self._alive_sorted: Optional[List[int]] = None  # None = all alive
-
-    @property
-    def worker_count(self) -> int:
-        return len(self.loads)
-
-    def alive_ids(self) -> List[int]:
-        """Alive worker ids in ascending order — the order the serial
-        orchestrator's candidate queue list presents them in."""
-        if self._alive_sorted is None:
-            return list(range(len(self.loads)))
-        return self._alive_sorted
-
-    def mark_dead(self, worker_id: int) -> None:
-        self.dead.add(worker_id)
-        self._alive_sorted = [
-            wid for wid in range(len(self.loads)) if wid not in self.dead
-        ]
-
-    def mark_alive(self, worker_id: int) -> None:
-        self.dead.discard(worker_id)
-        if not self.dead:
-            self._alive_sorted = None
-        else:
-            self._alive_sorted = [
-                wid for wid in range(len(self.loads)) if wid not in self.dead
-            ]
-
-
-class PolicyReplayer:
-    """Replays one assignment policy's selections on virtual state."""
-
-    def __init__(self, state: VirtualCluster):
-        self.state = state
-
-    def select(self, job) -> int:
-        """The worker id the serial policy would pick right now."""
-        raise NotImplementedError
-
-    def on_load_change(self, worker_id: int) -> None:
-        """The load of ``worker_id`` changed (assign/complete/salvage)."""
-
-    def on_alive_change(self, worker_id: int) -> None:
-        """``worker_id`` died or was revived."""
-
-    def advance_to(self, now: float) -> None:
-        """The coordinator's decision clock moved to ``now``.
-
-        Time-varying policies (carbon-aware) re-read their signals from
-        this; the integer-state replayers ignore it — a no-op keeps the
-        coordinator's call site unconditional.
-        """
-
-
-class RandomSamplingReplayer(PolicyReplayer):
-    """``rng.randrange(len(candidates))`` over alive ids in order."""
-
-    def __init__(self, state: VirtualCluster, seed: int):
-        super().__init__(state)
-        # Serial harness default: RandomSamplingPolicy(random.Random(seed)).
-        self.rng = random.Random(seed)
-
-    def select(self, job) -> int:
-        alive = self.state.alive_ids()
-        if not alive:
-            raise RuntimeError("no alive workers available")
-        return alive[self.rng.randrange(len(alive))]
-
-
-class RoundRobinReplayer(PolicyReplayer):
-    def __init__(self, state: VirtualCluster):
-        super().__init__(state)
-        self._next = 0
-
-    def select(self, job) -> int:
-        alive = self.state.alive_ids()
-        if not alive:
-            raise RuntimeError("no alive workers available")
-        index = self._next % len(alive)
-        self._next += 1
-        return alive[index]
-
-
-class _LazyMinHeap:
-    """Min-heap of ``(load, worker_id)`` with lazy invalidation."""
-
-    def __init__(self, state: VirtualCluster, members: Sequence[int]):
-        self.state = state
-        self.members = frozenset(members)
-        self.heap = [(state.loads[wid], wid) for wid in sorted(members)]
-        heapq.heapify(self.heap)
-
-    def push(self, worker_id: int) -> None:
-        if worker_id in self.members:
-            heapq.heappush(
-                self.heap, (self.state.loads[worker_id], worker_id)
-            )
-
-    def peek(self) -> Optional[tuple]:
-        """Current ``(load, worker_id)`` minimum among alive members.
-
-        Lowest load first, lowest id among equals — identical to the
-        serial left-to-right scan's first-minimum tie-break.
-        """
-        loads = self.state.loads
-        dead = self.state.dead
-        heap = self.heap
-        while heap:
-            load, wid = heap[0]
-            if wid in dead or loads[wid] != load:
-                heapq.heappop(heap)  # stale entry
-                continue
-            return load, wid
-        return None
-
-
-class LeastLoadedReplayer(PolicyReplayer):
-    def __init__(self, state: VirtualCluster):
-        super().__init__(state)
-        self._heap = _LazyMinHeap(state, range(state.worker_count))
-
-    def select(self, job) -> int:
-        best = self._heap.peek()
-        if best is None:
-            raise RuntimeError("no alive workers available")
-        return best[1]
-
-    def on_load_change(self, worker_id: int) -> None:
-        self._heap.push(worker_id)
-
-    def on_alive_change(self, worker_id: int) -> None:
-        self._heap.push(worker_id)
-
-
-class EnergyAwareReplayer(PolicyReplayer):
-    """Two lazy heaps + the serial spill rule (see EnergyAwarePolicy)."""
-
-    def __init__(
-        self,
-        state: VirtualCluster,
-        spill_threshold: int = 2,
-        preferred: str = ARM,
-    ):
-        super().__init__(state)
-        self.spill_threshold = spill_threshold
-        preferred_ids = [
-            wid
-            for wid in range(state.worker_count)
-            if state.platforms[wid] == preferred
-        ]
-        other_ids = [
-            wid
-            for wid in range(state.worker_count)
-            if state.platforms[wid] != preferred
-        ]
-        self._preferred = _LazyMinHeap(state, preferred_ids)
-        self._other = _LazyMinHeap(state, other_ids)
-
-    def select(self, job) -> int:
-        best_pref = self._preferred.peek()
-        best_other = self._other.peek()
-        if best_pref is None and best_other is None:
-            raise RuntimeError("no alive workers available")
-        if best_pref is None:
-            return best_other[1]
-        if best_other is None:
-            return best_pref[1]
-        if (
-            best_pref[0] >= self.spill_threshold
-            and best_other[0] < best_pref[0]
-        ):
-            return best_other[1]
-        return best_pref[1]
-
-    def on_load_change(self, worker_id: int) -> None:
-        self._preferred.push(worker_id)
-        self._other.push(worker_id)
-
-    def on_alive_change(self, worker_id: int) -> None:
-        self.on_load_change(worker_id)
-
-
-class CarbonAwareReplayer(PolicyReplayer):
-    """Time-varying preferred platform over per-platform lazy heaps.
-
-    Mirrors :class:`~repro.core.scheduler.CarbonAwarePolicy` exactly:
-    the preferred platform at each decision instant comes from the same
-    :func:`~repro.core.scheduler.carbon_preferred_platform` helper over
-    the same pre-sampled signals, then the serial energy-aware spill
-    rule runs with that preference.  The coordinator feeds decision
-    time through :meth:`advance_to`; signals are never *sampled* here,
-    only read, so shard and serial runs see identical curves.
-    """
-
-    def __init__(
-        self,
-        state: VirtualCluster,
-        signals,
-        joules_weights=None,
-        spill_threshold: int = 2,
-        preferred: str = ARM,
-    ):
-        super().__init__(state)
-        self.signals = dict(signals) if signals else {}
-        self.joules_weights = dict(joules_weights) if joules_weights else {}
-        self.spill_threshold = spill_threshold
-        self.default_preferred = preferred
-        self._now = 0.0
-        platforms = sorted(set(state.platforms))
-        self._heaps = {
-            platform: _LazyMinHeap(
-                state,
-                [
-                    wid
-                    for wid in range(state.worker_count)
-                    if state.platforms[wid] == platform
-                ],
-            )
-            for platform in platforms
-        }
-
-    def advance_to(self, now: float) -> None:
-        self._now = now
-
-    def select(self, job) -> int:
-        from repro.core.scheduler import carbon_preferred_platform
-
-        if self.signals:
-            preferred = carbon_preferred_platform(
-                self.signals, self.joules_weights, self._now,
-                self.default_preferred,
-            )
-        else:
-            preferred = self.default_preferred
-        best_pref = None
-        best_other = None
-        for platform, heap in self._heaps.items():
-            top = heap.peek()
-            if top is None:
-                continue
-            if platform == preferred:
-                best_pref = top
-            elif best_other is None or top < best_other:
-                # (load, id) tuple order = the serial scan's first-
-                # minimum tie-break across the non-preferred queues.
-                best_other = top
-        if best_pref is None and best_other is None:
-            raise RuntimeError("no alive workers available")
-        if best_pref is None:
-            return best_other[1]
-        if best_other is None:
-            return best_pref[1]
-        if (
-            best_pref[0] >= self.spill_threshold
-            and best_other[0] < best_pref[0]
-        ):
-            return best_other[1]
-        return best_pref[1]
-
-    def on_load_change(self, worker_id: int) -> None:
-        self._heaps[self.state.platforms[worker_id]].push(worker_id)
-
-    def on_alive_change(self, worker_id: int) -> None:
-        self.on_load_change(worker_id)
-
-
-def make_replayer(
-    policy_name: str,
-    state: VirtualCluster,
-    seed: int,
-    spill_threshold: int = 2,
-    preferred: str = ARM,
-    signals=None,
-    joules_weights=None,
-) -> PolicyReplayer:
-    """Build the replayer matching a serial policy configuration."""
-    if policy_name == "random-sampling":
-        return RandomSamplingReplayer(state, seed)
-    if policy_name == "round-robin":
-        return RoundRobinReplayer(state)
-    if policy_name == "least-loaded":
-        return LeastLoadedReplayer(state)
-    if policy_name == "energy-aware":
-        return EnergyAwareReplayer(
-            state, spill_threshold=spill_threshold, preferred=preferred
-        )
-    if policy_name == "carbon-aware":
-        return CarbonAwareReplayer(
-            state,
-            signals=signals,
-            joules_weights=joules_weights,
-            spill_threshold=spill_threshold,
-            preferred=preferred,
-        )
-    raise ValueError(
-        f"policy {policy_name!r} is not shardable; "
-        f"supported: {SHARDABLE_POLICIES}"
-    )
-
-
-__all__ = [
-    "CarbonAwareReplayer",
-    "EnergyAwareReplayer",
-    "LeastLoadedReplayer",
-    "PolicyReplayer",
-    "RandomSamplingReplayer",
-    "RoundRobinReplayer",
-    "SHARDABLE_POLICIES",
-    "VirtualCluster",
-    "make_replayer",
-]
+__all__ = ["LeastLoadedReplayer"]

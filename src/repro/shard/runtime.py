@@ -32,11 +32,15 @@ from repro.cluster.microfaas import MicroFaaSCluster
 from repro.cluster.pool import SbcPool
 from repro.core.controlplane import ControlPlaneModel
 from repro.core.job import Job, JobStatus
-from repro.core.scheduler import AssignmentPolicy
+from repro.core.scheduler import (
+    NO_BARRED,
+    SHARDABLE_POLICIES,
+    AssignmentPolicy,
+    make_policy,
+)
 from repro.obs.trace import TraceConfig
 from repro.reliability.chaos import ChaosEngine, ChaosPlan
 from repro.shard.partition import PoolShape
-from repro.shard.replay import SHARDABLE_POLICIES
 from repro.sim.kernel import SimulationError
 from repro.workloads.profiles import profile_for
 
@@ -48,7 +52,7 @@ class ShardRemotePolicy(AssignmentPolicy):
 
     name = "shard-remote"
 
-    def select(self, job, queues, is_powered) -> int:
+    def select(self, job, barred=NO_BARRED) -> int:
         raise RuntimeError(
             "shard-side policy consulted; assignments must come from "
             "the shard coordinator"
@@ -153,27 +157,16 @@ class ClusterSpec:
             return (ARM,) * self.worker_count
         return (ARM,) * self.sbc_count + (X86,) * self.vm_count
 
-    def serial_policy(self) -> AssignmentPolicy:
-        """The policy object a serial run of this spec uses — seeded the
-        same way the coordinator's replayer assumes."""
-        import random
-
-        from repro.core.scheduler import EnergyAwarePolicy, make_policy
-
-        name = self.policy_name
-        if name == "random-sampling":
-            return make_policy(name, random.Random(self.seed))
-        if name == "energy-aware":
-            return EnergyAwarePolicy(spill_threshold=self.spill_threshold)
-        if name == "carbon-aware":
-            from repro.core.scheduler import CarbonAwarePolicy
-
-            return CarbonAwarePolicy(
-                signals=self.carbon_signals,
-                joules_weights=self.carbon_weights,
-                spill_threshold=self.spill_threshold,
-            )
-        return make_policy(name)
+    def assignment_policy(self) -> AssignmentPolicy:
+        """A fresh policy object for this spec: the serial twin and the
+        shard coordinator each place jobs with one."""
+        return make_policy(
+            self.policy_name,
+            seed=self.seed,
+            spill_threshold=self.spill_threshold,
+            signals=self.carbon_signals,
+            joules_weights=self.carbon_weights,
+        )
 
     def blueprint(self) -> ClusterBlueprint:
         """Construction skeleton for this spec's cluster shape.
@@ -218,12 +211,12 @@ class ClusterSpec:
         """Construct the cluster (serial twin when ``local_ids`` is None).
 
         Without an explicit ``policy``, the serial twin schedules with
-        :meth:`serial_policy` — the named policy from the spec, not the
+        :meth:`assignment_policy` — the named policy from the spec, not the
         platform default (a spec naming ``least-loaded`` must not fall
         back to random-sampling).
         """
         if policy is None:
-            policy = self.serial_policy()
+            policy = self.assignment_policy()
         if self.kind == "microfaas":
             cluster = MicroFaaSCluster(
                 worker_count=self.worker_count,
@@ -251,8 +244,6 @@ class ClusterSpec:
             )
         if self.power_cap_watts is not None:
             cluster.set_power_cap(self.power_cap_watts)
-        if hasattr(policy, "bind_clock"):
-            policy.bind_clock(lambda: cluster.env.now)
         return cluster
 
 
@@ -340,7 +331,7 @@ class ShardRuntime:
 
     def _capture_salvage(self, job: Job, exclude) -> bool:
         """Intercept chaos recovery's reassignment: hold the job and ask
-        the coordinator where it goes (it replays the policy on global
+        the coordinator where it goes (it runs the policy on global
         queue state at this boundary)."""
         now = self.cluster.env.now
         self._held_jobs[job.job_id] = job

@@ -6,11 +6,13 @@ off by default) and the fault-free run is bit-identical with or without
 the recovery machinery installed.
 """
 
+import hashlib
+
 import pytest
 
-from repro.cluster import MicroFaaSCluster
+from repro.cluster import HybridCluster, MicroFaaSCluster
 from repro.core.policies import RecoveryPolicy
-from repro.core.scheduler import LeastLoadedPolicy
+from repro.core.scheduler import LeastLoadedPolicy, make_policy
 from repro.reliability import (
     ChaosEngine,
     ChaosEvent,
@@ -458,3 +460,81 @@ def test_link_fault_hits_vm_workers_in_a_hybrid_cluster():
     link = cluster.topology.links[cluster.worker_endpoint(vm_worker)]
     assert link.extra_latency_s == 0.0  # restored after the window
     assert result.jobs_completed == 17
+
+
+# ---------------------------------------------------------------------------
+# Placement under recovery: quarantine, half-open probes, excluded retries
+# ---------------------------------------------------------------------------
+
+#: A breaker that opens on the first failure and re-probes after 2 s,
+#: with timeouts and hedges short enough that retries and hedges (which
+#: exclude the worker they flee) fire throughout the run.
+HAIR_TRIGGER = RecoveryPolicy(
+    circuit_failure_threshold=1,
+    quarantine_s=2.0,
+    attempt_timeout_s=2.5,
+    hedge_after_s=2.0,
+)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kind,policy,workers,records_sha,breakers_sha",
+    [
+        ("microfaas", "random-sampling", 6,
+         "37687d557192d987a478196f66f583dde64298daca4e78e4e83292eef65eb156",
+         "2d91053de857cb7ddf8dc09594fd97b8723d72ea09c22c49ce22849c65e3acba"),
+        ("microfaas", "round-robin", 6,
+         "fb79b0d406fd4286e406df1fee0fa0b0e6d8646ddbcc3ab3c323f0f4156c35f3",
+         "0350db3dddc3f475b14ef6059fe33bbcf419f43e78f4e41701981209539be2e3"),
+        ("microfaas", "least-loaded", 6,
+         "b5a14fca894c9bb0dd0a1104ade288c328a0c0767bcc92da5b08430e4896292b",
+         "751d8c5a836b2e106eae8d4ab098e964d4555a0d602339aac095f1708cb3b8e5"),
+        ("microfaas", "packing", 6,
+         "59a58fb184563da239606142d0e304721d991e57a6c6ac2b07afd770eb388161",
+         "c8dca220d09c93771dc9082f1708c0f77a3339450e67aa7116332a0686150322"),
+        # Two workers: every alive worker quarantined at once, and the
+        # exclude preference yielding to the only candidate.
+        ("microfaas", "least-loaded", 2,
+         "e1eced579f57c32b7a2cf5e75515cddfa307ec57b836d3f45c24cc40b5287237",
+         "b269a6e850ed18ce3e03e69501c2b95627fabb45826cb444ed92688257f60a70"),
+        ("hybrid", "energy-aware", 7,
+         "7ab06bebf5536218595358bf5fa3841d8b8c6d3bdcb44e9254629dd39e9dd398",
+         "a623bb8054f969206798b250ae86fef3f0eb663b4bec148e02bf4db80a5802b0"),
+    ],
+)
+def test_placement_under_recovery_matches_recorded_run(
+    kind, policy, workers, records_sha, breakers_sha
+):
+    """Each pin was recorded when the orchestrator filtered a candidate
+    list per assignment; the barred-set placement must reproduce every
+    record and every breaker's final state."""
+    if kind == "microfaas":
+        cluster = MicroFaaSCluster(
+            worker_count=workers, seed=11, policy=make_policy(policy),
+            recovery=HAIR_TRIGGER,
+        )
+    else:
+        cluster = HybridCluster(
+            sbc_count=5, vm_count=2, seed=11, policy=make_policy(policy),
+            recovery=HAIR_TRIGGER,
+        )
+    profile = ChaosProfile(
+        scale=3.0, switch_outage_per_hour=0.0, backend_fault_per_hour=0.0
+    )
+    plan = ChaosPlan.sample(profile, workers, 60.0, streams=RandomStreams(23))
+    ChaosEngine(cluster, detection_delay_s=1.0).apply(plan)
+    cluster.run_paper_arrivals(jobs_per_second=2, total_jobs=80)
+    orchestrator = cluster.orchestrator
+    records = list(orchestrator.telemetry.records)
+    assert len(records) == 80
+    breakers = sorted(
+        (wid, h.state.name, h.times_opened, h.total_failures, h.total_successes)
+        for wid, h in orchestrator.health.snapshot().items()
+    )
+    assert any(b[2] > 0 for b in breakers)
+    assert _sha(repr(records)) == records_sha
+    assert _sha(repr(breakers)) == breakers_sha

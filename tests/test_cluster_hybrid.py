@@ -9,7 +9,7 @@ as skipped, not crashes).
 import pytest
 
 from repro.cluster import HybridCluster, MicroVmPool, SbcPool
-from repro.core import TelemetryCollector, WorkerQueue
+from repro.core import SchedulingState, TelemetryCollector, WorkerQueue
 from repro.core.job import Job
 from repro.core.platform import ARM, HYBRID, X86
 from repro.core.policies import RecoveryPolicy
@@ -23,15 +23,17 @@ def job(i=0):
     return Job(job_id=i, function="FloatOps", input_bytes=1, output_bytes=1)
 
 
-ALWAYS_ON = lambda i: True
-
-
-def make_queues(platforms):
+def bound(policy, platforms):
+    """``policy`` bound to fresh workers of ``platforms``; returns
+    their queues."""
     env = Environment()
-    return [
-        WorkerQueue(env, worker_id=i, platform=p)
-        for i, p in enumerate(platforms)
-    ]
+    state = SchedulingState()
+    queues = []
+    for i, p in enumerate(platforms):
+        state.add_workers(1, p)
+        queues.append(WorkerQueue(env, worker_id=i, platform=p, state=state))
+    policy.bind(state, queues)
+    return queues
 
 
 # ---------------------------------------------------------------------------
@@ -40,43 +42,45 @@ def make_queues(platforms):
 
 
 def test_energy_aware_prefers_least_loaded_sbc():
-    queues = make_queues([ARM, X86, ARM])
-    queues[0].push(job(1))
     policy = EnergyAwarePolicy()
-    assert policy.select(job(2), queues, ALWAYS_ON) == 2
+    queues = bound(policy, [ARM, X86, ARM])
+    queues[0].push(job(1))
+    assert policy.select(job(2)) == 2
 
 
 def test_energy_aware_spills_only_under_real_pressure():
-    queues = make_queues([ARM, X86])
     policy = EnergyAwarePolicy(spill_threshold=2)
+    queues = bound(policy, [ARM, X86])
     # Below threshold: stay on the SBC even though the VM is empty.
     queues[0].push(job(1))
-    assert policy.select(job(2), queues, ALWAYS_ON) == 0
+    assert policy.select(job(2)) == 0
     # At threshold with a shallower VM: spill.
     queues[0].push(job(3))
-    assert policy.select(job(4), queues, ALWAYS_ON) == 1
+    assert policy.select(job(4)) == 1
     # At threshold but the VM is just as deep: spilling buys nothing.
     queues[1].push(job(5))
     queues[1].push(job(6))
-    assert policy.select(job(7), queues, ALWAYS_ON) == 0
+    assert policy.select(job(7)) == 0
 
 
 def test_energy_aware_degrades_to_least_loaded_when_homogeneous():
-    arm_only = make_queues([ARM, ARM, ARM])
+    policy = EnergyAwarePolicy()
+    arm_only = bound(policy, [ARM, ARM, ARM])
     arm_only[0].push(job(1))
     arm_only[1].push(job(2))
-    policy = EnergyAwarePolicy()
-    assert policy.select(job(3), arm_only, ALWAYS_ON) == 2
-    x86_only = make_queues([X86, X86])
+    assert policy.select(job(3)) == 2
+    x86_only = bound(policy, [X86, X86])
     x86_only[0].push(job(4))
-    assert policy.select(job(5), x86_only, ALWAYS_ON) == 1
+    assert policy.select(job(5)) == 1
 
 
 def test_energy_aware_validation_and_factory():
     with pytest.raises(ValueError):
         EnergyAwarePolicy(spill_threshold=0)
+    policy = EnergyAwarePolicy()
+    bound(policy, [])
     with pytest.raises(ValueError):
-        EnergyAwarePolicy().select(job(0), [], ALWAYS_ON)
+        policy.select(job(0))
     assert make_policy("energy-aware").name == "energy-aware"
 
 

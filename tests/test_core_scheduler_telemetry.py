@@ -10,6 +10,7 @@ from repro.core import (
     PackingPolicy,
     RandomSamplingPolicy,
     RoundRobinPolicy,
+    SchedulingState,
     TelemetryCollector,
     WorkerQueue,
     make_policy,
@@ -17,82 +18,92 @@ from repro.core import (
 from repro.core.job import Job
 from repro.sim import Environment
 
+ALWAYS_ON = lambda i: True
+
 
 def make_queues(n):
     env = Environment()
-    return env, [WorkerQueue(env, worker_id=i) for i in range(n)]
+    state = SchedulingState()
+    state.add_workers(n)
+    queues = [WorkerQueue(env, worker_id=i, state=state) for i in range(n)]
+    return state, queues
+
+
+def bound(policy, n, is_powered=None):
+    """``policy`` bound to ``n`` fresh workers; returns their queues."""
+    state, queues = make_queues(n)
+    policy.bind(state, queues, is_powered)
+    return queues
 
 
 def job(i=0):
     return Job(job_id=i, function="FloatOps", input_bytes=1, output_bytes=1)
 
 
-ALWAYS_ON = lambda i: True
-
-
 # -- policies -----------------------------------------------------------------------
 
 
 def test_random_sampling_covers_all_queues():
-    _env, queues = make_queues(5)
     policy = RandomSamplingPolicy(random.Random(0))
-    chosen = {policy.select(job(i), queues, ALWAYS_ON) for i in range(200)}
+    bound(policy, 5)
+    chosen = {policy.select(job(i)) for i in range(200)}
     assert chosen == {0, 1, 2, 3, 4}
 
 
 def test_random_sampling_is_seed_deterministic():
-    _env, queues = make_queues(5)
     a = RandomSamplingPolicy(random.Random(7))
     b = RandomSamplingPolicy(random.Random(7))
-    seq_a = [a.select(job(i), queues, ALWAYS_ON) for i in range(20)]
-    seq_b = [b.select(job(i), queues, ALWAYS_ON) for i in range(20)]
+    bound(a, 5)
+    bound(b, 5)
+    seq_a = [a.select(job(i)) for i in range(20)]
+    seq_b = [b.select(job(i)) for i in range(20)]
     assert seq_a == seq_b
 
 
 def test_random_sampling_is_roughly_uniform():
-    _env, queues = make_queues(4)
     policy = RandomSamplingPolicy(random.Random(3))
+    bound(policy, 4)
     counts = [0, 0, 0, 0]
     for i in range(4000):
-        counts[policy.select(job(i), queues, ALWAYS_ON)] += 1
+        counts[policy.select(job(i))] += 1
     for count in counts:
         assert 800 < count < 1200
 
 
 def test_round_robin_cycles():
-    _env, queues = make_queues(3)
     policy = RoundRobinPolicy()
-    assert [policy.select(job(i), queues, ALWAYS_ON) for i in range(7)] == [
+    bound(policy, 3)
+    assert [policy.select(job(i)) for i in range(7)] == [
         0, 1, 2, 0, 1, 2, 0,
     ]
 
 
 def test_least_loaded_picks_shallowest():
-    _env, queues = make_queues(3)
+    policy = LeastLoadedPolicy()
+    queues = bound(policy, 3)
     queues[0].push(job(1))
     queues[0].push(job(2))
     queues[1].push(job(3))
-    policy = LeastLoadedPolicy()
-    assert policy.select(job(4), queues, ALWAYS_ON) == 2
+    assert policy.select(job(4)) == 2
 
 
 def test_least_loaded_tie_breaks_by_index():
-    _env, queues = make_queues(3)
     policy = LeastLoadedPolicy()
-    assert policy.select(job(0), queues, ALWAYS_ON) == 0
+    bound(policy, 3)
+    assert policy.select(job(0)) == 0
 
 
 def test_packing_prefers_powered_workers():
-    _env, queues = make_queues(4)
     powered = {2}
     policy = PackingPolicy()
-    assert policy.select(job(0), queues, lambda i: i in powered) == 2
+    bound(policy, 4, lambda i: i in powered)
+    assert policy.select(job(0)) == 2
 
 
 def test_packing_wakes_lowest_when_all_off():
-    _env, queues = make_queues(4)
     policy = PackingPolicy()
-    assert policy.select(job(0), queues, lambda i: False) == 0
+    bound(policy, 4, lambda i: False)
+    assert policy.select(job(0)) == 0
 
 
 def test_policies_reject_empty_queue_list():
@@ -100,8 +111,9 @@ def test_policies_reject_empty_queue_list():
         RandomSamplingPolicy(), RoundRobinPolicy(),
         LeastLoadedPolicy(), PackingPolicy(),
     ):
+        bound(policy, 0, ALWAYS_ON)
         with pytest.raises(ValueError):
-            policy.select(job(0), [], ALWAYS_ON)
+            policy.select(job(0))
 
 
 def test_make_policy_factory():

@@ -12,13 +12,13 @@ pin process == inline and process == serial), so most of the suite
 stays fork-free and fast.
 """
 
-import random
-
 import pytest
 
 from repro.cluster.microfaas import MicroFaaSCluster
 from repro.cluster.replay import replay_trace
+from repro.core.platform import ARM, X86
 from repro.core.scheduler import make_policy
+from repro.energy.controlplane import CarbonSignal
 from repro.experiments.megatrace import WORKER_JOBS_PER_S
 from repro.obs.export import validate_chrome_trace_file, write_trace_file
 from repro.obs.trace import TraceConfig, merge_traces
@@ -83,7 +83,7 @@ def test_paper_arrivals_are_bit_identical(shards):
 def test_named_policy_spec_is_bit_identical(policy):
     """spec.build() must schedule with the spec's named policy — a twin
     that silently fell back to the platform default (random-sampling)
-    would diverge from the replayer immediately."""
+    would diverge from the sharded run immediately."""
     spec = ClusterSpec(
         kind="microfaas", worker_count=12, seed=5, policy=policy
     )
@@ -108,6 +108,45 @@ def test_hybrid_energy_aware_is_bit_identical():
         result.telemetry.platform_percentile_latency_s("arm", 99.0)
         == serial.telemetry.platform_percentile_latency_s("arm", 99.0)
     )
+
+
+def test_hybrid_carbon_aware_is_bit_identical_and_follows_the_signal():
+    """Carbon-aware placement reads decision time from the scheduling
+    state's clock on both paths.  The signals make the cheaper platform
+    flip several times inside the run, so the result must differ from
+    plain energy-aware; duration and joules are pinned to values
+    recorded before serial and sharded runs shared one policy
+    implementation."""
+    signals = {
+        ARM: CarbonSignal(base=400.0, amplitude=300.0, period_s=60.0),
+        X86: CarbonSignal(
+            base=60.0, amplitude=20.0, period_s=45.0, phase_s=7.0
+        ),
+    }
+    spec = ClusterSpec(
+        kind="hybrid",
+        sbc_count=6,
+        vm_count=3,
+        seed=5,
+        policy="carbon-aware",
+        carbon_signals=signals,
+        carbon_weights={ARM: 5.7, X86: 32.0},
+    )
+    serial = spec.build().run_paper_arrivals(
+        jobs_per_second=2, total_jobs=120
+    )
+    with ShardedCluster(spec, 3, executor="inline") as sharded:
+        result = sharded.run_paper_arrivals(
+            jobs_per_second=2, total_jobs=120
+        )
+    assert_identical(serial, result)
+    assert serial.duration_s == 63.909056343641716
+    assert serial.energy_joules == 5492.693602537625
+    energy_aware = ClusterSpec(
+        kind="hybrid", sbc_count=6, vm_count=3, seed=5, policy="energy-aware"
+    ).build().run_paper_arrivals(jobs_per_second=2, total_jobs=120)
+    assert energy_aware.energy_joules != serial.energy_joules
+    assert energy_aware.pool_energy != serial.pool_energy
 
 
 def board_only_plan(worker_count, seed, horizon_s=40.0):
@@ -374,7 +413,7 @@ def test_shard_remote_policy_raises_if_consulted():
     from repro.shard.runtime import ShardRemotePolicy
 
     with pytest.raises(RuntimeError, match="coordinator"):
-        ShardRemotePolicy().select(None, [], lambda wid: True)
+        ShardRemotePolicy().select(None)
 
 
 def test_sharded_rejects_random_policy_object_mismatch():
@@ -385,7 +424,7 @@ def test_sharded_rejects_random_policy_object_mismatch():
     other = MicroFaaSCluster(
         worker_count=10,
         seed=42,
-        policy=make_policy("random-sampling", random.Random(43)),
+        policy=make_policy("random-sampling", seed=43),
     )
     different = other.run_saturated(invocations_per_function=3)
     with ShardedCluster(spec, 2, executor="inline") as sharded:
