@@ -25,7 +25,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.cluster import MicroFaaSCluster
-from repro.shard.partition import PoolShape, plan_shards
+from repro.shard.partition import plan_shards
 from repro.shard.runtime import ClusterSpec
 
 #: (worker_count, shard count for the per-shard leg).  Shard counts
@@ -81,8 +81,9 @@ def test_bench_build_serial(benchmark, serial_median_s, count):
 
 @pytest.mark.parametrize("count,shards", SIZES, ids=IDS)
 def test_bench_build_per_shard(benchmark, serial_median_s, count, shards):
-    local = plan_shards([PoolShape(worker_count=count)], shards).shard_worker_ids[0]
-    blueprint = ClusterSpec(kind="microfaas", worker_count=count).blueprint()
+    spec = ClusterSpec(kind="microfaas", worker_count=count)
+    local = plan_shards(spec.pool_shapes(), shards).shard_worker_ids[0]
+    blueprint = spec.blueprint()
     cluster, median = _bench_build(
         benchmark,
         lambda: MicroFaaSCluster(

@@ -65,6 +65,12 @@ class VmWorker:
         self.profiles = PROFILES if profiles is None else profiles
         self.process = env.process(self._run(), name=f"vm-worker-{vm.vm_id}")
 
+    @property
+    def min_service_s(self) -> float:
+        """Lower bound on claim-to-completion: every job pays the inbound
+        session overhead after its transfer, whatever else it skips."""
+        return SESSION_OVERHEAD_S["x86-virtio"]
+
     def _jitter(self) -> float:
         if self.jitter_sigma == 0:
             return 1.0
@@ -78,6 +84,10 @@ class VmWorker:
         while True:
             job: Job = yield self.queue.pop()
             job.transition(JobStatus.RUNNING, self.env.now)
+            on_claim = self.orchestrator.on_claim
+            if on_claim is not None:
+                # Hypervisor contention keeps a VM job's end open.
+                on_claim(job.job_id, self.vm.vm_id, None, self.env.now)
             if job.trace_id is not None:
                 tracer = self.orchestrator.tracer
                 job.trace_attempt = tracer.begin_attempt(

@@ -29,6 +29,13 @@ observe, so an invocation costs one kernel event per observed stretch:
 
 Each stretch end is the float the chained relative timeouts would
 reach, so every record, span and joule is unchanged by the fusion.
+
+When the orchestrator carries an ``on_claim`` hook (only shard runtimes
+set one), the worker also fixes the job's completion instant at the
+claim, if nothing later can move it: it prices both transfers and the
+CPU/I/O split there (:meth:`SbcWorker._plan`), waits on exactly those
+figures, and reports the instant it will finish.  The shard coordinator
+places later arrivals on the strength of that report.
 """
 
 from __future__ import annotations
@@ -52,6 +59,10 @@ from repro.services.latency import ServiceLatencyModel
 from repro.sim.kernel import Environment, Interrupt
 from repro.sim.rng import RandomStreams
 from repro.workloads.profiles import PROFILES, profile_for
+
+#: Inbound session overhead of a bare-metal ARM worker (TCP setup and
+#: payload codec on the slow core).
+_SESSION_S = SESSION_OVERHEAD_S["arm-bare"]
 
 
 class SbcWorker:
@@ -121,6 +132,72 @@ class SbcWorker:
             return 1.0
         raw = self.streams.lognormal_factor("jitter", self.jitter_sigma)
         return raw * math.exp(-self.jitter_sigma**2 / 2)
+
+    @property
+    def min_service_s(self) -> float:
+        """Lower bound on claim-to-completion of this worker's next job.
+
+        A board that reboots between jobs and is not kept warm pays a
+        full boot before anything else (a clean pre-booted board is the
+        one exception); otherwise the inbound session overhead is the
+        first phase every job pays.  Every phase end is a float sum of
+        non-negative durations onto the claim instant, so the bound
+        holds float for float.
+        """
+        if (
+            self.policy.reboot_between_jobs
+            and not self.keep_warm
+            and not self.sbc.clean
+        ):
+            return self.boot_real_s
+        return _SESSION_S
+
+    def _work(self, profile, jitter: float):
+        """CPU and I/O seconds of one invocation at the current clock."""
+        nominal_s = profile.work_arm_s * jitter
+        cpu_s = nominal_s * profile.cpu_fraction_arm * self._speed_factor
+        dvfs = self.sbc.dvfs_step
+        if dvfs is not None:
+            # Down-clocked board: CPU phase stretches, I/O doesn't.
+            cpu_s /= dvfs.perf_scale
+        io_s = nominal_s * (1 - profile.cpu_fraction_arm)
+        return cpu_s, io_s
+
+    def _plan(self, job: Job, booting: bool, jitter: float):
+        """Everything :meth:`_execute` will wait on, fixed at the claim —
+        or None when something later can still move the timeline: a
+        control-plane model (queues the dispatch and the collection), a
+        contended backend (decides when the I/O ends), or transfer
+        fault accounting (prices each transfer at the instant it
+        starts).
+
+        Returns ``(plan, t_done)``: the inbound and outbound transfer
+        estimates with the CPU and I/O seconds, and the completion
+        instant, chained with exactly the float additions the worker's
+        waits perform.
+        """
+        profile = self.profiles[job.function]
+        if (
+            self.control_plane is not None
+            or self.transfers.chaos_enabled
+            or (self.backend is not None and profile.service_op is not None)
+        ):
+            return None, None
+        now = self.env.now
+        inbound = self.transfers.transfer(
+            self.orchestrator_endpoint, self.endpoint, job.input_bytes
+        )
+        outbound = self.transfers.transfer(
+            self.endpoint, self.orchestrator_endpoint, job.output_bytes
+        )
+        cpu_s, io_s = self._work(profile, jitter)
+        t = now + self.boot_real_s if booting else now
+        t = (t + inbound.total_s) + _SESSION_S
+        if cpu_s > 0:
+            t = t + cpu_s
+        if io_s > 0:
+            t = t + io_s
+        return (inbound, outbound, cpu_s, io_s), t + outbound.total_s
 
     def _boot(self):
         """Run the boot timeline; the SBC must already be in BOOT state."""
@@ -195,31 +272,40 @@ class SbcWorker:
                     self.env.now, worker_id=self.sbc.node_id,
                     attrs={"attempt_span": job.trace_attempt},
                 )
-            boot_s = 0.0
             # The OP's GPIO hook powers us on at enqueue; if this worker
             # was built without a wired line, wake up now.
             if not self.sbc.is_powered:
                 self.sbc.power_on()
+            boot_kind = None
             if self.sbc.state is PowerState.BOOT:
-                start = self.env.now
-                yield from self._boot()
-                boot_s = self.env.now - start
-                if job.trace_id is not None:
-                    self._trace_boot(job, start, obs.BOOT, "cold")
+                boot_kind = "cold"
             elif self.policy.reboot_between_jobs and not self.sbc.clean:
                 # Clean-state reboot before touching the next tenant's
                 # job.  A pre-booted (warm, still-clean) board skips
                 # this — that's the warm pool's cold-start win.
                 self.sbc.begin_reboot()
+                boot_kind = "clean-reboot"
+            elif self.policy.reboot_between_jobs:
+                # Warm hit: pre-booted and still clean, reboot skipped.
+                self.boots_avoided += 1
+            # Drawn at the claim, not at the CPU phase: "jitter" is this
+            # worker's only stream and a crashed worker never draws
+            # again (a revived one gets a fresh stream), so every job
+            # still gets the draw it got at execute time.
+            jitter = self._jitter()
+            plan = None
+            on_claim = self.orchestrator.on_claim
+            if on_claim is not None:
+                plan, t_done = self._plan(job, boot_kind is not None, jitter)
+                on_claim(job.job_id, self.sbc.node_id, t_done, self.env.now)
+            boot_s = 0.0
+            if boot_kind is not None:
                 start = self.env.now
                 yield from self._boot()
                 boot_s = self.env.now - start
                 if job.trace_id is not None:
-                    self._trace_boot(job, start, obs.BOOT, "clean-reboot")
-            elif self.policy.reboot_between_jobs:
-                # Warm hit: pre-booted and still clean, reboot skipped.
-                self.boots_avoided += 1
-            record = yield from self._execute(job, boot_s)
+                    self._trace_boot(job, start, obs.BOOT, boot_kind)
+            record = yield from self._execute(job, boot_s, jitter, plan)
             self.orchestrator.complete(job, record)
             self.current_job = None
             if self.queue.depth == 0 and self.keep_warm:
@@ -251,7 +337,9 @@ class SbcWorker:
                 )
                 job.trace_attempt = None
 
-    def _execute(self, job: Job, boot_s: float):
+    def _execute(self, job: Job, boot_s: float, jitter: float, plan):
+        """Serve one claimed job; ``plan`` is :meth:`_plan`'s claim-time
+        plan, or None to price each phase when it starts."""
         env = self.env
         profile = self.profiles[job.function]
         traced = job.trace_id is not None
@@ -259,15 +347,18 @@ class SbcWorker:
         # Receive the invocation input (overhead, I/O bound).  With a
         # control-plane model, the OP must first find CPU to dispatch us.
         self.sbc.start_io_wait()
-        if self.control_plane is not None:
-            yield from self.control_plane.dispatch()
-        inbound = self.transfers.transfer(
-            self.orchestrator_endpoint, self.endpoint, job.input_bytes
-        )
+        if plan is None:
+            if self.control_plane is not None:
+                yield from self.control_plane.dispatch()
+            inbound = self.transfers.transfer(
+                self.orchestrator_endpoint, self.endpoint, job.input_bytes
+            )
+        else:
+            inbound, outbound, cpu_s, io_s = plan
         # Transfer, then session overhead (TCP setup + payload codec on
         # the slow core): one wait, ending where the two chained
         # timeouts would.
-        session_s = SESSION_OVERHEAD_S["arm-bare"]
+        session_s = _SESSION_S
         inbound_end = (env.now + inbound.total_s) + session_s
         yield env.timeout_at(inbound_end)
         inbound_overhead_s = inbound_end - inbound_start
@@ -282,13 +373,8 @@ class SbcWorker:
         # Execute the function body: CPU phase, then backend I/O phase.
         # A faster board shrinks only the CPU phase — backend waits are
         # the services' problem, not the worker's.
-        nominal_s = profile.work_arm_s * self._jitter()
-        cpu_s = nominal_s * profile.cpu_fraction_arm * self._speed_factor
-        dvfs = self.sbc.dvfs_step
-        if dvfs is not None:
-            # Down-clocked board: CPU phase stretches, I/O doesn't.
-            cpu_s /= dvfs.perf_scale
-        io_s = nominal_s * (1 - profile.cpu_fraction_arm)
+        if plan is None:
+            cpu_s, io_s = self._work(profile, jitter)
         working_start = env.now
         if cpu_s > 0:
             self.sbc.start_compute()
@@ -328,9 +414,10 @@ class SbcWorker:
         # Return the result (overhead); the OP must ingest it.
         if not fuse_io:
             self.sbc.start_io_wait()
-        outbound = self.transfers.transfer(
-            self.endpoint, self.orchestrator_endpoint, job.output_bytes
-        )
+        if plan is None:
+            outbound = self.transfers.transfer(
+                self.endpoint, self.orchestrator_endpoint, job.output_bytes
+            )
         yield env.timeout_at(outbound_start + outbound.total_s)
         if self.control_plane is not None:
             yield from self.control_plane.collect()

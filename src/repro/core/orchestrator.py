@@ -121,9 +121,14 @@ class Orchestrator:
         #: lets a shard runtime capture policy-driven assignments (chaos
         #: salvage) for the coordinator to decide globally; the
         #: ``on_*`` callbacks report completions and worker liveness
-        #: transitions at window boundaries.  All default to ``None``
-        #: and cost one comparison when unused.
+        #: transitions at window boundaries; ``on_claim`` hears every
+        #: claim as ``(job_id, worker_id, t_done or None, t_claim)``,
+        #: with the completion instant when the worker could fix it.
+        #: All default to ``None`` and cost one comparison when unused.
         self.assign_override: Optional[Callable[[Job, Optional[int]], bool]] = None
+        self.on_claim: Optional[
+            Callable[[int, int, Optional[float], float], None]
+        ] = None
         self.on_complete: Optional[Callable[[Job, InvocationRecord], None]] = None
         self.on_worker_dead: Optional[Callable[[int], None]] = None
         self.on_worker_alive: Optional[Callable[[int], None]] = None

@@ -39,7 +39,18 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import trace as obs
 from repro.services.backend import SERVICE_OF_OP
+from repro.sim.kernel import NORMAL as NORMAL_PRIORITY, URGENT
 from repro.sim.rng import RandomStreams
+
+#: Same-instant order of board liveness changes.  In the kernel queue
+#: they sit after process resumption (``URGENT``) and before ordinary
+#: events (``NORMAL``): at one instant, every revival lands first, then
+#: every detection (each draining its board and placing the salvaged
+#: jobs before the next detection starts), then completions and
+#: arrivals.  The shard coordinator applies its shards' reports in the
+#: same order (see :mod:`repro.shard.coordinator`).
+REVIVE_PRIORITY = URGENT + 0.25
+DETECT_PRIORITY = URGENT + 0.5
 
 
 class ChaosKind(enum.Enum):
@@ -535,6 +546,12 @@ class ChaosEngine:
         }[event.kind]
         yield from handler(event)
 
+    def _wait(self, delay_s: float, priority: float):
+        """``timeout(delay_s)`` with an explicit same-instant priority
+        (the end instant is the same float)."""
+        env = self.cluster.env
+        return env.timeout_at(env.now + delay_s, priority=priority)
+
     def _sbc(self, worker_id: int):
         """The board behind a worker id, or ``None`` for VM workers."""
         getter = getattr(self.cluster, "sbc_for", None)
@@ -620,7 +637,6 @@ class ChaosEngine:
 
     def _board_fault(self, event: ChaosEvent):
         """WORKER_CRASH and BOOT_FAILURE: crash, detect, maybe revive."""
-        env = self.cluster.env
         worker_id = int(event.target)
         orchestrator = self.cluster.orchestrator
         if self._sbc(worker_id) is None:
@@ -643,25 +659,36 @@ class ChaosEngine:
         self._board_busy.add(worker_id)
         try:
             self._kill_board(worker_id, kind=event.kind.value)
-            yield env.timeout(self.detection_delay_s)
+            yield self._wait(self.detection_delay_s, DETECT_PRIORITY)
             detect_time = self._detect_and_recover(worker_id)
-            yield env.timeout(event.duration_s)
+            # A BOOT_FAILURE board answers the first power cycles with
+            # silence; the OP retries up to its budget, each cycle
+            # burning a boot's worth of time and power.
+            attempts_needed = 1
             if event.kind is ChaosKind.BOOT_FAILURE:
-                # The board answers the first power cycles with silence;
-                # the OP retries up to its budget, each cycle burning a
-                # boot's worth of time and power.
                 attempts_needed = max(1, int(event.magnitude))
+            failed_cycles = min(attempts_needed - 1, self.max_power_cycles)
+            revives = attempts_needed <= self.max_power_cycles
+            # The wait that ends at the revival instant carries the
+            # revival's same-instant priority.
+            last = REVIVE_PRIORITY if revives else NORMAL_PRIORITY
+            yield self._wait(
+                event.duration_s, NORMAL_PRIORITY if failed_cycles else last
+            )
+            if failed_cycles:
                 sbc = self._sbc(worker_id)
                 worker = self.cluster.workers[worker_id]
-                failed_cycles = min(attempts_needed - 1, self.max_power_cycles)
-                for _ in range(failed_cycles):
+                for cycle in range(failed_cycles, 0, -1):
                     sbc.power_on()
-                    yield env.timeout(worker.boot_real_s)
+                    yield self._wait(
+                        worker.boot_real_s,
+                        last if cycle == 1 else NORMAL_PRIORITY,
+                    )
                     sbc.power_off()
-                if attempts_needed > self.max_power_cycles:
-                    # Budget exhausted: the board is pulled from the rack.
-                    self.boards_abandoned += 1
-                    return
+            if not revives:
+                # Budget exhausted: the board is pulled from the rack.
+                self.boards_abandoned += 1
+                return
             self._revive_board(worker_id, event.kind, detect_time)
         finally:
             self._board_busy.discard(worker_id)
@@ -699,9 +726,9 @@ class ChaosEngine:
             try:
                 gpio.break_line(worker_id)
                 self._kill_board(worker_id, kind=event.kind.value)
-                yield env.timeout(self.detection_delay_s)
+                yield self._wait(self.detection_delay_s, DETECT_PRIORITY)
                 detect_time = self._detect_and_recover(worker_id)
-                yield env.timeout(event.duration_s)
+                yield self._wait(event.duration_s, REVIVE_PRIORITY)
                 gpio.repair_line(worker_id)
                 self._revive_board(worker_id, event.kind, detect_time)
             finally:

@@ -1,44 +1,67 @@
 """The shard coordinator: lockstep-exact conservative-lookahead runs.
 
 One simulation, N shards, bit-identical results.  The protocol exploits
-a structural property of the MicroFaaS model: between *globally known
-decision boundaries*, workers never interact — transfer latencies are
-stateless functions of the (identical, fully replicated) topology,
-per-worker RNG streams are name-derived and disjoint, and the only
-coupling is the orchestrator's assignment policy.  The decision
-boundaries are known in advance:
+a structural property of the MicroFaaS model: workers never interact
+except through the orchestrator's assignment policy — transfer
+latencies are stateless functions of the (identical, fully replicated)
+topology, and per-worker RNG streams are name-derived and disjoint.  So
+the coordinator runs the assignment policy — the same object a serial
+run uses — on the integer scheduling state, and the shards simulate
+the workers.  A placement at time ``t`` must see every completion at or
+before ``t``; the question is only how far ahead of the shards' clocks
+the coordinator may place.
 
-* ``t = 0`` for saturated submission bursts;
-* the 1-second arrival interval marks of the paper's arrival process
-  (the schedule is pre-computed and draw-free);
-* every board-level chaos event's *detection* time (``event time +
-  detection delay``), where the serial engine drains a dead board's
-  queue through the policy — and the chaos plan is pre-sampled from
-  dedicated named streams, so all parties know it up front.
+**The horizon.**  Every invocation starts with the worker boot (1.51 s
+on ARM, PAPER.md Sec. IV-D), so nothing placed or claimed now can
+complete sooner than one boot from now.  Each ``advance`` report
+carries the window's observed completions, the completions predicted
+in it, and ``horizon``: a lower bound on every completion the shard has
+not reported yet (see ``ShardRuntime._horizon``).  An SBC worker fixes
+its completion instant when it claims a job, if nothing later can move
+it (no control-plane model, no contended backend, no transfer fault
+accounting), and reports it then — long before it happens.  The
+coordinator keeps every completion, predicted or observed, in one heap
+keyed ``(t, rank, order, seq)``.  Before an arrival batch at ``t`` it
+applies every entry at or before ``t``; it places the batch without a
+rendezvous when ``t`` lies before ``H`` (the least shard horizon,
+capped by the next chaos boundary) or at the shards' clock.  The next
+``advance`` goes to the first arrival it could not place, so a window
+is about one boot long and a run makes at most as many rounds as it
+has distinct arrival instants.
 
-So the coordinator advances every shard to the next boundary, runs the
-assignment policy — the same object a serial run uses — on the integer
-scheduling state (fed by the shards' completion/liveness reports,
-applied in timestamp order), and sends the resulting placements with
-the command that advances each shard to the following boundary.  Shards run their windows in
-parallel; no shard ever waits on another except at boundaries.
-Conservative lookahead degenerates to an exact schedule: the lookahead
-between boundaries is infinite because *no* cross-shard event can
-occur inside a window.
+**Timed directives.**  Placements ride on the next ``advance`` and
+carry their arrival time: a shard injects those at its clock at once
+(salvages first) and each later instant's batch from one
+``timeout_at``, so every job enters its shard at the simulated instant
+the serial submitter would submit it.
 
-Determinism caveat (documented bound): event timestamps are sums of
-continuous draws (lognormal jitter, exponential gaps), so collisions
-between completions, detections, and boundary marks have measure zero;
-on the pinned configurations the regression tests assert exact
-equality.  In streaming-telemetry mode, merged means carry
-float-summation-order noise (see ``TelemetryCollector.merge``);
-counts, throughput, energy, and duration remain bit-identical.
+**Chaos.**  A crash can cut a claimed job short, so a shard with a
+chaos engine predicts nothing and reports ``horizon = clock``.  Every
+board-level detection time (``event time + detection delay``) is a
+rendezvous boundary — the chaos plan is pre-sampled from named streams,
+so all parties know it up front — and the coordinator places the
+salvaged jobs at the detection instant, as the serial engine does.
+
+**Same-instant order.**  Integer crash and repair times make chaos
+events coincide, so ties have one explicit order, shared with the
+serial engine (``repro.reliability.chaos.REVIVE_PRIORITY`` and
+``DETECT_PRIORITY``): at one instant every revival, then every
+detection, each followed by its salvages, then the completions, then
+the arrivals.  Two detections at one instant are not exact: the serial
+engine may salvage the first board's jobs onto the second board just
+before draining it again, while the second board's shard has already
+drained it.  Completion and arrival times are sums of continuous
+draws, so their exact ties with each other have measure zero; the
+regression tests pin exact equality on the configurations they run.  In streaming-telemetry mode, merged means carry
+float-summation-order noise (see ``TelemetryCollector.merge``); counts,
+throughput, energy and duration remain bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.result import ClusterResult
 from repro.core.platform import ARM, HYBRID, MICROFAAS, X86
@@ -48,16 +71,18 @@ from repro.obs.trace import merge_traces
 from repro.shard.executors import InlineExecutor, ProcessExecutor
 from repro.shard.partition import ShardPlan, plan_shards
 from repro.shard.runtime import ClusterSpec, ShardSpec
+from repro.sim.kernel import SimulationError
 from repro.workloads.base import ALL_FUNCTION_NAMES
 
-#: Tie-break ranks for same-timestamp events, mirroring the serial
-#: in-event order: a detection marks the worker dead, then salvages its
-#: queue; revivals are separate events.  (Cross-kind timestamp
-#: collisions have measure zero anyway — see the module docstring.)
-_RANK_COMPLETION = 0
-_RANK_DEAD = 1
-_RANK_SALVAGE = 2
-_RANK_ALIVE = 3
+#: Same-instant ranks of reported events (see "Same-instant order" in
+#: the module docstring).  A detection and its salvages share a rank
+#: and the shard's record sequence, which puts each detection before
+#: the salvages it causes.
+_RANK_ALIVE = 0
+_RANK_DETECT = 1
+_RANK_COMPLETION = 2
+
+_INF = float("inf")
 
 
 @dataclass
@@ -94,9 +119,14 @@ class ShardedCluster:
     ):
         spec.validate()
         self.spec = spec
-        self.plan: ShardPlan = plan_shards(spec.pool_shapes(), shards)
+        # One blueprint for the whole fleet, computed here once: it
+        # shapes the partition and ships to every shard (see
+        # repro.cluster.blueprint).
+        blueprint = spec.blueprint()
+        self.plan: ShardPlan = plan_shards(spec.pool_shapes(blueprint), shards)
         platforms = spec.platforms()
-        #: Decision time: the boundary whose placements are being made.
+        #: Decision time: the arrival or detection instant whose
+        #: placements are being made.
         self._now = 0.0
         self.state = SchedulingState(platforms, clock=lambda: self._now)
         self.policy = spec.assignment_policy()
@@ -116,12 +146,16 @@ class ShardedCluster:
             )
         self._chaos_boundaries = list(boundaries)
         self._chaos_cursor = 0
-        #: Placements decided at the current boundary, per shard; they
+        #: Placements decided since the last rendezvous, per shard; they
         #: ride on the next ``advance`` (see :meth:`_round`).
         self._pending = self._empty_directives()
-        # One blueprint for the whole fleet, computed here once and
-        # shipped to every shard (see repro.cluster.blueprint).
-        blueprint = spec.blueprint()
+        #: Reported events not yet applied: (t, rank, order, seq, payload).
+        self._events: List[tuple] = []
+        self._event_seq = 0
+        #: The shards' common clock (the last ``advance`` target) and
+        #: the least horizon they reported there.
+        self._clock = 0.0
+        self._horizon = 0.0
         specs = [
             ShardSpec(
                 shard_index=index,
@@ -141,15 +175,16 @@ class ShardedCluster:
 
     # -- assignment ------------------------------------------------------------
 
-    def _assign_new(self, function: str, directives: List[list]) -> None:
-        """Mirror ``Orchestrator.submit_function``: allocate the id, let
-        the policy pick the worker, route to the owning shard."""
+    def _assign_new(self, function: str, t: float) -> None:
+        """Mirror ``Orchestrator.submit_function`` at arrival time ``t``:
+        allocate the id, let the policy pick the worker, route to the
+        owning shard."""
         job_id = self._next_job_id
         self._next_job_id += 1
         worker_id = self.policy.select(None)
         self.state.add_load(worker_id, 1)
-        directives[self._owner[worker_id]].append(
-            ("new", job_id, function, worker_id)
+        self._pending[self._owner[worker_id]].append(
+            ("new", job_id, function, worker_id, t)
         )
         self._submitted += 1
 
@@ -158,54 +193,79 @@ class ShardedCluster:
 
     # -- report processing -----------------------------------------------------
 
-    def _process_reports(
-        self, reports: Sequence[dict], directives: List[list]
-    ) -> None:
-        """Apply one window's events to the scheduling state in
-        timestamp order, deciding salvage placements as they occur."""
-        events = []
+    def _push(self, t: float, rank: int, order, payload) -> None:
+        self._event_seq += 1
+        heappush(self._events, (t, rank, order, self._event_seq, payload))
+
+    def _collect(self, reports: Sequence[dict]) -> None:
+        """Queue one window's reports and take the least horizon.
+
+        A completion at or before the latest placement would mean that
+        placement ran on stale loads: the horizon was not a bound."""
+        horizon = _INF
+        decided = self._now
         for report in reports:
             shard = report["shard"]
-            for t, wid, job_id in report["completions"]:
-                events.append((t, _RANK_COMPLETION, shard, 0, (wid, job_id)))
-            for t, kind, wid in report["liveness"]:
-                rank = _RANK_DEAD if kind == "dead" else _RANK_ALIVE
-                events.append((t, rank, shard, 0, wid))
-            for t, seq, job_id, state in report["salvages"]:
-                events.append((t, _RANK_SALVAGE, shard, seq, (job_id, state)))
-        events.sort(key=lambda e: e[:4])
-        for t, rank, shard, _seq, payload in events:
-            if rank == _RANK_COMPLETION:
-                wid, _job_id = payload
-                self.state.add_load(wid, -1)
-                self._completed += 1
-                if t > self._last_completion:
-                    self._last_completion = t
-            elif rank == _RANK_DEAD:
-                wid = payload
-                # The serial engine drains the dead queue: every job it
-                # held is salvaged (reported right after this event), so
-                # its load zeroes here and re-adds elsewhere.
-                self.state.loads[wid] = 0
-                self.state.mark_dead(wid)
-            elif rank == _RANK_ALIVE:
-                self.state.mark_alive(payload)
-            else:  # salvage
-                job_id, job_snapshot = payload
-                # Salvage decisions happen at the detection instant;
-                # time-varying policies read their signals there.
-                self._now = t
-                target = self.policy.select(None)
-                self.state.add_load(target, 1)
-                self.stats.salvage_assignments += 1
-                if self._owner[target] == shard:
-                    directives[shard].append(("salvage", job_id, target))
+            for key in ("completions", "predictions"):
+                for t, wid, job_id in report[key]:
+                    if t <= decided:
+                        raise SimulationError(
+                            f"shard {shard} reported job {job_id} done at "
+                            f"{t!r}, not after the placement at {decided!r}"
+                        )
+                    self._push(t, _RANK_COMPLETION, shard, wid)
+            for t, seq, kind, wid in report["liveness"]:
+                if kind == "dead":
+                    self._push(t, _RANK_DETECT, (shard, seq), (None, wid))
                 else:
-                    self.stats.migrations += 1
-                    directives[shard].append(("migrate_out", job_id))
-                    directives[self._owner[target]].append(
-                        ("adopt", job_snapshot, target)
-                    )
+                    self._push(t, _RANK_ALIVE, shard, wid)
+            for t, seq, job_id, state in report["salvages"]:
+                self._push(
+                    t, _RANK_DETECT, (shard, seq), (shard, (job_id, state))
+                )
+            horizon = min(horizon, report["horizon"])
+        self._horizon = horizon
+
+    def _apply_until(self, t: float) -> None:
+        """Apply every queued event at or before ``t`` in same-instant
+        order, placing salvaged jobs as their detections drain them."""
+        events = self._events
+        state = self.state
+        while events and events[0][0] <= t:
+            t_event, rank, _order, _seq, payload = heappop(events)
+            if rank == _RANK_COMPLETION:
+                state.add_load(payload, -1)
+                self._completed += 1
+                if t_event > self._last_completion:
+                    self._last_completion = t_event
+            elif rank == _RANK_ALIVE:
+                state.mark_alive(payload)
+            else:
+                shard, detail = payload
+                if shard is None:
+                    # The serial engine drains the dead queue: every job
+                    # it held is salvaged (reported right after this
+                    # event), so its load zeroes here and re-adds
+                    # elsewhere.
+                    state.loads[detail] = 0
+                    state.mark_dead(detail)
+                else:
+                    self._place_salvage(t_event, shard, *detail)
+
+    def _place_salvage(self, t, shard: int, job_id: int, job_snapshot) -> None:
+        # Salvage decisions happen at the detection instant;
+        # time-varying policies read their signals there.
+        self._now = t
+        target = self.policy.select(None)
+        self.state.add_load(target, 1)
+        self.stats.salvage_assignments += 1
+        pending = self._pending
+        if self._owner[target] == shard:
+            pending[shard].append(("salvage", job_id, target))
+        else:
+            self.stats.migrations += 1
+            pending[shard].append(("migrate_out", job_id))
+            pending[self._owner[target]].append(("adopt", job_snapshot, target))
 
     # -- the drive loop --------------------------------------------------------
 
@@ -215,38 +275,53 @@ class ShardedCluster:
         return None
 
     def _round(self, until: Optional[float]) -> None:
-        """One rendezvous, one message per shard: inject the placements
-        decided at the previous boundary, advance every shard to
-        ``until``, and fold the reports into fresh pending placements.
-
-        Deferring the injection is exact: a shard's clock moves only
-        inside a command, so between two messages it stays parked at the
-        previous boundary, and injecting at the start of the next
-        message happens at the same simulated instant, in the same
-        order, as injecting right after the last reply."""
+        """One rendezvous, one message per shard: send the placements
+        decided since the last one (each shard injects them at their
+        arrival instants), advance every shard to ``until`` (None: until
+        its local work drains), and queue the reports.  Events up to the
+        new clock are applied at once; later predicted completions wait
+        for the arrivals they precede."""
         directives, self._pending = self._pending, self._empty_directives()
         reports = self.executor.advance(until, directives)
         self.stats.rounds += 1
-        self._process_reports(reports, self._pending)
+        self._collect(reports)
+        self._clock = _INF if until is None else until
+        boundary = self._next_chaos_boundary()
+        if boundary is not None and boundary < self._horizon:
+            self._horizon = boundary
+        self._apply_until(self._clock)
 
-    def _drain(self) -> None:
-        """Run until every submitted job has completed, stopping at each
-        remaining chaos boundary while work is still in flight."""
+    def _reach(self, t: float) -> None:
+        """Rendezvous until an arrival at ``t`` can be placed: ``t`` is
+        at the shards' clock, or before the horizon.  Chaos boundaries
+        before ``t`` are rendezvous of their own."""
+        while t > self._clock and t >= self._horizon:
+            boundary = self._next_chaos_boundary()
+            if boundary is not None and boundary < t:
+                self._chaos_cursor += 1
+                self._round(boundary)
+            else:
+                self._round(t)
+            self.stats.boundaries += 1
+
+    def _run(self, batches: Iterable[Tuple[float, Sequence[str]]]) -> None:
+        """The one drive loop: place each arrival batch ``(t, functions)``
+        (in time order) on the loads every completion up to ``t`` leaves,
+        then drain."""
+        for t, functions in batches:
+            self._reach(t)
+            self._apply_until(t)
+            self._now = t
+            # Appended after any salvages decided at ``t``: the shards
+            # inject both, in that order.
+            for function in functions:
+                self._assign_new(function, t)
+        self._apply_until(_INF)
         while self._completed < self._submitted:
             boundary = self._next_chaos_boundary()
             if boundary is not None:
                 self._chaos_cursor += 1
                 self.stats.boundaries += 1
-            self._round(boundary)
-
-    def _consume_boundaries_until(self, t: float) -> None:
-        """Rendezvous at every chaos boundary strictly before ``t``."""
-        while True:
-            boundary = self._next_chaos_boundary()
-            if boundary is None or boundary >= t:
-                return
-            self._chaos_cursor += 1
-            self.stats.boundaries += 1
             self._round(boundary)
 
     # -- experiment entry points -----------------------------------------------
@@ -259,10 +334,7 @@ class ShardedCluster:
         """Sharded twin of ``ClusterHarness.run_saturated``."""
         if invocations_per_function < 1:
             raise ValueError("invocations_per_function must be >= 1")
-        for _ in range(invocations_per_function):
-            for function in functions:
-                self._assign_new(function, self._pending)
-        self._drain()
+        self._run([(0.0, list(functions) * invocations_per_function)])
         return self._finish()
 
     def run_paper_arrivals(
@@ -274,72 +346,44 @@ class ShardedCluster:
     ) -> ClusterResult:
         """Sharded twin of ``ClusterHarness.run_paper_arrivals``: the
         arrival schedule is pre-computed exactly like the serial
-        ``paper_arrival_process`` and each interval mark is a boundary."""
+        ``paper_arrival_process``; one boot spans more than one 1 s
+        mark, so a window places several marks."""
         if jobs_per_second < 1:
             raise ValueError("jobs_per_second must be >= 1")
         if interval_s <= 0:
             raise ValueError("interval must be positive")
         count = len(functions)
-        batches = [
-            [
-                functions[issued % count]
-                for issued in range(
-                    first, min(first + jobs_per_second, total_jobs)
-                )
-            ]
-            for first in range(0, total_jobs, jobs_per_second)
-        ]
-        for index, batch in enumerate(batches):
-            t_batch = index * interval_s
-            if index > 0:
-                self._consume_boundaries_until(t_batch)
-                # Advance to the arrival mark itself before submitting.
-                self._round(t_batch)
-                self.stats.boundaries += 1
-            self._now = t_batch
-            # Appended after any salvages decided at ``t_batch``: the
-            # shards inject both, in that order, with the next advance.
-            for function in batch:
-                self._assign_new(function, self._pending)
-        self._drain()
+        self._run(
+            (
+                index * interval_s,
+                [
+                    functions[issued % count]
+                    for issued in range(
+                        first, min(first + jobs_per_second, total_jobs)
+                    )
+                ],
+            )
+            for index, first in enumerate(range(0, total_jobs, jobs_per_second))
+        )
         return self._finish()
 
     def replay_trace(self, trace) -> ClusterResult:
         """Sharded twin of :func:`repro.cluster.replay.replay_trace`.
 
         Same-timestamp arrivals form one batch, exactly as the serial
-        replay submits them; every distinct arrival time is a
-        rendezvous boundary.  The measurement window runs to the later
-        of the trace end and the last completion, matching the serial
+        replay submits them.  Every arrival before the shards' horizon
+        is placed without a rendezvous, so a window spans about one
+        boot of arrivals.  The measurement window runs to the later of
+        the trace end and the last completion, matching the serial
         ``duration = max(env.now, trace.duration_s)``.
         """
         if hasattr(type(trace), "__len__") and len(trace) == 0:
             raise ValueError("empty trace")
-        batch_time: Optional[float] = None
-        batch: List[str] = []
-        for time_s, function in trace.iter_pairs():
-            if batch_time is not None and time_s != batch_time:
-                self._submit_batch_at(batch_time, batch)
-                batch = []
-            batch_time = time_s
-            batch.append(function)
-        if batch_time is None:
+        batches = _batches(trace.iter_pairs())
+        self._run(batches)
+        if self._next_job_id == 0:
             raise ValueError("empty trace")
-        self._submit_batch_at(batch_time, batch)
-        self._drain()
         return self._finish(end_time=trace.duration_s)
-
-    def _submit_batch_at(self, t_batch: float, batch: List[str]) -> None:
-        """Rendezvous at ``t_batch`` and submit one arrival batch."""
-        if t_batch > 0:
-            self._consume_boundaries_until(t_batch)
-            self._round(t_batch)
-            self.stats.boundaries += 1
-        self._now = t_batch
-        # Appended after any salvages decided at ``t_batch`` (see
-        # run_paper_arrivals).
-        for function in batch:
-            self._assign_new(function, self._pending)
 
     # -- result merging --------------------------------------------------------
 
@@ -458,6 +502,20 @@ class ShardedCluster:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _batches(pairs):
+    """Group ``(time, function)`` pairs into same-instant batches."""
+    batch_time: Optional[float] = None
+    batch: List[str] = []
+    for time_s, function in pairs:
+        if batch_time is not None and time_s != batch_time:
+            yield batch_time, batch
+            batch = []
+        batch_time = time_s
+        batch.append(function)
+    if batch_time is not None:
+        yield batch_time, batch
 
 
 __all__ = ["ClusterSpec", "ShardedCluster", "ShardedRunStats"]

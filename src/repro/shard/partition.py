@@ -1,12 +1,17 @@
 """Worker partitioning for sharded simulation.
 
-A shard owns a contiguous slice of each divisible pool's global worker
-ids (SBC boards are independent hardware, so any slice works) while
-indivisible pools — a :class:`~repro.cluster.pool.MicroVmPool` is one
-rack server, one hypervisor, one wall meter — land whole on a single
-shard.  Contiguity is cosmetic (ids are matched by set membership
-everywhere), but it keeps shard contents human-readable and makes the
-balanced split obvious.
+A divisible pool's global worker ids are dealt out like cards, one run
+of consecutive ids at a time (SBC boards are independent hardware, so
+any slice works), while indivisible pools — a
+:class:`~repro.cluster.pool.MicroVmPool` is one rack server, one
+hypervisor, one wall meter — land whole on a single shard.  Dealing
+balances the work, not just the boards: least-loaded placement breaks
+ties toward the lowest id, so one contiguous slice per shard would hand
+every job of a ramp-up to shard 0 (four in five on the 5,000-worker
+benchmark replay) while the other shards idle.  An SBC pool's runs are
+its switch spans, so a shard builds whole switches and registers each
+remote span in bulk.  Ids are matched by set membership everywhere, so
+any slice gives the same simulation.
 """
 
 from __future__ import annotations
@@ -22,6 +27,10 @@ class PoolShape:
 
     worker_count: int
     divisible: bool = True
+    #: Lengths of the consecutive id runs a divisible pool is dealt in,
+    #: in id order.  Single ids are dealt instead when the runs are
+    #: fewer than the shards (a one-switch pool still splits).
+    runs: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -60,10 +69,12 @@ class ShardPlan:
 def plan_shards(pools: Sequence[PoolShape], shards: int) -> ShardPlan:
     """Balanced partition of the pools' global id space into ``shards``.
 
-    Divisible pools are cut into near-equal contiguous runs, assigned
-    round-robin to the currently lightest shards; indivisible pools go
-    whole to the lightest shard at their turn.  Pools are processed in
-    build order, matching the harness's global id allocation.
+    Divisible pools are dealt out like cards: run ``j`` of a pool (or,
+    with fewer runs than shards, worker ``j``) lands on shard
+    ``j mod shards``.
+    Indivisible pools go whole to the lightest shard at their turn.
+    Pools are processed in build order, matching the harness's global
+    id allocation.
     """
     if shards < 1:
         raise ValueError("need at least one shard")
@@ -85,14 +96,18 @@ def plan_shards(pools: Sequence[PoolShape], shards: int) -> ShardPlan:
             lightest = min(range(shards), key=lambda s: (len(assigned[s]), s))
             assigned[lightest].extend(ids)
             continue
-        # Cut into `shards` near-equal contiguous runs (some possibly
-        # empty for tiny pools) and hand run k to shard k: worker i of
-        # an N-worker pool lands on shard i * shards // N.
-        base, extra = divmod(len(ids), shards)
+        if pool.runs and (sum(pool.runs) != len(ids) or min(pool.runs) < 1):
+            raise ValueError(
+                f"runs {pool.runs} do not tile a {len(ids)}-worker pool"
+            )
+        if len(pool.runs) < shards:
+            # Some slices are empty for pools smaller than the shard count.
+            for shard in range(shards):
+                assigned[shard].extend(ids[shard::shards])
+            continue
         cursor = 0
-        for shard in range(shards):
-            size = base + (1 if shard < extra else 0)
-            assigned[shard].extend(ids[cursor:cursor + size])
+        for index, size in enumerate(pool.runs):
+            assigned[index % shards].extend(ids[cursor:cursor + size])
             cursor += size
     return ShardPlan(
         shard_worker_ids=tuple(

@@ -4,11 +4,13 @@ A :class:`ShardRuntime` owns a partially-built cluster: the **full**
 topology, queue list, and id space (so endpoint names, worker ids, and
 per-worker RNG stream names match the serial build exactly), but
 hardware, GPIO lines, and worker processes only for its local worker
-ids.  Between rendezvous boundaries it advances the simulation kernel
-over a bounded window; at each boundary the coordinator injects the
-assignments it decided (new submissions, chaos-salvaged pushes,
-cross-shard migrations) and collects what happened inside the window
-(completions, worker deaths/revivals, buffered salvage requests).
+ids.  Each rendezvous injects the assignments the coordinator decided
+(new submissions at their arrival instants, chaos-salvaged pushes,
+cross-shard migrations), advances the simulation kernel over a bounded
+window, and reports what happened inside it: completions, worker
+deaths/revivals and buffered salvage requests, plus the completion
+instants workers fixed at their claims and a horizon no unreported
+completion can precede.
 
 The runtime never makes a scheduling decision.  The shard cluster's
 policy is a sentinel that raises if consulted, and the orchestrator's
@@ -19,12 +21,14 @@ buffers it for the coordinator instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.blueprint import (
     ClusterBlueprint,
     PoolDescriptor,
+    SbcFabricPlan,
     compute_blueprint,
 )
 from repro.cluster.hybrid import HybridCluster
@@ -138,15 +142,21 @@ class ClusterSpec:
                     "job's spans would split across shard recorders"
                 )
 
-    def pool_shapes(self) -> Tuple[PoolShape, ...]:
-        """Pool sizes in build order, for the partitioner."""
-        if self.kind == "microfaas":
-            return (PoolShape(self.worker_count),)
+    def pool_shapes(
+        self, blueprint: Optional[ClusterBlueprint] = None
+    ) -> Tuple[PoolShape, ...]:
+        """Pool sizes in build order, for the partitioner: an SBC pool is
+        dealt by switch span, the microVM pool is indivisible.  Pass
+        this spec's :meth:`blueprint` if it is already at hand."""
+        if blueprint is None:
+            blueprint = self.blueprint()
         shapes = []
-        if self.sbc_count:
-            shapes.append(PoolShape(self.sbc_count))
-        if self.vm_count:
-            shapes.append(PoolShape(self.vm_count, divisible=False))
+        for plan in blueprint.pool_plans:
+            if isinstance(plan, SbcFabricPlan):
+                runs = tuple(count for _switch, _first, count in plan.spans)
+                shapes.append(PoolShape(plan.worker_count, runs=runs))
+            else:
+                shapes.append(PoolShape(plan.worker_count, divisible=False))
         return tuple(shapes)
 
     def platforms(self) -> Tuple[str, ...]:
@@ -261,6 +271,27 @@ class ShardSpec:
     blueprint: Optional[ClusterBlueprint] = None
 
 
+class RecordLog:
+    """Telemetry of an exact-mode shard: the records alone.
+
+    The coordinator re-aggregates every shard's records in global
+    completion order (``ShardedCluster._merge_telemetry``), so the
+    shard-side running aggregates would be computed and thrown away.
+    """
+
+    __slots__ = ("records",)
+
+    def __init__(self):
+        self.records: list = []
+
+    def record(self, record) -> None:
+        self.records.append(record)
+
+    @property
+    def count(self) -> int:
+        return len(self.records)
+
+
 def job_state(job: Job) -> tuple:
     """Picklable snapshot of a mid-flight job for cross-shard migration
     (taken after ``reset_for_retry``, so no attempt state remains)."""
@@ -304,18 +335,30 @@ class ShardRuntime:
             blueprint=spec.blueprint,
         )
         orch = self.cluster.orchestrator
+        if spec.cluster.telemetry_exact:
+            orch.telemetry = RecordLog()
         orch.assign_override = self._capture_salvage
         orch.on_complete = self._record_completion
         orch.on_worker_dead = self._record_dead
         orch.on_worker_alive = self._record_alive
         # Per-window report buffers.
         self._completions: List[Tuple[float, int, int]] = []
+        self._predictions: List[Tuple[float, int, int]] = []
         self._salvages: List[tuple] = []
-        self._liveness: List[Tuple[float, str, int]] = []
+        self._liveness: List[Tuple[float, int, str, int]] = []
         #: Salvaged Job objects awaiting a coordinator decision,
         #: keyed by job id.
         self._held_jobs: Dict[int, Job] = {}
-        self._salvage_seq = 0
+        #: One sequence for liveness and salvage records, so a
+        #: detection precedes the salvages it causes.
+        self._record_seq = 0
+        #: Arrival batches scheduled for a later instant, not yet in.
+        self._timed_batches = 0
+        #: Job id -> completion instant predicted at its claim.
+        self._predicted: Dict[int, float] = {}
+        #: Job id -> lower bound on the completion of a claimed job
+        #: whose end stays open (claim + the worker's minimum service).
+        self._open: Dict[int, float] = {}
         self.chaos: Optional[ChaosEngine] = None
         if spec.cluster.chaos_plan is not None:
             self.chaos = ChaosEngine(
@@ -326,6 +369,14 @@ class ShardRuntime:
             self.chaos.apply(
                 spec.cluster.chaos_plan.restrict_to_workers(self.local_ids)
             )
+        else:
+            # A crash can still cut a claimed job short, so chaos runs
+            # predict nothing and report ``horizon = clock``.
+            orch.on_claim = self._record_claim
+            #: Without chaos no worker is ever respawned.
+            self._local_workers = [
+                self.cluster.workers[worker_id] for worker_id in spec.local_ids
+            ]
 
     # -- orchestrator hooks ---------------------------------------------------
 
@@ -336,31 +387,103 @@ class ShardRuntime:
         now = self.cluster.env.now
         self._held_jobs[job.job_id] = job
         self._salvages.append(
-            (now, self._salvage_seq, job.job_id, job_state(job))
+            (now, self._next_seq(), job.job_id, job_state(job))
         )
-        self._salvage_seq += 1
         return True
 
+    def _next_seq(self) -> int:
+        self._record_seq += 1
+        return self._record_seq
+
+    def _record_claim(
+        self, job_id: int, worker_id: int, t_done: Optional[float],
+        t_claim: float,
+    ) -> None:
+        if t_done is None:
+            self._open[job_id] = (
+                t_claim + self.cluster.workers[worker_id].min_service_s
+            )
+        else:
+            self._predicted[job_id] = t_done
+            self._predictions.append((t_done, worker_id, job_id))
+
     def _record_completion(self, job: Job, record) -> None:
-        self._completions.append(
-            (record.t_completed, record.worker_id, job.job_id)
-        )
+        predicted = self._predicted.pop(job.job_id, None)
+        if predicted is None:
+            self._open.pop(job.job_id, None)
+            self._completions.append(
+                (record.t_completed, record.worker_id, job.job_id)
+            )
+        elif predicted != record.t_completed:
+            # The coordinator already placed later arrivals on the
+            # strength of the prediction: never re-report, fail loudly.
+            raise SimulationError(
+                f"shard {self.spec.shard_index}: job {job.job_id} completed "
+                f"at {record.t_completed!r}, predicted {predicted!r} at "
+                f"its claim"
+            )
 
     def _record_dead(self, worker_id: int) -> None:
-        self._liveness.append((self.cluster.env.now, "dead", worker_id))
+        self._liveness.append(
+            (self.cluster.env.now, self._next_seq(), "dead", worker_id)
+        )
 
     def _record_alive(self, worker_id: int) -> None:
-        self._liveness.append((self.cluster.env.now, "alive", worker_id))
+        self._liveness.append(
+            (self.cluster.env.now, self._next_seq(), "alive", worker_id)
+        )
+
+    def _horizon(self) -> float:
+        """Lower bound on every completion this shard has not reported:
+        claimed jobs with an open end, queued jobs (claimed no earlier
+        than now) and jobs injected later (the same)."""
+        now = self.cluster.env.now
+        if self.chaos is not None:
+            return now
+        horizon = now + min(
+            (worker.min_service_s for worker in self._local_workers),
+            default=math.inf,
+        )
+        if self._open:
+            horizon = min(horizon, min(self._open.values()))
+        return horizon
 
     # -- protocol verbs -------------------------------------------------------
 
     def inject(self, directives: List[tuple]) -> None:
-        """Apply coordinator decisions at the current boundary time."""
-        orch = self.cluster.orchestrator
+        """Apply coordinator decisions.  Directives at the current clock
+        (salvages, then arrivals) go in now, in list order; each later
+        arrival instant gets one ``timeout_at`` that injects its batch."""
+        env = self.cluster.env
+        now = env.now
+        immediate: List[tuple] = []
+        timed: List[Tuple[float, List[tuple]]] = []
+        for directive in directives:
+            if directive[0] == "new" and directive[4] > now:
+                t = directive[4]
+                if timed and timed[-1][0] == t:
+                    timed[-1][1].append(directive)
+                else:
+                    timed.append((t, [directive]))
+            else:
+                immediate.append(directive)
+        if immediate:
+            self._inject_now(immediate)
+        for t, batch in timed:
+            env.timeout_at(t).callbacks.append(
+                lambda _event, batch=batch: self._inject_timed(batch)
+            )
+        self._timed_batches += len(timed)
+
+    def _inject_timed(self, directives: List[tuple]) -> None:
+        self._timed_batches -= 1
+        self._inject_now(directives)
+
+    def _inject_now(self, directives: List[tuple]) -> None:
         env = self.cluster.env
         env.begin_bulk()
         try:
-            self._inject(orch, directives)
+            self._inject(self.cluster.orchestrator, directives)
         finally:
             env.end_bulk()
 
@@ -368,7 +491,7 @@ class ShardRuntime:
         for directive in directives:
             verb = directive[0]
             if verb == "new":
-                _, job_id, function, worker_id = directive
+                _, job_id, function, worker_id, _t = directive
                 profile = profile_for(function)
                 job = Job(
                     job_id=job_id,
@@ -406,7 +529,7 @@ class ShardRuntime:
             # cross-shard merge order.  Hoisted locals keep the loop cheap.
             step = env.step
             queue = env._queue
-            while orch._submitted > orch._completed:
+            while orch._submitted > orch._completed or self._timed_batches:
                 if not queue:
                     raise SimulationError(
                         f"shard {self.spec.shard_index} deadlocked with "
@@ -416,10 +539,13 @@ class ShardRuntime:
         report = {
             "shard": self.spec.shard_index,
             "completions": self._completions,
+            "predictions": self._predictions,
             "salvages": self._salvages,
             "liveness": self._liveness,
+            "horizon": self._horizon(),
         }
         self._completions = []
+        self._predictions = []
         self._salvages = []
         self._liveness = []
         return report
@@ -486,6 +612,7 @@ def _peak_rss_mib() -> float:
 
 __all__ = [
     "ClusterSpec",
+    "RecordLog",
     "ShardRemotePolicy",
     "ShardRuntime",
     "ShardSpec",

@@ -437,13 +437,19 @@ class Environment:
             return timeout
         return Timeout(self, delay, value)
 
-    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+    def timeout_at(
+        self, when: float, value: Any = None, priority: float = NORMAL
+    ) -> Timeout:
         """Create an event that fires at the absolute time ``when``.
 
         The event is keyed at exactly ``when`` — not at
         ``now + (when - now)``, which can round to a neighbouring float —
         so a process can chain several phase ends by hand and land on
         the instant the chained relative timeouts would have reached.
+        Events sharing an instant fire in ``priority`` order, then in
+        scheduling order; a priority between :data:`URGENT` and
+        :data:`NORMAL` pins a model-level same-instant order without
+        overtaking process resumption.
         """
         now = self._now
         if when < now:
@@ -462,7 +468,7 @@ class Environment:
             timeout._triggered = True
         timeout.delay = when - now
         self._sequence += 1
-        entry = (when, NORMAL, self._sequence, timeout)
+        entry = (when, priority, self._sequence, timeout)
         if self._bulk is None:
             heappush(self._queue, entry)
         else:

@@ -203,3 +203,28 @@ def test_generous_budget_is_bit_identical_to_no_budget():
     assert sorted(bare.telemetry.end_to_end_latencies_s()) == sorted(
         budgeted.telemetry.end_to_end_latencies_s()
     )
+
+
+def test_control_plane_off_is_control_plane_never_existed():
+    """Three tenants under budgets no run can exhaust: the controller
+    and the tenant namer are invisible in every reported number."""
+
+    def run(instrumented):
+        trace = poisson_trace(0.8, 60.0, streams=RandomStreams(17))
+        cluster = MicroFaaSCluster(worker_count=6, seed=17)
+        if instrumented:
+            cluster.enable_tenant_budgets(
+                BudgetPolicy(window_s=60.0, default_budget_j=1e9)
+            )
+            cluster.orchestrator.tenant_namer = (
+                lambda job_id, function: f"tenant-{job_id % 3}"
+            )
+        return replay_trace(cluster, trace)
+
+    bare, metered = run(False), run(True)
+    assert bare.jobs_completed == metered.jobs_completed
+    assert bare.duration_s == metered.duration_s
+    assert bare.energy_joules == metered.energy_joules
+    assert sorted(bare.telemetry.end_to_end_latencies_s()) == sorted(
+        metered.telemetry.end_to_end_latencies_s()
+    )

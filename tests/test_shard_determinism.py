@@ -12,10 +12,14 @@ pin process == inline and process == serial), so most of the suite
 stays fork-free and fast.
 """
 
+import math
+
 import pytest
 
 from repro.cluster.microfaas import MicroFaaSCluster
+from repro.cluster.worker import SbcWorker
 from repro.cluster.replay import replay_trace
+from repro.core.controlplane import ControlPlaneModel
 from repro.core.platform import ARM, X86
 from repro.core.scheduler import make_policy
 from repro.energy.controlplane import CarbonSignal
@@ -31,6 +35,8 @@ from repro.reliability.chaos import (
 )
 from repro.shard import ClusterSpec, ShardedCluster
 from repro.shard.executors import InlineExecutor, ProcessExecutor
+from repro.shard.runtime import ShardRuntime
+from repro.sim.kernel import SimulationError
 from repro.sim.rng import RandomStreams
 from repro.workloads.base import ALL_FUNCTION_NAMES
 from repro.workloads.traces import ArrivalTrace, TraceEvent, poisson_trace
@@ -430,3 +436,227 @@ def test_sharded_rejects_random_policy_object_mismatch():
     with ShardedCluster(spec, 2, executor="inline") as sharded:
         result = sharded.run_saturated(invocations_per_function=3)
     assert result.duration_s != different.duration_s
+
+
+# -- windowed rendezvous: one round per boot-length window ---------------------
+
+
+def boot_real_s(spec):
+    return spec.build().workers[0].boot_real_s
+
+
+def arrival_span_s(trace):
+    times = [time_s for time_s, _function in trace.iter_pairs()]
+    return times[-1] - times[0]
+
+
+@pytest.fixture
+def claims(monkeypatch):
+    """Every claim the shards hear: ``(worker_id, t_done or None)``."""
+    seen = []
+    record = ShardRuntime._record_claim
+
+    def spy(self, job_id, worker_id, t_done, t_claim):
+        seen.append((worker_id, t_done))
+        return record(self, job_id, worker_id, t_done, t_claim)
+
+    monkeypatch.setattr(ShardRuntime, "_record_claim", spy)
+    return seen
+
+
+def test_trace_replay_rendezvous_once_per_boot_window(claims):
+    spec = small_fleet_spec()
+    trace = small_fleet_trace()
+    serial = replay_trace(spec.build(), trace)
+    with ShardedCluster(spec, 2, executor="inline") as sharded:
+        result = sharded.replay_trace(trace)
+        rounds = sharded.stats.rounds
+    assert_identical(serial, result)
+    assert rounds <= math.ceil(arrival_span_s(trace) / boot_real_s(spec)) + 3
+    # Every job's completion was fixed at its claim.
+    assert len(claims) == len(trace)
+    assert all(t_done is not None for _wid, t_done in claims)
+
+
+def test_overloaded_burst_queues_behind_busy_workers():
+    """At 150% of capacity jobs wait in worker queues, so their claims
+    (and predictions) come windows after their placement."""
+    spec = small_fleet_spec()
+    rate = 40 * WORKER_JOBS_PER_S * 1.5
+    trace = poisson_trace(
+        rate, 300 / rate, streams=RandomStreams(3), columnar=True
+    )
+    serial = replay_trace(spec.build(), trace)
+    with ShardedCluster(spec, 2, executor="inline") as sharded:
+        result = sharded.replay_trace(trace)
+    assert_identical(serial, result)
+    assert serial.telemetry.mean_queue_wait_s() > 1.0
+
+
+def test_hybrid_vm_jobs_are_never_predicted(claims):
+    spec = ClusterSpec(
+        kind="hybrid", sbc_count=8, vm_count=4, seed=3, policy="least-loaded"
+    )
+    rate = 12 * WORKER_JOBS_PER_S * 0.85
+    trace = poisson_trace(
+        rate, 120 / rate, streams=RandomStreams(4), columnar=True
+    )
+    serial = replay_trace(spec.build(), trace)
+    with ShardedCluster(spec, 3, executor="inline") as sharded:
+        result = sharded.replay_trace(trace)
+    assert_identical(serial, result)
+    vm_claims = [t_done for wid, t_done in claims if wid >= spec.sbc_count]
+    sbc_claims = [t_done for wid, t_done in claims if wid < spec.sbc_count]
+    assert vm_claims and all(t_done is None for t_done in vm_claims)
+    assert sbc_claims and all(t_done is not None for t_done in sbc_claims)
+
+
+def test_control_plane_runs_predict_nothing(claims):
+    """A control-plane model queues dispatch and collection, so no
+    claim fixes its completion.  One OP core per worker keeps the
+    model uncontended, which is what makes a sharded run exact."""
+    spec = ClusterSpec(
+        kind="microfaas",
+        worker_count=40,
+        seed=1,
+        policy="least-loaded",
+        control_plane=ControlPlaneModel(cores=40),
+    )
+    trace = small_fleet_trace(arrivals=150)
+    serial = replay_trace(spec.build(), trace)
+    with ShardedCluster(spec, 2, executor="inline") as sharded:
+        result = sharded.replay_trace(trace)
+    assert_identical(serial, result)
+    assert len(claims) == len(trace)
+    assert all(t_done is None for _wid, t_done in claims)
+
+
+def test_power_capped_run_predicts_the_stretched_cpu_phase(claims):
+    spec = ClusterSpec(
+        kind="microfaas",
+        worker_count=40,
+        seed=1,
+        policy="least-loaded",
+        power_cap_watts=1.0,
+    )
+    trace = small_fleet_trace(arrivals=150)
+    serial = replay_trace(spec.build(), trace)
+    uncapped = replay_trace(small_fleet_spec().build(), trace)
+    assert serial.duration_s != uncapped.duration_s
+    with ShardedCluster(spec, 2, executor="inline") as sharded:
+        result = sharded.replay_trace(trace)
+    assert_identical(serial, result)
+    assert claims and all(t_done is not None for _wid, t_done in claims)
+
+
+def test_paper_arrivals_place_several_marks_per_window():
+    """The paper's 1 s marks are shorter than one boot."""
+    spec = ClusterSpec(kind="microfaas", worker_count=10, seed=7)
+    serial = spec.build().run_paper_arrivals(jobs_per_second=2, total_jobs=60)
+    with ShardedCluster(spec, 2, executor="inline") as sharded:
+        result = sharded.run_paper_arrivals(jobs_per_second=2, total_jobs=60)
+        rounds = sharded.stats.rounds
+    assert_identical(serial, result)
+    marks = 30
+    assert rounds <= math.ceil((marks - 1) / boot_real_s(spec)) + 3 < marks
+
+
+@pytest.mark.parametrize(
+    "entry, parent_rounds", [("paper_arrivals", 24), ("replay_trace", 24)]
+)
+def test_chaos_runs_keep_one_round_per_arrival_instant(entry, parent_rounds):
+    """Chaos shards report ``horizon = clock``: the round count is the
+    one recorded before windowed rendezvous existed."""
+    plan = integer_mark_plan()
+    spec = ClusterSpec(
+        kind="microfaas",
+        worker_count=10,
+        seed=21,
+        policy="least-loaded",
+        chaos_plan=plan,
+        chaos_detection_delay_s=1.0,
+        chaos_max_power_cycles=3,
+    )
+    serial_cluster = spec.build()
+    ChaosEngine(serial_cluster, detection_delay_s=1.0).apply(plan)
+    with ShardedCluster(spec, 2, executor="inline") as sharded:
+        if entry == "paper_arrivals":
+            serial = serial_cluster.run_paper_arrivals(
+                jobs_per_second=8, total_jobs=160
+            )
+            result = sharded.run_paper_arrivals(
+                jobs_per_second=8, total_jobs=160
+            )
+        else:
+            trace = integer_mark_trace(8, 160)
+            serial = replay_trace(serial_cluster, trace)
+            result = sharded.replay_trace(trace)
+        rounds = sharded.stats.rounds
+    assert_identical(serial, result)
+    assert rounds == parent_rounds
+
+
+def test_a_wrong_prediction_raises(monkeypatch):
+    plan = SbcWorker._plan
+    corrupted = []
+
+    def skewed(self, job, booting, jitter):
+        phases, t_done = plan(self, job, booting, jitter)
+        if t_done is not None and not corrupted:
+            corrupted.append(job.job_id)
+            t_done += 1e-6
+        return phases, t_done
+
+    monkeypatch.setattr(SbcWorker, "_plan", skewed)
+    with ShardedCluster(small_fleet_spec(), 2, executor="inline") as sharded:
+        with pytest.raises(SimulationError, match="predicted"):
+            sharded.replay_trace(small_fleet_trace(arrivals=60))
+    assert corrupted
+
+
+# -- same-instant order --------------------------------------------------------
+
+
+def coinciding_plan():
+    """Integer crash and repair times with a 1 s detection delay: board
+    1 revives at t=6 exactly when board 7's crash is detected, and board
+    3 revives at t=11 exactly when board 6's is.  At two shards, odd and
+    even boards sit on different shards."""
+    crashes = [(3.0, 1, 2.0), (5.0, 7, 4.0), (8.0, 3, 2.0), (10.0, 6, 3.0)]
+    return ChaosPlan(
+        events=tuple(
+            ChaosEvent(ChaosKind.WORKER_CRASH, t, worker, repair)
+            for t, worker, repair in crashes
+        )
+    )
+
+
+@pytest.mark.parametrize("policy", ["least-loaded", "random-sampling"])
+def test_revival_coinciding_with_a_detection_is_bit_identical(policy):
+    plan = coinciding_plan()
+    spec = ClusterSpec(
+        kind="microfaas",
+        worker_count=10,
+        seed=21,
+        policy=policy,
+        chaos_plan=plan,
+        chaos_detection_delay_s=1.0,
+        chaos_max_power_cycles=3,
+    )
+    serial_cluster = spec.build()
+    engine = ChaosEngine(
+        serial_cluster, detection_delay_s=1.0, max_power_cycles=3
+    )
+    engine.apply(plan)
+    serial = serial_cluster.run_saturated(invocations_per_function=4)
+    revivals = {recover for _kind, _detect, recover in engine.recovery_times}
+    detections = {detect for _kind, detect, _recover in engine.recovery_times}
+    assert revivals & detections == {6.0, 11.0}
+    assert engine.skipped_last_worker == 0
+    assert engine.recovered_jobs > 0
+    with ShardedCluster(spec, 2, executor="inline") as sharded:
+        result = sharded.run_saturated(invocations_per_function=4)
+        stats = sharded.stats
+    assert_identical(serial, result)
+    assert stats.salvage_assignments == engine.recovered_jobs
+    assert stats.resubmissions == serial_cluster.orchestrator.resubmissions

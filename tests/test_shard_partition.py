@@ -5,14 +5,15 @@ import pytest
 from repro.shard.partition import PoolShape, ShardPlan, plan_shards
 
 
-def test_single_pool_splits_into_balanced_contiguous_runs():
+def test_single_pool_splits_into_balanced_strided_slices():
     plan = plan_shards([PoolShape(10)], 4)
     assert plan.shard_count == 4
     assert plan.worker_count == 10
     sizes = [len(ids) for ids in plan.shard_worker_ids]
     assert max(sizes) - min(sizes) <= 1
-    # Contiguous runs in shard order: 0-2, 3-5, 6-7, 8-9.
-    assert plan.shard_worker_ids == ((0, 1, 2), (3, 4, 5), (6, 7), (8, 9))
+    # Every 4th id, dealt in shard order: the lowest ids (which
+    # least-loaded placement fills first) spread over every shard.
+    assert plan.shard_worker_ids == ((0, 4, 8), (1, 5, 9), (2, 6), (3, 7))
 
 
 def test_every_worker_is_owned_exactly_once():
@@ -59,3 +60,33 @@ def test_gap_in_id_space_is_rejected():
 def test_one_shard_owns_everything():
     plan = plan_shards([PoolShape(5), PoolShape(3, divisible=False)], 1)
     assert plan.shard_worker_ids == ((0, 1, 2, 3, 4, 5, 6, 7),)
+
+
+def test_runs_are_dealt_whole_in_turn():
+    plan = plan_shards([PoolShape(10, runs=(3, 3, 2, 2))], 2)
+    assert plan.shard_worker_ids == ((0, 1, 2, 6, 7), (3, 4, 5, 8, 9))
+
+
+def test_fewer_runs_than_shards_deal_single_ids():
+    plan = plan_shards([PoolShape(6, runs=(4, 2))], 3)
+    assert plan.shard_worker_ids == ((0, 3), (1, 4), (2, 5))
+
+
+def test_runs_must_tile_the_pool():
+    with pytest.raises(ValueError, match="tile"):
+        plan_shards([PoolShape(10, runs=(3, 3))], 2)
+    with pytest.raises(ValueError, match="tile"):
+        plan_shards([PoolShape(2, runs=(2, 0))], 2)
+
+
+def test_cluster_spec_deals_whole_switch_spans():
+    from repro.shard import ClusterSpec
+
+    spec = ClusterSpec(kind="hybrid", sbc_count=100, vm_count=6)
+    sbc_plan = spec.blueprint().pool_plans[0]
+    sbc, vm = spec.pool_shapes()
+    assert len(sbc.runs) == len(sbc_plan.spans) > 1
+    assert not vm.divisible
+    plan = plan_shards(spec.pool_shapes(), 2)
+    for _switch, first, count in sbc_plan.spans:
+        assert len({plan.shard_of(wid) for wid in range(first, first + count)}) == 1
