@@ -139,9 +139,12 @@ class VmWorker:
         inbound = self.transfers.transfer(
             self.orchestrator_endpoint, self.endpoint, job.input_bytes
         )
-        yield self.env.timeout(inbound.total_s)
+        # Transfer, then session overhead: one wait, ending where the
+        # two chained timeouts would.
         session_s = SESSION_OVERHEAD_S["x86-virtio"]
-        yield self.env.timeout(session_s)
+        yield self.env.timeout_at(
+            (inbound_start + inbound.total_s) + session_s
+        )
         if job.trace_id is not None:
             self.orchestrator.tracer.span(
                 job.trace_id, obs.INPUT_TRANSFER, inbound_start,

@@ -5,11 +5,17 @@ draw follows the concave utilization curve of
 :class:`~repro.hardware.power.UtilizationPowerModel`; the hypervisor
 (:mod:`repro.virt`) reports how many physical cores are busy, and the
 server records the resulting wattage on its power trace.
+
+A hypervisor that runs uncontended bursts without per-quantum events
+installs :attr:`RackServer.before_record`; the server calls it before
+every trace record and every read of :attr:`RackServer.trace`, so the
+quantum boundaries those bursts passed are written in time order before
+anything later lands on the trace.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.hardware.power import PowerTrace, UtilizationPowerModel
 from repro.hardware.specs import RackServerSpec, THINKMATE_RAX
@@ -34,7 +40,7 @@ class RackServer:
         )
         self._busy_cores = 0.0
         initial = spec.idle_watts if powered_on else 0.0
-        self.trace = PowerTrace(initial_time=clock(), initial_watts=initial)
+        self._trace = PowerTrace(initial_time=clock(), initial_watts=initial)
         # watts-per-busy-count memo: the hypervisor reports integer core
         # counts on every quantum, so the power curve is evaluated for a
         # handful of distinct values millions of times.  Cleared on any
@@ -43,6 +49,16 @@ class RackServer:
         #: Active DVFS step, or None at nominal frequency.  VM workers
         #: stretch execute-phase CPU time by ``1 / perf_scale`` when set.
         self.dvfs_step = None
+        #: Writes deferred quantum boundaries up to now (see the module
+        #: docstring); None when nothing defers them.
+        self.before_record: Optional[Callable[[], None]] = None
+
+    @property
+    def trace(self) -> PowerTrace:
+        """The power trace, with every boundary up to now written."""
+        if self.before_record is not None:
+            self.before_record()
+        return self._trace
 
     @property
     def is_powered(self) -> bool:
@@ -64,9 +80,7 @@ class RackServer:
     @property
     def watts(self) -> float:
         """Instantaneous power draw."""
-        if not self._powered:
-            return 0.0
-        return self.power_model.watts(self.utilization)
+        return self._watts_for(self._busy_cores)
 
     def set_busy_cores(self, busy: float) -> None:
         """Report that ``busy`` physical cores are executing vCPUs."""
@@ -76,12 +90,28 @@ class RackServer:
             raise ValueError(
                 f"busy={busy} exceeds physical core count {self.cores}"
             )
+        if self.before_record is not None:
+            self.before_record()
         self._busy_cores = busy
+        self._trace.record(self._clock(), self._watts_for(busy))
+
+    def record_requantum(self, time: float) -> None:
+        """Write a quantum boundary at ``time``: one core drops its vCPU
+        and takes it straight back, so the busy count dips by one and
+        returns within the instant."""
+        busy = self._busy_cores
+        self._trace.record(time, self._watts_for(busy - 1))
+        self._trace.record(time, self._watts_for(busy))
+
+    def _watts_for(self, busy: float) -> float:
         watts = self._watts_by_busy.get(busy)
         if watts is None:
-            watts = self.watts
+            if self._powered:
+                watts = self.power_model.watts(min(1.0, busy / self.cores))
+            else:
+                watts = 0.0
             self._watts_by_busy[busy] = watts
-        self.trace.record(self._clock(), watts)
+        return watts
 
     def apply_dvfs(self, step) -> None:
         """Clock the host down (or back up) to ``step``.
@@ -90,6 +120,8 @@ class RackServer:
         disks, and DRAM refresh that a frequency governor cannot touch,
         which is exactly the non-proportionality the paper targets.
         """
+        if self.before_record is not None:
+            self.before_record()
         self.power_model = UtilizationPowerModel(
             idle_watts=self.spec.idle_watts,
             loaded_watts=self.spec.idle_watts
@@ -100,12 +132,14 @@ class RackServer:
         self.dvfs_step = step
         self._watts_by_busy.clear()
         if self._powered:
-            self.trace.record(self._clock(), self.watts)
+            self._trace.record(self._clock(), self.watts)
 
     def clear_dvfs(self) -> None:
         """Return to nominal frequency."""
         if self.dvfs_step is None:
             return
+        if self.before_record is not None:
+            self.before_record()
         self.power_model = UtilizationPowerModel(
             idle_watts=self.spec.idle_watts,
             loaded_watts=self.spec.loaded_watts,
@@ -114,20 +148,24 @@ class RackServer:
         self.dvfs_step = None
         self._watts_by_busy.clear()
         if self._powered:
-            self.trace.record(self._clock(), self.watts)
+            self._trace.record(self._clock(), self.watts)
 
     def power_off(self) -> None:
         """Cut power to the whole host (rare in conventional clouds)."""
+        if self.before_record is not None:
+            self.before_record()
         self._powered = False
         self._busy_cores = 0.0
         self._watts_by_busy.clear()
-        self.trace.record(self._clock(), 0.0)
+        self._trace.record(self._clock(), 0.0)
 
     def power_on(self) -> None:
         """Restore power; the host returns to idle draw."""
+        if self.before_record is not None:
+            self.before_record()
         self._powered = True
         self._watts_by_busy.clear()
-        self.trace.record(self._clock(), self.watts)
+        self._trace.record(self._clock(), self.watts)
 
     def max_vm_count(self, vm_ram_bytes: int) -> int:
         """RAM-limited VM capacity (hosts saturate on memory, Sec. V)."""

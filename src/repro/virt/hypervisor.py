@@ -6,6 +6,18 @@ simulation resource).  When the number of runnable vCPUs exceeds the
 core count, quanta queue — throughput saturates and per-function
 latency stretches, which is how the Fig. 4 sweep finds its knee.
 
+Quanta are materialised as kernel events only when vCPUs can contend.
+Every registered :class:`~repro.virt.microvm.MicroVm` has one vCPU and
+runs one burst at a time, so while ``0 < vm_count <= cores`` no core
+request can ever queue and a quantum boundary changes nothing but the
+books.  Such a burst claims its core as usual, then waits once, until
+the instant the quantum chain would have ended; its interior boundaries
+go on a time-ordered pending heap and are written — trace points,
+context switches, executed CPU seconds — before anything later is
+recorded or read, so every float matches the per-quantum loop.  A core
+request that would have to wait while such a burst holds a core raises
+:class:`~repro.sim.kernel.SimulationError`.
+
 The hypervisor also owns host power bookkeeping: every time a core is
 claimed or released it reports the busy-core count to the
 :class:`~repro.hardware.rackserver.RackServer`, whose concave power
@@ -14,10 +26,10 @@ curve turns utilization into watts on the host's trace.
 
 from __future__ import annotations
 
-from typing import Optional
+from heapq import heapify, heappop, heappush
 
 from repro.hardware.rackserver import RackServer
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, SimulationError
 from repro.sim.resources import Resource
 from repro.virt.overhead import VirtualizationOverhead
 
@@ -40,8 +52,16 @@ class Hypervisor:
         self.quantum_s = quantum_s
         self.cores = Resource(env, capacity=server.cores)
         self.vm_count = 0
-        self.context_switches = 0
-        self.cpu_seconds_executed = 0.0
+        self._context_switches = 0
+        self._cpu_seconds = 0.0
+        #: Quantum boundaries of fused bursts not yet written, as
+        #: ``(time, seq, slice_s, request)``; ``seq`` keeps ties in push
+        #: order and ``request`` names the burst that owns the boundary.
+        self._boundaries: list = []
+        self._boundary_seq = 0
+        #: Fused bursts currently holding a core.
+        self._fused = 0
+        server.before_record = self._replay
 
     # -- VM registration -----------------------------------------------------------
 
@@ -81,6 +101,18 @@ class Hypervisor:
         """vCPUs currently holding or waiting for a core."""
         return self.cores.count + self.cores.queue_length
 
+    @property
+    def context_switches(self) -> int:
+        """Quanta started so far."""
+        self._replay()
+        return self._context_switches
+
+    @property
+    def cpu_seconds_executed(self) -> float:
+        """Guest CPU seconds of the quanta that have ended."""
+        self._replay()
+        return self._cpu_seconds
+
     def consume_cpu(self, cpu_seconds: float):
         """Process helper: burn ``cpu_seconds`` of guest CPU time.
 
@@ -90,28 +122,104 @@ class Hypervisor:
 
         The burst is executed in quanta so concurrent vCPUs interleave
         fairly.  Each quantum pays the context-switch cost and the
-        configured CPU multiplier.
+        configured CPU multiplier.  When vCPUs cannot contend (see the
+        module docstring) the quanta are accounted without one kernel
+        event each.
         """
         if cpu_seconds < 0:
             raise ValueError(f"negative CPU time: {cpu_seconds}")
         remaining = cpu_seconds * self.overhead.cpu_multiplier
+        if 0 < self.vm_count <= self.server.cores:
+            return self._fused_burst(remaining)
+        return self._quanta(remaining)
+
+    def _quanta(self, remaining: float):
         # The epsilon guard stops float residue from spawning a final
         # zero-length quantum.
         while remaining > 1e-12:
             slice_s = min(self.quantum_s, remaining)
             request = self.cores.request()
+            if self._fused and not request.triggered:
+                self._contended(request)
             yield request
-            self.context_switches += 1
+            self._context_switches += 1
             self._report_power()
             try:
                 yield self.env.timeout(
                     slice_s + self.overhead.context_switch_s
                 )
-                self.cpu_seconds_executed += slice_s
+                self._cpu_seconds += slice_s
             finally:
                 self.cores.release(request)
                 self._report_power()
             remaining -= slice_s
+
+    def _fused_burst(self, remaining: float):
+        """The per-quantum loop as one wait: only valid while no core
+        request can queue, which the self-check enforces."""
+        if remaining <= 1e-12:
+            return
+        request = self.cores.request()
+        if not request.triggered:
+            self._contended(request)
+        yield request
+        self._context_switches += 1
+        self._report_power()
+        # The chain of quantum ends, by the per-quantum loop's arithmetic.
+        quantum_s = self.quantum_s
+        switch_s = self.overhead.context_switch_s
+        boundaries = self._boundaries
+        slice_s = min(quantum_s, remaining)
+        end = self.env.now + (slice_s + switch_s)
+        remaining -= slice_s
+        while remaining > 1e-12:
+            self._boundary_seq += 1
+            heappush(boundaries, (end, self._boundary_seq, slice_s, request))
+            slice_s = min(quantum_s, remaining)
+            end = end + (slice_s + switch_s)
+            remaining -= slice_s
+        self._fused += 1
+        finished = False
+        try:
+            yield self.env.timeout_at(end)
+            self._replay()
+            self._cpu_seconds += slice_s
+            finished = True
+        finally:
+            self._fused -= 1
+            if not finished:
+                # Interrupted or closed mid-burst: the boundaries passed
+                # so far happened; the rest never will.
+                self._replay()
+                self._boundaries = [
+                    entry for entry in self._boundaries
+                    if entry[3] is not request
+                ]
+                heapify(self._boundaries)
+            self.cores.release(request)
+            self._report_power()
+
+    def _replay(self) -> None:
+        """Write every pending quantum boundary up to now, in time order."""
+        boundaries = self._boundaries
+        if not boundaries:
+            return
+        now = self.env.now
+        record = self.server.record_requantum
+        while boundaries and boundaries[0][0] <= now:
+            time, _seq, slice_s, _request = heappop(boundaries)
+            self._cpu_seconds += slice_s
+            record(time)
+            self._context_switches += 1
+
+    def _contended(self, request) -> None:
+        self.cores.release(request)
+        raise SimulationError(
+            f"a core request must wait ({self.busy_cores}/"
+            f"{self.server.cores} cores busy, {self.vm_count} VMs) while "
+            "bursts run without per-quantum events; one registered VM "
+            "may run only one burst at a time"
+        )
 
     def _report_power(self) -> None:
         self.server.set_busy_cores(self.cores.count)

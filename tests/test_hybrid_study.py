@@ -48,6 +48,18 @@ def test_parallel_and_cache_identical_to_serial(tmp_path):
     assert warm.points == serial.points
 
 
+def test_jobs_4_identical_to_jobs_1():
+    """``--jobs 1`` and ``--jobs 4`` give bit-identical points."""
+    kwargs = dict(
+        mixes=((4, 0), (2, 2), (0, 3)),
+        invocations_per_function=2,
+        cache=False,
+    )
+    serial = hybrid_study.run(jobs=1, **kwargs)
+    parallel = hybrid_study.run(jobs=4, **kwargs)
+    assert serial.points == parallel.points
+
+
 def test_validation():
     with pytest.raises(ValueError):
         hybrid_study.run(mixes=())

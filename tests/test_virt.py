@@ -3,7 +3,9 @@
 import pytest
 
 from repro.hardware import RackServer, THINKMATE_RAX
+from repro.hardware.specs import dvfs_curve_for
 from repro.sim import Environment
+from repro.sim.kernel import Interrupt, SimulationError
 from repro.virt import (
     Hypervisor,
     MicroVm,
@@ -298,3 +300,210 @@ def test_many_vms_boot_concurrently():
     assert all(vm.state is VmState.IDLE for vm in vms)
     # 12 boots on 12 cores: no serious contention.
     assert env.now < 1.2
+
+
+# ---------------------------------------------------------------------------
+# Fused bursts: a host whose registered VMs fit its cores runs each burst
+# as one wait; a host with no registered VMs runs the per-quantum loop.
+# Both must produce the same floats bit for bit.
+# ---------------------------------------------------------------------------
+
+SWITCH_S = VirtualizationOverhead().context_switch_s
+
+
+def _guest(env, hypervisor, log, gid, start, bursts):
+    if start:
+        yield env.timeout_at(start)
+    for cpu_s in bursts:
+        yield from hypervisor.consume_cpu(cpu_s)
+        log.append((gid, env.now))
+
+
+def _observe(server, hypervisor, log):
+    return (
+        list(log),
+        server.trace.change_points,
+        hypervisor.context_switches,
+        hypervisor.cpu_seconds_executed,
+    )
+
+
+def _differential(scenario, vms=6, checkpoints=(), overhead=None):
+    """Run ``scenario(env, server, hypervisor, log)`` on a host with
+    ``vms`` registered VMs and on one with none, observing both at each
+    checkpoint and at the end; returns the kernel events each scheduled.
+    """
+    runs = []
+    for registered in (vms, 0):
+        env = Environment()
+        server, hypervisor = make_host(env, overhead=overhead)
+        for _ in range(registered):
+            hypervisor.register_vm()
+        log = []
+        scenario(env, server, hypervisor, log)
+        observed = []
+        for until in checkpoints:
+            env.run(until=until)
+            observed.append(_observe(server, hypervisor, log))
+        env.run()
+        observed.append(_observe(server, hypervisor, log))
+        assert not hypervisor._boundaries
+        assert hypervisor.busy_cores == 0
+        runs.append((observed, env._sequence))
+    (fused, fused_events), (quanta, quanta_events) = runs
+    assert fused == quanta
+    return fused_events, quanta_events
+
+
+def test_fused_bursts_six_guests_at_one_instant():
+    bursts = [(0.73, 0.2), (1.234,), (0.05, 0.95), (0.3, 0.3, 0.3),
+              (2.01,), (0.999,)]
+
+    def scenario(env, _server, hypervisor, log):
+        for gid, guest_bursts in enumerate(bursts):
+            env.process(_guest(env, hypervisor, log, gid, 0.0, guest_bursts))
+
+    fused_events, quanta_events = _differential(
+        scenario, checkpoints=(0.55, 1.0)
+    )
+    assert fused_events < quanta_events / 3
+
+
+def test_fused_bursts_staggered_starts():
+    starts = (0.0, 0.017, 0.25, 0.3331, 0.61, 1.2)
+    bursts = [(0.4, 1.1), (0.77,), (1.5, 0.02), (0.333,), (0.9, 0.9),
+              (0.123, 0.456)]
+    overhead = VirtualizationOverhead(cpu_multiplier=1.07)
+
+    def scenario(env, _server, hypervisor, log):
+        for gid, (start, guest_bursts) in enumerate(zip(starts, bursts)):
+            env.process(
+                _guest(env, hypervisor, log, gid, start, guest_bursts)
+            )
+
+    fused_events, quanta_events = _differential(
+        scenario, checkpoints=(0.3, 0.7, 1.9), overhead=overhead
+    )
+    assert fused_events < quanta_events
+
+
+def test_fused_burst_start_coincides_with_another_burst_end():
+    boundary = 0.0 + (0.1 + SWITCH_S)
+
+    def scenario(env, _server, hypervisor, log):
+        ended = env.event()
+
+        def first():
+            yield from hypervisor.consume_cpu(0.35)
+            log.append(("first", env.now))
+            ended.succeed()
+            # Back-to-back: a new burst at the instant this one ended.
+            yield from hypervisor.consume_cpu(0.21)
+            log.append(("first", env.now))
+
+        def follower():
+            yield ended
+            yield from hypervisor.consume_cpu(0.42)
+            log.append(("follower", env.now))
+
+        env.process(first())
+        env.process(follower())
+        # Starts exactly on the first guest's first quantum boundary.
+        env.process(_guest(env, hypervisor, log, "on-boundary", boundary,
+                           (0.5,)))
+
+    _differential(scenario, checkpoints=(boundary, 0.36))
+
+
+def test_fused_bursts_survive_dvfs_mid_burst():
+    steps = dvfs_curve_for(THINKMATE_RAX).steps
+    on_boundary = (0.0 + (0.1 + SWITCH_S)) + (0.1 + SWITCH_S)
+
+    def scenario(env, server, hypervisor, log):
+        def governor():
+            yield env.timeout_at(on_boundary)
+            server.apply_dvfs(steps[1])
+            yield env.timeout_at(0.81)
+            server.apply_dvfs(steps[2])
+            yield env.timeout_at(1.33)
+            server.clear_dvfs()
+
+        # The governor's first wait is scheduled before any quantum's, so
+        # it fires before the quantum boundary it coincides with.
+        env.process(governor())
+        for gid, guest_bursts in enumerate([(1.7,), (0.6, 0.6), (0.25,)]):
+            env.process(_guest(env, hypervisor, log, gid, 0.0, guest_bursts))
+        env.process(_guest(env, hypervisor, log, 3, 0.5, (0.3,)))
+
+    _differential(scenario, checkpoints=(on_boundary, 0.9))
+
+
+def test_fused_burst_interrupted_mid_burst():
+    def scenario(env, _server, hypervisor, log):
+        def victim():
+            try:
+                yield from hypervisor.consume_cpu(1.5)
+            except Interrupt:
+                log.append(("interrupted", env.now, hypervisor.busy_cores))
+            # The core came back: a fresh burst runs at once.
+            yield from hypervisor.consume_cpu(0.25)
+            log.append(("victim", env.now))
+
+        process = env.process(victim())
+
+        def killer():
+            yield env.timeout_at(0.433)
+            process.interrupt("chaos")
+
+        env.process(killer())
+        for gid in range(3):
+            env.process(_guest(env, hypervisor, log, gid, 0.1, (1.2,)))
+
+    _differential(scenario, checkpoints=(0.433, 0.5))
+
+
+def test_oversubscribed_host_keeps_the_per_quantum_loop():
+    """18 VMs on 12 cores can contend: their bursts keep one kernel
+    event per quantum, so both hosts schedule the same events."""
+
+    def scenario(env, _server, hypervisor, log):
+        for gid in range(18):
+            env.process(_guest(env, hypervisor, log, gid, 0.01 * gid,
+                               (0.5 + 0.05 * gid,)))
+
+    fused_events, quanta_events = _differential(
+        scenario, vms=18, checkpoints=(0.3,)
+    )
+    assert fused_events == quanta_events
+
+
+def test_fused_burst_self_check_rejects_contention():
+    """One registered VM must run one burst at a time; 13 concurrent
+    bursts on 12 cores would queue, so the fused path refuses them."""
+    env = Environment()
+    _server, hypervisor = make_host(env)
+    hypervisor.register_vm()
+    for gid in range(13):
+        env.process(_guest(env, hypervisor, [], gid, 0.0, (0.5,)))
+    with pytest.raises(SimulationError, match="must wait"):
+        env.run()
+
+
+def test_per_quantum_request_waiting_behind_fused_bursts_rejected():
+    """A VM registered past the core count takes the per-quantum path;
+    if its request queues behind fused bursts, the run stops."""
+    env = Environment()
+    _server, hypervisor = make_host(env)
+    for _ in range(12):
+        hypervisor.register_vm()
+    for gid in range(12):
+        env.process(_guest(env, hypervisor, [], gid, 0.0, (1.0,)))
+
+    def late_vm():
+        yield env.timeout(0.5)
+        hypervisor.register_vm()
+        yield from hypervisor.consume_cpu(0.5)
+
+    env.process(late_vm())
+    with pytest.raises(SimulationError, match="must wait"):
+        env.run()
