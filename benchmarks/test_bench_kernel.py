@@ -72,8 +72,9 @@ def test_bench_kernel_events_per_sec(benchmark):
 #: Rounds of the VM batch drain (each well under a second).
 VM_ROUNDS = 5
 #: Kernel events per invocation the 6-VM drain may schedule (33.6 when
-#: every 0.1 s quantum was two events; 9.0 with one wait per burst).
-VM_EVENTS_PER_INV_MAX = 10.0
+#: every 0.1 s quantum was two events, 9.0 with one wait per burst, 2.0
+#: with one wait per invocation).
+VM_EVENTS_PER_INV_MAX = 2.5
 
 
 def _testbed_batch(seed: int = 1) -> list:

@@ -14,7 +14,8 @@ import bisect
 import enum
 import math
 from array import array
-from typing import Iterable, Mapping, Optional, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Callable, Iterable, Mapping, Optional
 
 
 class PowerState(enum.Enum):
@@ -33,8 +34,12 @@ class PowerTrace:
     The trace is a sorted sequence of ``(time, watts)`` change points; the
     power between change points is the wattage of the most recent point.
     Appending at a time equal to the last change point overwrites it (the
-    device changed state twice in the same instant).
+    device changed state twice in the same instant).  Its owner may also
+    book change points ahead of the clock (:meth:`defer_to`).
     """
+
+    #: Booked change points, a heap of ``(time, seq, change, owner)``.
+    _booked: Optional[list] = None
 
     def __init__(self, initial_time: float = 0.0, initial_watts: float = 0.0):
         if initial_watts < 0:
@@ -57,7 +62,48 @@ class PowerTrace:
         self._origin_time = float(initial_time)
 
     def __len__(self) -> int:
+        self.flush()
         return len(self._times)
+
+    def defer_to(self, clock: Callable[[], float],
+                 apply: Callable[[float, object], None]) -> None:
+        """Let the owner book change points ahead of ``clock``.
+
+        ``apply(time, change)`` is the owner's own write at an explicit
+        instant, with the counters it keeps beside the trace.  Bookings
+        are applied in time order (booking order breaks ties) by
+        :meth:`flush`, before each of the owner's writes and reads and
+        each read here, so every float matches an owner that woke up at
+        each change.
+        """
+        self._clock = clock
+        self._apply = apply
+        self._booked = []
+        self._seq = 0
+
+    def book(self, time: float, change, owner=None) -> None:
+        """Queue ``change`` at ``time`` (not in the past) for ``owner``."""
+        self._seq += 1
+        heappush(self._booked, (time, self._seq, change, owner))
+
+    def flush(self) -> None:
+        """Apply every booked change at or before now."""
+        booked = self._booked
+        if booked:
+            now, apply = self._clock(), self._apply
+            while booked and booked[0][0] <= now:
+                time, _seq, change, _owner = heappop(booked)
+                apply(time, change)
+
+    def truncate(self, owner=None) -> None:
+        """Apply the changes up to now and drop every later one (only
+        ``owner``'s, if given): their timeline ended early."""
+        booked = self._booked
+        if booked:
+            self.flush()
+            booked[:] = [e for e in booked
+                         if owner is not None and e[3] is not owner]
+            heapify(booked)
 
     def enable_autocompact(self, max_points: int = 65536) -> None:
         """Bound the trace to ``max_points`` retained change points.
@@ -87,14 +133,17 @@ class PowerTrace:
     @property
     def change_points(self) -> list[tuple[float, float]]:
         """The raw ``(time, watts)`` change points."""
+        self.flush()
         return list(zip(self._times, self._watts))
 
     @property
     def start_time(self) -> float:
+        self.flush()
         return self._times[0]
 
     @property
     def last_time(self) -> float:
+        self.flush()
         return self._times[-1]
 
     def record(self, time: float, watts: float) -> None:
@@ -119,6 +168,7 @@ class PowerTrace:
 
     def power_at(self, time: float) -> float:
         """Instantaneous power at ``time`` (0 before the trace starts)."""
+        self.flush()
         if time < self._times[0]:
             if self._folded and time >= self._origin_time:
                 raise ValueError(
@@ -135,40 +185,27 @@ class PowerTrace:
             raise ValueError(f"end {end} before start {start}")
         if end == start:
             return 0.0
+        self.flush()
+        times = self._times
+        total = 0.0
         if self._folded:
             # Only full-span queries survive compaction: the folded
             # prefix seeds the accumulator and integration resumes at
             # the retained boundary, replaying the exact additions the
             # uncompacted trace would have performed.
-            if start > self._origin_time or end < self._times[0]:
+            if start > self._origin_time or end < times[0]:
                 raise ValueError(
                     "autocompacted trace supports only full-range "
-                    f"energy queries (folded through t={self._times[0]})"
+                    f"energy queries (folded through t={times[0]})"
                 )
             total = self._folded_joules
-            index = 0
-            t = self._times[0]
-            while t < end:
-                seg_end = (
-                    self._times[index + 1]
-                    if index + 1 < len(self._times)
-                    else end
-                )
-                seg_end = min(seg_end, end)
-                total += self._watts[index] * (seg_end - t)
-                t = seg_end
-                index += 1
-            return total
-        total = 0.0
-        lo = max(start, self._times[0])
+        lo = max(start, times[0])
         if lo >= end:
-            return 0.0
-        index = bisect.bisect_right(self._times, lo) - 1
+            return total
+        index = bisect.bisect_right(times, lo) - 1
         t = lo
         while t < end:
-            seg_end = (
-                self._times[index + 1] if index + 1 < len(self._times) else end
-            )
+            seg_end = times[index + 1] if index + 1 < len(times) else end
             seg_end = min(seg_end, end)
             total += self._watts[index] * (seg_end - t)
             t = seg_end
@@ -257,64 +294,47 @@ class PowerStateMachine:
         )
         self._state_entered_at = clock()
         self._time_in_state = [0.0] * len(_ALL_STATES)
-        #: Pending same-state re-entry instant (see :meth:`reenter_at`).
-        self._reentry_at: Optional[float] = None
 
     @property
     def state(self) -> PowerState:
+        if self.trace._booked:
+            self.trace.flush()
         return self._state
 
     @property
     def watts(self) -> float:
         """Current instantaneous draw."""
-        return self._watts[self._state._index]
+        return self._watts[self.state._index]
 
-    def _settle_reentry(self, now: float) -> None:
-        """Apply (or, for a call before it, drop) a pending re-entry."""
-        reentry = self._reentry_at
-        self._reentry_at = None
-        if now >= reentry:
-            self._time_in_state[self._state._index] += (
-                reentry - self._state_entered_at
-            )
-            self._state_entered_at = reentry
+    def _enter(self, time: float, state: PowerState) -> None:
+        self._time_in_state[self._state._index] += time - self._state_entered_at
+        self._state_entered_at = time
+        self._state = state
+        self.trace.record(time, self._watts[state._index])
 
     def set_state(self, state: PowerState) -> None:
-        """Transition to ``state``, recording the change on the trace."""
-        now = self._clock()
-        if self._reentry_at is not None:
-            self._settle_reentry(now)
-        self._time_in_state[self._state._index] += now - self._state_entered_at
-        self._state_entered_at = now
-        self._state = state
-        self.trace.record(now, self._watts[state._index])
+        """Transition to ``state`` now, recording the change on the trace
+        after the booked transitions up to now; later ones are dropped
+        (the device left its booked timeline: it crashed, say)."""
+        self.trace.truncate()
+        self._enter(self._clock(), state)
 
-    def reenter_at(self, when: float) -> None:
-        """Book a same-state :meth:`set_state` at the future instant ``when``.
-
-        Re-entering the current state changes nothing on the trace (the
-        wattage is the same); it only splits the state's time-in-state
-        sum at ``when``.  A caller that would otherwise wake up at
-        ``when`` just to make that call books it here instead.  The
-        first :meth:`set_state` or :meth:`time_in_state` at or after
-        ``when`` applies the split first, so every sum matches the
-        woken-up caller's float for float.  A :meth:`set_state` before
-        ``when`` (the device crashed first) drops the booking.
-        """
-        if when < self._clock():
-            raise ValueError(f"re-entry at {when} is in the past")
-        self._reentry_at = when
+    def book(self, time: float, state: PowerState) -> None:
+        """Book :meth:`set_state` to ``state`` at the instant ``time``
+        instead of waking up then (see :meth:`PowerTrace.defer_to`).
+        Booking the current state splits its time-in-state sum."""
+        if time < self._clock():
+            raise ValueError(f"transition at {time} is in the past")
+        if self.trace._booked is None:
+            self.trace.defer_to(self._clock, self._enter)
+        self.trace.book(time, state)
 
     def time_in_state(self, state: PowerState) -> float:
         """Cumulative seconds spent in ``state`` so far."""
-        now = self._clock()
-        reentry = self._reentry_at
-        if reentry is not None and now >= reentry:
-            self._settle_reentry(now)
-        total = self._time_in_state[state._index]
-        if state is self._state:
-            total += now - self._state_entered_at
-        return total
+        total = self._time_in_state
+        if state is not self.state:
+            return total[state._index]
+        return total[state._index] + (self._clock() - self._state_entered_at)
 
     def rescale(self, state_watts: Mapping[PowerState, float]) -> None:
         """Swap the state→watts table in place (DVFS step change).
@@ -324,8 +344,9 @@ class PowerStateMachine:
         time-in-state bookkeeping.  The mapping is copied — callers may
         pass a shared template.
         """
+        state = self.state
         self._watts = _watts_row(state_watts)
-        self.trace.record(self._clock(), self._watts[self._state._index])
+        self.trace.record(self._clock(), self._watts[state._index])
 
 
 class PowerCap:

@@ -6,16 +6,14 @@ draw follows the concave utilization curve of
 (:mod:`repro.virt`) reports how many physical cores are busy, and the
 server records the resulting wattage on its power trace.
 
-A hypervisor that runs uncontended bursts without per-quantum events
-installs :attr:`RackServer.before_record`; the server calls it before
-every trace record and every read of :attr:`RackServer.trace`, so the
-quantum boundaries those bursts passed are written in time order before
-anything later lands on the trace.
+A hypervisor that books bursts ahead of the clock defers the trace to
+itself (:meth:`~repro.hardware.power.PowerTrace.defer_to`); each write
+here first writes the bookings due, so they land in time order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.hardware.power import PowerTrace, UtilizationPowerModel
 from repro.hardware.specs import RackServerSpec, THINKMATE_RAX
@@ -33,14 +31,9 @@ class RackServer:
         self.spec = spec
         self._clock = clock
         self._powered = powered_on
-        self.power_model = UtilizationPowerModel(
-            idle_watts=spec.idle_watts,
-            loaded_watts=spec.loaded_watts,
-            exponent=spec.power_exponent,
-        )
         self._busy_cores = 0.0
         initial = spec.idle_watts if powered_on else 0.0
-        self._trace = PowerTrace(initial_time=clock(), initial_watts=initial)
+        self.trace = PowerTrace(initial_time=clock(), initial_watts=initial)
         # watts-per-busy-count memo: the hypervisor reports integer core
         # counts on every quantum, so the power curve is evaluated for a
         # handful of distinct values millions of times.  Cleared on any
@@ -48,17 +41,8 @@ class RackServer:
         self._watts_by_busy: dict = {}
         #: Active DVFS step, or None at nominal frequency.  VM workers
         #: stretch execute-phase CPU time by ``1 / perf_scale`` when set.
-        self.dvfs_step = None
-        #: Writes deferred quantum boundaries up to now (see the module
-        #: docstring); None when nothing defers them.
-        self.before_record: Optional[Callable[[], None]] = None
-
-    @property
-    def trace(self) -> PowerTrace:
-        """The power trace, with every boundary up to now written."""
-        if self.before_record is not None:
-            self.before_record()
-        return self._trace
+        #: This sets the nominal :attr:`power_model`, too.
+        self.apply_dvfs(None)
 
     @property
     def is_powered(self) -> bool:
@@ -70,17 +54,18 @@ class RackServer:
 
     @property
     def busy_cores(self) -> float:
+        self.trace.flush()
         return self._busy_cores
 
     @property
     def utilization(self) -> float:
         """CPU utilization in [0, 1]."""
-        return min(1.0, self._busy_cores / self.cores)
+        return min(1.0, self.busy_cores / self.cores)
 
     @property
     def watts(self) -> float:
         """Instantaneous power draw."""
-        return self._watts_for(self._busy_cores)
+        return self._watts_for(self.busy_cores)
 
     def set_busy_cores(self, busy: float) -> None:
         """Report that ``busy`` physical cores are executing vCPUs."""
@@ -90,18 +75,21 @@ class RackServer:
             raise ValueError(
                 f"busy={busy} exceeds physical core count {self.cores}"
             )
-        if self.before_record is not None:
-            self.before_record()
+        self.trace.flush()
+        self.record_busy(self._clock(), busy)
+
+    def record_busy(self, time: float, busy: float) -> None:
+        """Write a (booked) busy-core count at ``time``."""
         self._busy_cores = busy
-        self._trace.record(self._clock(), self._watts_for(busy))
+        self.trace.record(time, self._watts_for(busy))
 
     def record_requantum(self, time: float) -> None:
         """Write a quantum boundary at ``time``: one core drops its vCPU
         and takes it straight back, so the busy count dips by one and
         returns within the instant."""
         busy = self._busy_cores
-        self._trace.record(time, self._watts_for(busy - 1))
-        self._trace.record(time, self._watts_for(busy))
+        self.trace.record(time, self._watts_for(busy - 1))
+        self.trace.record(time, self._watts_for(busy))
 
     def _watts_for(self, busy: float) -> float:
         watts = self._watts_by_busy.get(busy)
@@ -114,62 +102,48 @@ class RackServer:
         return watts
 
     def apply_dvfs(self, step) -> None:
-        """Clock the host down (or back up) to ``step``.
+        """Clock the host down (or back up) to ``step``; None is nominal.
 
         Only the dynamic range scales — idle draw is dominated by fans,
         disks, and DRAM refresh that a frequency governor cannot touch,
         which is exactly the non-proportionality the paper targets.
         """
-        if self.before_record is not None:
-            self.before_record()
+        spec = self.spec
+        loaded = spec.loaded_watts
+        if step is not None:
+            loaded = spec.idle_watts + (
+                (loaded - spec.idle_watts) * step.power_scale
+            )
+        self.trace.flush()
         self.power_model = UtilizationPowerModel(
-            idle_watts=self.spec.idle_watts,
-            loaded_watts=self.spec.idle_watts
-            + (self.spec.loaded_watts - self.spec.idle_watts)
-            * step.power_scale,
-            exponent=self.spec.power_exponent,
+            idle_watts=spec.idle_watts,
+            loaded_watts=loaded,
+            exponent=spec.power_exponent,
         )
         self.dvfs_step = step
         self._watts_by_busy.clear()
         if self._powered:
-            self._trace.record(self._clock(), self.watts)
+            self.trace.record(self._clock(), self.watts)
 
     def clear_dvfs(self) -> None:
         """Return to nominal frequency."""
-        if self.dvfs_step is None:
-            return
-        if self.before_record is not None:
-            self.before_record()
-        self.power_model = UtilizationPowerModel(
-            idle_watts=self.spec.idle_watts,
-            loaded_watts=self.spec.loaded_watts,
-            exponent=self.spec.power_exponent,
-        )
-        self.dvfs_step = None
-        self._watts_by_busy.clear()
-        if self._powered:
-            self._trace.record(self._clock(), self.watts)
+        if self.dvfs_step is not None:
+            self.apply_dvfs(None)
 
     def power_off(self) -> None:
         """Cut power to the whole host (rare in conventional clouds)."""
-        if self.before_record is not None:
-            self.before_record()
+        self.trace.flush()
         self._powered = False
         self._busy_cores = 0.0
         self._watts_by_busy.clear()
-        self._trace.record(self._clock(), 0.0)
+        self.trace.record(self._clock(), 0.0)
 
     def power_on(self) -> None:
         """Restore power; the host returns to idle draw."""
-        if self.before_record is not None:
-            self.before_record()
+        self.trace.flush()
         self._powered = True
         self._watts_by_busy.clear()
-        self._trace.record(self._clock(), self.watts)
-
-    def max_vm_count(self, vm_ram_bytes: int) -> int:
-        """RAM-limited VM capacity (hosts saturate on memory, Sec. V)."""
-        return self.spec.max_vm_count(vm_ram_bytes)
+        self.trace.record(self._clock(), self.watts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

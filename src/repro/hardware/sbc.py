@@ -9,38 +9,27 @@ paper's point is that the worker is dumb, single-tenant hardware.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional
 
 from repro.hardware.power import PowerState, PowerStateMachine
 from repro.hardware.specs import BEAGLEBONE_BLACK, SbcSpec
 
 
-#: Per-spec state→watts tables, built once: every board of a fleet
-#: shares its spec, and rebuilding the enum-keyed dict per board was a
-#: measurable slice of 100k-worker cold-build time.  The state machine
-#: copies the table, so sharing the template is safe.
-_STATE_WATTS_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _state_watts_for(power) -> dict:
-    try:
-        cached = _STATE_WATTS_CACHE.get(power)
-    except TypeError:  # unhashable custom power spec
-        cached = None
-    if cached is not None:
-        return cached
-    table = {
+    """The state→watts table of a (frozen, hashable) power spec, built
+    once: every board of a fleet shares its spec, and rebuilding the
+    enum-keyed dict per board was a measurable slice of 100k-worker
+    cold-build time.  The state machine copies the table, so sharing
+    the template is safe."""
+    return {
         PowerState.OFF: power.off,
         PowerState.BOOT: power.boot,
         PowerState.IDLE: power.idle,
         PowerState.CPU_BUSY: power.cpu_busy,
         PowerState.IO_WAIT: power.io_wait,
     }
-    try:
-        _STATE_WATTS_CACHE[power] = table
-    except TypeError:
-        pass
-    return table
 
 
 class SingleBoardComputer:
@@ -119,7 +108,7 @@ class SingleBoardComputer:
     # -- DVFS / power capping --------------------------------------------------
 
     def apply_dvfs(self, step) -> None:
-        """Clock the board down (or back up) to ``step``.
+        """Clock the board down (or back up) to ``step``; None is nominal.
 
         Active-state draws scale by the step's ``power_scale``; standby,
         boot, and idle draws are frequency-independent (the boot chain
@@ -127,19 +116,18 @@ class SingleBoardComputer:
         per-spec watts template is never mutated — each capped board
         gets its own scaled copy.
         """
-        base = _state_watts_for(self.spec.power)
-        scaled = dict(base)
-        scaled[PowerState.CPU_BUSY] = base[PowerState.CPU_BUSY] * step.power_scale
-        scaled[PowerState.IO_WAIT] = base[PowerState.IO_WAIT] * step.power_scale
-        self.psm.rescale(scaled)
+        table = _state_watts_for(self.spec.power)
+        if step is not None:
+            table = dict(table)
+            for state in (PowerState.CPU_BUSY, PowerState.IO_WAIT):
+                table[state] = table[state] * step.power_scale
+        self.psm.rescale(table)
         self.dvfs_step = step
 
     def clear_dvfs(self) -> None:
         """Return to nominal frequency."""
-        if self.dvfs_step is None:
-            return
-        self.psm.rescale(_state_watts_for(self.spec.power))
-        self.dvfs_step = None
+        if self.dvfs_step is not None:
+            self.apply_dvfs(None)
 
     # -- execution phases ------------------------------------------------------
 

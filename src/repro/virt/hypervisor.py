@@ -10,12 +10,12 @@ Quanta are materialised as kernel events only when vCPUs can contend.
 Every registered :class:`~repro.virt.microvm.MicroVm` has one vCPU and
 runs one burst at a time, so while ``0 < vm_count <= cores`` no core
 request can ever queue and a quantum boundary changes nothing but the
-books.  Such a burst claims its core as usual, then waits once, until
-the instant the quantum chain would have ended; its interior boundaries
-go on a time-ordered pending heap and are written — trace points,
-context switches, executed CPU seconds — before anything later is
-recorded or read, so every float matches the per-quantum loop.  A core
-request that would have to wait while such a burst holds a core raises
+books.  Such a burst is booked instead (:meth:`Hypervisor.book_burst`):
+its core claim, quantum dips and release are booked on the host trace
+(:meth:`~repro.hardware.power.PowerTrace.book`) and written — trace
+points, context switches, executed CPU seconds — before anything later
+is recorded or read, so every float matches the per-quantum loop.  A
+burst that needs a core while booked bursts hold them all raises
 :class:`~repro.sim.kernel.SimulationError`.
 
 The hypervisor also owns host power bookkeeping: every time a core is
@@ -26,12 +26,10 @@ curve turns utilization into watts on the host's trace.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-
 from repro.hardware.rackserver import RackServer
 from repro.sim.kernel import Environment, SimulationError
 from repro.sim.resources import Resource
-from repro.virt.overhead import VirtualizationOverhead
+from repro.virt.overhead import VirtualizationOverhead, max_vms_for_host
 
 
 class Hypervisor:
@@ -54,14 +52,10 @@ class Hypervisor:
         self.vm_count = 0
         self._context_switches = 0
         self._cpu_seconds = 0.0
-        #: Quantum boundaries of fused bursts not yet written, as
-        #: ``(time, seq, slice_s, request)``; ``seq`` keeps ties in push
-        #: order and ``request`` names the burst that owns the boundary.
-        self._boundaries: list = []
-        self._boundary_seq = 0
-        #: Fused bursts currently holding a core.
-        self._fused = 0
-        server.before_record = self._replay
+        #: Cores held by booked bursts (see :meth:`_apply`).
+        self._busy = 0
+        self._trace = server.trace
+        self._trace.defer_to(lambda: env.now, self._apply)
 
     # -- VM registration -----------------------------------------------------------
 
@@ -87,31 +81,31 @@ class Hypervisor:
 
     def max_vms(self) -> int:
         """RAM-limited VM capacity of the host."""
-        free = self.server.spec.ram_bytes - self.server.spec.host_reserved_bytes
-        return max(0, free // self.overhead.ram_per_vm_bytes)
+        return max_vms_for_host(self.server.spec, self.overhead)
 
     # -- scheduling ------------------------------------------------------------------
 
     @property
     def busy_cores(self) -> int:
-        return self.cores.count
-
-    @property
-    def runnable_vcpus(self) -> int:
-        """vCPUs currently holding or waiting for a core."""
-        return self.cores.count + self.cores.queue_length
+        self._trace.flush()
+        return self.cores.count + self._busy
 
     @property
     def context_switches(self) -> int:
         """Quanta started so far."""
-        self._replay()
+        self._trace.flush()
         return self._context_switches
 
     @property
     def cpu_seconds_executed(self) -> float:
         """Guest CPU seconds of the quanta that have ended."""
-        self._replay()
+        self._trace.flush()
         return self._cpu_seconds
+
+    @property
+    def uncontended(self) -> bool:
+        """True while no core request can queue, so bursts are booked."""
+        return 0 < self.vm_count <= self.server.cores
 
     def consume_cpu(self, cpu_seconds: float):
         """Process helper: burn ``cpu_seconds`` of guest CPU time.
@@ -123,15 +117,13 @@ class Hypervisor:
         The burst is executed in quanta so concurrent vCPUs interleave
         fairly.  Each quantum pays the context-switch cost and the
         configured CPU multiplier.  When vCPUs cannot contend (see the
-        module docstring) the quanta are accounted without one kernel
-        event each.
+        module docstring) the burst is booked and waited on once.
         """
         if cpu_seconds < 0:
             raise ValueError(f"negative CPU time: {cpu_seconds}")
-        remaining = cpu_seconds * self.overhead.cpu_multiplier
-        if 0 < self.vm_count <= self.server.cores:
-            return self._fused_burst(remaining)
-        return self._quanta(remaining)
+        if self.uncontended:
+            return self._booked_burst(cpu_seconds)
+        return self._quanta(cpu_seconds * self.overhead.cpu_multiplier)
 
     def _quanta(self, remaining: float):
         # The epsilon guard stops float residue from spawning a final
@@ -139,8 +131,9 @@ class Hypervisor:
         while remaining > 1e-12:
             slice_s = min(self.quantum_s, remaining)
             request = self.cores.request()
-            if self._fused and not request.triggered:
-                self._contended(request)
+            if self.busy_cores > self.server.cores:
+                self.cores.release(request)
+                self._contended()
             yield request
             self._context_switches += 1
             self._report_power()
@@ -154,75 +147,77 @@ class Hypervisor:
                 self._report_power()
             remaining -= slice_s
 
-    def _fused_burst(self, remaining: float):
-        """The per-quantum loop as one wait: only valid while no core
-        request can queue, which the self-check enforces."""
+    def book_burst(self, start: float, cpu_seconds: float, owner=None) -> float:
+        """Book a burst of ``cpu_seconds`` from ``start`` on an
+        :attr:`uncontended` host; returns the instant it ends.
+
+        The quantum chain is the per-quantum loop's own arithmetic.
+        ``owner`` tags the bookings, so an interrupted burst can drop
+        the rest of its own.
+        """
+        if start < self.env.now:
+            raise ValueError(f"burst start {start} is in the past")
+        remaining = cpu_seconds * self.overhead.cpu_multiplier
         if remaining <= 1e-12:
-            return
-        request = self.cores.request()
-        if not request.triggered:
-            self._contended(request)
-        yield request
-        self._context_switches += 1
-        self._report_power()
-        # The chain of quantum ends, by the per-quantum loop's arithmetic.
+            return start
+        # Write what is due first: only running bursts stay booked.
+        self._trace.flush()
+        book = self._trace.book
         quantum_s = self.quantum_s
         switch_s = self.overhead.context_switch_s
-        boundaries = self._boundaries
-        slice_s = min(quantum_s, remaining)
-        end = self.env.now + (slice_s + switch_s)
-        remaining -= slice_s
-        while remaining > 1e-12:
-            self._boundary_seq += 1
-            heappush(boundaries, (end, self._boundary_seq, slice_s, request))
-            slice_s = min(quantum_s, remaining)
+        book(start, (1, 0.0), owner)
+        dip = (0, quantum_s)  # an interior quantum is always a full one
+        end = start
+        while True:
+            # ``min(quantum_s, remaining)``, without the call.
+            slice_s = remaining if remaining < quantum_s else quantum_s
             end = end + (slice_s + switch_s)
             remaining -= slice_s
-        self._fused += 1
-        finished = False
+            if remaining <= 1e-12:
+                book(end, (-1, slice_s), owner)
+                return end
+            book(end, dip, owner)
+
+    def _booked_burst(self, cpu_seconds: float):
+        owner = object()
+        end = self.book_burst(self.env.now, cpu_seconds, owner)
+        self._trace.flush()
+        if end == self.env.now:
+            return
         try:
             yield self.env.timeout_at(end)
-            self._replay()
-            self._cpu_seconds += slice_s
-            finished = True
         finally:
-            self._fused -= 1
-            if not finished:
-                # Interrupted or closed mid-burst: the boundaries passed
-                # so far happened; the rest never will.
-                self._replay()
-                self._boundaries = [
-                    entry for entry in self._boundaries
-                    if entry[3] is not request
-                ]
-                heapify(self._boundaries)
-            self.cores.release(request)
-            self._report_power()
+            self._trace.truncate(owner)
+            if self.env.now < end:
+                # Interrupted or closed mid-burst: the core comes back.
+                self._busy -= 1
+                self._report_power()
 
-    def _replay(self) -> None:
-        """Write every pending quantum boundary up to now, in time order."""
-        boundaries = self._boundaries
-        if not boundaries:
-            return
-        now = self.env.now
-        record = self.server.record_requantum
-        while boundaries and boundaries[0][0] <= now:
-            time, _seq, slice_s, _request = heappop(boundaries)
-            self._cpu_seconds += slice_s
-            record(time)
+    def _apply(self, time: float, change) -> None:
+        """Write a booked core claim (+1), quantum dip (0) or release (-1)."""
+        delta, slice_s = change
+        self._cpu_seconds += slice_s
+        if delta == 0:
+            self.server.record_requantum(time)
             self._context_switches += 1
+            return
+        if delta > 0:
+            if self.cores.count + self._busy >= self.server.cores:
+                self._contended()
+            self._context_switches += 1
+        self._busy += delta
+        self.server.record_busy(time, self.cores.count + self._busy)
 
-    def _contended(self, request) -> None:
-        self.cores.release(request)
+    def _contended(self) -> None:
         raise SimulationError(
-            f"a core request must wait ({self.busy_cores}/"
+            f"a core request must wait ({self.cores.count + self._busy}/"
             f"{self.server.cores} cores busy, {self.vm_count} VMs) while "
-            "bursts run without per-quantum events; one registered VM "
-            "may run only one burst at a time"
+            "bursts are booked without per-quantum events; one registered "
+            "VM may run only one burst at a time"
         )
 
     def _report_power(self) -> None:
-        self.server.set_busy_cores(self.cores.count)
+        self.server.set_busy_cores(self.busy_cores)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

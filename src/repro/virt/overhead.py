@@ -59,8 +59,7 @@ def max_vms_for_host(
     For the evaluation host (16 GB, 2 GB host reserve, 512 MB + 48 MB
     per VM) this is 25 VMs — the far end of the Fig. 4 sweep.
     """
-    free = spec.ram_bytes - spec.host_reserved_bytes
-    return max(0, free // overhead.ram_per_vm_bytes)
+    return spec.max_vm_count(overhead.ram_per_vm_bytes)
 
 
 __all__ = ["VirtualizationOverhead", "max_vms_for_host"]

@@ -506,7 +506,7 @@ def test_dvfs_curve_for_unknown_spec_is_single_step():
 
 
 # ---------------------------------------------------------------------------
-# PowerStateMachine.reenter_at: a booked same-state set_state
+# PowerStateMachine.book: transitions booked ahead of the clock
 # ---------------------------------------------------------------------------
 
 DURATIONS = st.floats(
@@ -532,10 +532,10 @@ def _io_stretch(clock, psm, start, io_s):
 def test_psm_reenter_at_matches_same_state_set_state(
     first, earlier_io, io, out, later, read_first, next_state
 ):
-    """Booking the re-entry gives every time-in-state float the woken-up
-    caller's ``set_state`` at the same instant gives, whether the next
-    call after the booked instant is a read, the job's finish (IDLE) or
-    a crash (OFF)."""
+    """Booking a same-state re-entry gives every time-in-state float the
+    woken-up caller's ``set_state`` at the same instant gives, whether
+    the next call after the booked instant is a read, the job's finish
+    (IDLE) or a crash (OFF)."""
     results = []
     for booked in (False, True):
         clock = FakeClock()
@@ -545,7 +545,7 @@ def test_psm_reenter_at_matches_same_state_set_state(
         psm.set_state(PowerState.CPU_BUSY)
         io_end = _io_stretch(clock, psm, io_end, io)
         if booked:
-            psm.reenter_at(io_end)
+            psm.book(io_end, PowerState.IO_WAIT)
         else:
             clock.t = io_end
             psm.set_state(PowerState.IO_WAIT)
@@ -573,7 +573,7 @@ def test_psm_crash_before_reenter_at_drops_the_booking(first, io, crash,
         crash_at = first + io * crash
         assume(crash_at < io_end)
         if booked:
-            psm.reenter_at(io_end)
+            psm.book(io_end, PowerState.IO_WAIT)
         clock.t = crash_at
         reads = _all_time_in_state(psm)
         psm.set_state(PowerState.OFF)
@@ -589,7 +589,93 @@ def test_psm_reenter_at_in_the_past_rejected():
     psm = PowerStateMachine(clock, STATE_WATTS)
     clock.t = 2.0
     with pytest.raises(ValueError):
-        psm.reenter_at(1.0)
+        psm.book(1.0, PowerState.IO_WAIT)
+
+
+#: A worker's phase sequence after a cold claim: boot end, inbound,
+#: CPU phase, I/O phase, outbound, finish.
+TIMELINE = (PowerState.IDLE, PowerState.IO_WAIT, PowerState.CPU_BUSY,
+            PowerState.IO_WAIT, PowerState.IO_WAIT, PowerState.IDLE)
+
+
+def _observe_psm(psm):
+    return (
+        psm.state,
+        repr(psm.watts),
+        _all_time_in_state(psm),
+        psm.trace.change_points,
+        repr(psm.trace.energy_joules(0.0, psm.trace.last_time)),
+    )
+
+
+@settings(max_examples=300)
+@given(durations=st.lists(DURATIONS, min_size=len(TIMELINE),
+                          max_size=len(TIMELINE)),
+       peek=st.floats(0.0, 1.0), cut=st.floats(0.0, 1.0),
+       crash=st.booleans(), rescale=st.booleans())
+def test_psm_booked_timeline_matches_live_transitions(durations, peek, cut,
+                                                      crash, rescale):
+    """A whole timeline booked at its first instant equals the live
+    transitions at every read: ``state``, ``watts``, time-in-state and
+    the trace, read mid-timeline.  A DVFS rescale there changes the draw
+    of every later booked state; a crash there drops the rest."""
+    times = [1.0]
+    for duration in durations:
+        times.append(times[-1] + duration)
+    span = times[-1] - times[0]
+    peek_at = times[0] + span * peek
+    cut_at = peek_at + (times[-1] - peek_at) * cut
+    scaled = {**STATE_WATTS, PowerState.CPU_BUSY: 1.9,
+              PowerState.IO_WAIT: 0.9}
+    results = []
+    for booked in (False, True):
+        clock = FakeClock()
+        psm = PowerStateMachine(clock, STATE_WATTS)
+        clock.t = times[0]
+        psm.set_state(PowerState.BOOT)
+        pending = list(zip(times[1:], TIMELINE))
+        if booked:
+            for when, state in pending:
+                psm.book(when, state)
+            pending = []
+
+        def run_to(instant):
+            while pending and pending[0][0] <= instant:
+                clock.t, state = pending.pop(0)
+                psm.set_state(state)
+            clock.t = instant
+
+        run_to(peek_at)
+        if rescale:
+            psm.rescale(scaled)
+        observed = [_observe_psm(psm)]
+        run_to(cut_at)
+        if crash:
+            psm.set_state(PowerState.OFF)
+            pending.clear()
+        observed.append(_observe_psm(psm))
+        run_to(times[-1] + 1.0)
+        observed.append(_observe_psm(psm))
+        results.append(observed)
+    assert results[0] == results[1]
+
+
+def test_trace_reads_write_the_bookings_first():
+    """A holder of the trace alone (a ledger, a meter) sees every booked
+    change point up to now and none after it."""
+    clock = FakeClock()
+    psm = PowerStateMachine(clock, STATE_WATTS)
+    trace = psm.trace
+    psm.book(1.0, PowerState.BOOT)
+    psm.book(2.0, PowerState.IDLE)
+    assert trace.change_points == [(0.0, 0.1)]
+    clock.t = 1.5
+    assert trace.power_at(1.5) == 2.0
+    assert trace.change_points == [(0.0, 0.1), (1.0, 2.0)]
+    clock.t = 2.0
+    assert trace.energy_joules(0.0, 2.0) == 0.1 * 1.0 + 2.0 * 1.0
+    assert trace.last_time == 2.0
+    assert len(trace) == 3
 
 
 def test_psm_state_tables_ignore_foreign_keys():

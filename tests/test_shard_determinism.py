@@ -493,7 +493,10 @@ def test_overloaded_burst_queues_behind_busy_workers():
     assert serial.telemetry.mean_queue_wait_s() > 1.0
 
 
-def test_hybrid_vm_jobs_are_never_predicted(claims):
+def test_uncontended_hybrid_vm_claims_are_predicted(claims):
+    """Four 1-vCPU VMs fit their host's cores, so a VM job books its
+    whole cycle at the claim and reports when it will finish, like an
+    SBC job."""
     spec = ClusterSpec(
         kind="hybrid", sbc_count=8, vm_count=4, seed=3, policy="least-loaded"
     )
@@ -507,7 +510,7 @@ def test_hybrid_vm_jobs_are_never_predicted(claims):
     assert_identical(serial, result)
     vm_claims = [t_done for wid, t_done in claims if wid >= spec.sbc_count]
     sbc_claims = [t_done for wid, t_done in claims if wid < spec.sbc_count]
-    assert vm_claims and all(t_done is None for t_done in vm_claims)
+    assert vm_claims and all(t_done is not None for t_done in vm_claims)
     assert sbc_claims and all(t_done is not None for t_done in sbc_claims)
 
 

@@ -347,7 +347,7 @@ def _differential(scenario, vms=6, checkpoints=(), overhead=None):
             observed.append(_observe(server, hypervisor, log))
         env.run()
         observed.append(_observe(server, hypervisor, log))
-        assert not hypervisor._boundaries
+        assert not hypervisor.server.trace._booked
         assert hypervisor.busy_cores == 0
         runs.append((observed, env._sequence))
     (fused, fused_events), (quanta, quanta_events) = runs
