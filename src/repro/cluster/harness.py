@@ -30,7 +30,7 @@ worker processes start in the same order.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.blueprint import blueprint_for_pools
 from repro.cluster.pool import WorkerPool
@@ -182,15 +182,11 @@ class ClusterHarness:
     # -- pool registration ---------------------------------------------------------------
 
     def register_worker(
-        self,
-        pool: WorkerPool,
-        worker_id: int,
-        worker,
-        endpoint: str,
-        sbc: Optional[SingleBoardComputer] = None,
+        self, pool: WorkerPool, worker_id: int, worker, endpoint: str
     ) -> None:
-        """Record a pool's worker under its global id (pools call this
-        from ``build_workers`` once per worker, in queue order)."""
+        """Record a pool's worker (None: remote) under its global id
+        (pools call this from ``build_workers`` once per worker, in
+        queue order)."""
         if worker_id != len(self.workers):
             raise ValueError(
                 f"worker ids must be registered in order: got {worker_id}, "
@@ -199,6 +195,7 @@ class ClusterHarness:
         self.workers.append(worker)
         self._pool_by_worker[worker_id] = pool
         self._endpoint_by_worker[worker_id] = endpoint
+        sbc = getattr(worker, "sbc", None)
         if sbc is not None:
             self._sbc_by_worker[worker_id] = sbc
 

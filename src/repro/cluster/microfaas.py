@@ -16,7 +16,6 @@ from typing import List, Optional
 
 from repro.cluster.harness import ClusterHarness
 from repro.cluster.pool import SbcPool
-from repro.cluster.worker import SbcWorker
 from repro.core.lifecycle import RunToCompletionPolicy
 from repro.core.platform import MICROFAAS
 from repro.core.policies import RecoveryPolicy
@@ -95,9 +94,6 @@ class MicroFaaSCluster(ClusterHarness):
     def switch(self) -> Switch:
         """The first (testbed) switch — kept for single-switch callers."""
         return self.switches[0]
-
-    def respawn_worker(self, worker_id: int) -> SbcWorker:
-        return super().respawn_worker(worker_id)
 
 
 __all__ = ["MicroFaaSCluster"]

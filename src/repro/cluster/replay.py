@@ -1,8 +1,8 @@
 """Replay arrival traces against any cluster.
 
-Duck-typed over every :class:`~repro.cluster.harness.ClusterHarness`
-composition (MicroFaaS, conventional, hybrid): all expose ``env``,
-``orchestrator``, ``workers``, and ``result_snapshot``.  Traces
+Works on every :class:`~repro.cluster.harness.ClusterHarness`
+composition (MicroFaaS, conventional, hybrid) through its ``env``,
+``orchestrator`` and ``result_snapshot``.  Traces
 are duck-typed too: anything with ``iter_pairs()``/``duration_s`` —
 an :class:`~repro.workloads.traces.ArrivalTrace` or the columnar
 representation megatrace-scale runs use — replays the same way.
@@ -62,19 +62,7 @@ def replay_trace(cluster, trace: Trace) -> ClusterResult:
     duration = max(env.now, trace.duration_s)
     if env.now < duration:
         env.run(until=duration)  # let the tail of the window elapse
-    snapshot = getattr(cluster, "result_snapshot", None)
-    if snapshot is not None:
-        return snapshot(duration)
-    # Non-harness duck-typed cluster: best-effort result without pool
-    # attribution.
-    return ClusterResult(
-        platform=getattr(cluster, "platform", "unknown"),
-        worker_count=len(cluster.workers),
-        jobs_completed=orchestrator.telemetry.count,
-        duration_s=duration,
-        energy_joules=cluster.energy_joules(0.0, duration),
-        telemetry=orchestrator.telemetry,
-    )
+    return cluster.result_snapshot(duration)
 
 
 __all__ = ["replay_trace"]

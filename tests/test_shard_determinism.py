@@ -17,7 +17,7 @@ import math
 import pytest
 
 from repro.cluster.microfaas import MicroFaaSCluster
-from repro.cluster.worker import SbcWorker
+from repro.cluster.worker import SbcWorker, Worker
 from repro.cluster.replay import replay_trace
 from repro.core.controlplane import ControlPlaneModel
 from repro.core.platform import ARM, X86
@@ -512,6 +512,42 @@ def test_uncontended_hybrid_vm_claims_are_predicted(claims):
     sbc_claims = [t_done for wid, t_done in claims if wid < spec.sbc_count]
     assert vm_claims and all(t_done is not None for t_done in vm_claims)
     assert sbc_claims and all(t_done is not None for t_done in sbc_claims)
+
+
+def test_hybrid_replay_rendezvous_past_idle_vm_reboots(monkeypatch):
+    """A VM that has served a job reboots its guest at every later
+    claim, so its ``min_service_s`` is the boot, not the session
+    overhead: an idle VM no longer holds the shard's horizon at the
+    clock (581 rounds when it did).  Every claim-to-completion is at
+    least the bound read at its claim."""
+    bounds = {}
+    claim = Worker._claim
+
+    def spy(self, job):
+        bounds[job.job_id] = self.min_service_s
+        return claim(self, job)
+
+    monkeypatch.setattr(Worker, "_claim", spy)
+    spec = ClusterSpec(
+        kind="hybrid", sbc_count=8, vm_count=4, seed=3, policy="least-loaded"
+    )
+    rate = 12 * WORKER_JOBS_PER_S * 0.85
+    trace = poisson_trace(
+        rate, 600 / rate, streams=RandomStreams(4), columnar=True
+    )
+    assert len(trace) == 608
+    cluster = spec.build()
+    serial = replay_trace(cluster, trace)
+    records = cluster.orchestrator.telemetry.records
+    assert len(records) == len(bounds) == len(trace)
+    assert {r.platform for r in records} == {ARM, X86}
+    for r in records:
+        assert r.t_completed >= r.t_started + bounds[r.job_id]
+    with ShardedCluster(spec, 2, executor="inline") as sharded:
+        result = sharded.replay_trace(trace)
+        rounds = sharded.stats.rounds
+    assert_identical(serial, result)
+    assert rounds <= 200
 
 
 def test_control_plane_runs_predict_nothing(claims):
