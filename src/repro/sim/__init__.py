@@ -13,7 +13,7 @@ of workers, network transfers, CPU contention, and power-state machines:
 - :class:`Event`, :class:`Timeout`, :class:`Process` — the event types.
 - :class:`AnyOf` / :class:`AllOf` — event composition.
 - :class:`Interrupt` — asynchronous process interruption.
-- :class:`Resource`, :class:`Store`, :class:`Container` — queued resources.
+- :class:`Resource`, :class:`Store` — queued resources.
 - :class:`RandomStreams` — named, reproducible random-number streams.
 """
 
@@ -27,17 +27,15 @@ from repro.sim.kernel import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Resource",

@@ -1,34 +1,30 @@
 """Queued resources for the simulation kernel.
 
-Three classic resource types:
+Two classic resource types:
 
 - :class:`Resource` — a fixed number of slots claimed/released by processes
   (e.g. CPU cores, switch ports).
-- :class:`PriorityResource` — same, with lower-number-first queueing.
 - :class:`Store` — a FIFO buffer of Python objects (e.g. job queues).
-- :class:`Container` — a continuous quantity (e.g. battery charge).
 
 All requests are events, so processes simply ``yield resource.request()``.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Callable, Optional
 
-from repro.sim.kernel import Environment, Event, SimulationError
+from repro.sim.kernel import Environment, Event
 
 
 class Request(Event):
     """Pending claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
 
     def __enter__(self) -> "Request":
         return self
@@ -81,48 +77,9 @@ class Resource:
 
     def _grant(self) -> None:
         while self._waiting and len(self.users) < self.capacity:
-            req = self._pop_next()
+            req = self._waiting.popleft()
             self.users.append(req)
             req.succeed(req)
-
-    def _pop_next(self) -> Request:
-        return self._waiting.popleft()
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is ordered by request priority."""
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
-        self._heap: list[tuple[int, int, Request]] = []
-        self._seq = 0
-
-    def request(self, priority: int = 0) -> Request:  # type: ignore[override]
-        req = Request(self, priority=priority)
-        self._seq += 1
-        heapq.heappush(self._heap, (priority, self._seq, req))
-        self._grant()
-        return req
-
-    def release(self, request: Request) -> None:
-        if request in self.users:
-            self.users.remove(request)
-        else:
-            self._heap = [
-                entry for entry in self._heap if entry[2] is not request
-            ]
-            heapq.heapify(self._heap)
-        self._grant()
-
-    def _grant(self) -> None:
-        while self._heap and len(self.users) < self.capacity:
-            _prio, _seq, req = heapq.heappop(self._heap)
-            self.users.append(req)
-            req.succeed(req)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
 
 
 class StorePut(Event):
@@ -225,87 +182,7 @@ class Store:
         return None
 
 
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        super().__init__(container.env)
-        self.amount = amount
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        super().__init__(container.env)
-        self.amount = amount
-
-
-class Container:
-    """A continuous quantity with blocking put/get semantics."""
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init={init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._putters: deque[ContainerPut] = deque()
-        self._getters: deque[ContainerGet] = deque()
-
-    @property
-    def level(self) -> float:
-        """Current amount held."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Add ``amount``; fires when it fits under capacity."""
-        if amount <= 0:
-            raise ValueError(f"put amount must be positive, got {amount}")
-        event = ContainerPut(self, amount)
-        self._putters.append(event)
-        self._dispatch()
-        return event
-
-    def get(self, amount: float) -> ContainerGet:
-        """Remove ``amount``; fires when that much is available."""
-        if amount <= 0:
-            raise ValueError(f"get amount must be positive, got {amount}")
-        event = ContainerGet(self, amount)
-        self._getters.append(event)
-        self._dispatch()
-        return event
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                put = self._putters[0]
-                if self._level + put.amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += put.amount
-                    put.succeed()
-                    progress = True
-            if self._getters:
-                get = self._getters[0]
-                if get.amount <= self._level:
-                    self._getters.popleft()
-                    self._level -= get.amount
-                    get.succeed()
-                    progress = True
-
-
 __all__ = [
-    "Container",
-    "PriorityResource",
     "Request",
     "Resource",
     "Store",

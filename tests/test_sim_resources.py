@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 # ---------------------------------------------------------------------------
@@ -110,57 +110,6 @@ def test_resource_capacity_validation():
     env = Environment()
     with pytest.raises(ValueError):
         Resource(env, capacity=0)
-
-
-def test_priority_resource_orders_by_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request(priority=0)
-        yield req
-        yield env.timeout(5.0)
-        res.release(req)
-
-    def claimant(name, priority, start):
-        yield env.timeout(start)
-        req = res.request(priority=priority)
-        yield req
-        order.append(name)
-        yield env.timeout(1.0)
-        res.release(req)
-
-    env.process(holder())
-    env.process(claimant("low", 10, 1.0))
-    env.process(claimant("high", 1, 2.0))
-    env.run()
-    assert order == ["high", "low"]
-
-
-def test_priority_resource_fifo_within_same_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request(priority=0)
-        yield req
-        yield env.timeout(5.0)
-        res.release(req)
-
-    def claimant(name, start):
-        yield env.timeout(start)
-        req = res.request(priority=5)
-        yield req
-        order.append(name)
-        res.release(req)
-
-    env.process(holder())
-    env.process(claimant("a", 1.0))
-    env.process(claimant("b", 2.0))
-    env.run()
-    assert order == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------
@@ -306,72 +255,3 @@ def test_store_cancel_rejects_foreign_event():
     with pytest.raises(TypeError):
         store.cancel(env.event())
 
-
-# ---------------------------------------------------------------------------
-# Container
-# ---------------------------------------------------------------------------
-
-
-def test_container_levels():
-    env = Environment()
-    tank = Container(env, capacity=10.0, init=5.0)
-
-    def proc():
-        yield tank.get(3.0)
-        yield tank.put(6.0)
-
-    env.process(proc())
-    env.run()
-    assert tank.level == 8.0
-
-
-def test_container_get_blocks_until_available():
-    env = Environment()
-    tank = Container(env, capacity=10.0, init=0.0)
-    got = []
-
-    def consumer():
-        yield tank.get(5.0)
-        got.append(env.now)
-
-    def producer():
-        yield env.timeout(2.0)
-        yield tank.put(5.0)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [2.0]
-
-
-def test_container_put_blocks_when_full():
-    env = Environment()
-    tank = Container(env, capacity=10.0, init=10.0)
-    done = []
-
-    def producer():
-        yield tank.put(1.0)
-        done.append(env.now)
-
-    def consumer():
-        yield env.timeout(3.0)
-        yield tank.get(4.0)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert done == [3.0]
-    assert tank.level == 7.0
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0.0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=5.0, init=6.0)
-    tank = Container(env, capacity=5.0)
-    with pytest.raises(ValueError):
-        tank.put(0.0)
-    with pytest.raises(ValueError):
-        tank.get(-1.0)
