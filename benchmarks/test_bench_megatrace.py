@@ -5,7 +5,7 @@ full million-invocation run is the same code path scaled 10x (see
 ``python -m repro megatrace --invocations 100``).
 """
 
-import pytest
+import multiprocessing
 
 from benchmarks.conftest import emit
 from repro.experiments import megatrace
@@ -13,9 +13,18 @@ from repro.experiments import megatrace
 INVOCATIONS = 100_000
 
 
+def run_in_child(**kwargs):
+    """``megatrace.run`` in a fresh interpreter, so the result's peak
+    RSS is this run's alone, not the high-water mark of whatever ran
+    earlier in the pytest process.  The child is spawned, not forked: a
+    forked child would start with the parent's resident pages."""
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(megatrace.run, kwds=kwargs)
+
+
 def test_bench_megatrace(benchmark):
     result = benchmark.pedantic(
-        megatrace.run,
+        run_in_child,
         kwargs={"invocations": INVOCATIONS},
         rounds=1,
         iterations=1,
@@ -48,7 +57,7 @@ def test_bench_megatrace_streaming_rss_bound(benchmark):
     plateau and 512 MiB is the trip-wire.
     """
     result = benchmark.pedantic(
-        megatrace.run,
+        run_in_child,
         kwargs={"invocations": 200_000, "streaming": True},
         rounds=1,
         iterations=1,

@@ -56,7 +56,19 @@ POWER_TRACE_MAX_POINTS = 65_536
 
 
 def peak_rss_mib() -> float:
-    """Process high-water RSS in MiB (Linux reports KiB)."""
+    """Process high-water RSS in MiB (Linux reports KiB).
+
+    Read from ``VmHWM`` where ``/proc`` has it: ``ru_maxrss`` also keeps
+    the peak of the image a process replaced at exec, so a child
+    spawned from a large parent would report the parent's peak.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
