@@ -268,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--export-dir",
         default="artifacts",
-        help="directory for CSV exports and --profile pstats output",
+        help="directory for --profile pstats output (CSV exports come from "
+        "repro.experiments.export.export_all, not the CLI)",
     )
     return parser
 
