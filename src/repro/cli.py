@@ -35,89 +35,84 @@ from repro.experiments import (
     table2_tco,
 )
 
-#: artifact name -> (description, runner(invocations, jobs, cache, trace,
-#: shards) -> text).  ``jobs``/``cache`` reach the experiments ported onto
-#: :mod:`repro.experiments.runner`; ``trace`` is the ``--trace`` export
-#: path and only reaches the artifacts in :data:`TRACEABLE`; ``shards``
-#: is the ``--shards`` simulation split and only reaches
-#: :data:`SHARDABLE` artifacts.
+#: artifact name -> (description, runner(invocations, jobs, trace,
+#: shards) -> text).  ``jobs`` reaches the experiments ported onto
+#: :mod:`repro.experiments.runner`, which recompute every point on each
+#: run; ``trace`` is the ``--trace`` export path and only reaches the
+#: artifacts in :data:`TRACEABLE`; ``shards`` is the ``--shards``
+#: simulation split and only reaches :data:`SHARDABLE` artifacts.
 ARTIFACTS: Dict[str, tuple] = {
     "fig1": (
         "worker-OS boot-time trajectory (1.51 s ARM / 0.96 s x86)",
-        lambda n, jobs, cache, trace, shards: fig1_boot.render(fig1_boot.run()),
+        lambda n, jobs, trace, shards: fig1_boot.render(fig1_boot.run()),
     ),
     "table1": (
         "the 17-function workload suite, executed live",
-        lambda n, jobs, cache, trace, shards: table1_workloads.render(
-            table1_workloads.run(scale=0.05, jobs=jobs, cache=cache)
+        lambda n, jobs, trace, shards: table1_workloads.render(
+            table1_workloads.run(scale=0.05, jobs=jobs)
         ),
     ),
     "fig3": (
         "per-function Working/Overhead split on both clusters",
-        lambda n, jobs, cache, trace, shards: fig3_runtime.render(
+        lambda n, jobs, trace, shards: fig3_runtime.render(
             fig3_runtime.run(invocations_per_function=n)
         ),
     ),
     "fig4": (
         "energy efficiency & throughput vs VM count",
-        lambda n, jobs, cache, trace, shards: fig4_vmsweep.render(
+        lambda n, jobs, trace, shards: fig4_vmsweep.render(
             fig4_vmsweep.run(
                 invocations_per_function=max(4, n // 3),
                 jobs=jobs,
-                cache=cache,
             )
         ),
     ),
     "fig5": (
         "power vs active workers (energy proportionality)",
-        lambda n, jobs, cache, trace, shards: fig5_power.render(
+        lambda n, jobs, trace, shards: fig5_power.render(
             fig5_power.run(invocations=max(3, n // 4))
         ),
     ),
     "table2": (
         "5-year TCO comparison (exact to the dollar)",
-        lambda n, jobs, cache, trace, shards: table2_tco.render(table2_tco.run()),
+        lambda n, jobs, trace, shards: table2_tco.render(table2_tco.run()),
     ),
     "headline": (
         "throughput match + the 5.6x energy headline",
-        lambda n, jobs, cache, trace, shards: headline.render(
+        lambda n, jobs, trace, shards: headline.render(
             headline.run(
                 invocations_per_function=n,
                 jobs=jobs,
-                cache=cache,
                 trace_path=trace,
             )
         ),
     ),
     "fault-study": (
         "goodput/energy under escalating chaos; recovery stack (extension)",
-        lambda n, jobs, cache, trace, shards: fault_study.render(
+        lambda n, jobs, trace, shards: fault_study.render(
             fault_study.run(
                 invocations_per_function=max(2, n // 8),
                 jobs=jobs,
-                cache=cache,
                 trace_path=trace,
             )
         ),
     ),
     "federation-study": (
         "multi-region federation: failover, WAN, per-geo latency (extension)",
-        lambda n, jobs, cache, trace, shards: federation_study.render(
+        lambda n, jobs, trace, shards: federation_study.render(
             federation_study.run(
                 duration_s=max(30.0, 4.0 * n),
                 jobs=jobs,
-                cache=cache,
                 trace_path=trace,
             )
         ),
     ),
     "hybrid-study": (
         "SBC:VM mix sweep on the heterogeneous cluster (extension)",
-        lambda n, jobs, cache, trace, shards: hybrid_study.render(
+        lambda n, jobs, trace, shards: hybrid_study.render(
             hybrid_study.run(
                 invocations_per_function=max(2, n // 8),
                 jobs=jobs,
-                cache=cache,
                 trace_path=trace,
                 shards=shards,
             )
@@ -125,22 +120,20 @@ ARTIFACTS: Dict[str, tuple] = {
     ),
     "sdk-study": (
         "client SDK map_reduce sweep: users x fan-out x backend (extension)",
-        lambda n, jobs, cache, trace, shards: sdk_study.render(
+        lambda n, jobs, trace, shards: sdk_study.render(
             sdk_study.run(
                 fanouts=tuple(sorted({8, max(8, n)})),
                 jobs=jobs,
-                cache=cache,
                 trace_path=trace,
             )
         ),
     ),
     "energy-study": (
         "power-cap frontier + per-tenant energy budgets (extension)",
-        lambda n, jobs, cache, trace, shards: energy_study.render(
+        lambda n, jobs, trace, shards: energy_study.render(
             energy_study.run(
                 duration_s=max(60.0, 8.0 * n),
                 jobs=jobs,
-                cache=cache,
                 trace_path=trace,
                 shards=shards,
             )
@@ -148,35 +141,33 @@ ARTIFACTS: Dict[str, tuple] = {
     ),
     "hardware": (
         "candidate worker boards compared (extension)",
-        lambda n, jobs, cache, trace, shards: hardware_selection.render(
+        lambda n, jobs, trace, shards: hardware_selection.render(
             hardware_selection.run(invocations_per_function=n)
         ),
     ),
     "scale": (
         "the prototype architecture at fleet scale (extension)",
-        lambda n, jobs, cache, trace, shards: scale_study.render(
+        lambda n, jobs, trace, shards: scale_study.render(
             scale_study.run(
                 worker_counts=(10, 100, 400, 800),
                 jobs_per_worker=max(2, n // 8),
                 jobs=jobs,
-                cache=cache,
             )
         ),
     ),
     "scale-frontier": (
         "the 2,000-5,000-worker streaming-telemetry sweep (extension)",
-        lambda n, jobs, cache, trace, shards: scale_study.render(
+        lambda n, jobs, trace, shards: scale_study.render(
             scale_study.run_frontier(
                 jobs_per_worker=max(2, n // 10),
                 jobs=jobs,
-                cache=cache,
                 shards=shards,
             )
         ),
     ),
     "megatrace": (
         "fast-path trace replay, 10,000 x --invocations arrivals (extension)",
-        lambda n, jobs, cache, trace, shards, streaming: megatrace.render(
+        lambda n, jobs, trace, shards, streaming: megatrace.render(
             megatrace.run(
                 invocations=n * 10_000,
                 trace_path=trace,
@@ -233,11 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = one per CPU core)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every point instead of reusing cached results",
-    )
-    parser.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
@@ -280,14 +266,12 @@ def _run_artifact(name: str, args, jobs: Optional[int]) -> int:
     trace = args.trace if name in TRACEABLE else None
     shards = args.shards if name in SHARDABLE else 1
     # Streamable artifacts take one extra argument; the rest keep the
-    # five-argument runner signature.
+    # four-argument runner signature.
     extra = ()
     if name in STREAMABLE:
         extra = ({"auto": None, "on": True, "off": False}[args.streaming],)
     if not args.profile:
-        print(
-            runner(args.invocations, jobs, not args.no_cache, trace, shards, *extra)
-        )
+        print(runner(args.invocations, jobs, trace, shards, *extra))
         print()
         if trace is not None:
             print(f"trace written to {trace}", file=sys.stderr)
@@ -295,9 +279,7 @@ def _run_artifact(name: str, args, jobs: Optional[int]) -> int:
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        text = runner(
-            args.invocations, jobs, not args.no_cache, trace, shards, *extra
-        )
+        text = runner(args.invocations, jobs, trace, shards, *extra)
     finally:
         profiler.disable()
     print(text)

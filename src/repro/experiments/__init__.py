@@ -32,8 +32,8 @@ Every module exposes ``run(...)`` returning structured results and
 
 :mod:`repro.experiments.runner` is the shared execution layer: the
 sweep-shaped experiments fan their independent points across worker
-processes via :func:`repro.experiments.runner.run_map`, backed by a
-content-addressed on-disk result cache.
+processes via :func:`repro.experiments.runner.run_map`, which computes
+every point afresh on each call.
 """
 
 from repro.experiments import (

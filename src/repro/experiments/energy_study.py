@@ -23,7 +23,7 @@ Two sweeps over one diurnal arrival trace on the paper's SBC cluster:
 
 Every point is an independent, seeded task on
 :func:`~repro.experiments.runner.run_map`, so the sweep is
-bit-identical at any ``--jobs`` and caches per point.
+bit-identical at any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -269,8 +269,6 @@ def run(
     duration_s: float = 240.0,
     seed: int = 7,
     jobs: int = 1,
-    cache: bool = True,
-    cache_dir=None,
     trace_path: Optional[str] = None,
     shards: int = 1,
 ) -> EnergyStudyResult:
@@ -315,9 +313,7 @@ def run(
     ] + [
         make_task(BUDGETED_CAP_WATTS, scale, 1) for scale in budget_scales
     ]
-    points = run_map(
-        tasks, _run_point, jobs=jobs, cache=cache, cache_dir=cache_dir
-    )
+    points = run_map(tasks, _run_point, jobs=jobs)
     if trace_path is not None and budget_scales:
         _trace_point(
             make_task(BUDGETED_CAP_WATTS, max(budget_scales), 1), trace_path

@@ -369,9 +369,8 @@ def export_all(
 ) -> List[str]:
     """Write every artifact's CSV into ``directory`` (created if needed).
 
-    The megatrace export is not included — a cache-defeating
-    million-invocation run is its own deliberate act
-    (:func:`export_megatrace`).
+    The megatrace export is not included — a million-invocation run
+    is its own deliberate act (:func:`export_megatrace`).
     """
     os.makedirs(directory, exist_ok=True)
     return [

@@ -18,7 +18,7 @@ suppressed), and the energy overhead relative to the fault-free run.
 
 Every point is an independent, seeded task on the shared
 :func:`~repro.experiments.runner.run_map` runner, so the sweep is
-bit-identical at any ``--jobs`` and caches per point.
+bit-identical at any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _build_point_cluster(
 ) -> Tuple[MicroFaaSCluster, ChaosEngine]:
     """A seeded cluster with this point's chaos plan armed.
 
-    Shared between the cached sweep workers and the inline traced
+    Shared between the sweep workers and the inline traced
     re-run, so a traced point sees the exact same fault schedule.
     """
     cluster = MicroFaaSCluster(
@@ -178,7 +178,7 @@ def _run_fault_point(task: FaultStudyTask) -> FaultStudyPoint:
 def _trace_point(task: FaultStudyTask, trace_path: str) -> None:
     """Re-run one point inline with span recording and export it.
 
-    The sweep itself stays on the cached ``run_map`` path; the traced
+    The sweep itself stays on the ``run_map`` path; the traced
     re-run is a separate cluster with the same seed and chaos plan, so
     the exported spans (including ``chaos_event`` annotations and the
     linked crashed/retried attempt spans) match the reported numbers.
@@ -196,8 +196,6 @@ def run(
     invocations_per_function: int = 4,
     seed: int = 7,
     jobs: int = 1,
-    cache: bool = True,
-    cache_dir=None,
     trace_path: Optional[str] = None,
 ) -> FaultStudyResult:
     """Sweep chaos rate scales over independent seeded cluster runs.
@@ -214,9 +212,7 @@ def run(
         FaultStudyTask(scale, worker_count, invocations_per_function, seed)
         for scale in fault_rate_scales
     ]
-    points = run_map(
-        tasks, _run_fault_point, jobs=jobs, cache=cache, cache_dir=cache_dir
-    )
+    points = run_map(tasks, _run_fault_point, jobs=jobs)
     if trace_path is not None:
         _trace_point(
             max(tasks, key=lambda t: t.fault_rate_scale), trace_path

@@ -19,8 +19,8 @@ invocations per user-second (10⁶ users ≈ 10 func/s federation-wide);
 regions are sized from the rate against the BeagleBone's sustained
 per-worker service rate at :data:`TARGET_UTILIZATION`.  Every sweep
 point is an independent, seeded task on the shared
-:func:`~repro.experiments.runner.run_map` runner — bit-identical at any
-``--jobs`` and cached per point.
+:func:`~repro.experiments.runner.run_map` runner, so it is bit-identical at
+any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def _build_point(
 ) -> Tuple[FederatedCluster, Optional[RegionChaosInjector]]:
     """A seeded federation with this point's chaos plan armed.
 
-    Shared between the cached sweep workers and the inline traced
+    Shared between the sweep workers and the inline traced
     re-run, so a traced point sees the exact same outage schedule.
     """
     specs = [
@@ -297,8 +297,6 @@ def run(
     duration_s: float = 120.0,
     seed: int = 11,
     jobs: int = 1,
-    cache: bool = True,
-    cache_dir=None,
     trace_path: Optional[str] = None,
 ) -> FederationStudyResult:
     """Sweep users × regions × outage rates over independent runs.
@@ -315,10 +313,7 @@ def run(
         for regions in region_counts
         for scale in outage_rate_scales
     ]
-    points = run_map(
-        tasks, _run_federation_point, jobs=jobs, cache=cache,
-        cache_dir=cache_dir,
-    )
+    points = run_map(tasks, _run_federation_point, jobs=jobs)
     if trace_path is not None:
         target = min(
             tasks,

@@ -101,15 +101,12 @@ def run(
     seed: int = 1,
     measure_microfaas: bool = True,
     jobs: int = 1,
-    cache: bool = True,
-    cache_dir=None,
 ) -> Fig4Result:
     """Regenerate Fig. 4's sweep.
 
     Sweep points are independent, so they fan across ``jobs`` worker
-    processes and memoize per-point in the shared result cache; every
-    point carries its own seed, keeping results identical at any
-    ``jobs`` value.
+    processes; every point carries its own seed, keeping results
+    identical at any ``jobs`` value.
     """
     tasks = [
         SweepTask("conventional", vm_count, invocations_per_function, seed)
@@ -117,9 +114,7 @@ def run(
     ]
     if measure_microfaas:
         tasks.append(SweepTask("microfaas", 10, invocations_per_function, seed))
-    outputs = run_map(
-        tasks, _run_sweep_task, jobs=jobs, cache=cache, cache_dir=cache_dir
-    )
+    outputs = run_map(tasks, _run_sweep_task, jobs=jobs)
     if measure_microfaas:
         points, microfaas_jpf = outputs[:-1], outputs[-1]
     else:

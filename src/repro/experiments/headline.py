@@ -83,10 +83,10 @@ def _run_traced(
     """Inline traced run: both clusters in-process, one merged export.
 
     The span recorders live inside the cluster objects, so traced runs
-    cannot go through :func:`run_map` (a cache hit would return numbers
-    without spans, and subprocess fan-out would strand the recorders in
-    the workers).  Tracing draws from its own spawned RNG stream, so
-    these numbers are bit-identical to the cached ``run_map`` path.
+    cannot go through :func:`run_map` (subprocess fan-out would strand
+    the recorders in the workers).  Tracing draws from its own spawned
+    RNG stream, so these numbers are bit-identical to the ``run_map``
+    path.
     """
     mf_cluster = MicroFaaSCluster(
         worker_count=10, seed=seed, policy=LeastLoadedPolicy(), trace=trace
@@ -111,8 +111,7 @@ def run(
     invocations_per_function: int = 30,
     seed: int = 1,
     jobs: int = 1,
-    cache: bool = True,
-    cache_dir=None,
+    cache: bool = True,  # ignored; simbench/workloads.py still passes it
     trace_path: Optional[str] = None,
     trace: Optional[TraceConfig] = None,
 ) -> HeadlineResult:
@@ -122,7 +121,7 @@ def run(
     true capacity measurement (random sampling converges to the same
     numbers at the paper's 1,000 invocations per function, but leaves
     straggler tails at smaller counts).  The two clusters are
-    independent simulations, so they fan out and cache like any sweep.
+    independent simulations, so they fan out like any sweep.
 
     With ``trace_path`` set, both clusters run inline with per
     -invocation span recording and the merged span trees are written to
@@ -143,8 +142,6 @@ def run(
         ],
         _run_cluster,
         jobs=jobs,
-        cache=cache,
-        cache_dir=cache_dir,
     )
     return HeadlineResult(microfaas=mf_result, conventional=cv_result)
 

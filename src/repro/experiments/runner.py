@@ -1,4 +1,4 @@
-"""Shared experiment execution: parallel map with result caching.
+"""Shared experiment execution: an order-preserving parallel map.
 
 Every sweep-shaped experiment in this reproduction fans a set of
 mutually independent simulation points (a VM count, a cluster size, a
@@ -9,39 +9,25 @@ collect a small result record.  This module factors that pattern out:
   function, optionally across a :class:`~concurrent.futures.ProcessPoolExecutor`.
   Each task spec carries its own seed, so parallel execution is
   bit-identical to serial execution regardless of completion order.
-- :class:`ResultCache` is a content-addressed on-disk cache keyed by a
-  stable hash of the task spec, the worker function's identity, and a
-  fingerprint of the installed ``repro`` source tree — so re-running a
-  sweep recomputes only points whose inputs (or whose code) changed,
-  and any source edit invalidates everything automatically.
+  Every call computes every point afresh.
 - :func:`derive_seed` derives per-task seeds deterministically from a
   base seed plus arbitrary task components, for experiments that need
   distinct-but-reproducible streams per point.
-
-The cache directory resolves, in order: an explicit ``cache_dir``
-argument, ``$REPRO_CACHE_DIR``, a repo-local ``.repro_cache/`` when
-running from a source checkout, else ``~/.cache/repro``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import fields, is_dataclass
-from pathlib import Path
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional
 
 __all__ = [
-    "ResultCache",
     "TaskExecutionError",
-    "code_fingerprint",
-    "default_cache_dir",
     "derive_seed",
     "run_map",
-    "stable_hash",
 ]
 
 
@@ -64,7 +50,7 @@ class TaskExecutionError(RuntimeError):
         self.index = index
 
 
-# -- stable task identity ----------------------------------------------------
+# -- deterministic seeds ----------------------------------------------------
 
 
 def _canonical(obj: Any) -> Any:
@@ -104,14 +90,9 @@ def _canonical(obj: Any) -> Any:
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
     raise TypeError(
-        f"cannot build a stable hash for {type(obj).__name__!r}; task "
+        f"cannot derive a seed from {type(obj).__name__!r}; task "
         "specs must be dataclasses, mappings, sequences, or scalars"
     )
-
-
-def stable_hash(obj: Any) -> str:
-    """Hex digest identifying ``obj``'s canonical content."""
-    return hashlib.sha256(repr(_canonical(obj)).encode("utf-8")).hexdigest()
 
 
 def derive_seed(base_seed: int, *components: Any) -> int:
@@ -126,140 +107,27 @@ def derive_seed(base_seed: int, *components: Any) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-_code_fingerprint: Optional[str] = None
-
-
-def code_fingerprint() -> str:
-    """Digest of every ``.py`` file in the installed ``repro`` package.
-
-    Folded into each cache key so any source change invalidates all
-    cached results.  Computed once per process.
-    """
-    global _code_fingerprint
-    if _code_fingerprint is None:
-        package_root = Path(__file__).resolve().parents[1]
-        digest = hashlib.sha256()
-        for path in sorted(package_root.rglob("*.py")):
-            digest.update(str(path.relative_to(package_root)).encode())
-            digest.update(path.read_bytes())
-        _code_fingerprint = digest.hexdigest()
-    return _code_fingerprint
-
-
-# -- the on-disk cache -------------------------------------------------------
-
-
-def default_cache_dir() -> Path:
-    """Resolve where cached results live (see module docstring)."""
-    env_dir = os.environ.get("REPRO_CACHE_DIR")
-    if env_dir:
-        return Path(env_dir)
-    repo_root = Path(__file__).resolve().parents[3]
-    if (repo_root / "pyproject.toml").is_file():
-        return repo_root / ".repro_cache"
-    return Path.home() / ".cache" / "repro"
-
-
-class ResultCache:
-    """Content-addressed pickle store for experiment point results."""
-
-    def __init__(self, cache_dir: Optional[os.PathLike] = None):
-        self.root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-
-    def task_key(self, fn: Callable, task: Any, extra: str = "") -> str:
-        """Cache key: worker identity + code version + task content."""
-        material = "\n".join(
-            (
-                f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', repr(fn))}",
-                code_fingerprint(),
-                stable_hash(task),
-                extra,
-            )
-        )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
-
-    def get(self, key: str) -> Tuple[bool, Any]:
-        """Return ``(hit, value)``; unreadable entries count as misses."""
-        path = self._path(key)
-        try:
-            with open(path, "rb") as handle:
-                return True, pickle.load(handle)
-        except Exception:
-            # pickle raises UnpicklingError, EOFError, ValueError,
-            # AttributeError, ImportError... depending on how the bytes are
-            # mangled; any unreadable entry is simply a miss.
-            return False, None
-
-    def put(self, key: str, value: Any) -> None:
-        """Store ``value`` atomically (write-to-temp then rename)."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def __contains__(self, key: str) -> bool:
-        return self._path(key).is_file()
-
-    def clear(self) -> int:
-        """Delete every cached entry; returns how many were removed."""
-        removed = 0
-        if not self.root.is_dir():
-            return removed
-        for path in self.root.rglob("*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-
-# -- the parallel map --------------------------------------------------------
-
-
 def run_map(
     tasks: Iterable[Any],
     fn: Callable[[Any], Any],
     jobs: Optional[int] = 1,
-    cache: bool = True,
-    cache_dir: Optional[os.PathLike] = None,
-    key_extra: str = "",
 ) -> List[Any]:
-    """Map ``fn`` over independent ``tasks``, in order, with caching.
+    """Map ``fn`` over independent ``tasks`` and return results in order.
 
     Parameters
     ----------
     tasks:
-        Picklable task specs; each must canonicalize via
-        :func:`stable_hash` when caching is enabled.
+        Picklable task specs, each carrying its own seed.
     fn:
         Module-level worker taking one task spec.  Must be picklable
         for ``jobs > 1``.
     jobs:
         Worker-process count; ``None`` means ``os.cpu_count()``.
-        ``1`` runs everything in-process (no pool, no pickling of
-        results beyond the cache).
-    cache:
-        When true, results are served from / stored into the
-        :class:`ResultCache` so re-runs recompute only changed points.
-    key_extra:
-        Extra string folded into every cache key (e.g. a config
-        summary the task specs don't carry).
+        ``1`` runs everything in-process (no pool, no pickling).
 
-    Returns results in task order; parallel execution is bit-identical
-    to serial because each task is self-contained and seeded by spec.
+    Parallel execution is bit-identical to serial because each task is
+    self-contained and seeded by spec.  A raising worker surfaces as a
+    :class:`TaskExecutionError` naming the task.
     """
     task_list = list(tasks)
     if jobs is None:
@@ -267,50 +135,17 @@ def run_map(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
-    store = ResultCache(cache_dir) if cache else None
-    results: List[Any] = [None] * len(task_list)
-    keys: List[Optional[str]] = [None] * len(task_list)
-    pending: List[int] = []
-    if store is None:
-        pending = list(range(len(task_list)))
+    if jobs > 1 and len(task_list) > 1:
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(task_list)))
+        mapper = pool.map
     else:
+        pool, mapper = nullcontext(), map
+    results: List[Any] = []
+    with pool:
+        computed = mapper(fn, task_list)
         for index, task in enumerate(task_list):
-            key = store.task_key(fn, task, key_extra)
-            keys[index] = key
-            hit, value = store.get(key)
-            if hit:
-                results[index] = value
-            else:
-                pending.append(index)
-
-    if pending:
-        if jobs > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending))
-            ) as pool:
-                computed = pool.map(fn, [task_list[i] for i in pending])
-                iterator = iter(computed)
-                for index in pending:
-                    try:
-                        results[index] = next(iterator)
-                    except Exception as exc:
-                        raise TaskExecutionError(
-                            task_list[index], index, exc
-                        ) from exc
-        else:
-            for index in pending:
-                try:
-                    results[index] = fn(task_list[index])
-                except Exception as exc:
-                    raise TaskExecutionError(
-                        task_list[index], index, exc
-                    ) from exc
-        if store is not None:
-            for index in pending:
-                try:
-                    store.put(keys[index], results[index])
-                except OSError:
-                    # Cache dir unwritable (read-only checkout, full
-                    # disk): results are still correct, just uncached.
-                    break
+            try:
+                results.append(next(computed))
+            except Exception as exc:
+                raise TaskExecutionError(task, index, exc) from exc
     return results

@@ -184,18 +184,16 @@ def run(
     control_plane: ControlPlaneModel = ControlPlaneModel(),
     seed: int = 1,
     jobs: int = 1,
-    cache: bool = True,
-    cache_dir=None,
     streaming_threshold: int = 1000,
     shards: int = 1,
 ) -> ScaleStudyResult:
     """Sweep cluster sizes under the single-SBC control plane.
 
     Each size is an independent task spec (seed included), so the sweep
-    parallelizes across ``jobs`` processes and caches per-point without
-    changing any value.  Points at or above ``streaming_threshold``
-    workers collect telemetry in streaming mode so their memory stays
-    bounded (throughput and OP utilization are mode-independent).
+    parallelizes across ``jobs`` processes without changing any value.
+    Points at or above ``streaming_threshold`` workers collect telemetry
+    in streaming mode so their memory stays bounded (throughput and OP
+    utilization are mode-independent).
 
     ``shards > 1`` splits every point's simulation across that many
     shard processes (see :mod:`repro.shard`) and shards the OP with it
@@ -219,9 +217,7 @@ def run(
         )
         for count in worker_counts
     ]
-    points = run_map(
-        tasks, _run_scale_point, jobs=jobs, cache=cache, cache_dir=cache_dir
-    )
+    points = run_map(tasks, _run_scale_point, jobs=jobs)
     return ScaleStudyResult(points=points, control_plane=control_plane)
 
 
@@ -230,8 +226,6 @@ def run_frontier(
     control_plane: ControlPlaneModel = ControlPlaneModel(),
     seed: int = 1,
     jobs: int = 1,
-    cache: bool = True,
-    cache_dir=None,
     shards: int = 1,
     worker_counts: Sequence[int] = FRONTIER_WORKER_COUNTS,
 ) -> ScaleStudyResult:
@@ -247,8 +241,6 @@ def run_frontier(
         control_plane=control_plane,
         seed=seed,
         jobs=jobs,
-        cache=cache,
-        cache_dir=cache_dir,
         streaming_threshold=0,
         shards=shards,
     )

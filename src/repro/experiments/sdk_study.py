@@ -17,7 +17,7 @@ monitor's duplicate/timeout counters.
 
 Every point is an independent seeded task on
 :func:`~repro.experiments.runner.run_map`, so the sweep is
-bit-identical at any ``--jobs`` and caches per point.
+bit-identical at any ``--jobs``.
 :func:`headline_via_sdk` re-derives the paper headline through the
 SDK — the bit-identity pin the tests and CI hold.
 """
@@ -224,8 +224,6 @@ def run(
     kinds: Sequence[str] = BACKEND_KINDS,
     seed: int = 11,
     jobs: int = 1,
-    cache: bool = True,
-    cache_dir=None,
     trace_path: Optional[str] = None,
 ) -> SdkStudyResult:
     """Sweep users × fan-out × backend kind over independent tasks.
@@ -251,9 +249,7 @@ def run(
         for fanout in fanouts
         for kind in kinds
     ]
-    points = run_map(
-        tasks, _run_point, jobs=jobs, cache=cache, cache_dir=cache_dir
-    )
+    points = run_map(tasks, _run_point, jobs=jobs)
     if trace_path is not None:
         _trace_point(
             max(tasks, key=lambda t: (t.users * t.fanout, t.kind == kinds[0])),

@@ -73,16 +73,12 @@ def run(
     repeats: int = 1,
     seed: int = 7,
     jobs: int = 1,
-    cache: bool = False,
-    cache_dir=None,
 ) -> Table1Result:
     """Execute every Table I function live and time it.
 
     Each function characterizes independently (one task per row), so
-    the suite fans across ``jobs`` processes.  Caching defaults *off*
-    here — the latencies are live wall-clock measurements, and serving
-    a stale timing would defeat the characterization — but the CLI can
-    opt in for quick artifact regeneration.
+    the suite fans across ``jobs`` processes.  Every call measures
+    afresh: the latencies are live wall-clock timings.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -90,9 +86,7 @@ def run(
         WorkloadTask(name, scale, repeats, seed)
         for name in ALL_FUNCTION_NAMES
     ]
-    rows = run_map(
-        tasks, _run_row, jobs=jobs, cache=cache, cache_dir=cache_dir
-    )
+    rows = run_map(tasks, _run_row, jobs=jobs)
     return Table1Result(rows=rows)
 
 

@@ -365,7 +365,6 @@ def test_fault_study_small_sweep_loses_nothing():
         fault_rate_scales=(0.0, 2.0),
         worker_count=4,
         invocations_per_function=2,
-        cache=False,
     )
     assert result.total_jobs_lost == 0
     assert [p.fault_rate_scale for p in result.points] == [0.0, 2.0]
@@ -385,14 +384,12 @@ def test_fault_study_is_deterministic_across_jobs():
         worker_count=4,
         invocations_per_function=2,
         jobs=1,
-        cache=False,
     )
     parallel = fault_study.run(
         fault_rate_scales=(0.0, 2.0),
         worker_count=4,
         invocations_per_function=2,
         jobs=2,
-        cache=False,
     )
     assert serial.points == parallel.points
 

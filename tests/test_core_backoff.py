@@ -114,7 +114,6 @@ def test_fault_study_is_pinned_across_the_refactor():
         worker_count=4,
         invocations_per_function=2,
         seed=7,
-        cache=False,
     )
     got = [
         (p.fault_rate_scale, p.goodput_per_min, p.p99_latency_s,
@@ -136,7 +135,6 @@ def test_federation_study_is_pinned_across_the_refactor():
         user_counts=(100_000,),
         outage_rate_scales=(0.0, 2.0),
         duration_s=40.0,
-        cache=False,
     )
     got = [
         (p.outage_rate_scale, p.goodput_per_min, p.worst_p99_s,

@@ -6,14 +6,14 @@ from repro.experiments import energy_study
 
 
 def small_run(**overrides):
-    kwargs = dict(duration_s=60.0, cache=False)
+    kwargs = dict(duration_s=60.0)
     kwargs.update(overrides)
     return energy_study.run(**kwargs)
 
 
 def test_caps_must_include_uncapped_baseline():
     with pytest.raises(ValueError):
-        energy_study.run(caps=(1.5, 1.0), duration_s=60.0, cache=False)
+        energy_study.run(caps=(1.5, 1.0), duration_s=60.0)
 
 
 def test_frontier_is_monotone():
@@ -47,9 +47,10 @@ def test_budget_points_conserve_energy_and_escalate_throttling():
     assert delayed == sorted(delayed)
 
 
-def test_run_is_deterministic_across_jobs():
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_run_is_deterministic_across_jobs(jobs):
     serial = small_run(jobs=1)
-    fanned = small_run(jobs=2)
+    fanned = small_run(jobs=jobs)
     assert serial.points == fanned.points
 
 

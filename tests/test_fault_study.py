@@ -10,7 +10,6 @@ def test_fixed_seed_sweep_loses_no_job():
         worker_count=4,
         invocations_per_function=2,
         seed=7,
-        cache=False,
     )
     assert result.total_jobs_lost == 0, (
         f"{result.total_jobs_lost} jobs lost"
@@ -26,7 +25,6 @@ def test_sweep_is_bit_identical_across_jobs():
         worker_count=4,
         invocations_per_function=2,
         seed=7,
-        cache=False,
     )
     serial = fault_study.run(jobs=1, **kwargs)
     parallel = fault_study.run(jobs=4, **kwargs)

@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from repro.experiments import federation_study
 from repro.experiments.export import export_federation_study
 from repro.obs.export import validate_chrome_trace_file
@@ -18,7 +20,7 @@ STUDY_KWARGS = dict(
 
 
 def test_sweep_loses_nothing_and_reconciles():
-    result = federation_study.run(cache=False, **STUDY_KWARGS)
+    result = federation_study.run(**STUDY_KWARGS)
     assert len(result.points) == 2
     clean, faulty = result.points
     assert result.total_jobs_lost == 0
@@ -46,20 +48,25 @@ def test_workers_scale_with_population():
     assert large.workers_per_region == 167
 
 
-def test_parallel_and_cache_identical_to_serial(tmp_path):
-    serial = federation_study.run(jobs=1, cache=False, **STUDY_KWARGS)
-    parallel = federation_study.run(jobs=2, cache=False, **STUDY_KWARGS)
+@pytest.mark.parametrize(
+    "kwargs, jobs",
+    [
+        (STUDY_KWARGS, 2),
+        (
+            dict(
+                user_counts=(100_000,),
+                outage_rate_scales=(0.0, 2.0),
+                duration_s=40.0,
+            ),
+            4,
+        ),
+    ],
+    ids=["seed7-jobs2", "default-seed-jobs4"],
+)
+def test_parallel_identical_to_serial(kwargs, jobs):
+    serial = federation_study.run(jobs=1, **kwargs)
+    parallel = federation_study.run(jobs=jobs, **kwargs)
     assert serial.points == parallel.points
-
-    cache_dir = tmp_path / "federation"
-    cold = federation_study.run(
-        jobs=1, cache=True, cache_dir=cache_dir, **STUDY_KWARGS
-    )
-    warm = federation_study.run(
-        jobs=2, cache=True, cache_dir=cache_dir, **STUDY_KWARGS
-    )
-    assert cold.points == serial.points
-    assert warm.points == serial.points
 
 
 def test_validation():
@@ -70,7 +77,7 @@ def test_validation():
 
 
 def test_render_reports_the_invariant():
-    result = federation_study.run(cache=False, **STUDY_KWARGS)
+    result = federation_study.run(**STUDY_KWARGS)
     text = federation_study.render(result)
     assert "Federation study" in text
     assert "delivered exactly once" in text
@@ -79,9 +86,7 @@ def test_render_reports_the_invariant():
 
 def test_trace_path_writes_validator_clean_trace(tmp_path):
     trace_path = tmp_path / "federation_trace.json"
-    federation_study.run(
-        cache=False, trace_path=str(trace_path), **STUDY_KWARGS
-    )
+    federation_study.run(trace_path=str(trace_path), **STUDY_KWARGS)
     assert validate_chrome_trace_file(str(trace_path)) == []
     events = json.loads(trace_path.read_text())["traceEvents"]
     # Per-region merged traces: process names carry the region labels.

@@ -12,7 +12,7 @@ STUDY_KWARGS = dict(mixes=((2, 0), (1, 1), (0, 2)), invocations_per_function=2)
 
 
 def test_sweep_reports_per_platform_splits():
-    result = hybrid_study.run(cache=False, **STUDY_KWARGS)
+    result = hybrid_study.run(**STUDY_KWARGS)
     assert len(result.points) == 3
     sbc_only, mixed, vm_only = result.points
     for point in result.points:
@@ -32,20 +32,10 @@ def test_sweep_reports_per_platform_splits():
     )
 
 
-def test_parallel_and_cache_identical_to_serial(tmp_path):
-    serial = hybrid_study.run(jobs=1, cache=False, **STUDY_KWARGS)
-    parallel = hybrid_study.run(jobs=2, cache=False, **STUDY_KWARGS)
+def test_parallel_and_cache_identical_to_serial():
+    serial = hybrid_study.run(jobs=1, **STUDY_KWARGS)
+    parallel = hybrid_study.run(jobs=2, **STUDY_KWARGS)
     assert serial.points == parallel.points
-
-    cache_dir = tmp_path / "hybrid"
-    cold = hybrid_study.run(
-        jobs=1, cache=True, cache_dir=cache_dir, **STUDY_KWARGS
-    )
-    warm = hybrid_study.run(
-        jobs=2, cache=True, cache_dir=cache_dir, **STUDY_KWARGS
-    )
-    assert cold.points == serial.points
-    assert warm.points == serial.points
 
 
 def test_jobs_4_identical_to_jobs_1():
@@ -53,7 +43,6 @@ def test_jobs_4_identical_to_jobs_1():
     kwargs = dict(
         mixes=((4, 0), (2, 2), (0, 3)),
         invocations_per_function=2,
-        cache=False,
     )
     serial = hybrid_study.run(jobs=1, **kwargs)
     parallel = hybrid_study.run(jobs=4, **kwargs)
@@ -72,7 +61,7 @@ def test_validation():
 
 
 def test_render_mentions_best_mixes():
-    result = hybrid_study.run(cache=False, **STUDY_KWARGS)
+    result = hybrid_study.run(**STUDY_KWARGS)
     text = hybrid_study.render(result)
     assert "SBC:VM mix sweep" in text
     assert "most efficient mix" in text
@@ -81,9 +70,7 @@ def test_render_mentions_best_mixes():
 
 def test_trace_path_writes_platform_tagged_spans(tmp_path):
     trace_path = tmp_path / "hybrid_trace.json"
-    hybrid_study.run(
-        cache=False, trace_path=str(trace_path), **STUDY_KWARGS
-    )
+    hybrid_study.run(trace_path=str(trace_path), **STUDY_KWARGS)
     events = json.loads(trace_path.read_text())["traceEvents"]
     platforms = {
         e["args"]["platform"]

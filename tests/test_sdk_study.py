@@ -12,7 +12,7 @@ from repro.obs.export import validate_chrome_trace_file
 
 def tiny_run(**kwargs):
     defaults = dict(
-        user_counts=(1,), fanouts=(4,), kinds=("microfaas",), cache=False
+        user_counts=(1,), fanouts=(4,), kinds=("microfaas",)
     )
     defaults.update(kwargs)
     return sdk_study.run(**defaults)
@@ -37,9 +37,14 @@ def test_points_cover_the_cross_product():
         assert p.reduce_latency_s >= p.client_p99_s
 
 
-def test_sweep_is_bit_identical_across_jobs():
-    serial = tiny_run(user_counts=(1, 2), jobs=1)
-    parallel = tiny_run(user_counts=(1, 2), jobs=2)
+@pytest.mark.parametrize(
+    "kinds, jobs",
+    [(("microfaas",), 2), (("microfaas", "hybrid"), 4)],
+    ids=["microfaas-jobs2", "both-kinds-jobs4"],
+)
+def test_sweep_is_bit_identical_across_jobs(kinds, jobs):
+    serial = tiny_run(user_counts=(1, 2), kinds=kinds, jobs=1)
+    parallel = tiny_run(user_counts=(1, 2), kinds=kinds, jobs=jobs)
     assert serial == parallel
 
 
