@@ -8,7 +8,7 @@ def test_bench_energy_study(benchmark):
     result = benchmark.pedantic(
         energy_study.run,
         kwargs={"duration_s": 120.0},
-        rounds=1,
+        rounds=5,
         iterations=1,
     )
     emit(energy_study.render(result))

@@ -13,40 +13,44 @@ Run:  python examples/fault_tolerance.py
 from repro.cluster import MicroFaaSCluster
 from repro.core.scheduler import RoundRobinPolicy
 from repro.reliability import (
-    FaultInjector,
-    FaultPlan,
+    ChaosEngine,
+    ChaosEvent,
+    ChaosKind,
+    ChaosPlan,
     SBC_MTBF_HOURS,
     SERVER_MTBF_HOURS,
     expected_replacements,
 )
-from repro.reliability.faults import FaultEvent
 from repro.reliability.mtbf import sbc_failure_model, server_failure_model
 
 
 def crash_and_recover() -> None:
     print("=== Killing 2 of 6 boards mid-run ===")
     cluster = MicroFaaSCluster(worker_count=6, seed=13, policy=RoundRobinPolicy())
-    injector = FaultInjector(cluster, detection_delay_s=1.0)
-    injector.apply(
-        FaultPlan(
+    engine = ChaosEngine(cluster, detection_delay_s=1.0)
+    engine.apply(
+        ChaosPlan(
             events=(
-                FaultEvent(time_s=15.0, worker_id=1),
-                FaultEvent(time_s=30.0, worker_id=4, repair_after_s=20.0),
+                # Board 1 never comes back: it fails more power cycles
+                # than the OP will try, so it is pulled from the rack.
+                ChaosEvent(
+                    ChaosKind.BOOT_FAILURE, 15.0, 1, 0.0,
+                    magnitude=engine.max_power_cycles + 1,
+                ),
+                # Board 4 crashes and is repaired 20 s later.
+                ChaosEvent(ChaosKind.WORKER_CRASH, 30.0, 4, 20.0),
             )
         )
     )
     result = cluster.run_saturated(invocations_per_function=8)
-    retried = [
-        job for job in cluster.orchestrator.jobs.values() if job.attempts > 0
-    ]
     print(f"  jobs submitted : {8 * 17}")
     print(f"  jobs completed : {result.jobs_completed}")
-    print(f"  boards killed  : {len(injector.kills)} "
-          f"(at t={[t for t, _ in injector.kills]})")
-    print(f"  jobs recovered : {injector.recovered_jobs} "
+    print(f"  boards killed  : {engine.injected}")
+    print(f"  jobs recovered : {engine.recovered_jobs} "
           f"(max attempts on one job: "
           f"{max(job.attempts for job in cluster.orchestrator.jobs.values())})")
-    print(f"  boards repaired: {injector.repairs}")
+    print(f"  boards repaired: {len(engine.recovery_times)}")
+    print(f"  boards pulled  : {engine.boards_abandoned}")
     assert result.jobs_completed == 8 * 17
     print("  every invocation completed despite the failures.\n")
 

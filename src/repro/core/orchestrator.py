@@ -401,36 +401,13 @@ class Orchestrator:
         self._submitted -= 1
         return job
 
-    def resubmit(self, job: Job) -> Job:
-        """Reassign a job lost to a worker fault (no double-counting)."""
-        if job.job_id not in self.jobs:
-            raise KeyError(f"unknown job {job.job_id}")
-        if job.is_finished:
-            raise ValueError(f"job {job.job_id} already finished")
-        if job.worker_id is not None:
-            self.queues[job.worker_id].job_finished()
-        if job.trace_id is not None:
-            self._trace_attempt_lost(job, "crashed")
-            self.tracer.annotate(
-                job.trace_id, obs.RESUBMIT, self.env.now,
-                worker_id=job.worker_id,
-            )
-        if self.ledger is not None:
-            # Before reset_for_retry clears the window's endpoints.
-            self.ledger.bill_crashed_attempt(job, self.env.now)
-        job.reset_for_retry()
-        self.resubmissions += 1
-        self._assign(job)
-        return job
-
     def recover_job(self, job: Job) -> bool:
-        """Tolerant resubmission for chaos recovery paths.
+        """Reassign a job lost to a worker fault: the one resubmission path.
 
-        Unlike :meth:`resubmit`, this accepts attempts salvaged from a
-        dead worker's queue whose logical job already finished elsewhere
-        (a hedge or an earlier attempt won the race): those release
-        their queue slot and are dropped.  Returns True when the attempt
-        was actually reassigned.
+        Tolerates attempts salvaged from a dead worker's queue whose
+        logical job already finished elsewhere (a hedge or an earlier
+        attempt won the race): those release their queue slot and are
+        dropped.  Returns True when the attempt was actually reassigned.
         """
         if job.worker_id is not None:
             self.queues[job.worker_id].job_finished()

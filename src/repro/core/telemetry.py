@@ -84,12 +84,6 @@ class InvocationRecord:
         return self.t_started - self.t_queued
 
 
-def _mean(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("no values")
-    return sum(values) / len(values)
-
-
 def _sorted_once(values: Sequence[float]) -> List[float]:
     """The single sorting site for exact percentile paths."""
     global SORT_COUNT

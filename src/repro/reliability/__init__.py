@@ -7,13 +7,14 @@ server-board MTBF) and the TCO model's "realistic" scenario assumes a
 
 - :mod:`repro.reliability.mtbf` — exponential failure models from the
   cited MTBF figures, fleet availability math, expected replacements.
-- :mod:`repro.reliability.faults` — fault injection into the cluster
-  simulation: workers die mid-job, the orchestrator detects the loss
-  and resubmits, hot spares power on.
-- :mod:`repro.reliability.chaos` — the cluster-wide chaos engine:
-  boot failures with bounded power-cycle retries, stuck GPIO lines,
-  link/switch outages, and backend-service faults, all driven by one
-  deterministic sampled plan.
+- :mod:`repro.reliability.chaos` — the one fault engine.  A worker
+  crash cuts the board's power mid-job; after a detection delay the
+  orchestrator marks the worker dead, drains its queue and recovers
+  every lost job onto live workers, and the board rejoins after its
+  repair delay.  The same engine injects boot failures with bounded
+  power-cycle retries (a board that exhausts them is pulled from the
+  rack for good), stuck GPIO lines, link/switch outages and
+  backend-service faults, from a hand-written or sampled plan.
 """
 
 from repro.reliability.chaos import (
@@ -23,7 +24,6 @@ from repro.reliability.chaos import (
     ChaosPlan,
     ChaosProfile,
 )
-from repro.reliability.faults import FaultInjector, FaultPlan
 from repro.reliability.mtbf import (
     SBC_MTBF_HOURS,
     SERVER_MTBF_HOURS,
@@ -40,8 +40,6 @@ __all__ = [
     "ChaosPlan",
     "ChaosProfile",
     "FailureModel",
-    "FaultInjector",
-    "FaultPlan",
     "SBC_MTBF_HOURS",
     "SERVER_MTBF_HOURS",
     "expected_replacements",

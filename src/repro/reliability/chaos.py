@@ -1,14 +1,17 @@
 """The cluster-wide chaos engine.
 
-:mod:`repro.reliability.faults` injects one fault class — clean worker
-crashes.  This module generalises it to everything that actually goes
+The one fault engine of the simulator: every crash, scripted or
+sampled, runs through it.  It injects everything that actually goes
 wrong in a fleet of power-cycled SBCs (and that the orchestrator's
 recovery policies must absorb):
 
-- ``WORKER_CRASH``  — the board loses power mid-job (as before);
+- ``WORKER_CRASH``  — the board loses power mid-job and rejoins after
+  the event's ``duration_s`` (the repair delay);
 - ``BOOT_FAILURE``  — the board crashes and then fails to come back up;
   the OP power-cycles it a bounded number of times before declaring the
-  board dead;
+  board dead.  A ``magnitude`` above the engine's ``max_power_cycles``
+  is a board that never returns: it is pulled from the rack and counted
+  in ``boards_abandoned``;
 - ``GPIO_STUCK``    — the PWR_BUT line stops actuating, stranding the
   board powered-off with work queued;
 - ``LINK_DOWN`` / ``LINK_DEGRADE`` — a worker's network link drops for
@@ -463,12 +466,12 @@ def _sample_renewal(
 class ChaosEngine:
     """Executes a :class:`ChaosPlan` against a cluster.
 
-    Board-level faults follow the crash/detect/recover cycle of
-    :class:`~repro.reliability.faults.FaultInjector` (plus bounded
-    power-cycle retries for boot failures); fabric and backend faults
-    set the outage state the transfer/backend models consult.  The
-    engine records a recovery time per board fault for MTTR reporting
-    and never kills the cluster's last alive worker.
+    Board-level faults run one crash → detect → drain →
+    ``recover_job`` → respawn cycle (plus bounded power-cycle retries
+    for boot failures); fabric and backend faults set the outage state
+    the transfer/backend models consult.  The engine records a recovery
+    time per board fault for MTTR reporting and never kills the
+    cluster's last alive worker.
 
     Works against any harness-built cluster, including hybrid mixes:
     link and switch faults hit either platform's fabric, while

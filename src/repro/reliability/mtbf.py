@@ -4,15 +4,13 @@ The paper's footnote 4 compares a Technologic TS-7800-V2 SBC
 (MTBF 2,320,456 h) against an Intel S2600CW server board
 (MTBF 234,708 h) — an order of magnitude in favour of the SBC.  We
 model failures as exponential (constant hazard, the standard MTBF
-reading) and derive the quantities the TCO analysis and the fault
-injector need.
+reading) and derive the quantities the TCO analysis needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 #: Footnote-4 MTBF figures, hours.
 SBC_MTBF_HOURS = 2_320_456.0
@@ -50,12 +48,6 @@ class FailureModel:
     def availability(self) -> float:
         """Steady-state availability: MTBF / (MTBF + MTTR)."""
         return self.mtbf_hours / (self.mtbf_hours + self.repair_hours)
-
-    def sample_lifetime_hours(self, uniform: float) -> float:
-        """Inverse-CDF sample from a uniform draw in (0, 1)."""
-        if not 0.0 < uniform < 1.0:
-            raise ValueError("uniform draw must be in (0, 1)")
-        return -self.mtbf_hours * math.log(uniform)
 
 
 def expected_replacements(

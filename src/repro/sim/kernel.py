@@ -10,12 +10,13 @@ Four fast paths keep large runs cheap without changing a single firing
 (the regression suite pins bit-identical results against the per-event
 loop):
 
-- **Same-timestamp drains.**  ``run`` and :meth:`Environment.step_batch`
-  pop contiguous same-time runs from the heap in one pass, paying the
-  horizon check and the clock write once per distinct timestamp instead
-  of once per event.  Events still pop one at a time through the heap —
-  a callback may schedule an urgent event at the current instant, and
-  the heap is what keeps it ordered before its siblings.
+- **Same-timestamp drains.**  ``run`` pops contiguous same-time runs
+  from the heap in one pass, paying the horizon check and the clock
+  write once per distinct timestamp instead of once per event
+  (:meth:`Environment.step` fires exactly one event).  Events still
+  pop one at a time through the heap — a callback may schedule an
+  urgent event at the current instant, and the heap is what keeps it
+  ordered before its siblings.
 - **Carrier pooling.**  :class:`Timeout` and :class:`_Resume` are
   one-shot carriers created in the tens of millions by megatrace-scale
   runs.  After a carrier fires, the loop recycles it onto a per-
@@ -152,10 +153,6 @@ class Event:
         self._exception = exception
         self.env._schedule(self, NORMAL, 0.0)
         return self
-
-    def _mark_processed(self) -> None:
-        self._processed = True
-        self.callbacks = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self._triggered else "pending"
@@ -570,49 +567,6 @@ class Environment:
                 event._value = None
                 event._exception = None
                 pool.append(event)
-
-    def step_batch(self) -> int:
-        """Process the contiguous run of events sharing the next timestamp.
-
-        Equivalent to calling :meth:`step` until the head-of-queue time
-        changes, but pays the clock write and horizon bookkeeping once.
-        Returns the number of events processed (≥ 1).
-        """
-        queue = self._queue
-        if not queue:
-            raise SimulationError("step_batch() on empty event queue")
-        pop = heappop
-        timeout_pool = self._timeout_pool
-        resume_pool = self._resume_pool
-        batch_time, _priority, _seq, event = pop(queue)
-        self._now = batch_time
-        count = 0
-        while True:
-            count += 1
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._processed = True
-            if callbacks:
-                for callback in callbacks:
-                    callback(event)
-            elif event._exception is not None and not isinstance(
-                event._exception, Interrupt
-            ):
-                raise event._exception
-            cls = event.__class__
-            if cls is Timeout:
-                if len(timeout_pool) < _POOL_MAX and getrefcount(event) == 2:
-                    event._value = None
-                    timeout_pool.append(event)
-            elif cls is _Resume:
-                if len(resume_pool) < _POOL_MAX and getrefcount(event) == 2:
-                    event._value = None
-                    event._exception = None
-                    resume_pool.append(event)
-            if queue and queue[0][0] == batch_time:
-                _time, _priority, _seq, event = pop(queue)
-            else:
-                return count
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.

@@ -21,7 +21,6 @@ from repro.hardware.meter import PowerMeter
 from repro.hardware.power import PowerState
 from repro.obs.trace import TraceConfig
 from repro.reliability.chaos import ChaosEngine, ChaosEvent, ChaosKind
-from repro.reliability.faults import FaultEvent, FaultInjector, FaultPlan
 
 #: Instants inside the booked stretches of the scenarios below: mid-boot,
 #: mid-inbound, mid-CPU and mid-I/O phases of the first jobs and later.
@@ -130,35 +129,34 @@ def test_untraced_jobs_book_and_traced_jobs_do_not():
     assert events[1] < events[0] / 2
 
 
-@pytest.mark.parametrize("crash_s", [0.9, 2.2, 4.0, 5.2261])
-def test_fault_injector_crash_mid_stretch(crash_s):
-    """A crash truncates the board's bookings; the retry lands on a
-    survivor and the repaired board rejoins."""
-
-    def scenario(cluster, ledger):
-        FaultInjector(cluster).apply(FaultPlan(events=(
-            FaultEvent(crash_s, 0, repair_after_s=2.0),
-            FaultEvent(crash_s + 3.7, 1, repair_after_s=1.5),
-        )))
-        _submit(cluster, ledger)
-
-    cluster = _differential(_microfaas(), scenario)
-    assert cluster.orchestrator.jobs_lost == 0
+def _board_faults(kind, magnitude):
+    return (ChaosEvent(kind, 1.3, 0, 2.5, magnitude),
+            ChaosEvent(kind, 4.6, 2, 1.0, magnitude))
 
 
-@pytest.mark.parametrize("kind,magnitude", [
-    (ChaosKind.WORKER_CRASH, 0.0),
-    (ChaosKind.BOOT_FAILURE, 2.0),
+def _repaired_crashes(crash_s):
+    return (ChaosEvent(ChaosKind.WORKER_CRASH, crash_s, 0, 2.0),
+            ChaosEvent(ChaosKind.WORKER_CRASH, crash_s + 3.7, 1, 1.5))
+
+
+@pytest.mark.parametrize("events", [
+    pytest.param(_board_faults(ChaosKind.WORKER_CRASH, 0.0),
+                 id="ChaosKind.WORKER_CRASH-0.0"),
+    pytest.param(_board_faults(ChaosKind.BOOT_FAILURE, 2.0),
+                 id="ChaosKind.BOOT_FAILURE-2.0"),
+    *(pytest.param(_repaired_crashes(crash_s), id=f"crash-{crash_s}")
+      for crash_s in (0.9, 2.2, 4.0, 5.2261)),
 ])
-def test_chaos_engine_board_fault_mid_stretch(kind, magnitude):
+def test_chaos_engine_board_fault_mid_stretch(events):
     """The chaos engine's crash, detection, power-cycle and revival
     cycle, without transfer fault accounting (which ``apply`` switches
-    on, and which keeps every job on per-phase waits)."""
+    on, and which keeps every job on per-phase waits).  A crash
+    truncates the board's bookings; the retry lands on a survivor and
+    the repaired board rejoins."""
 
     def scenario(cluster, ledger):
         engine = ChaosEngine(cluster, detection_delay_s=1.0)
-        for event in (ChaosEvent(kind, 1.3, 0, 2.5, magnitude),
-                      ChaosEvent(kind, 4.6, 2, 1.0, magnitude)):
+        for event in events:
             cluster.env.process(engine._dispatch(event))
         _submit(cluster, ledger)
 

@@ -20,6 +20,8 @@ from repro.federation import (
     RegionSpec,
 )
 from repro.net.wan import WanFabric
+from repro.obs.export import chrome_trace_events, validate_chrome_trace
+from repro.obs.trace import TraceConfig
 from repro.reliability.chaos import ChaosEvent, ChaosKind
 from repro.workloads.traces import poisson_trace
 
@@ -81,28 +83,34 @@ def test_single_region_zero_fault_is_bit_identical_to_bare_cluster():
 
 
 def test_single_region_blackout_loses_zero_jobs():
-    """The headline invariant (acceptance criterion)."""
-    fed = FederatedCluster(three_region_specs())
-    injector = RegionChaosInjector(
-        fed,
-        [ChaosEvent(ChaosKind.REGION_BLACKOUT, 2.0, "r1", 10.0)],
-    )
-    injector.start()
-    result = fed.run_saturated(invocations_per_function=4)
-    assert injector.injected == 1
-    assert result.jobs_lost == 0
-    assert result.jobs_delivered == 4 * 17
-    assert result.reconciles()
-    # The blackout was noticed, work was re-routed, and the duplicate
-    # attempts the dead region finished anyway were suppressed.
-    r1 = next(r for r in result.region_reports if r.name == "r1")
-    assert r1.outages == 1
-    assert result.reroutes > 0
-    assert result.duplicates_suppressed > 0
-    # MTTR: detected after 2 missed 0.5 s heartbeats (t=3.0), recovered
-    # on the first heartbeat after t=12 (t=12.5).
-    assert result.mean_recovery_s == pytest.approx(9.5)
-    assert r1.mean_recovery_s == pytest.approx(9.5)
+    """The headline invariant (acceptance criterion), untraced and with
+    every invocation traced; the merged trace validates clean."""
+    for trace in (None, TraceConfig(sample_rate=1.0)):
+        fed = FederatedCluster(three_region_specs(), trace=trace)
+        injector = RegionChaosInjector(
+            fed,
+            [ChaosEvent(ChaosKind.REGION_BLACKOUT, 2.0, "r1", 10.0)],
+        )
+        injector.start()
+        result = fed.run_saturated(invocations_per_function=4)
+        assert injector.injected == 1
+        assert result.jobs_lost == 0
+        assert result.jobs_delivered == 4 * 17
+        assert result.reconciles()
+        # The blackout was noticed, work was re-routed, and the duplicate
+        # attempts the dead region finished anyway were suppressed.
+        r1 = next(r for r in result.region_reports if r.name == "r1")
+        assert r1.outages == 1
+        assert result.reroutes > 0
+        assert result.duplicates_suppressed > 0
+        # MTTR: detected after 2 missed 0.5 s heartbeats (t=3.0), recovered
+        # on the first heartbeat after t=12 (t=12.5).
+        assert result.mean_recovery_s == pytest.approx(9.5)
+        assert r1.mean_recovery_s == pytest.approx(9.5)
+        if trace is not None:
+            events = chrome_trace_events(fed.finished_traces())
+            assert events
+            assert validate_chrome_trace({"traceEvents": events}) == []
 
 
 def test_blackout_runs_are_deterministic():

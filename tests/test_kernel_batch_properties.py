@@ -43,21 +43,10 @@ def _step_loop(env):
         env.step()
 
 
-def _step_batch_loop(env):
-    while env.peek() != float("inf"):
-        env.step_batch()
-
-
 @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 @given(program=PROGRAMS)
 def test_batched_run_matches_per_event_step(program):
     assert _trace_with(_run, program) == _trace_with(_step_loop, program)
-
-
-@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
-@given(program=PROGRAMS)
-def test_step_batch_matches_per_event_step(program):
-    assert _trace_with(_step_batch_loop, program) == _trace_with(_step_loop, program)
 
 
 @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
@@ -201,9 +190,9 @@ def _mixed_trace_with(driver, program, bulk=False):
 @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 @given(program=MIXED_PROGRAMS)
 def test_absolute_timeouts_match_per_event_step(program):
-    reference = _mixed_trace_with(_step_loop, program)
-    assert _mixed_trace_with(_run, program) == reference
-    assert _mixed_trace_with(_step_batch_loop, program) == reference
+    assert _mixed_trace_with(_run, program) == _mixed_trace_with(
+        _step_loop, program
+    )
 
 
 @settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow])

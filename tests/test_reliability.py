@@ -1,21 +1,22 @@
-"""Tests for the reliability substrate: MTBF math and fault injection."""
+"""Tests for the reliability substrate: MTBF math, and worker crashes
+run through the chaos engine."""
 
 import pytest
 
 from repro.cluster import MicroFaaSCluster
 from repro.core.scheduler import RoundRobinPolicy
 from repro.reliability import (
+    ChaosEngine,
+    ChaosEvent,
+    ChaosKind,
+    ChaosPlan,
     FailureModel,
-    FaultInjector,
-    FaultPlan,
     SBC_MTBF_HOURS,
     SERVER_MTBF_HOURS,
     expected_replacements,
     online_rate_after,
 )
-from repro.reliability.faults import FaultEvent
 from repro.reliability.mtbf import sbc_failure_model, server_failure_model
-from repro.sim.rng import RandomStreams
 
 
 # ---------------------------------------------------------------------------
@@ -91,100 +92,43 @@ def test_online_rate_with_and_without_replacement():
     assert without == pytest.approx(model.survival(43_200.0))
 
 
-def test_sample_lifetime_inverse_cdf():
-    model = FailureModel(mtbf_hours=100.0)
-    # Median of the exponential = MTBF * ln 2.
-    assert model.sample_lifetime_hours(0.5) == pytest.approx(69.31, abs=0.01)
-    with pytest.raises(ValueError):
-        model.sample_lifetime_hours(0.0)
-    with pytest.raises(ValueError):
-        model.sample_lifetime_hours(1.0)
-
-
 # ---------------------------------------------------------------------------
-# Fault plans
+# Worker crashes in the cluster
 # ---------------------------------------------------------------------------
 
 
-def test_fault_event_validation():
-    with pytest.raises(ValueError):
-        FaultEvent(-1.0, 0)
-    with pytest.raises(ValueError):
-        FaultEvent(1.0, 0, repair_after_s=0.0)
+def crash(time_s, worker_id, repair_after_s):
+    """A board crash that the repair brings back after ``repair_after_s``."""
+    return ChaosEvent(ChaosKind.WORKER_CRASH, time_s, worker_id, repair_after_s)
 
 
-def test_fault_plan_rejects_duplicates():
-    with pytest.raises(ValueError):
-        FaultPlan(events=(FaultEvent(1.0, 0), FaultEvent(1.0, 0)))
+def pull(time_s, worker_id):
+    """A board crash with no repair: more failed power cycles than the
+    engine's default budget of 3, so the board is pulled from the rack."""
+    return ChaosEvent(ChaosKind.BOOT_FAILURE, time_s, worker_id, 0.0, magnitude=4)
 
 
-def test_fault_plan_from_model_is_sorted_and_reproducible():
-    model = FailureModel(mtbf_hours=1.0)  # absurdly failure-prone
-    plan_a = FaultPlan.from_failure_model(
-        model, worker_count=10, duration_s=3600.0,
-        streams=RandomStreams(1),
-    )
-    plan_b = FaultPlan.from_failure_model(
-        model, worker_count=10, duration_s=3600.0,
-        streams=RandomStreams(1),
-    )
-    assert plan_a == plan_b
-    times = [e.time_s for e in plan_a.events]
-    assert times == sorted(times)
-    assert len(plan_a.events) > 0
-
-
-def test_fault_plan_acceleration_increases_failures():
-    model = sbc_failure_model()
-    slow = FaultPlan.from_failure_model(
-        model, 10, duration_s=600.0, acceleration=1.0,
-        streams=RandomStreams(2),
-    )
-    fast = FaultPlan.from_failure_model(
-        model, 10, duration_s=600.0, acceleration=1e7,
-        streams=RandomStreams(2),
-    )
-    assert len(slow.events) == 0  # centuries-scale MTBF, 10-minute run
-    assert len(fast.events) > 0
-
-
-def test_fault_plan_validation():
-    model = sbc_failure_model()
-    with pytest.raises(ValueError):
-        FaultPlan.from_failure_model(model, 0, 10.0)
-    with pytest.raises(ValueError):
-        FaultPlan.from_failure_model(model, 1, 0.0)
-    with pytest.raises(ValueError):
-        FaultPlan.from_failure_model(model, 1, 10.0, acceleration=0.0)
-
-
-# ---------------------------------------------------------------------------
-# Fault injection into the cluster
-# ---------------------------------------------------------------------------
-
-
-def run_with_faults(plan, worker_count=4, per_function=4, detection=1.0):
+def run_with_faults(events, worker_count=4, per_function=4, detection=1.0):
     cluster = MicroFaaSCluster(
         worker_count=worker_count, seed=7, policy=RoundRobinPolicy()
     )
-    injector = FaultInjector(cluster, detection_delay_s=detection)
-    injector.apply(plan)
+    engine = ChaosEngine(cluster, detection_delay_s=detection)
+    engine.apply(ChaosPlan(events=tuple(events)))
     result = cluster.run_saturated(invocations_per_function=per_function)
-    return cluster, injector, result
+    return cluster, engine, result
 
 
 def test_all_jobs_complete_despite_mid_run_fault():
-    plan = FaultPlan.single(time_s=10.0, worker_id=1)
-    cluster, injector, result = run_with_faults(plan)
+    cluster, engine, result = run_with_faults([pull(10.0, 1)])
     assert result.jobs_completed == 4 * 17
-    assert injector.kills == [(10.0, 1)]
-    assert injector.recovered_jobs > 0
-    assert cluster.orchestrator.resubmissions == injector.recovered_jobs
+    assert engine.injected == 1
+    assert engine.boards_abandoned == 1
+    assert engine.recovered_jobs > 0
+    assert cluster.orchestrator.resubmissions == engine.recovered_jobs
 
 
 def test_dead_worker_gets_no_new_jobs():
-    plan = FaultPlan.single(time_s=5.0, worker_id=0)
-    cluster, _injector, result = run_with_faults(plan)
+    cluster, _engine, result = run_with_faults([pull(5.0, 0)])
     assert result.jobs_completed == 4 * 17
     # Worker 0's board is off and stays off after the fault.
     assert not cluster.sbcs[0].is_powered
@@ -192,138 +136,65 @@ def test_dead_worker_gets_no_new_jobs():
 
 
 def test_retried_jobs_carry_attempt_counts():
-    plan = FaultPlan.single(time_s=10.0, worker_id=1)
-    cluster, injector, _result = run_with_faults(plan)
+    cluster, engine, _result = run_with_faults([pull(10.0, 1)])
     retried = [j for j in cluster.orchestrator.jobs.values() if j.attempts > 0]
-    assert len(retried) == injector.recovered_jobs
+    assert len(retried) == engine.recovered_jobs
     assert all(j.is_finished for j in retried)
 
 
 def test_repair_brings_worker_back():
-    plan = FaultPlan.single(time_s=8.0, worker_id=2, repair_after_s=15.0)
-    cluster, injector, result = run_with_faults(plan, per_function=6)
+    cluster, engine, result = run_with_faults(
+        [crash(8.0, 2, 15.0)], per_function=6
+    )
     assert result.jobs_completed == 6 * 17
-    assert injector.repairs == 1
+    assert len(engine.recovery_times) == 1
     assert 2 not in cluster.orchestrator.dead_workers
     # The replacement worker actually served jobs after the repair.
     assert cluster.workers[2].process is not None
 
 
 def test_multiple_faults_still_complete():
-    plan = FaultPlan(
-        events=(FaultEvent(6.0, 0), FaultEvent(12.0, 1), FaultEvent(20.0, 2))
-    )
-    _cluster, injector, result = run_with_faults(
-        plan, worker_count=5, per_function=4
+    _cluster, engine, result = run_with_faults(
+        [pull(6.0, 0), pull(12.0, 1), pull(20.0, 2)],
+        worker_count=5, per_function=4,
     )
     assert result.jobs_completed == 4 * 17
-    assert len(injector.kills) == 3
+    assert engine.injected == 3
+    assert engine.boards_abandoned == 3
 
 
 def test_killing_every_worker_is_fatal():
-    plan = FaultPlan(events=(FaultEvent(5.0, 0), FaultEvent(6.0, 1)))
+    # The chaos engine never takes the last alive worker, so the
+    # orchestrator's own guard is checked directly.
     cluster = MicroFaaSCluster(worker_count=2, seed=7)
-    injector = FaultInjector(cluster)
-    injector.apply(plan)
+    cluster.orchestrator.mark_worker_dead(0)
     with pytest.raises(RuntimeError, match="cluster is lost"):
-        cluster.run_saturated(invocations_per_function=4)
+        cluster.orchestrator.mark_worker_dead(1)
 
 
 def test_double_fault_same_worker_with_repairs_completes():
     # The same worker dies twice; each fault has a repair, so the board
     # comes back both times and every job still completes exactly once.
-    plan = FaultPlan(
-        events=(
-            FaultEvent(6.0, 1, repair_after_s=5.0),
-            FaultEvent(20.0, 1, repair_after_s=5.0),
-        )
+    cluster, engine, result = run_with_faults(
+        [crash(6.0, 1, 5.0), crash(20.0, 1, 5.0)], per_function=6
     )
-    cluster, injector, result = run_with_faults(plan, per_function=6)
     assert result.jobs_completed == 6 * 17
-    assert [worker_id for _, worker_id in injector.kills] == [1, 1]
-    assert injector.repairs == 2
+    assert engine.injected == 2
+    assert len(engine.recovery_times) == 2
     assert 1 not in cluster.orchestrator.dead_workers
-
-
-def test_overlapping_faults_same_worker_repair_still_lands():
-    # The second fault fires while the first is still in its repair
-    # window: marking dead is idempotent and both repairs still run, so
-    # the worker ends the run alive.
-    plan = FaultPlan(
-        events=(
-            FaultEvent(6.0, 1, repair_after_s=10.0),
-            FaultEvent(8.0, 1, repair_after_s=10.0),
-        )
-    )
-    cluster, injector, result = run_with_faults(plan, per_function=6)
-    assert result.jobs_completed == 6 * 17
-    assert len(injector.kills) == 2
-    assert injector.repairs == 2
-    assert 1 not in cluster.orchestrator.dead_workers
-    assert cluster.workers[1].process.is_alive
 
 
 def test_fault_at_time_zero_recovers():
     # A board that is dead on arrival: the fault fires before any job
     # has been assigned, and the rest of the cluster absorbs the load.
-    plan = FaultPlan.single(time_s=0.0, worker_id=3)
-    cluster, injector, result = run_with_faults(plan)
+    cluster, engine, result = run_with_faults([pull(0.0, 3)])
     assert result.jobs_completed == 4 * 17
-    assert injector.kills == [(0.0, 3)]
+    assert engine.injected == 1
     assert 3 in cluster.orchestrator.dead_workers
 
 
-def test_renewal_sampling_draws_repeat_failures_per_worker():
-    # With a repair delay the per-worker failure process renews: at a
-    # heavy acceleration one worker fails more than once in a run.
-    model = sbc_failure_model()
-    plan = FaultPlan.from_failure_model(
-        model,
-        worker_count=4,
-        duration_s=3600.0,
-        acceleration=sbc_failure_model().mtbf_hours * 4,
-        streams=RandomStreams(11),
-        repair_after_s=60.0,
-    )
-    per_worker = {}
-    for event in plan.events:
-        per_worker[event.worker_id] = per_worker.get(event.worker_id, 0) + 1
-    assert max(per_worker.values()) > 1
-    # Renewal spacing: consecutive failures of one worker are separated
-    # by at least the repair window.
-    by_worker = {}
-    for event in plan.events:
-        by_worker.setdefault(event.worker_id, []).append(event.time_s)
-    for times in by_worker.values():
-        for earlier, later in zip(times, times[1:]):
-            assert later - earlier >= 60.0
-
-
-def test_renewal_sampling_without_repair_draws_at_most_one():
-    model = sbc_failure_model()
-    plan = FaultPlan.from_failure_model(
-        model,
-        worker_count=6,
-        duration_s=3600.0,
-        acceleration=sbc_failure_model().mtbf_hours * 4,
-        streams=RandomStreams(11),
-        repair_after_s=None,
-    )
-    per_worker = {}
-    for event in plan.events:
-        per_worker[event.worker_id] = per_worker.get(event.worker_id, 0) + 1
-    assert per_worker and max(per_worker.values()) == 1
-
-
-def test_injector_validation():
-    cluster = MicroFaaSCluster(worker_count=2)
-    with pytest.raises(ValueError):
-        FaultInjector(cluster, detection_delay_s=-1.0)
-
-
 def test_fault_free_plan_changes_nothing():
-    plan = FaultPlan(events=())
-    _cluster, injector, result = run_with_faults(plan)
+    _cluster, engine, result = run_with_faults([])
     assert result.jobs_completed == 4 * 17
-    assert injector.kills == []
-    assert injector.recovered_jobs == 0
+    assert engine.injected == 0
+    assert engine.recovered_jobs == 0

@@ -21,7 +21,7 @@ from repro.core.scheduler import LeastLoadedPolicy
 from repro.energy.accounting import sbc_state_breakdown
 from repro.hardware.power import PowerState
 from repro.obs.trace import TraceConfig
-from repro.reliability.faults import FaultInjector, FaultPlan
+from repro.reliability.chaos import ChaosEngine, ChaosEvent, ChaosKind
 from repro.workloads import traces
 from repro.workloads.base import ALL_FUNCTION_NAMES
 
@@ -169,9 +169,9 @@ RECORDED_BREAKDOWN = {
 @pytest.mark.parametrize("crash_s", sorted(RECORDED_TIME_IN_STATE))
 def test_time_in_state_exact_across_a_crash(crash_s):
     cluster = MicroFaaSCluster(worker_count=2, seed=1)
-    FaultInjector(cluster).apply(
-        FaultPlan.single(crash_s, 0, repair_after_s=2.0)
-    )
+    cluster.env.process(ChaosEngine(cluster)._dispatch(
+        ChaosEvent(ChaosKind.WORKER_CRASH, crash_s, 0, 2.0)
+    ))
     cluster.orchestrator.submit_batch(["COSGet", "COSPut", "FloatOps", "COSGet"])
     cluster.env.run()
     for sbc, recorded in zip(cluster.sbcs, RECORDED_TIME_IN_STATE[crash_s]):
