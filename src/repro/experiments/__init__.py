@@ -1,10 +1,13 @@
 """Experiment harness: regenerate every table and figure.
 
-One module per paper artifact:
+One module per paper artifact (``python -m repro <artifact>`` runs
+each; :data:`repro.cli.ARTIFACTS` is the table of them):
 
 - :mod:`repro.experiments.fig1_boot` — worker-OS boot-time trajectory.
 - :mod:`repro.experiments.table1_workloads` — the 17-function suite,
   executed live.
+- :mod:`repro.experiments.fig2_testbed` — the prototype test cluster's
+  composition.
 - :mod:`repro.experiments.fig3_runtime` — per-function Working/Overhead
   on both clusters.
 - :mod:`repro.experiments.fig4_vmsweep` — energy efficiency and
@@ -28,7 +31,10 @@ One module per paper artifact:
   online attribution ledger (extension).
 
 Every module exposes ``run(...)`` returning structured results and
-``render(...)`` producing the text the benchmark harness prints.
+``render(...)`` producing the text the CLI and the benchmark harness
+print; the studies with CSV data also expose ``tables(result)``, the
+``(filename, headers, rows)`` tables that ``python -m repro <artifact>
+--export-dir DIR`` writes (see :func:`repro.experiments.report.write_tables`).
 
 :mod:`repro.experiments.runner` is the shared execution layer: the
 sweep-shaped experiments fan their independent points across worker

@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.cluster.microfaas import MicroFaaSCluster
 from repro.cluster.replay import replay_trace
 from repro.core.policies import BudgetPolicy
-from repro.experiments.report import format_table
+from repro.experiments.report import Table, format_table
 from repro.experiments.runner import run_map
 from repro.obs.export import write_trace_file
 from repro.obs.trace import TraceConfig
@@ -395,9 +395,44 @@ def render(result: EnergyStudyResult) -> str:
     return table + closing
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
+def tables(result: EnergyStudyResult) -> List[Table]:
+    """The cap frontier and the per-tenant attribution.
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    ``energy_study.csv`` has one row per point, with the frontier's
+    energy-saved / p99-paid columns on cap points;
+    ``energy_study_tenants.csv`` has one row per (budget point, tenant)
+    from the online ledger.
+    """
+    frontier = {e.point.cap_watts: e for e in result.frontier()}
+    rows = []
+    for p in result.points:
+        entry = frontier.get(p.cap_watts) if p.budget_scale is None else None
+        rows.append(
+            (p.cap_watts if p.cap_watts is not None else "",
+             p.budget_scale if p.budget_scale is not None else "",
+             p.jobs_completed, p.duration_s, p.throughput_per_min,
+             p.energy_joules, p.joules_per_function, p.p99_latency_s,
+             entry.energy_saved_j if entry is not None else "",
+             entry.p99_paid_s if entry is not None else "",
+             p.jobs_delayed, p.jobs_shed,
+             p.reconciliation_residual_j
+             if p.reconciliation_residual_j is not None else "",
+             p.idle_overhead_j if p.idle_overhead_j is not None else "",
+             p.wasted_j if p.wasted_j is not None else "")
+        )
+    tenant_rows = [
+        (p.cap_watts, p.budget_scale, tenant, joules)
+        for p in result.budget_points()
+        for tenant, joules in p.tenant_joules
+    ]
+    return [
+        ("energy_study.csv",
+         ["cap_watts", "budget_scale", "jobs", "duration_s", "func_per_min",
+          "energy_joules", "joules_per_function", "p99_latency_s",
+          "energy_saved_j", "p99_paid_s", "jobs_delayed", "jobs_shed",
+          "reconciliation_residual_j", "idle_overhead_j", "wasted_j"],
+         rows),
+        ("energy_study_tenants.csv",
+         ["cap_watts", "budget_scale", "tenant", "attributed_joules"],
+         tenant_rows),
+    ]

@@ -30,7 +30,7 @@ from repro.cluster import MicroFaaSCluster
 from repro.core.policies import RecoveryPolicy
 from repro.core.telemetry import percentiles
 from repro.core.scheduler import LeastLoadedPolicy
-from repro.experiments.report import format_table
+from repro.experiments.report import Table, format_table
 from repro.experiments.runner import run_map
 from repro.obs.export import write_trace_file
 from repro.obs.trace import TraceConfig
@@ -272,9 +272,24 @@ def render(result: FaultStudyResult) -> str:
     return table + closing
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tables(result: FaultStudyResult) -> List[Table]:
+    """``fault_study.csv``: recovery under chaos, one row per fault-rate
+    point."""
+    rows = [
+        (p.fault_rate_scale, p.faults_injected, p.jobs_submitted,
+         p.jobs_delivered, p.jobs_lost, p.goodput_per_min, p.p99_latency_s,
+         p.mean_recovery_s if p.mean_recovery_s is not None else "",
+         p.resubmissions, p.timeout_retries, p.hedges,
+         p.duplicates_suppressed, p.boards_abandoned,
+         p.joules_per_function, result.energy_overhead(p))
+        for p in result.points
+    ]
+    return [(
+        "fault_study.csv",
+        ["fault_rate_scale", "faults_injected", "jobs_submitted",
+         "jobs_delivered", "jobs_lost", "goodput_per_min", "p99_latency_s",
+         "mean_recovery_s", "resubmissions", "timeout_retries", "hedges",
+         "duplicates_suppressed", "boards_abandoned", "joules_per_function",
+         "energy_overhead"],
+        rows,
+    )]

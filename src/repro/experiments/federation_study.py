@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.experiments.report import format_table
+from repro.experiments.report import Table, format_table
 from repro.experiments.runner import derive_seed, run_map
 from repro.federation import (
     FederatedCluster,
@@ -377,9 +377,35 @@ def render(result: FederationStudyResult) -> str:
     return table + closing
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tables(result: FederationStudyResult) -> List[Table]:
+    """``federation_study.csv``: one row per (point, region) plus an
+    ``ALL`` aggregate row per point."""
+    rows = []
+    for p in result.points:
+        for region in p.regions:
+            rows.append(
+                (p.users, p.region_count, p.outage_rate_scale, region.name,
+                 region.workers, region.jobs_in, region.jobs_delivered, "",
+                 "", "", region.outages,
+                 region.mean_recovery_s
+                 if region.mean_recovery_s is not None else "",
+                 region.cross_region_jobs, region.cross_region_bytes,
+                 region.energy_joules, region.joules_per_function)
+            )
+        rows.append(
+            (p.users, p.region_count, p.outage_rate_scale, "ALL",
+             p.workers_per_region * p.region_count, p.jobs_submitted,
+             p.jobs_delivered, p.jobs_lost, p.goodput_per_min,
+             p.worst_p99_s, p.outages,
+             p.mean_recovery_s if p.mean_recovery_s is not None else "",
+             p.cross_region_jobs, p.cross_region_bytes,
+             p.energy_joules, p.joules_per_function)
+        )
+    return [(
+        "federation_study.csv",
+        ["users", "region_count", "outage_rate_scale", "region", "workers",
+         "jobs_in", "jobs_delivered", "jobs_lost", "goodput_per_min",
+         "worst_p99_s", "outages", "mean_recovery_s", "cross_region_jobs",
+         "cross_region_bytes", "energy_joules", "joules_per_function"],
+        rows,
+    )]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.bootos.timeline import TrajectoryPoint, development_trajectory
-from repro.experiments.report import format_table
+from repro.experiments.report import Table, format_table
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,16 @@ def render(result: Fig1Result) -> str:
     return table + footer
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tables(result: Fig1Result) -> List[Table]:
+    """``fig1_boot.csv``: one row per development change."""
+    rows = [
+        (arm.label, arm.name, arm.real_s, arm.cpu_s, x86.real_s, x86.cpu_s)
+        for arm, x86 in zip(
+            result.trajectories["arm"], result.trajectories["x86"]
+        )
+    ]
+    return [(
+        "fig1_boot.csv",
+        ["change", "name", "arm_real_s", "arm_cpu_s", "x86_real_s", "x86_cpu_s"],
+        rows,
+    )]

@@ -64,11 +64,3 @@ def render(inventory: TestbedInventory) -> str:
         f"{inventory.switch_ports_used}/{inventory.switch_ports_total} "
         f"ports used on the {inventory.switch_name}"
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -14,7 +14,7 @@ from typing import Dict, List
 
 from repro.cluster import ConventionalCluster, MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy
-from repro.experiments.report import format_table
+from repro.experiments.report import Table, format_table
 from repro.workloads import ALL_FUNCTION_NAMES
 
 
@@ -124,9 +124,20 @@ def render(result: Fig3Result) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tables(result: Fig3Result) -> List[Table]:
+    """``fig3_runtime.csv``: the working/overhead split per function on
+    both clusters."""
+    rows = []
+    for name in ALL_FUNCTION_NAMES:
+        mf = result.microfaas[name]
+        cv = result.conventional[name]
+        rows.append(
+            (name, mf.working_s, mf.overhead_s, cv.working_s, cv.overhead_s,
+             result.speed_ratio(name))
+        )
+    return [(
+        "fig3_runtime.csv",
+        ["function", "mf_working_s", "mf_overhead_s",
+         "conv_working_s", "conv_overhead_s", "mf_over_conv"],
+        rows,
+    )]

@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 from repro.cluster import ConventionalCluster, MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.energy.efficiency import peak_efficiency
-from repro.experiments.report import format_table
+from repro.experiments.report import Table, format_table
 from repro.experiments.runner import run_map
 
 #: Published reference values.
@@ -160,9 +160,16 @@ def render(result: Fig4Result) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tables(result: Fig4Result) -> List[Table]:
+    """``fig4_vmsweep.csv``: efficiency and throughput per VM count."""
+    rows = [
+        (p.vm_count, p.throughput_per_min, p.joules_per_function,
+         p.average_watts, result.microfaas_jpf)
+        for p in result.points
+    ]
+    return [(
+        "fig4_vmsweep.csv",
+        ["vms", "func_per_min", "joules_per_function", "average_watts",
+         "microfaas_reference_jpf"],
+        rows,
+    )]

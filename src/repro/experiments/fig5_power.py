@@ -22,7 +22,7 @@ from repro.energy.proportionality import (
     sbc_cluster_power_series,
     vm_host_power_series,
 )
-from repro.experiments.report import format_table
+from repro.experiments.report import Table, format_table
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,15 @@ def render(result: Fig5Result) -> str:
     return table + footer
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tables(result: Fig5Result) -> List[Table]:
+    """``fig5_power.csv``: both analytic power series per active-worker
+    count (blank where a series has no point)."""
+    sbc = dict(zip(result.sbc_series.worker_counts, result.sbc_series.watts))
+    vm = dict(zip(result.vm_series.worker_counts, result.vm_series.watts))
+    counts = sorted(set(sbc) | set(vm))
+    rows = [(n, sbc.get(n, ""), vm.get(n, "")) for n in counts]
+    return [(
+        "fig5_power.csv",
+        ["active_workers", "sbc_cluster_watts", "vm_host_watts"],
+        rows,
+    )]

@@ -137,11 +137,3 @@ def render(result: HardwareSelectionResult) -> str:
         f"\ncheapest per invocation: {result.best_by_cost().spec_name}; "
         f"most energy-efficient: {result.best_by_energy().spec_name}"
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -12,11 +12,11 @@ reports the four numbers the abstract leads with:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.cluster import ClusterResult, ConventionalCluster, MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy
-from repro.experiments.report import format_table
+from repro.experiments.report import Table, format_table
 from repro.experiments.runner import run_map
 from repro.obs.export import write_trace_file
 from repro.obs.trace import TraceConfig, merge_traces
@@ -182,9 +182,19 @@ def render(result: HeadlineResult) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tables(result: HeadlineResult) -> List[Table]:
+    """``headline.csv``: the headline metrics of both clusters."""
+    rows = [
+        (platform, r.worker_count, r.throughput_per_min,
+         r.joules_per_function, r.average_watts)
+        for platform, r in (
+            ("microfaas", result.microfaas),
+            ("conventional", result.conventional),
+        )
+    ]
+    return [(
+        "headline.csv",
+        ["platform", "workers", "func_per_min", "joules_per_function",
+         "average_watts"],
+        rows,
+    )]

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.cluster.hybrid import HybridCluster
 from repro.cluster.matching import hybrid_throughput_per_min
 from repro.core.platform import ARM, X86
-from repro.experiments.report import format_table
+from repro.experiments.report import Table, format_table
 from repro.experiments.runner import run_map
 from repro.obs.export import write_trace_file
 from repro.obs.trace import TraceConfig
@@ -274,9 +274,22 @@ def render(result: HybridStudyResult) -> str:
     return table + closing
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tables(result: HybridStudyResult) -> List[Table]:
+    """``hybrid_study.csv``: one row per mix, with per-platform splits."""
+    rows = [
+        (p.sbc_count, p.vm_count, p.worker_count, p.jobs_completed,
+         p.duration_s, p.throughput_per_min, p.predicted_throughput_per_min,
+         p.energy_joules, p.joules_per_function, p.arm_jobs, p.x86_jobs,
+         p.arm_energy_joules, p.x86_energy_joules,
+         p.arm_p99_latency_s if p.arm_p99_latency_s is not None else "",
+         p.x86_p99_latency_s if p.x86_p99_latency_s is not None else "")
+        for p in result.points
+    ]
+    return [(
+        "hybrid_study.csv",
+        ["sbc_count", "vm_count", "workers", "jobs", "duration_s",
+         "func_per_min", "predicted_func_per_min", "energy_joules",
+         "joules_per_function", "arm_jobs", "x86_jobs", "arm_energy_joules",
+         "x86_energy_joules", "arm_p99_latency_s", "x86_p99_latency_s"],
+        rows,
+    )]

@@ -22,12 +22,12 @@ from __future__ import annotations
 import resource
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.cluster.microfaas import MicroFaaSCluster
 from repro.cluster.replay import replay_trace
 from repro.core.scheduler import LeastLoadedPolicy
-from repro.experiments.report import format_table
+from repro.experiments.report import Table, format_table
 from repro.experiments.runner import derive_seed, run_map
 from repro.obs.export import write_trace_file
 from repro.obs.trace import TraceConfig, merge_traces
@@ -406,9 +406,21 @@ def render(result: MegatraceResult) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tables(result: MegatraceResult) -> List[Table]:
+    """``megatrace.csv``: the replay's operator metrics, one row."""
+    rows = [
+        (result.invocations, result.worker_count, result.rate_per_s,
+         result.sim_duration_s, result.throughput_per_min,
+         result.mean_latency_s, result.p99_latency_s,
+         result.joules_per_function, result.wall_clock_s,
+         result.peak_rss_mib, result.records_retained,
+         result.sketch_buckets)
+    ]
+    return [(
+        "megatrace.csv",
+        ["invocations", "workers", "rate_per_s", "sim_duration_s",
+         "func_per_min", "mean_latency_s", "p99_latency_s",
+         "joules_per_function", "wall_clock_s", "peak_rss_mib",
+         "records_retained", "sketch_buckets"],
+        rows,
+    )]

@@ -1,8 +1,14 @@
-"""Plain-text rendering helpers for experiment output."""
+"""Plain-text rendering and CSV export helpers for experiment output."""
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
+import csv
+import os
+from typing import Any, List, Sequence, Tuple
+
+#: One CSV an experiment exports: ``(filename, headers, rows)``.  Each
+#: study's ``tables(result)`` returns its list of these.
+Table = Tuple[str, Sequence[str], List[Sequence[Any]]]
 
 
 def format_table(
@@ -114,4 +120,20 @@ def format_xy_chart(
     return "\n".join(lines)
 
 
-__all__ = ["format_bar_chart", "format_table", "format_xy_chart"]
+def write_tables(directory: str, tables: Sequence[Table]) -> List[str]:
+    """Write each table to ``directory/<filename>`` (the directory is
+    created if needed) and return the paths, in order."""
+    os.makedirs(directory, exist_ok=True)
+    paths = []
+    for filename, headers, rows in tables:
+        path = os.path.join(directory, filename)
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(headers)
+            writer.writerows(rows)
+        paths.append(path)
+    return paths
+
+
+__all__ = ["Table", "format_bar_chart", "format_table", "format_xy_chart",
+           "write_tables"]

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 from repro.cluster import MicroFaaSCluster
 from repro.core.controlplane import ControlPlaneModel
 from repro.core.scheduler import LeastLoadedPolicy
-from repro.experiments.report import format_table
+from repro.experiments.report import Table, format_table
 from repro.experiments.runner import run_map
 from repro.shard import ClusterSpec, ShardedCluster
 from repro.workloads.profiles import PROFILES
@@ -296,9 +296,18 @@ def render(result: ScaleStudyResult) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tables(result: ScaleStudyResult) -> List[Table]:
+    """``scale_study.csv``: one row per cluster size."""
+    rows = [
+        (p.worker_count, p.switch_count, p.throughput_per_min,
+         p.unconstrained_per_min, p.scaling_efficiency,
+         p.control_plane_utilization,
+         result.op_link_utilization(p.throughput_per_min))
+        for p in result.points
+    ]
+    return [(
+        "scale_study.csv",
+        ["workers", "switches", "func_per_min", "free_op_func_per_min",
+         "scaling_efficiency", "op_utilization", "op_link_utilization"],
+        rows,
+    )]

@@ -34,7 +34,7 @@ from repro.cluster import (
     MicroFaaSCluster,
 )
 from repro.core.scheduler import LeastLoadedPolicy
-from repro.experiments.report import format_table
+from repro.experiments.report import Table, format_table
 from repro.experiments.runner import run_map
 from repro.obs.export import write_trace_file
 from repro.obs.trace import TraceConfig
@@ -301,9 +301,21 @@ def render(result: SdkStudyResult) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tables(result: SdkStudyResult) -> List[Table]:
+    """``sdk_study.csv``: one row per (users, fanout, backend)."""
+    rows = [
+        (p.kind, p.users, p.fanout, p.calls, p.succeeded, p.errors,
+         p.jobs_completed, p.duration_s, p.throughput_per_min,
+         p.energy_joules, p.joules_per_function, p.client_p50_s,
+         p.client_p99_s, p.reduce_latency_s, p.duplicates_suppressed,
+         p.batches_flushed)
+        for p in result.points
+    ]
+    return [(
+        "sdk_study.csv",
+        ["backend", "users", "fanout", "calls", "succeeded", "errors",
+         "jobs_completed", "duration_s", "func_per_min", "energy_joules",
+         "joules_per_function", "client_p50_s", "client_p99_s",
+         "reduce_latency_s", "duplicates_suppressed", "batches_flushed"],
+        rows,
+    )]

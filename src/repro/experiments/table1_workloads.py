@@ -111,11 +111,3 @@ def render(result: Table1Result) -> str:
         + f"\n{len(result.cpu_bound)} CPU/RAM-bound, "
         + f"{len(result.network_bound)} network-bound"
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.experiments.report import format_table
+from repro.experiments.report import Table, format_table
 from repro.tco import (
     IDEAL,
     REALISTIC,
@@ -77,9 +77,16 @@ def render(result: Table2Result) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tables(result: Table2Result) -> List[Table]:
+    """``table2_tco.csv``: one row per (scenario, deployment)."""
+    rows = [
+        (c.scenario, c.deployment, c.compute_usd, c.network_usd,
+         c.energy_usd, c.total_usd)
+        for c in result.cells
+    ]
+    return [(
+        "table2_tco.csv",
+        ["scenario", "deployment", "compute_usd", "network_usd",
+         "energy_usd", "total_usd"],
+        rows,
+    )]

@@ -236,6 +236,9 @@ class ChaosPlan:
     #: Kinds touching cluster-shared fabric/services — unsupported in
     #: sharded runs, where each shard owns only its workers' links.
     SHARED_KINDS = frozenset({"switch-outage", "backend-fault"})
+    #: Kinds that delay transfers: only these need the transfer model's
+    #: fault accounting, which keeps every job on per-phase waits.
+    NETWORK_KINDS = frozenset({"link-down", "link-degrade", "switch-outage"})
     #: Region-scoped kinds, executed by the federation injector
     #: (:mod:`repro.federation.chaos`) — not by the cluster engine, and
     #: never worker-targeted.
@@ -511,9 +514,18 @@ class ChaosEngine:
         self._board_busy: set = set()
 
     def apply(self, plan: ChaosPlan) -> None:
-        """Schedule every event (call before running the simulation)."""
-        if plan.events and not self.cluster.transfers.chaos_enabled:
-            self.cluster.transfers.enable_chaos()
+        """Schedule every event (call before running the simulation).
+
+        Transfer fault accounting is switched on only for a plan that
+        holds a network event: board and backend faults leave transfer
+        times alone, so their jobs keep the booked (wait-once) path.
+        """
+        transfers = self.cluster.transfers
+        if not transfers.chaos_enabled and any(
+            event.kind.value in ChaosPlan.NETWORK_KINDS
+            for event in plan.events
+        ):
+            transfers.enable_chaos()
         for index, event in enumerate(plan.events):
             self.cluster.env.process(
                 self._dispatch(event),

@@ -20,7 +20,13 @@ from repro.core.warmpool import WarmPool
 from repro.hardware.meter import PowerMeter
 from repro.hardware.power import PowerState
 from repro.obs.trace import TraceConfig
-from repro.reliability.chaos import ChaosEngine, ChaosEvent, ChaosKind
+from repro.reliability.chaos import (
+    ChaosEngine,
+    ChaosEvent,
+    ChaosKind,
+    ChaosPlan,
+)
+from repro.services.backend import BackendCapacityModel
 
 #: Instants inside the booked stretches of the scenarios below: mid-boot,
 #: mid-inbound, mid-CPU and mid-I/O phases of the first jobs and later.
@@ -63,24 +69,30 @@ def _observe(cluster, ledger, meter):
     )
 
 
+def _observed_run(cluster, scenario, checkpoints=CHECKPOINTS):
+    """Run ``scenario(cluster, ledger)`` to the end; return what
+    :func:`_observe` saw at each checkpoint and at the end."""
+    ledger = cluster.enable_energy_ledger()
+    meter = PowerMeter(cluster.env, cluster.metered_watts, interval_s=0.37)
+    meter.start()
+    scenario(cluster, ledger)
+    observed = []
+    for until in checkpoints:
+        cluster.env.run(until=until)
+        observed.append(_observe(cluster, ledger, meter))
+    meter.stop()
+    cluster.env.run()
+    observed.append(_observe(cluster, ledger, meter))
+    return observed
+
+
 def _differential(build, scenario, checkpoints=CHECKPOINTS):
     """Run ``scenario(cluster, ledger)`` traced and untraced; return the
     untraced cluster after asserting both observed the same floats."""
     runs = []
     for trace in (TraceConfig(sample_rate=1.0), None):
         cluster = build(trace)
-        ledger = cluster.enable_energy_ledger()
-        meter = PowerMeter(cluster.env, cluster.metered_watts, interval_s=0.37)
-        meter.start()
-        scenario(cluster, ledger)
-        observed = []
-        for until in checkpoints:
-            cluster.env.run(until=until)
-            observed.append(_observe(cluster, ledger, meter))
-        meter.stop()
-        cluster.env.run()
-        observed.append(_observe(cluster, ledger, meter))
-        runs.append((observed, cluster))
+        runs.append((_observed_run(cluster, scenario, checkpoints), cluster))
     (traced, _), (untraced, cluster) = runs
     for index, (a, b) in enumerate(zip(traced, untraced)):
         assert a == b, f"diverged by checkpoint {index}"
@@ -149,20 +161,72 @@ def _repaired_crashes(crash_s):
 ])
 def test_chaos_engine_board_fault_mid_stretch(events):
     """The chaos engine's crash, detection, power-cycle and revival
-    cycle, without transfer fault accounting (which ``apply`` switches
-    on, and which keeps every job on per-phase waits).  A crash
-    truncates the board's bookings; the retry lands on a survivor and
-    the repaired board rejoins."""
+    cycle.  A board-level plan leaves transfer fault accounting off, so
+    untraced jobs stay booked.  A crash truncates the board's bookings;
+    the retry lands on a survivor and the repaired board rejoins."""
 
     def scenario(cluster, ledger):
         engine = ChaosEngine(cluster, detection_delay_s=1.0)
-        for event in events:
-            cluster.env.process(engine._dispatch(event))
+        engine.apply(ChaosPlan(events))
         _submit(cluster, ledger)
 
     cluster = _differential(_microfaas(), scenario)
     assert not cluster.transfers.chaos_enabled
     assert cluster.orchestrator.jobs_lost == 0
+
+
+def _backend_faults():
+    return (ChaosEvent(ChaosKind.BACKEND_FAULT, 1.3, "redis", 2.5),
+            ChaosEvent(ChaosKind.BACKEND_FAULT, 4.6, "minio", 1.0))
+
+
+@pytest.mark.parametrize("events,build", [
+    pytest.param(_board_faults(ChaosKind.WORKER_CRASH, 0.0), _microfaas(),
+                 id="worker-crash"),
+    pytest.param(_board_faults(ChaosKind.BOOT_FAILURE, 2.0), _microfaas(),
+                 id="boot-failure"),
+    pytest.param(_board_faults(ChaosKind.GPIO_STUCK, 0.0), _microfaas(),
+                 id="gpio-stuck"),
+    pytest.param(_backend_faults(),
+                 _microfaas(backend=BackendCapacityModel()),
+                 id="backend-fault"),
+])
+def test_board_level_plans_match_forced_transfer_accounting(events, build):
+    """``apply`` switches transfer fault accounting on only for network
+    events.  A plan of one board-level (or backend) kind gives the same
+    records, time-in-state, bills and joules as the same plan with
+    accounting forced on, from fewer kernel events."""
+    runs = []
+    for forced in (False, True):
+        cluster = build(None)
+        if forced:
+            cluster.transfers.enable_chaos()
+        engine = ChaosEngine(cluster, detection_delay_s=1.0)
+
+        def scenario(cluster, ledger):
+            engine.apply(ChaosPlan(events))
+            _submit(cluster, ledger)
+
+        observed = _observed_run(cluster, scenario)
+        joules = repr(cluster.energy_joules(0.0, cluster.env.now))
+        runs.append((observed, joules, engine.injected, cluster))
+    (off, off_j, off_n, off_cluster), (on, on_j, on_n, on_cluster) = runs
+    assert not off_cluster.transfers.chaos_enabled
+    assert off_n == on_n > 0
+    for index, (a, b) in enumerate(zip(off, on)):
+        assert a == b, f"diverged by checkpoint {index}"
+    assert off_j == on_j
+    assert off_cluster.env._sequence < on_cluster.env._sequence
+
+
+def test_network_plans_switch_transfer_accounting_on():
+    for kind in (ChaosKind.LINK_DOWN, ChaosKind.LINK_DEGRADE,
+                 ChaosKind.SWITCH_OUTAGE):
+        cluster = _microfaas()(None)
+        ChaosEngine(cluster).apply(
+            ChaosPlan((ChaosEvent(kind, 1.0, 0, 1.0, 0.05),))
+        )
+        assert cluster.transfers.chaos_enabled, kind
 
 
 @pytest.mark.parametrize("build", [_microfaas(), _conventional(),

@@ -4,25 +4,21 @@ import pstats
 
 import pytest
 
-from repro.cli import (
-    ARTIFACTS,
-    SHARDABLE,
-    STREAMABLE,
-    TRACEABLE,
-    build_parser,
-    main,
-)
+from repro.cli import ARTIFACTS, build_parser, main
+from repro.experiments import megatrace
 
 
 def test_every_artifact_has_description_and_runner():
     assert set(ARTIFACTS) == {
-        "fig1", "fig3", "fig4", "fig5", "table1", "table2", "headline",
-        "scale", "scale-frontier", "megatrace", "hardware", "fault-study",
-        "hybrid-study", "federation-study", "sdk-study", "energy-study",
+        "fig1", "fig2", "fig3", "fig4", "fig5", "table1", "table2",
+        "headline", "scale", "scale-frontier", "megatrace", "hardware",
+        "fault-study", "hybrid-study", "federation-study", "sdk-study",
+        "energy-study",
     }
-    for description, runner in ARTIFACTS.values():
-        assert description
-        assert callable(runner)
+    for artifact in ARTIFACTS.values():
+        assert artifact.description
+        assert callable(artifact.run)
+        assert callable(artifact.module.render)
 
 
 def test_list_command(capsys):
@@ -69,12 +65,60 @@ def test_unknown_artifact_rejected():
         build_parser().parse_args(["fig99"])
 
 
+def _declaring(option):
+    """The artifacts whose table entry declares ``option``."""
+    return tuple(
+        sorted(name for name, a in ARTIFACTS.items() if getattr(a, option))
+    )
+
+
+def test_fig2_command(capsys):
+    assert main(["fig2"]) == 0
+    out = capsys.readouterr().out
+    assert "Fig. 2" in out
+    assert "10x" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig1", "--trace", "x.json"],
+        ["fig1", "--shards", "2"],
+        ["fig1", "--streaming", "on"],
+        ["headline", "--streaming", "off"],
+        ["all", "--streaming", "on"],
+        ["fig2", "--export-dir", "out"],
+    ],
+    ids=["fig1-trace", "fig1-shards", "fig1-streaming", "headline-streaming",
+         "all-streaming", "fig2-export-dir"],
+)
+def test_options_rejected_on_artifacts_that_ignore_them(argv, capsys):
+    assert main(argv) == 2
+    option = argv[1]
+    assert f"error: {option} " in capsys.readouterr().err
+
+
+def test_streaming_reaches_megatrace(monkeypatch, capsys):
+    seen = []
+    real_run = megatrace.run
+
+    def spy(**kwargs):
+        seen.append(kwargs["streaming"])
+        return real_run(**{**kwargs, "invocations": 500})
+
+    monkeypatch.setattr(megatrace, "run", spy)
+    for flag in ("on", "off", "auto"):
+        assert main(["megatrace", "--streaming", flag]) == 0
+    assert seen == [True, False, None]
+
+
 @pytest.mark.parametrize(
     "option,members",
     [
-        ("--trace", TRACEABLE),
-        ("--shards", SHARDABLE),
-        ("--streaming", STREAMABLE),
+        ("--trace", _declaring("trace")),
+        ("--shards", _declaring("shards")),
+        ("--streaming", _declaring("streaming")),
+        ("--export-dir", _declaring("tables")),
     ],
 )
 def test_option_help_lists_every_artifact_it_applies_to(option, members):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.experiments import federation_study
-from repro.experiments.export import export_federation_study
+from repro.experiments.report import write_tables
 from repro.obs.export import validate_chrome_trace_file
 
 # A small sweep: one faultless and one faulty point, short horizon.
@@ -99,9 +99,8 @@ def test_trace_path_writes_validator_clean_trace(tmp_path):
 
 
 def test_csv_export_schema(tmp_path):
-    path = export_federation_study(
-        str(tmp_path), user_counts=(100_000,), duration_s=30.0
-    )
+    result = federation_study.run(user_counts=(100_000,), duration_s=30.0)
+    [path] = write_tables(str(tmp_path), federation_study.tables(result))
     with open(path) as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == [

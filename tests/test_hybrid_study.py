@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.experiments import hybrid_study
-from repro.experiments.export import export_hybrid_study
+from repro.experiments.report import write_tables
 
 STUDY_KWARGS = dict(mixes=((2, 0), (1, 1), (0, 2)), invocations_per_function=2)
 
@@ -81,7 +81,10 @@ def test_trace_path_writes_platform_tagged_spans(tmp_path):
 
 
 def test_csv_export_schema(tmp_path):
-    path = export_hybrid_study(str(tmp_path))
+    [path] = write_tables(
+        str(tmp_path),
+        hybrid_study.tables(hybrid_study.run(invocations_per_function=2)),
+    )
     with open(path) as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == [

@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from repro.experiments import export, sdk_study
+from repro.experiments import sdk_study
+from repro.experiments.report import write_tables
 from repro.obs.export import validate_chrome_trace_file
 
 
@@ -83,9 +84,8 @@ def test_trace_path_writes_a_valid_chrome_trace(tmp_path):
 
 
 def test_csv_export_round_trips(tmp_path):
-    path = export.export_sdk_study(
-        tmp_path, user_counts=(1,), fanouts=(4,)
-    )
+    result = sdk_study.run(user_counts=(1,), fanouts=(4,))
+    [path] = write_tables(str(tmp_path), sdk_study.tables(result))
     with open(path) as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == len(sdk_study.BACKEND_KINDS)

@@ -5,12 +5,9 @@ import os
 
 import pytest
 
-from repro.experiments.export import (
-    export_all,
-    export_fig1,
-    export_megatrace,
-    export_table2,
-)
+from repro.cli import ARTIFACTS, main
+from repro.experiments import megatrace
+from repro.experiments.report import write_tables
 from repro.experiments.stats import (
     Estimate,
     estimate,
@@ -94,23 +91,25 @@ def read_csv(path):
 
 
 def test_export_fig1(tmp_path):
-    path = export_fig1(str(tmp_path))
-    rows = read_csv(path)
+    assert main(["fig1", "--export-dir", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "fig1_boot.csv")
     assert rows[0][0] == "change"
     assert len(rows) == 11  # header + baseline + 9 changes
     assert float(rows[-1][2]) == pytest.approx(1.51)
 
 
 def test_export_table2(tmp_path):
-    path = export_table2(str(tmp_path))
-    rows = read_csv(path)
+    assert main(["table2", "--export-dir", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "table2_tco.csv")
     assert len(rows) == 5
     totals = {(r[0], r[1]): int(r[5]) for r in rows[1:]}
     assert totals[("ideal", "conventional")] == 124_701
 
 
 def test_export_megatrace(tmp_path):
-    path = export_megatrace(str(tmp_path), invocations=500)
+    [path] = write_tables(
+        str(tmp_path), megatrace.tables(megatrace.run(invocations=500))
+    )
     rows = read_csv(path)
     assert rows[0][0] == "invocations"
     assert len(rows) == 2
@@ -119,23 +118,43 @@ def test_export_megatrace(tmp_path):
     assert float(record["peak_rss_mib"]) > 0
 
 
-def test_export_all_writes_every_artifact(tmp_path):
-    target = os.path.join(str(tmp_path), "artifacts")
-    paths = export_all(target, invocations_per_function=4)
-    assert len(paths) == 14
-    for path in paths:
-        assert os.path.exists(path)
-        if path.endswith(".csv"):
-            assert len(read_csv(path)) >= 2  # header + data
-    names = {os.path.basename(p) for p in paths}
-    assert names == {
-        "fig1_boot.csv", "fig3_runtime.csv", "fig4_vmsweep.csv",
-        "fig5_power.csv", "table2_tco.csv", "headline.csv",
-        "fault_study.csv", "hybrid_study.csv", "federation_study.csv",
-        "scale_study.csv", "sdk_study.csv", "energy_study.csv",
-        "energy_study_tenants.csv", "headline_trace.json",
+#: The CSV files each artifact's entry exports.
+EXPORTED = {
+    "fig1": {"fig1_boot.csv"},
+    "fig3": {"fig3_runtime.csv"},
+    "fig4": {"fig4_vmsweep.csv"},
+    "fig5": {"fig5_power.csv"},
+    "table2": {"table2_tco.csv"},
+    "headline": {"headline.csv"},
+    "fault-study": {"fault_study.csv"},
+    "federation-study": {"federation_study.csv"},
+    "hybrid-study": {"hybrid_study.csv"},
+    "scale": {"scale_study.csv"},
+    "sdk-study": {"sdk_study.csv"},
+    "energy-study": {"energy_study.csv", "energy_study_tenants.csv"},
+    "megatrace": {"megatrace.csv"},
+}
+
+
+def test_exported_artifacts_are_the_ones_with_tables():
+    assert set(EXPORTED) == {
+        name for name, artifact in ARTIFACTS.items()
+        if artifact.tables is not None
     }
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTED))
+def test_export_dir_writes_the_artifact_tables(name, tmp_path, capsys):
+    target = tmp_path / "artifacts"
+    assert main([name, "--invocations", "4", "--export-dir", str(target)]) == 0
+    assert set(os.listdir(target)) == EXPORTED[name]
+    for filename in EXPORTED[name]:
+        assert len(read_csv(target / filename)) >= 2  # header + data
+
+
+def test_traced_headline_writes_a_valid_trace(tmp_path, capsys):
     from repro.obs.export import validate_chrome_trace_file
 
-    trace = os.path.join(target, "headline_trace.json")
-    assert validate_chrome_trace_file(trace) == []
+    trace = tmp_path / "headline_trace.json"
+    assert main(["headline", "--invocations", "4", "--trace", str(trace)]) == 0
+    assert validate_chrome_trace_file(str(trace)) == []
