@@ -124,37 +124,6 @@ def development_trajectory(
     return points
 
 
-def scaled_stage_intervals(
-    sequence: BootSequence,
-    start_time: float,
-    scale: float = 1.0,
-) -> List[StageInterval]:
-    """Per-stage intervals of one boot, with wall time scaled.
-
-    Workers boot the calibrated sequence scaled by their board's
-    ``boot_time_scale``; the tracing layer uses this to attach per-stage
-    sub-spans whose union is exactly the observed boot window
-    (``sum(stage.real_s) * scale``).  CPU-busy time scales with the
-    wall time, preserving each stage's CPU fraction.
-    """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    intervals: List[StageInterval] = []
-    t = start_time
-    for stage in sequence:
-        end = t + stage.real_s * scale
-        intervals.append(
-            StageInterval(
-                stage=stage.name,
-                start_s=t,
-                end_s=end,
-                cpu_s=stage.cpu_s * scale,
-            )
-        )
-        t = end
-    return intervals
-
-
 def reboot_time_s(platform: str) -> float:
     """Time for a full clean-state reboot of the optimized worker OS.
 
@@ -174,5 +143,4 @@ __all__ = [
     "TrajectoryPoint",
     "development_trajectory",
     "reboot_time_s",
-    "scaled_stage_intervals",
 ]

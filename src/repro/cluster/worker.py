@@ -36,10 +36,10 @@ later arrivals on the strength of that report.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Tuple
 
 from repro.bootos.stages import optimized_sequence
-from repro.bootos.timeline import scaled_stage_intervals
 from repro.core.job import Job, JobStatus
 from repro.core.platform import ARM
 from repro.obs import trace as obs
@@ -580,18 +580,31 @@ class SbcWorker(Worker):
         config = getattr(self.orchestrator.tracer, "config", None)
         if boot_id is None or config is None or not config.boot_stages:
             return boot_id
-        for interval in scaled_stage_intervals(
-            optimized_sequence("arm"), start, self.sbc.spec.boot_time_scale
-        ):
-            self.orchestrator.tracer.span(
-                job.trace_id,
-                obs.BOOT_STAGE_PREFIX + interval.stage.value,
-                interval.start_s,
-                interval.end_s,
-                parent_id=boot_id,
-                worker_id=self.worker_id,
-            )
+        span = self.orchestrator.tracer.span
+        t = start
+        for name, duration in _boot_stage_spans(self.sbc.spec.boot_time_scale):
+            end = t + duration
+            span(job.trace_id, name, t, end, parent_id=boot_id,
+                 worker_id=self.worker_id)
+            t = end
         return boot_id
+
+
+@lru_cache(maxsize=16)
+def _boot_stage_spans(scale: float) -> Tuple[Tuple[str, float], ...]:
+    """``(span name, wall seconds)`` of each ARM boot stage, in order.
+
+    Workers boot the calibrated sequence scaled by their board's
+    ``boot_time_scale``; chaining the durations from the boot's start
+    gives per-stage child spans whose union is exactly the observed
+    boot window.  Memoized per scale, since every traced boot asks.
+    """
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    return tuple(
+        (obs.BOOT_STAGE_PREFIX + stage.name.value, stage.real_s * scale)
+        for stage in optimized_sequence("arm")
+    )
 
 
 __all__ = ["SbcWorker", "Worker"]

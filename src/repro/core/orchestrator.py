@@ -86,6 +86,13 @@ class Orchestrator:
         self.state = SchedulingState(clock=lambda: env.now)
         self.policy.bind(self.state, self.queues, self._is_powered)
         self.jobs: Dict[int, Job] = {}
+        #: Logical jobs not yet resolved, in submission order: what the
+        #: recovery supervisor scans.  Kept only under a recovery
+        #: policy; a job leaves at its first result, failure, give-up,
+        #: shed or hand-off, while :attr:`jobs` keeps the history.
+        self._in_flight: Optional[Dict[int, Job]] = (
+            {} if recovery is not None else None
+        )
         #: Energy control plane (opt-in; see
         #: :mod:`repro.energy.controlplane` and
         #: :class:`~repro.core.policies.TenantBudgetController`).  With
@@ -324,6 +331,7 @@ class Orchestrator:
         self.jobs[job.job_id] = job
         self._submitted += 1
         if self.recovery is not None:
+            self._in_flight[job.job_id] = job
             self._attempt_count[job.job_id] = 1
             self._attempt_started[job.job_id] = self.env.now
             if not self._supervisor_running:
@@ -368,6 +376,8 @@ class Orchestrator:
             self.tracer.annotate(job.trace_id, obs.SUBMIT, self.env.now)
         self.jobs[job.job_id] = job
         self._submitted += 1
+        if self._in_flight is not None:
+            self._in_flight[job.job_id] = job
         if job.trace_id is not None:
             self.tracer.annotate(
                 job.trace_id, obs.ASSIGN, self.env.now,
@@ -391,6 +401,8 @@ class Orchestrator:
             raise ValueError(f"job {job.job_id} already present")
         self.jobs[job.job_id] = job
         self._submitted += 1
+        if self._in_flight is not None:
+            self._in_flight[job.job_id] = job
         self.queues[worker_id].push(job)
         return job
 
@@ -399,6 +411,8 @@ class Orchestrator:
         :meth:`adopt_job`): forget it locally without completing it."""
         job = self.jobs.pop(job_id)
         self._submitted -= 1
+        if self._in_flight is not None:
+            self._in_flight.pop(job_id, None)
         return job
 
     def recover_job(self, job: Job) -> bool:
@@ -585,14 +599,16 @@ class Orchestrator:
             self.queues[job.worker_id].job_finished()
             if self.health is not None:
                 self.health.record_success(job.worker_id, now)
-        if self.recovery is not None and job.job_id in self._done:
-            self.duplicates_suppressed += 1
-            if self.ledger is not None:
-                # The race was lost: this attempt's joules are waste.
-                self.ledger.bill_attempt(job, now, delivered=False)
-            if not job.is_finished:
-                job.transition(JobStatus.COMPLETED, now)
-            return
+        if self.recovery is not None:
+            if job.job_id in self._done:
+                self.duplicates_suppressed += 1
+                if self.ledger is not None:
+                    # The race was lost: this attempt's joules are waste.
+                    self.ledger.bill_attempt(job, now, delivered=False)
+                if not job.is_finished:
+                    job.transition(JobStatus.COMPLETED, now)
+                return
+            self._in_flight.pop(job.job_id, None)
         self._done.add(job.job_id)
         if self.ledger is not None:
             self.ledger.bill_attempt(job, now, delivered=True)
@@ -626,14 +642,16 @@ class Orchestrator:
             self.queues[job.worker_id].job_finished()
             if self.health is not None:
                 self.health.record_failure(job.worker_id, now)
-        if self.recovery is not None and job.job_id in self._done:
-            self.duplicates_suppressed += 1
-            if self.ledger is not None:
-                self.ledger.bill_attempt(job, now, delivered=False)
-            if not job.is_finished:
-                job.failure = reason
-                job.transition(JobStatus.FAILED, now)
-            return
+        if self.recovery is not None:
+            if job.job_id in self._done:
+                self.duplicates_suppressed += 1
+                if self.ledger is not None:
+                    self.ledger.bill_attempt(job, now, delivered=False)
+                if not job.is_finished:
+                    job.failure = reason
+                    job.transition(JobStatus.FAILED, now)
+                return
+            self._in_flight.pop(job.job_id, None)
         self._done.add(job.job_id)
         if self.ledger is not None:
             self.ledger.bill_attempt(job, now, delivered=False)
@@ -659,7 +677,9 @@ class Orchestrator:
     def _supervise(self):
         """Recovery supervisor: scan in-flight jobs every ``tick_s``.
 
-        Runs only when a :class:`RecoveryPolicy` is installed.  Draws no
+        Runs only when a :class:`RecoveryPolicy` is installed.  A tick
+        costs O(in-flight jobs + workers): the job scan walks the
+        in-flight index, never the run's whole job history.  Draws no
         random numbers (jitter is hashed from job ids), so its presence
         never perturbs the simulation's RNG streams — a zero-fault run
         with recovery enabled is bit-identical to one without.
@@ -676,7 +696,10 @@ class Orchestrator:
             self._supervisor_running = False
 
     def _scan_jobs(self, policy: RecoveryPolicy, now: float) -> None:
-        for job_id, job in self.jobs.items():
+        # A snapshot: a give-up's subscribers may submit or resolve
+        # jobs mid-scan.
+        for job in list(self._in_flight.values()):
+            job_id = job.job_id
             if job_id in self._done or job.is_finished:
                 continue
             if (
@@ -713,6 +736,8 @@ class Orchestrator:
         """
         now = self.env.now
         self._done.add(job.job_id)
+        if self._in_flight is not None:
+            self._in_flight.pop(job.job_id, None)
         job.failure = "energy budget exhausted"
         job.status = JobStatus.FAILED
         job.t_completed = now
@@ -727,6 +752,7 @@ class Orchestrator:
     def _give_up(self, job: Job, now: float) -> None:
         """Deadline exceeded: abandon the job (the only loss path)."""
         self._done.add(job.job_id)
+        self._in_flight.pop(job.job_id, None)
         job.failure = "deadline exceeded"
         job.status = JobStatus.FAILED
         job.t_completed = now

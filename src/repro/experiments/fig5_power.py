@@ -52,22 +52,17 @@ def _measure_sbc(active: int, invocations: int, seed: int) -> float:
     cluster = MicroFaaSCluster(
         worker_count=10, seed=seed, policy=RoundRobinPolicy()
     )
-    # Round-robin over 10 queues: submit only to the first `active`
-    # workers by issuing jobs in multiples of the worker count but
-    # only for the active prefix.
     from repro.workloads import ALL_FUNCTION_NAMES
 
+    # Pin jobs round-robin over the first `active` of the 10 queues.
     # Every active queue receives the identical function sequence so all
     # boards stay busy for the same span (no straggler tail skewing the
     # window average).
+    orchestrator = cluster.orchestrator
     for i in range(invocations * active):
         function = ALL_FUNCTION_NAMES[(i // active) % 17]
-        job = cluster.orchestrator.make_job(function)
-        cluster.orchestrator.jobs[job.job_id] = job
-        cluster.orchestrator._submitted += 1
-        job.t_submit = cluster.env.now
-        cluster.orchestrator.queues[i % active].push(job)
-    done = cluster.orchestrator.wait_all()
+        orchestrator.submit_assigned(orchestrator.make_job(function), i % active)
+    done = orchestrator.wait_all()
     cluster.env.run(until=done)
     return cluster.energy_joules(0.0, cluster.env.now) / cluster.env.now
 

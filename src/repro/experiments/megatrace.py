@@ -99,6 +99,10 @@ class MegatraceResult:
     #: cluster, one OP; N = the trace striped over N independent
     #: worker-slices, each with its own orchestrator).
     shards: int = 1
+    #: Which arrival path ran: True for the bounded-RSS streaming path
+    #: (chunked arrivals, autocompacting power traces), False for the
+    #: eager columnar trace.
+    streaming: bool = False
 
     @property
     def events_per_wall_s(self) -> float:
@@ -234,6 +238,7 @@ def _run_partitioned(
         traces_dropped=traces_dropped,
         traces_exported=traces_exported,
         shards=shards,
+        streaming=streaming,
     )
 
 
@@ -356,6 +361,7 @@ def run(
         traces_finished=traces_finished,
         traces_dropped=traces_dropped,
         traces_exported=traces_exported,
+        streaming=streaming,
     )
 
 
@@ -372,6 +378,12 @@ def render(result: MegatraceResult) -> str:
             ),
         ),
         ("arrival rate", f"{result.rate_per_s:.1f} /s"),
+        (
+            "arrival path",
+            "streaming (chunked arrivals, compacting power traces)"
+            if result.streaming
+            else "eager (columnar trace, full power traces)",
+        ),
         ("simulated time", f"{result.sim_duration_s / 3600:.2f} h"),
         ("throughput", f"{result.throughput_per_min:.0f} func/min"),
         ("mean latency", f"{result.mean_latency_s:.2f} s"),
@@ -387,7 +399,7 @@ def render(result: MegatraceResult) -> str:
         (
             "records retained",
             f"{result.records_retained} "
-            f"(streaming; {result.sketch_buckets} sketch buckets)",
+            f"(sketch telemetry; {result.sketch_buckets} buckets)",
         ),
     ]
     if result.traces_finished or result.traces_exported:

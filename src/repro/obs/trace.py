@@ -29,6 +29,12 @@ Two recorders share one duck-typed API:
   buffer (:class:`collections.deque` with ``maxlen``), so a fully
   sampled megatrace-scale run stays O(in-flight + ring) in memory.
 
+The recorder stores each span as a plain tuple row, ``(span_id,
+parent_id, name, start_s, end_s, worker_id, attrs)``, and a sealed
+:class:`FinishedTrace` keeps that row list.  :class:`Span` objects are
+built from the rows on the first read of :attr:`FinishedTrace.spans`
+and only then, so traces the ring evicts unread never build any.
+
 A trace is *finished* when its first result has been delivered (or the
 job abandoned) **and** no attempt span is still open — a hedge that
 loses the race still gets its spans recorded before the trace is
@@ -167,16 +173,58 @@ class Span:
         )
 
 
-@dataclass(frozen=True)
-class FinishedTrace:
-    """One sealed trace: the root span plus every descendant."""
+#: One recorded span: ``(span_id, parent_id, name, start_s, end_s,
+#: worker_id, attrs)``, the :class:`Span` fields without the trace id.
+SpanRow = Tuple[int, Optional[int], str, float, float, Optional[int], Optional[dict]]
 
-    trace_id: int
-    function: str
-    label: str
-    status: str  # "completed" | "failed" | "lost" | "open"
-    delivered_attempt: Optional[int]
-    spans: Tuple[Span, ...]
+
+class FinishedTrace:
+    """One sealed trace: the root span plus every descendant.
+
+    Holds the recorder's span rows (root first); :attr:`spans` builds
+    the :class:`Span` objects on first read and keeps them.
+    """
+
+    __slots__ = (
+        "trace_id", "function", "label", "status", "delivered_attempt",
+        "_rows", "_spans",
+    )
+
+    def __init__(
+        self,
+        trace_id: int,
+        function: str,
+        label: str,
+        status: str,  # "completed" | "failed" | "lost" | "shed" | "open"
+        delivered_attempt: Optional[int],
+        rows: List[SpanRow],
+    ):
+        self.trace_id = trace_id
+        self.function = function
+        self.label = label
+        self.status = status
+        self.delivered_attempt = delivered_attempt
+        self._rows = rows
+        self._spans: Optional[Tuple[Span, ...]] = None
+
+    def __reduce__(self):
+        # Shard workers pipe sealed traces to the coordinator: ship the
+        # rows, not built spans.
+        return (
+            FinishedTrace,
+            (self.trace_id, self.function, self.label, self.status,
+             self.delivered_attempt, self._rows),
+        )
+
+    @property
+    def spans(self) -> Tuple[Span, ...]:
+        spans = self._spans
+        if spans is None:
+            trace_id = self.trace_id
+            spans = self._spans = tuple(
+                Span(trace_id, *row) for row in self._rows
+            )
+        return spans
 
     @property
     def root(self) -> Span:
@@ -184,18 +232,15 @@ class FinishedTrace:
 
     @property
     def start_s(self) -> float:
-        return self.root.start_s
+        return self._rows[0][3]
 
     @property
     def end_s(self) -> float:
-        return self.root.end_s
+        return self._rows[0][4]
 
     def attempts(self) -> List[Span]:
         """The attempt spans, in start order."""
-        return sorted(
-            (s for s in self.spans if s.name == ATTEMPT),
-            key=lambda s: s.start_s,
-        )
+        return self.find(ATTEMPT)
 
     def children_of(self, span_id: int) -> List[Span]:
         """Direct children of a span, in start order."""
@@ -255,22 +300,24 @@ NULL_RECORDER = NullTraceRecorder()
 
 
 class _LiveTrace:
-    """Builder for one in-flight trace."""
+    """Builder for one in-flight trace: its span rows, root first."""
 
-    __slots__ = ("trace_id", "function", "root", "spans",
-                 "open_attempts", "delivered", "status",
+    __slots__ = ("trace_id", "function", "root_id", "rows",
+                 "attempt_rows", "open_attempts", "delivered", "status",
                  "delivered_attempt", "end_s")
 
-    def __init__(self, trace_id: int, function: str, root: Span):
+    def __init__(self, trace_id: int, function: str, root: SpanRow):
         self.trace_id = trace_id
         self.function = function
-        self.root = root
-        self.spans: List[Span] = [root]
+        self.root_id = root[0]
+        self.rows: List[SpanRow] = [root]
+        #: Attempt span id -> index of its row, for :meth:`end_attempt`.
+        self.attempt_rows: Dict[int, int] = {}
         self.open_attempts = 0
         self.delivered = False
         self.status = "open"
         self.delivered_attempt: Optional[int] = None
-        self.end_s = root.start_s
+        self.end_s = root[3]
 
 
 class TraceRecorder:
@@ -329,11 +376,6 @@ class TraceRecorder:
     def live_count(self) -> int:
         return len(self._live)
 
-    def _new_span_id(self) -> int:
-        span_id = self._next_span_id
-        self._next_span_id += 1
-        return span_id
-
     def begin_trace(
         self,
         trace_id: int,
@@ -344,13 +386,14 @@ class TraceRecorder:
         """Open a trace; returns the root span id."""
         if trace_id in self._live:
             raise ValueError(f"trace {trace_id} already open")
-        root = Span(
-            trace_id, self._new_span_id(), None, ROOT, t, t, attrs=attrs
+        root_id = self._next_span_id
+        self._next_span_id = root_id + 1
+        self._live[trace_id] = _LiveTrace(
+            trace_id, function, (root_id, None, ROOT, t, t, None, attrs)
         )
-        self._live[trace_id] = _LiveTrace(trace_id, function, root)
         self.traces_started += 1
         self.spans_recorded += 1
-        return root.span_id
+        return root_id
 
     def span(
         self,
@@ -367,21 +410,25 @@ class TraceRecorder:
         if live is None:
             self.spans_dropped += 1
             return None
-        span = Span(
-            trace_id,
-            self._new_span_id(),
-            live.root.span_id if parent_id is None else parent_id,
+        if end_s < start_s:
+            raise ValueError(
+                f"span {name!r}: end {end_s} before start {start_s}"
+            )
+        span_id = self._next_span_id
+        self._next_span_id = span_id + 1
+        live.rows.append((
+            span_id,
+            live.root_id if parent_id is None else parent_id,
             name,
             start_s,
             end_s,
-            worker_id=worker_id,
-            attrs=attrs,
-        )
-        live.spans.append(span)
+            worker_id,
+            attrs,
+        ))
         if end_s > live.end_s:
             live.end_s = end_s
         self.spans_recorded += 1
-        return span.span_id
+        return span_id
 
     def annotate(
         self,
@@ -417,6 +464,7 @@ class TraceRecorder:
         span_id = self.span(
             trace_id, ATTEMPT, t, t, worker_id=worker_id, attrs=attrs
         )
+        live.attempt_rows[span_id] = len(live.rows) - 1
         live.open_attempts += 1
         return span_id
 
@@ -431,15 +479,17 @@ class TraceRecorder:
         live = self._live.get(trace_id)
         if live is None:
             return
-        if attempt_id is not None:
-            for span in live.spans:
-                if span.span_id == attempt_id:
-                    span.end_s = max(span.end_s, t)
-                    if attrs:
-                        span.attrs = {**(span.attrs or {}), **attrs}
-                    if span.end_s > live.end_s:
-                        live.end_s = span.end_s
-                    break
+        index = live.attempt_rows.get(attempt_id)
+        if index is not None:
+            rows = live.rows
+            span_id, parent_id, name, start_s, end_s, worker_id, old = rows[index]
+            end_s = max(end_s, t)
+            if attrs:
+                old = {**(old or {}), **attrs}
+            rows[index] = (span_id, parent_id, name, start_s, end_s,
+                           worker_id, old)
+            if end_s > live.end_s:
+                live.end_s = end_s
         live.open_attempts -= 1
         self._maybe_seal(live)
 
@@ -469,7 +519,10 @@ class TraceRecorder:
         self._seal(live)
 
     def _seal(self, live: _LiveTrace) -> None:
-        live.root.end_s = live.end_s
+        rows = live.rows
+        root_id, parent_id, name, start_s, _end, worker_id, attrs = rows[0]
+        rows[0] = (root_id, parent_id, name, start_s, live.end_s,
+                   worker_id, attrs)
         if len(self.finished) == self.finished.maxlen:
             self.traces_dropped += 1
         self.finished.append(
@@ -479,7 +532,7 @@ class TraceRecorder:
                 label=self.label,
                 status=live.status,
                 delivered_attempt=live.delivered_attempt,
-                spans=tuple(live.spans),
+                rows=rows,
             )
         )
         self.traces_finished += 1

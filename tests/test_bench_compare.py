@@ -77,3 +77,52 @@ def test_unmatched_benchmarks_never_fail(tmp_path):
     baseline = write(tmp_path, "base.json", bench_json({"old": 1.0}))
     current = write(tmp_path, "cur.json", bench_json({"new": 1.0}))
     assert bench_compare.main([baseline, current]) == 0
+
+
+def entry(name, **stats):
+    return {"fullname": name, "stats": stats}
+
+
+def test_repeated_name_compares_the_last_appended_entry(tmp_path, capsys):
+    # The old 1.0 s entry would flag 5.5 s as a regression; the newer
+    # 5.0 s entry, appended after it, is the one compared.
+    baseline = write(tmp_path, "base.json", {"benchmarks": [
+        entry("t", median=1.0, mean=1.0),
+        entry("t", median=5.0, mean=5.0),
+    ]})
+    current = write(tmp_path, "cur.json", {"benchmarks": [
+        entry("t", median=5.5, mean=5.5),
+    ]})
+    assert bench_compare.load_benchmarks(baseline) == {
+        "t": ({"median": 5.0, "mean": 5.0}, 2)
+    }
+    assert bench_compare.main([baseline, current]) == 0
+    out = capsys.readouterr().out
+    assert f"repeated  t: 2 entries in {baseline}, comparing the last appended" in out
+    assert "ok        t: 5.0000s -> 5.5000s (1.10x)" in out
+
+
+def test_compares_medians_and_falls_back_to_means(tmp_path, capsys):
+    # By median "t" moved 1.5x (inside the 2x band); by mean it would
+    # be 50x.  "old" has no median in the baseline, so both of its
+    # sides are compared by mean: 1.5x, where the current median alone
+    # would read 4.5x.
+    baseline = write(tmp_path, "base.json", {"benchmarks": [
+        entry("t", median=1.0, mean=0.1),
+        entry("old", mean=2.0),
+    ]})
+    current = write(tmp_path, "cur.json", {"benchmarks": [
+        entry("t", median=1.5, mean=5.0),
+        entry("old", median=9.0, mean=3.0),
+    ]})
+    baseline_s, current_s, by_mean = bench_compare.pick_seconds(
+        bench_compare.load_benchmarks(baseline),
+        bench_compare.load_benchmarks(current),
+    )
+    assert baseline_s == {"t": 1.0, "old": 2.0}
+    assert current_s == {"t": 1.5, "old": 3.0}
+    assert by_mean == {"old"}
+    assert bench_compare.main([baseline, current]) == 0
+    out = capsys.readouterr().out
+    assert "ok        t: 1.0000s -> 1.5000s (1.50x)" in out
+    assert "ok        old: 2.0000s -> 3.0000s (1.50x, means: no median)" in out

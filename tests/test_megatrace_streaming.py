@@ -98,3 +98,27 @@ def test_streaming_auto_threshold():
     assert megatrace.STREAMING_THRESHOLD == 10_000_000
     result = megatrace.run(invocations=1_000, worker_count=8, seed=2)
     assert result.invocations > 0  # auto mode ran eager without error
+    assert result.streaming is False
+
+
+def rendered_row(result, metric):
+    (row,) = [
+        line for line in megatrace.render(result).splitlines()
+        if line.startswith(metric)
+    ]
+    return row
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_render_names_the_arrival_path_that_ran(shards):
+    eager, streaming = (
+        megatrace.run(invocations=500, worker_count=8, seed=2,
+                      shards=shards, streaming=flag)
+        for flag in (False, True)
+    )
+    assert (eager.streaming, streaming.streaming) == (False, True)
+    assert "eager" in rendered_row(eager, "arrival path")
+    assert "streaming" in rendered_row(streaming, "arrival path")
+    # The always-on sketch telemetry is not the streaming path.
+    for result in (eager, streaming):
+        assert "streaming" not in rendered_row(result, "records retained")

@@ -7,11 +7,19 @@ are bit-identical with tracing off, on, or sampling at any rate; and
 matter how many traces are sampled.
 """
 
+import hashlib
+import json
+import pickle
+import random
+
 import pytest
 
+from repro.client import FunctionExecutor
 from repro.cluster import ConventionalCluster, MicroFaaSCluster
+from repro.core.policies import RecoveryPolicy
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.obs import trace as obs
+from repro.obs.export import chrome_trace_events
 from repro.obs.trace import (
     NULL_RECORDER,
     FinishedTrace,
@@ -20,7 +28,9 @@ from repro.obs.trace import (
     TraceRecorder,
     merge_traces,
 )
+from repro.reliability.chaos import ChaosEngine, ChaosPlan, ChaosProfile
 from repro.sim.rng import RandomStreams
+from repro.workloads.base import ALL_FUNCTION_NAMES
 
 
 def make_cluster(worker_count=4, seed=7, trace=None):
@@ -49,6 +59,14 @@ def test_trace_config_validation():
 def test_span_rejects_negative_duration():
     with pytest.raises(ValueError):
         Span(1, 1, None, "boot", 2.0, 1.0)
+
+
+def test_recorder_rejects_negative_duration_at_record_time():
+    recorder = TraceRecorder()
+    recorder.begin_trace(1, 0.0, "sha256")
+    with pytest.raises(ValueError, match="before start"):
+        recorder.span(1, obs.BOOT, 2.0, 1.0)
+    assert recorder.spans_recorded == 1  # the root only
 
 
 def test_span_as_dict_round_trip():
@@ -304,3 +322,117 @@ def test_conventional_cluster_traces_too():
         (attempt,) = sealed.attempts()
         names = {s.name for s in sealed.children_of(attempt.span_id)}
         assert obs.EXECUTE in names
+
+
+# ---------------------------------------------------------------------------
+# Span rows: recorded as tuples, built into Span objects on read
+# ---------------------------------------------------------------------------
+
+
+def observed_shaped_run(recovery, chaos_scale, rounds=6, fanout=8):
+    """A small closed-loop SDK run with the energy ledger, recovery, a
+    sampled chaos plan (board, link, switch and backend faults) and
+    full-rate tracing into a 16-trace ring."""
+    workers = 8
+    cluster = MicroFaaSCluster(
+        worker_count=workers,
+        seed=1,
+        policy=LeastLoadedPolicy(),
+        recovery=recovery,
+        trace=TraceConfig(sample_rate=1.0, max_traces=16),
+    )
+    cluster.enable_energy_ledger()
+    plan = ChaosPlan.sample(
+        ChaosProfile(scale=chaos_scale),
+        worker_count=workers,
+        horizon_s=120.0,
+        streams=cluster.streams.spawn("chaos"),
+        switch_count=len(cluster.switches),
+    )
+    ChaosEngine(cluster).apply(plan)
+    client = FunctionExecutor(cluster)
+    rng = random.Random(3)
+    for _ in range(rounds):
+        client.wait(client.map(
+            [rng.choice(ALL_FUNCTION_NAMES) for _ in range(fanout)]
+        ))
+    return cluster
+
+
+@pytest.mark.parametrize(
+    "recovery,chaos_scale,digest",
+    [
+        # Crash resubmissions and boot failures.
+        (RecoveryPolicy(), 2.0,
+         "a989266df02130d6971b476ac7a5ba508e35229b46115b0cf212947c55fa61d8"),
+        # Hedges, a timeout retry and duplicate completions.
+        (RecoveryPolicy(hedge_after_s=2.0, attempt_timeout_s=6.0), 1.0,
+         "8304461fdc6994333d6d722204ad37a4dca08e184ef5b7654b60763d61fbf197"),
+    ],
+)
+def test_observed_shaped_chrome_trace_matches_recorded_digest(
+    recovery, chaos_scale, digest
+):
+    """Pinned when every span was a mutable Span object built at record
+    time: the row store must export the same bytes."""
+    cluster = observed_shaped_run(recovery, chaos_scale)
+    assert cluster.tracer.traces_dropped > 0
+    document = json.dumps(
+        {"traceEvents": chrome_trace_events(cluster.finished_traces())},
+        sort_keys=True,
+    )
+    assert hashlib.sha256(document.encode()).hexdigest() == digest
+
+
+def span_fields(trace):
+    return [span.as_dict() for span in trace.spans]
+
+
+def test_finished_trace_pickle_round_trip():
+    cluster = observed_shaped_run(
+        RecoveryPolicy(hedge_after_s=2.0, attempt_timeout_s=6.0), 1.0,
+        rounds=2,
+    )
+    traces = cluster.finished_traces()
+    assert traces
+    for index, trace in enumerate(traces):
+        if index % 2:
+            trace.spans  # built before pickling, or not
+        copy = pickle.loads(pickle.dumps(trace))
+        for field in ("trace_id", "function", "label", "status",
+                      "delivered_attempt", "start_s", "end_s"):
+            assert getattr(copy, field) == getattr(trace, field)
+        assert span_fields(copy) == span_fields(trace)
+        assert copy.root.span_id == trace.root.span_id
+
+
+def test_spans_are_built_on_first_read_only():
+    cluster = make_cluster(trace=TraceConfig(max_traces=4))
+    cluster.run_saturated(invocations_per_function=1)
+    ring = list(cluster.tracer.finished)
+    assert all(trace._spans is None for trace in ring)
+    merge_traces([cluster.tracer])  # sorts by start_s: reads rows only
+    assert all(trace._spans is None for trace in ring)
+    spans = ring[0].spans
+    assert ring[0].spans is spans
+    assert isinstance(spans[0], Span) and spans[0] is ring[0].root
+
+
+def test_end_attempt_patches_its_row_in_place():
+    recorder = TraceRecorder()
+    recorder.begin_trace(1, 0.0, "f")
+    first = recorder.begin_attempt(1, 1.0, worker_id=0, attrs={"a": 1})
+    second = recorder.begin_attempt(1, 1.5, worker_id=1)
+    recorder.span(1, obs.EXECUTE, 1.0, 2.0, parent_id=first, worker_id=0)
+    recorder.end_attempt(1, second, 4.0, attrs={"outcome": "crashed"})
+    recorder.mark_delivered(1, 3.0, attempt_id=first)
+    recorder.end_attempt(1, first, 3.5, attrs={"b": 2})
+    (sealed,) = recorder.traces()
+    attempts = {span.span_id: span for span in sealed.attempts()}
+    assert (attempts[first].end_s, attempts[first].attrs) == (
+        3.5, {"a": 1, "b": 2}
+    )
+    assert (attempts[second].end_s, attempts[second].attrs) == (
+        4.0, {"outcome": "crashed"}
+    )
+    assert sealed.end_s == sealed.root.end_s == 4.0

@@ -3,16 +3,21 @@
 The repo pins its performance story with committed baselines
 (``BENCH_kernel.json``, ``BENCH_build.json``, ``BENCH_scale.json``) and
 this tool turns a fresh ``--benchmark-json`` run into a regression
-verdict: each benchmark's mean is matched to the baseline by name and
-must stay within a tolerance band.
+verdict: each benchmark's median is matched to the baseline by name and
+must stay within a tolerance band.  Where either side's entry records
+no median, both sides are compared by mean, and the output marks that
+row.
 
-Benchmarks are matched on their fully-qualified name.  Benchmarks
-present on only one side are reported but never fail the run (suites
-grow; baselines are regenerated deliberately).  Baselines may also
-carry a top-level ``extra_runs`` object (e.g. the 10^8-invocation
-megatrace wall-clock, measured outside pytest-benchmark); those are
-printed for context and never compared — a CI runner's wall-clock is
-not the baseline machine's.
+Benchmarks are matched on their fully-qualified name.  Baselines are
+appended to, never rewritten, so a name may appear more than once: the
+last appended entry is the one compared, and the output lists every
+repeated name with its entry count.  Benchmarks present on only one
+side are reported but never fail the run (suites grow; baselines are
+regenerated deliberately).  Baselines may also carry a top-level
+``extra_runs`` object (e.g. the 10^8-invocation megatrace wall-clock,
+measured outside pytest-benchmark); those are printed for context and
+never compared — a CI runner's wall-clock is not the baseline
+machine's.
 
 Run::
 
@@ -34,16 +39,42 @@ import sys
 
 
 def load_benchmarks(path: str) -> dict:
-    """Map fullname -> mean seconds from a pytest-benchmark JSON file."""
+    """Map fullname -> ``(stats, entries)`` from a pytest-benchmark JSON
+    file: the stats of the last appended entry of that name, and how
+    many entries the name has in the file."""
     with open(path) as handle:
         payload = json.load(handle)
-    means = {}
+    runs = {}
     for bench in payload.get("benchmarks", []):
         name = bench.get("fullname") or bench.get("name")
         stats = bench.get("stats", {})
         if name and "mean" in stats:
-            means[name] = stats["mean"]
-    return means
+            runs.setdefault(name, []).append(stats)
+    return {name: (entries[-1], len(entries)) for name, entries in runs.items()}
+
+
+def pick_seconds(baseline: dict, current: dict) -> "tuple[dict, dict, set]":
+    """Seconds to compare per name: medians, or means on both sides
+    where either side's entry records no median.
+
+    Returns the baseline and current ``{fullname: seconds}`` and the
+    names compared by mean.
+    """
+    sides = (baseline, current)
+    by_mean = {
+        name
+        for side in sides
+        for name, (stats, _count) in side.items()
+        if "median" not in stats
+    }
+    baseline_s, current_s = (
+        {
+            name: stats["mean" if name in by_mean else "median"]
+            for name, (stats, _count) in side.items()
+        }
+        for side in sides
+    )
+    return baseline_s, current_s, by_mean
 
 
 def load_extra_runs(path: str) -> dict:
@@ -84,7 +115,7 @@ def main(argv=None) -> int:
         "--tolerance",
         type=float,
         default=1.0,
-        help="allowed slowdown as a fraction of the baseline mean "
+        help="allowed slowdown as a fraction of the baseline median "
         "(default 1.0 = may take up to 2x the baseline)",
     )
     parser.add_argument(
@@ -94,20 +125,33 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    ok, regressions, unmatched = compare(
-        load_benchmarks(args.baseline),
-        load_benchmarks(args.current),
-        args.tolerance,
-    )
+    paths = (args.baseline, args.current)
+    loaded = [load_benchmarks(path) for path in paths]
+    baseline_s, current_s, by_mean = pick_seconds(*loaded)
+    ok, regressions, unmatched = compare(baseline_s, current_s, args.tolerance)
 
+    def statistic(name: str) -> str:
+        return ", means: no median" if name in by_mean else ""
+
+    for path, side in zip(paths, loaded):
+        for name, (_stats, count) in sorted(side.items()):
+            if count > 1:
+                print(
+                    f"  repeated  {name}: {count} entries in {path}, "
+                    "comparing the last appended"
+                )
     for name, base, now, ratio in ok:
-        print(f"  ok        {name}: {base:.4f}s -> {now:.4f}s ({ratio:.2f}x)")
+        print(
+            f"  ok        {name}: {base:.4f}s -> {now:.4f}s "
+            f"({ratio:.2f}x{statistic(name)})"
+        )
     for name, side in unmatched:
         print(f"  unmatched {name} (missing from {side})")
     for name, base, now, ratio in regressions:
         print(
             f"  REGRESSED {name}: {base:.4f}s -> {now:.4f}s "
-            f"({ratio:.2f}x, band is {1.0 + args.tolerance:.2f}x)"
+            f"({ratio:.2f}x{statistic(name)}, band is "
+            f"{1.0 + args.tolerance:.2f}x)"
         )
 
     extra = load_extra_runs(args.baseline)
