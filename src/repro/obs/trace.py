@@ -33,7 +33,8 @@ The recorder stores each span as a plain tuple row, ``(span_id,
 parent_id, name, start_s, end_s, worker_id, attrs)``, and a sealed
 :class:`FinishedTrace` keeps that row list.  :class:`Span` objects are
 built from the rows on the first read of :attr:`FinishedTrace.spans`
-and only then, so traces the ring evicts unread never build any.
+and only then, so traces the ring evicts unread never build any; once
+built, the spans replace the rows.
 
 A trace is *finished* when its first result has been delivered (or the
 job abandoned) **and** no attempt span is still open — a hedge that
@@ -181,8 +182,9 @@ SpanRow = Tuple[int, Optional[int], str, float, float, Optional[int], Optional[d
 class FinishedTrace:
     """One sealed trace: the root span plus every descendant.
 
-    Holds the recorder's span rows (root first); :attr:`spans` builds
-    the :class:`Span` objects on first read and keeps them.
+    Holds the recorder's span rows (root first) until :attr:`spans`
+    builds the :class:`Span` objects on first read; from then on it
+    keeps the spans only.
     """
 
     __slots__ = (
@@ -204,16 +206,23 @@ class FinishedTrace:
         self.label = label
         self.status = status
         self.delivered_attempt = delivered_attempt
-        self._rows = rows
+        self._rows: Optional[List[SpanRow]] = rows
         self._spans: Optional[Tuple[Span, ...]] = None
 
     def __reduce__(self):
-        # Shard workers pipe sealed traces to the coordinator: ship the
-        # rows, not built spans.
+        # Shard workers pipe sealed traces to the coordinator: ship rows,
+        # not built spans.
+        rows = self._rows
+        if rows is None:
+            rows = [
+                (s.span_id, s.parent_id, s.name, s.start_s, s.end_s,
+                 s.worker_id, s.attrs)
+                for s in self._spans
+            ]
         return (
             FinishedTrace,
             (self.trace_id, self.function, self.label, self.status,
-             self.delivered_attempt, self._rows),
+             self.delivered_attempt, rows),
         )
 
     @property
@@ -224,6 +233,7 @@ class FinishedTrace:
             spans = self._spans = tuple(
                 Span(trace_id, *row) for row in self._rows
             )
+            self._rows = None
         return spans
 
     @property
@@ -232,11 +242,13 @@ class FinishedTrace:
 
     @property
     def start_s(self) -> float:
-        return self._rows[0][3]
+        rows = self._rows
+        return self._spans[0].start_s if rows is None else rows[0][3]
 
     @property
     def end_s(self) -> float:
-        return self._rows[0][4]
+        rows = self._rows
+        return self._spans[0].end_s if rows is None else rows[0][4]
 
     def attempts(self) -> List[Span]:
         """The attempt spans, in start order."""

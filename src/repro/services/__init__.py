@@ -2,31 +2,31 @@
 
 The paper's testbed dedicates extra SBCs to hosting Redis, PostgreSQL,
 MinIO, and Kafka for the network-bound workload functions (Table I).
-None of those servers are available here, so this package provides
-from-scratch, in-process equivalents with real request/response
-semantics:
+None of those servers are available here, so the live functions talk
+to in-process stand-ins that serve exactly what they call:
 
-- :mod:`repro.services.kvstore` — a Redis-style key-value store with
-  TTLs, counters, and a command-list protocol.
-- :mod:`repro.services.sqldb` — a small SQL engine (CREATE/INSERT/
-  SELECT/UPDATE/DELETE with WHERE, ORDER BY, LIMIT).
+- :mod:`repro.services.kvstore` — a Redis-style key-value store:
+  ``SET`` (``EX``/``NX``/``XX``) and ``GET`` over a command-list
+  protocol, with expiry on read.
+- the SQL server is Python's :mod:`sqlite3`: an in-memory database that
+  :class:`repro.workloads.base.ServiceBundle` opens and seeds.
 - :mod:`repro.services.objectstore` — a MinIO-style bucket/object store
-  with ETags and prefix listing.
-- :mod:`repro.services.mq` — a Kafka-style partitioned log with consumer
-  groups and offset commits.
-- :mod:`repro.services.latency` — calibrated per-operation service times
-  used by the simulation layer.
-- :mod:`repro.services.chaos` — fault injection for the live services
-  (outage windows raising :class:`ServiceUnavailable` at entry points).
+  with MD5 ETags.
+- :mod:`repro.services.mq` — a Kafka-style partitioned log with
+  key-hashed routing and per-group consumer offsets.
+
+Two modules model the same services inside the simulation instead:
+
+- :mod:`repro.services.latency` — calibrated per-operation service times.
+- :mod:`repro.services.backend` — per-service concurrency and outages
+  (:class:`BackendFleet`).
 """
 
 from repro.services.backend import BackendCapacityModel, BackendFleet
-from repro.services.chaos import ServiceFaultInjector, ServiceUnavailable
 from repro.services.kvstore import KeyValueStore, KvError
 from repro.services.latency import SERVICE_LATENCY, ServiceLatencyModel
 from repro.services.mq import MessageQueue, MqError
 from repro.services.objectstore import ObjectStore, ObjectStoreError
-from repro.services.sqldb import SqlDatabase, SqlError
 
 __all__ = [
     "BackendCapacityModel",
@@ -38,9 +38,5 @@ __all__ = [
     "ObjectStore",
     "ObjectStoreError",
     "SERVICE_LATENCY",
-    "ServiceFaultInjector",
     "ServiceLatencyModel",
-    "ServiceUnavailable",
-    "SqlDatabase",
-    "SqlError",
 ]

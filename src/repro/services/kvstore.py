@@ -1,10 +1,10 @@
-"""A Redis-style in-memory key-value store.
+"""A Redis-style in-memory key-value store (RedisInsert/RedisUpdate backend).
 
-Implements the slice of Redis the RedisInsert/RedisUpdate workloads (and
-realistic FaaS applications) need: string SET/GET with NX/XX modes,
-DEL/EXISTS, INCR/DECR counters, key expiry (EXPIRE/TTL, SET ... EX),
-APPEND/STRLEN, and KEYS with glob patterns — all behind both a direct
-method API and a Redis-like command-list protocol (:meth:`execute`).
+Implements the slice of Redis the two workloads send over the wire:
+string ``SET`` with the ``EX``/``NX``/``XX`` options and ``GET``, behind
+a Redis-like command-list protocol (:meth:`KeyValueStore.execute`).  A
+key whose ``EX`` has run out reads as missing and is dropped on that
+read.
 
 Time is injected (``clock``) so the store works identically under the
 simulation clock and the wall clock.
@@ -12,31 +12,12 @@ simulation clock and the wall clock.
 
 from __future__ import annotations
 
-import fnmatch
 import time as _time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
-
-Value = str
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 class KvError(Exception):
-    """Protocol or type error, as a Redis client would receive."""
-
-
-@dataclass
-class _Entry:
-    #: str for strings, dict for hashes, list for lists.
-    value: Union[Value, Dict[str, Value], List[Value]]
-    expires_at: Optional[float]  # absolute time, None = no expiry
-
-    @property
-    def kind(self) -> str:
-        if isinstance(self.value, dict):
-            return "hash"
-        if isinstance(self.value, list):
-            return "list"
-        return "string"
+    """Protocol error, as a Redis client would receive."""
 
 
 class KeyValueStore:
@@ -44,38 +25,13 @@ class KeyValueStore:
 
     def __init__(self, clock: Callable[[], float] = _time.monotonic):
         self._clock = clock
-        self._data: Dict[str, _Entry] = {}
-        self.ops_processed = 0
-        #: Chaos hook (see :mod:`repro.services.chaos`): called with the
-        #: operation name at the wire entry point; may raise.
-        self.fault_gate: Optional[Callable[[str], None]] = None
-
-    # -- internals -------------------------------------------------------------
-
-    def _live_entry(self, key: str) -> Optional[_Entry]:
-        entry = self._data.get(key)
-        if entry is None:
-            return None
-        if entry.expires_at is not None and self._clock() >= entry.expires_at:
-            del self._data[key]
-            return None
-        return entry
-
-    def _typed_entry(self, key: str, kind: str) -> Optional[_Entry]:
-        """Fetch a live entry, enforcing Redis WRONGTYPE semantics."""
-        entry = self._live_entry(key)
-        if entry is not None and entry.kind != kind:
-            raise KvError(
-                f"WRONGTYPE key {key!r} holds a {entry.kind}, not a {kind}"
-            )
-        return entry
-
-    # -- string commands ---------------------------------------------------------
+        #: key -> (value, absolute expiry time or None)
+        self._data: Dict[str, Tuple[str, Optional[float]]] = {}
 
     def set(
         self,
         key: str,
-        value: Value,
+        value: str,
         ex: Optional[float] = None,
         nx: bool = False,
         xx: bool = False,
@@ -84,330 +40,56 @@ class KeyValueStore:
 
         Returns True if the value was stored.
         """
-        self.ops_processed += 1
         if nx and xx:
             raise KvError("NX and XX are mutually exclusive")
         if ex is not None and ex <= 0:
             raise KvError("EX must be positive")
-        exists = self._live_entry(key) is not None
-        if nx and exists:
-            return False
-        if xx and not exists:
+        exists = self.get(key) is not None
+        if (nx and exists) or (xx and not exists):
             return False
         expires_at = None if ex is None else self._clock() + ex
-        self._data[key] = _Entry(value=str(value), expires_at=expires_at)
+        self._data[key] = (str(value), expires_at)
         return True
 
-    def get(self, key: str) -> Optional[Value]:
+    def get(self, key: str) -> Optional[str]:
         """GET: the value, or None when missing/expired."""
-        self.ops_processed += 1
-        entry = self._typed_entry(key, "string")
-        return None if entry is None else entry.value
-
-    def delete(self, *keys: str) -> int:
-        """DEL: remove keys, returning how many existed."""
-        self.ops_processed += 1
-        removed = 0
-        for key in keys:
-            if self._live_entry(key) is not None:
-                del self._data[key]
-                removed += 1
-        return removed
-
-    def exists(self, *keys: str) -> int:
-        """EXISTS: how many of the given keys are present."""
-        self.ops_processed += 1
-        return sum(1 for key in keys if self._live_entry(key) is not None)
-
-    def incr(self, key: str, amount: int = 1) -> int:
-        """INCR/INCRBY: atomic counter increment."""
-        self.ops_processed += 1
-        entry = self._typed_entry(key, "string")
-        if entry is None:
-            current = 0
-            expires_at = None
-        else:
-            try:
-                current = int(entry.value)
-            except ValueError:
-                raise KvError("value is not an integer") from None
-            expires_at = entry.expires_at
-        current += amount
-        self._data[key] = _Entry(value=str(current), expires_at=expires_at)
-        return current
-
-    def decr(self, key: str, amount: int = 1) -> int:
-        """DECR/DECRBY."""
-        return self.incr(key, -amount)
-
-    def append(self, key: str, suffix: Value) -> int:
-        """APPEND: concatenate, returning the new length."""
-        self.ops_processed += 1
-        entry = self._typed_entry(key, "string")
-        value = (entry.value if entry else "") + str(suffix)
-        expires_at = entry.expires_at if entry else None
-        self._data[key] = _Entry(value=value, expires_at=expires_at)
-        return len(value)
-
-    def strlen(self, key: str) -> int:
-        """STRLEN: 0 for missing keys."""
-        self.ops_processed += 1
-        entry = self._typed_entry(key, "string")
-        return 0 if entry is None else len(entry.value)
-
-    # -- hash commands -------------------------------------------------------------
-
-    def hset(self, key: str, field_name: str, value: Value) -> int:
-        """HSET: set one hash field; returns 1 if the field is new."""
-        self.ops_processed += 1
-        entry = self._typed_entry(key, "hash")
-        if entry is None:
-            entry = _Entry(value={}, expires_at=None)
-            self._data[key] = entry
-        created = int(field_name not in entry.value)
-        entry.value[field_name] = str(value)
-        return created
-
-    def hget(self, key: str, field_name: str) -> Optional[Value]:
-        """HGET: one field, or None."""
-        self.ops_processed += 1
-        entry = self._typed_entry(key, "hash")
+        entry = self._data.get(key)
         if entry is None:
             return None
-        return entry.value.get(field_name)
-
-    def hgetall(self, key: str) -> Dict[str, Value]:
-        """HGETALL: the whole hash ({} when missing)."""
-        self.ops_processed += 1
-        entry = self._typed_entry(key, "hash")
-        return dict(entry.value) if entry is not None else {}
-
-    def hdel(self, key: str, *field_names: str) -> int:
-        """HDEL: remove fields, returning how many existed.
-
-        An emptied hash disappears, as in Redis.
-        """
-        self.ops_processed += 1
-        entry = self._typed_entry(key, "hash")
-        if entry is None:
-            return 0
-        removed = 0
-        for field_name in field_names:
-            if field_name in entry.value:
-                del entry.value[field_name]
-                removed += 1
-        if not entry.value:
+        value, expires_at = entry
+        if expires_at is not None and self._clock() >= expires_at:
             del self._data[key]
-        return removed
-
-    def hlen(self, key: str) -> int:
-        """HLEN: field count (0 when missing)."""
-        self.ops_processed += 1
-        entry = self._typed_entry(key, "hash")
-        return len(entry.value) if entry is not None else 0
-
-    # -- list commands --------------------------------------------------------------
-
-    def _list_entry(self, key: str, create: bool) -> Optional[_Entry]:
-        entry = self._typed_entry(key, "list")
-        if entry is None and create:
-            entry = _Entry(value=[], expires_at=None)
-            self._data[key] = entry
-        return entry
-
-    def lpush(self, key: str, *values: Value) -> int:
-        """LPUSH: prepend values (leftmost ends up first); new length."""
-        self.ops_processed += 1
-        if not values:
-            raise KvError("LPUSH needs at least one value")
-        entry = self._list_entry(key, create=True)
-        for value in values:
-            entry.value.insert(0, str(value))
-        return len(entry.value)
-
-    def rpush(self, key: str, *values: Value) -> int:
-        """RPUSH: append values; returns the new length."""
-        self.ops_processed += 1
-        if not values:
-            raise KvError("RPUSH needs at least one value")
-        entry = self._list_entry(key, create=True)
-        entry.value.extend(str(v) for v in values)
-        return len(entry.value)
-
-    def lpop(self, key: str) -> Optional[Value]:
-        """LPOP: remove and return the head (None when empty)."""
-        self.ops_processed += 1
-        entry = self._list_entry(key, create=False)
-        if entry is None or not entry.value:
             return None
-        value = entry.value.pop(0)
-        if not entry.value:
-            del self._data[key]
         return value
 
-    def rpop(self, key: str) -> Optional[Value]:
-        """RPOP: remove and return the tail."""
-        self.ops_processed += 1
-        entry = self._list_entry(key, create=False)
-        if entry is None or not entry.value:
-            return None
-        value = entry.value.pop()
-        if not entry.value:
-            del self._data[key]
-        return value
-
-    def llen(self, key: str) -> int:
-        """LLEN: list length (0 when missing)."""
-        self.ops_processed += 1
-        entry = self._list_entry(key, create=False)
-        return len(entry.value) if entry is not None else 0
-
-    def lrange(self, key: str, start: int, stop: int) -> List[Value]:
-        """LRANGE with Redis's inclusive, negative-index semantics."""
-        self.ops_processed += 1
-        entry = self._list_entry(key, create=False)
-        if entry is None:
-            return []
-        values = entry.value
-        length = len(values)
-        if start < 0:
-            start = max(0, length + start)
-        if stop < 0:
-            stop = length + stop
-        return list(values[start : stop + 1])
-
-    # -- expiry -----------------------------------------------------------------
-
-    def expire(self, key: str, seconds: float) -> bool:
-        """EXPIRE: set a TTL; False if the key does not exist."""
-        self.ops_processed += 1
-        if seconds <= 0:
-            raise KvError("expiry must be positive")
-        entry = self._live_entry(key)
-        if entry is None:
-            return False
-        entry.expires_at = self._clock() + seconds
-        return True
-
-    def persist(self, key: str) -> bool:
-        """PERSIST: remove a TTL; False if none was set."""
-        self.ops_processed += 1
-        entry = self._live_entry(key)
-        if entry is None or entry.expires_at is None:
-            return False
-        entry.expires_at = None
-        return True
-
-    def ttl(self, key: str) -> float:
-        """TTL: seconds remaining; -2 if missing, -1 if no expiry."""
-        self.ops_processed += 1
-        entry = self._live_entry(key)
-        if entry is None:
-            return -2.0
-        if entry.expires_at is None:
-            return -1.0
-        return entry.expires_at - self._clock()
-
-    # -- keyspace -----------------------------------------------------------------
-
-    def keys(self, pattern: str = "*") -> List[str]:
-        """KEYS: glob-match live keys (sorted, for determinism)."""
-        self.ops_processed += 1
-        return sorted(
-            key
-            for key in list(self._data)
-            if self._live_entry(key) is not None
-            and fnmatch.fnmatchcase(key, pattern)
-        )
-
-    def dbsize(self) -> int:
-        """DBSIZE: number of live keys."""
-        self.ops_processed += 1
-        return sum(1 for key in list(self._data) if self._live_entry(key))
-
-    def flushall(self) -> None:
-        """FLUSHALL."""
-        self.ops_processed += 1
-        self._data.clear()
-
-    # -- command protocol ----------------------------------------------------------
-
-    def execute(self, command: List[str]) -> Union[None, bool, int, float, str, List[str]]:
+    def execute(self, command: List[str]) -> Optional[object]:
         """Execute a Redis-style command list, e.g. ``["SET", "k", "v"]``.
 
         This is the wire-level entry point the workload clients use.
         """
-        if self.fault_gate is not None:
-            self.fault_gate("execute")
         if not command:
             raise KvError("empty command")
-        op = command[0].upper()
-        args = command[1:]
-        handlers = {
-            "SET": self._cmd_set,
-            "GET": lambda a: self._arity(a, 1) or self.get(a[0]),
-            "DEL": lambda a: self.delete(*a) if a else self._arity(a, 1),
-            "EXISTS": lambda a: self.exists(*a) if a else self._arity(a, 1),
-            "INCR": lambda a: self._arity(a, 1) or self.incr(a[0]),
-            "INCRBY": lambda a: self._arity(a, 2) or self.incr(a[0], int(a[1])),
-            "DECR": lambda a: self._arity(a, 1) or self.decr(a[0]),
-            "APPEND": lambda a: self._arity(a, 2) or self.append(a[0], a[1]),
-            "STRLEN": lambda a: self._arity(a, 1) or self.strlen(a[0]),
-            "EXPIRE": lambda a: self._arity(a, 2) or self.expire(a[0], float(a[1])),
-            "PERSIST": lambda a: self._arity(a, 1) or self.persist(a[0]),
-            "TTL": lambda a: self._arity(a, 1) or self.ttl(a[0]),
-            "HSET": lambda a: self._arity(a, 3) or self.hset(a[0], a[1], a[2]),
-            "HGET": lambda a: self._arity(a, 2) or self.hget(a[0], a[1]),
-            "HGETALL": lambda a: self._arity(a, 1) or self.hgetall(a[0]),
-            "HDEL": (
-                lambda a: self.hdel(a[0], *a[1:]) if len(a) >= 2
-                else self._arity(a, 2)
-            ),
-            "HLEN": lambda a: self._arity(a, 1) or self.hlen(a[0]),
-            "LPUSH": (
-                lambda a: self.lpush(a[0], *a[1:]) if len(a) >= 2
-                else self._arity(a, 2)
-            ),
-            "RPUSH": (
-                lambda a: self.rpush(a[0], *a[1:]) if len(a) >= 2
-                else self._arity(a, 2)
-            ),
-            "LPOP": lambda a: self._arity(a, 1) or self.lpop(a[0]),
-            "RPOP": lambda a: self._arity(a, 1) or self.rpop(a[0]),
-            "LLEN": lambda a: self._arity(a, 1) or self.llen(a[0]),
-            "LRANGE": (
-                lambda a: self._arity(a, 3)
-                or self.lrange(a[0], int(a[1]), int(a[2]))
-            ),
-            "KEYS": lambda a: self.keys(a[0] if a else "*"),
-            "DBSIZE": lambda a: self.dbsize(),
-            "FLUSHALL": lambda a: self.flushall(),
-        }
-        handler = handlers.get(op)
-        if handler is None:
-            raise KvError(f"unknown command {op!r}")
-        return handler(args)
+        op, args = command[0].upper(), command[1:]
+        if op == "GET":
+            if len(args) != 1:
+                raise KvError(f"GET takes one key, got {len(args)} arguments")
+            return self.get(args[0])
+        if op == "SET":
+            return self._cmd_set(args)
+        raise KvError(f"unknown command {op!r}")
 
-    @staticmethod
-    def _arity(args: List[str], expected: int) -> None:
-        if len(args) != expected:
-            raise KvError(
-                f"wrong number of arguments: expected {expected}, got {len(args)}"
-            )
-        return None
-
-    def _cmd_set(self, args: List[str]):
+    def _cmd_set(self, args: List[str]) -> bool:
         if len(args) < 2:
             raise KvError("SET needs a key and a value")
         key, value = args[0], args[1]
         ex: Optional[float] = None
         nx = xx = False
-        rest = [token.upper() for token in args[2:]]
+        options = [token.upper() for token in args[2:]]
         i = 0
-        while i < len(rest):
-            token = rest[i]
+        while i < len(options):
+            token = options[i]
             if token == "EX":
-                if i + 1 >= len(rest):
+                if i + 1 >= len(options):
                     raise KvError("EX needs a value")
                 ex = float(args[2 + i + 1])
                 i += 2

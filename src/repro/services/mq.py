@@ -1,18 +1,16 @@
 """A Kafka-style partitioned message queue (MQProduce/MQConsume backend).
 
 Topics are split into partitions, each an append-only log.  Producing
-with a key routes deterministically to a partition (hash of the key);
-keyless records round-robin.  Consumer groups track committed offsets
-per partition, so multiple consumers in a group share a topic while
-separate groups each see every record.
+with a key routes deterministically to a partition (SHA-256 of the
+key); keyless records round-robin.  Each consumer group keeps its own
+offset per partition, so separate groups each see every record.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time as _time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 
 class MqError(Exception):
@@ -36,65 +34,33 @@ class Record:
     offset: int
     key: Optional[str]
     value: str
-    timestamp: float
-
-
-@dataclass
-class _Partition:
-    log: List[Record] = field(default_factory=list)
-
-    @property
-    def end_offset(self) -> int:
-        return len(self.log)
 
 
 class MessageQueue:
     """Topics, partitions, producers, and consumer groups."""
 
-    def __init__(self, clock: Callable[[], float] = _time.monotonic):
-        self._clock = clock
-        self._topics: Dict[str, List[_Partition]] = {}
-        #: (group, topic, partition) -> committed offset
+    def __init__(self) -> None:
+        #: topic -> one append-only log per partition
+        self._topics: Dict[str, List[List[Record]]] = {}
+        #: (group, topic, partition) -> next offset to consume
         self._offsets: Dict[Tuple[str, str, int], int] = {}
         self._round_robin: Dict[str, int] = {}
-        self.records_produced = 0
-        self.records_consumed = 0
-        #: Chaos hook (see :mod:`repro.services.chaos`): called with the
-        #: operation name at each broker entry point; may raise.
-        self.fault_gate: Optional[Callable[[str], None]] = None
-
-    # -- topics -----------------------------------------------------------------
 
     def create_topic(self, topic: str, partitions: int = 1) -> None:
         if partitions < 1:
             raise MqError(f"partitions must be >= 1, got {partitions}")
         if topic in self._topics:
             raise TopicAlreadyExists(topic)
-        self._topics[topic] = [_Partition() for _ in range(partitions)]
+        self._topics[topic] = [[] for _ in range(partitions)]
         self._round_robin[topic] = 0
-
-    def delete_topic(self, topic: str) -> None:
-        self._partitions(topic)
-        del self._topics[topic]
-        del self._round_robin[topic]
-        self._offsets = {
-            key: offset
-            for key, offset in self._offsets.items()
-            if key[1] != topic
-        }
 
     def list_topics(self) -> List[str]:
         return sorted(self._topics)
 
-    def partition_count(self, topic: str) -> int:
-        return len(self._partitions(topic))
-
-    def _partitions(self, topic: str) -> List[_Partition]:
+    def _partitions(self, topic: str) -> List[List[Record]]:
         if topic not in self._topics:
             raise NoSuchTopic(topic)
         return self._topics[topic]
-
-    # -- producing ----------------------------------------------------------------
 
     def partition_for_key(self, topic: str, key: Optional[str]) -> int:
         """Deterministic partition routing (stable across processes)."""
@@ -110,95 +76,22 @@ class MessageQueue:
         self, topic: str, value: str, key: Optional[str] = None
     ) -> Record:
         """Append a record, returning it with its assigned offset."""
-        if self.fault_gate is not None:
-            self.fault_gate("produce")
-        partition_index = self.partition_for_key(topic, key)
-        partition = self._partitions(topic)[partition_index]
-        record = Record(
-            topic=topic,
-            partition=partition_index,
-            offset=partition.end_offset,
-            key=key,
-            value=value,
-            timestamp=self._clock(),
-        )
-        partition.log.append(record)
-        self.records_produced += 1
+        index = self.partition_for_key(topic, key)
+        log = self._partitions(topic)[index]
+        record = Record(topic, index, len(log), key, value)
+        log.append(record)
         return record
 
-    # -- consuming ----------------------------------------------------------------
-
-    def committed_offset(self, group: str, topic: str, partition: int) -> int:
-        self._check_partition(topic, partition)
-        return self._offsets.get((group, topic, partition), 0)
-
-    def poll(
-        self,
-        group: str,
-        topic: str,
-        max_records: int = 1,
-        partition: Optional[int] = None,
-    ) -> List[Record]:
-        """Fetch up to ``max_records`` uncommitted records for ``group``.
-
-        Polling does not advance offsets; call :meth:`commit` after
-        processing (at-least-once semantics, like Kafka's default).
-        """
-        if self.fault_gate is not None:
-            self.fault_gate("poll")
-        if max_records < 1:
-            raise MqError(f"max_records must be >= 1, got {max_records}")
-        partitions = self._partitions(topic)
-        indices = (
-            range(len(partitions)) if partition is None else [partition]
-        )
-        fetched: List[Record] = []
-        for index in indices:
-            self._check_partition(topic, index)
+    def consume_one(self, group: str, topic: str) -> Optional[Record]:
+        """Take ``group``'s next record, lowest partition first, and
+        advance its offset past it (what MQConsume does); None when the
+        group has read everything."""
+        for index, log in enumerate(self._partitions(topic)):
             offset = self._offsets.get((group, topic, index), 0)
-            for record in partitions[index].log[offset:]:
-                if len(fetched) >= max_records:
-                    return fetched
-                fetched.append(record)
-        return fetched
-
-    def commit(self, group: str, record: Record) -> None:
-        """Mark everything up to and including ``record`` as consumed."""
-        if self.fault_gate is not None:
-            self.fault_gate("commit")
-        self._check_partition(record.topic, record.partition)
-        key = (group, record.topic, record.partition)
-        current = self._offsets.get(key, 0)
-        if record.offset + 1 > current:
-            self.records_consumed += record.offset + 1 - current
-            self._offsets[key] = record.offset + 1
-
-    def consume_one(
-        self, group: str, topic: str, partition: Optional[int] = None
-    ) -> Optional[Record]:
-        """Poll-and-commit a single record (what MQConsume does)."""
-        records = self.poll(group, topic, max_records=1, partition=partition)
-        if not records:
-            return None
-        self.commit(group, records[0])
-        return records[0]
-
-    def lag(self, group: str, topic: str) -> int:
-        """Total uncommitted records across the topic for ``group``."""
-        partitions = self._partitions(topic)
-        return sum(
-            partition.end_offset
-            - self._offsets.get((group, topic, index), 0)
-            for index, partition in enumerate(partitions)
-        )
-
-    def _check_partition(self, topic: str, partition: int) -> None:
-        partitions = self._partitions(topic)
-        if not 0 <= partition < len(partitions):
-            raise MqError(
-                f"topic {topic!r} has no partition {partition} "
-                f"(has {len(partitions)})"
-            )
+            if offset < len(log):
+                self._offsets[(group, topic, index)] = offset + 1
+                return log[offset]
+        return None
 
 
 __all__ = [

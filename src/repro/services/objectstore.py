@@ -1,21 +1,16 @@
 """A MinIO-style cloud object store (the COSGet/COSPut backend).
 
 Buckets hold binary objects addressed by key.  Each object carries an
-MD5 ETag (as S3-compatible stores do), a content type, and user
-metadata.  Listing supports prefix filtering and pagination; integrity
-can be verified on download, which is exactly what the COSGet workload
-does on the worker.
+MD5 ETag, as S3-compatible stores do, so a download can be verified
+against it, which is exactly what the COSGet workload does on the
+worker.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
-import time as _time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
-
-_BUCKET_NAME_RE = re.compile(r"^[a-z0-9][a-z0-9\-.]{1,61}[a-z0-9]$")
+from dataclasses import dataclass
+from typing import Dict, List
 
 
 class ObjectStoreError(Exception):
@@ -34,70 +29,30 @@ class BucketAlreadyExists(ObjectStoreError):
     pass
 
 
-class BucketNotEmpty(ObjectStoreError):
-    pass
-
-
-class PreconditionFailed(ObjectStoreError):
-    """ETag mismatch on a conditional operation."""
-
-
-@dataclass
+@dataclass(frozen=True)
 class StoredObject:
     """One object at rest."""
 
-    key: str
     data: bytes
     etag: str
-    content_type: str
-    last_modified: float
-    metadata: Dict[str, str] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
         return len(self.data)
 
 
-def compute_etag(data: bytes) -> str:
-    """S3-style ETag: hex MD5 of the payload."""
-    return hashlib.md5(data).hexdigest()
-
-
 class ObjectStore:
     """An in-memory bucket/object store."""
 
-    def __init__(self, clock: Callable[[], float] = _time.monotonic):
-        self._clock = clock
+    def __init__(self) -> None:
         self._buckets: Dict[str, Dict[str, StoredObject]] = {}
-        self.ops_processed = 0
-        self.bytes_stored = 0
-        #: Chaos hook (see :mod:`repro.services.chaos`): called with the
-        #: operation name at each object entry point; may raise.
-        self.fault_gate: Optional[Callable[[str], None]] = None
-
-    def _gate(self, operation: str) -> None:
-        if self.fault_gate is not None:
-            self.fault_gate(operation)
-
-    # -- buckets -----------------------------------------------------------------
 
     def create_bucket(self, bucket: str) -> None:
-        self.ops_processed += 1
-        if not _BUCKET_NAME_RE.match(bucket):
-            raise ObjectStoreError(f"invalid bucket name {bucket!r}")
         if bucket in self._buckets:
             raise BucketAlreadyExists(bucket)
         self._buckets[bucket] = {}
 
-    def delete_bucket(self, bucket: str) -> None:
-        self.ops_processed += 1
-        contents = self._bucket(bucket)
-        if contents:
-            raise BucketNotEmpty(bucket)
-        del self._buckets[bucket]
-
     def list_buckets(self) -> List[str]:
-        self.ops_processed += 1
         return sorted(self._buckets)
 
     def _bucket(self, bucket: str) -> Dict[str, StoredObject]:
@@ -105,117 +60,27 @@ class ObjectStore:
             raise NoSuchBucket(bucket)
         return self._buckets[bucket]
 
-    # -- objects -----------------------------------------------------------------
-
-    def put_object(
-        self,
-        bucket: str,
-        key: str,
-        data: bytes,
-        content_type: str = "application/octet-stream",
-        metadata: Optional[Dict[str, str]] = None,
-        if_match: Optional[str] = None,
-    ) -> str:
-        """Store an object, returning its ETag.
-
-        ``if_match`` makes the put conditional on the current ETag
-        (optimistic concurrency, as the COSPut workload uses for safe
-        overwrites).
-        """
-        self._gate("put_object")
-        self.ops_processed += 1
-        if not key:
-            raise ObjectStoreError("object key cannot be empty")
-        if not isinstance(data, (bytes, bytearray)):
-            raise ObjectStoreError("object data must be bytes")
-        contents = self._bucket(bucket)
-        if if_match is not None:
-            existing = contents.get(key)
-            if existing is None or existing.etag != if_match:
-                raise PreconditionFailed(key)
-        previous = contents.get(key)
-        if previous is not None:
-            self.bytes_stored -= previous.size
+    def put_object(self, bucket: str, key: str, data: bytes) -> str:
+        """Store (or overwrite) an object, returning its ETag: the hex
+        MD5 of the payload."""
         data = bytes(data)
-        obj = StoredObject(
-            key=key,
-            data=data,
-            etag=compute_etag(data),
-            content_type=content_type,
-            last_modified=self._clock(),
-            metadata=dict(metadata or {}),
-        )
-        contents[key] = obj
-        self.bytes_stored += obj.size
+        obj = StoredObject(data, hashlib.md5(data).hexdigest())
+        self._bucket(bucket)[key] = obj
         return obj.etag
 
     def get_object(self, bucket: str, key: str) -> StoredObject:
         """Fetch an object (raises :class:`NoSuchKey` when absent)."""
-        self._gate("get_object")
-        self.ops_processed += 1
         contents = self._bucket(bucket)
         if key not in contents:
             raise NoSuchKey(f"{bucket}/{key}")
         return contents[key]
 
-    def head_object(self, bucket: str, key: str) -> Dict[str, object]:
-        """Metadata-only fetch."""
-        obj = self.get_object(bucket, key)
-        return {
-            "etag": obj.etag,
-            "size": obj.size,
-            "content_type": obj.content_type,
-            "last_modified": obj.last_modified,
-            "metadata": dict(obj.metadata),
-        }
-
-    def delete_object(self, bucket: str, key: str) -> bool:
-        """Delete; returns whether the key existed (S3 deletes are
-        idempotent and never 404)."""
-        self._gate("delete_object")
-        self.ops_processed += 1
-        contents = self._bucket(bucket)
-        obj = contents.pop(key, None)
-        if obj is None:
-            return False
-        self.bytes_stored -= obj.size
-        return True
-
-    def list_objects(
-        self,
-        bucket: str,
-        prefix: str = "",
-        max_keys: Optional[int] = None,
-        start_after: Optional[str] = None,
-    ) -> List[str]:
-        """Sorted keys matching ``prefix``, paginated via ``start_after``."""
-        self._gate("list_objects")
-        self.ops_processed += 1
-        if max_keys is not None and max_keys < 0:
-            raise ObjectStoreError("max_keys must be non-negative")
-        keys = sorted(
-            key for key in self._bucket(bucket) if key.startswith(prefix)
-        )
-        if start_after is not None:
-            keys = [key for key in keys if key > start_after]
-        if max_keys is not None:
-            keys = keys[:max_keys]
-        return keys
-
-    def verify_integrity(self, bucket: str, key: str) -> bool:
-        """Re-hash the payload and compare against the stored ETag."""
-        obj = self.get_object(bucket, key)
-        return compute_etag(obj.data) == obj.etag
-
 
 __all__ = [
     "BucketAlreadyExists",
-    "BucketNotEmpty",
     "NoSuchBucket",
     "NoSuchKey",
     "ObjectStore",
     "ObjectStoreError",
-    "PreconditionFailed",
     "StoredObject",
-    "compute_etag",
 ]

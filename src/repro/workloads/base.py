@@ -18,14 +18,12 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.services import (
-    KeyValueStore,
-    MessageQueue,
-    ObjectStore,
-    SqlDatabase,
-)
+from repro.services import KeyValueStore, MessageQueue, ObjectStore
+
+if TYPE_CHECKING:
+    import sqlite3
 
 Payload = Dict[str, Any]
 
@@ -34,12 +32,28 @@ CPU_BOUND = "cpu"
 NETWORK_BOUND = "network"
 
 
+def _sql_server() -> sqlite3.Connection:
+    """An in-memory SQLite database whose rows read by column name.
+
+    Worker threads share it, so it is not pinned to the opening thread;
+    callers serialize their statements (``LocalWorker``'s service lock).
+    """
+    # Imported on first use: the simulation imports this module for the
+    # registry and never opens a database, and loading the SQLite
+    # library would grow each of its processes by about 1.7 MB.
+    import sqlite3
+
+    connection = sqlite3.connect(":memory:", check_same_thread=False)
+    connection.row_factory = sqlite3.Row
+    return connection
+
+
 @dataclass
 class ServiceBundle:
     """The backend services a worker can reach over the cluster network."""
 
     kv: KeyValueStore = field(default_factory=KeyValueStore)
-    sql: SqlDatabase = field(default_factory=SqlDatabase)
+    sql: sqlite3.Connection = field(default_factory=_sql_server)
     cos: ObjectStore = field(default_factory=ObjectStore)
     mq: MessageQueue = field(default_factory=MessageQueue)
 
@@ -49,7 +63,9 @@ class ServiceBundle:
         Mirrors the testbed setup: a seeded SQL table, an object-store
         bucket with sample objects, and an MQ topic with a backlog.
         """
-        if "records" not in self.sql.tables:
+        if not self.sql.execute(
+            "SELECT 1 FROM sqlite_master WHERE name = 'records'"
+        ).fetchone():
             self.sql.execute(
                 "CREATE TABLE records (id INTEGER PRIMARY KEY, "
                 "payload TEXT, version INTEGER, score REAL)"

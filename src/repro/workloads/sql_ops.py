@@ -37,15 +37,15 @@ class SqlSelectWorkload(WorkloadFunction):
 
     def run(self, payload: Payload, services: ServiceBundle) -> Payload:
         services.seed_defaults()
-        result = services.sql.execute(
-            f"SELECT id, payload, score FROM records "
-            f"WHERE score >= {payload['score_low']} "
-            f"AND score < {payload['score_high']} "
-            f"ORDER BY score DESC LIMIT {int(payload['limit'])}"
-        )
-        scores = [row["score"] for row in result.rows]
+        rows = services.sql.execute(
+            "SELECT id, payload, score FROM records "
+            "WHERE score >= ? AND score < ? ORDER BY score DESC LIMIT ?",
+            (payload["score_low"], payload["score_high"],
+             int(payload["limit"])),
+        ).fetchall()
+        scores = [row["score"] for row in rows]
         return {
-            "rows": len(result.rows),
+            "rows": len(rows),
             "top_score": scores[0] if scores else None,
         }
 
@@ -68,13 +68,13 @@ class SqlUpdateWorkload(WorkloadFunction):
 
     def run(self, payload: Payload, services: ServiceBundle) -> Payload:
         services.seed_defaults()
-        result = services.sql.execute(
-            f"UPDATE records SET version = version + 1, "
-            f"score = score + {payload['score_bump']} "
-            f"WHERE id >= {int(payload['id_low'])} "
-            f"AND id < {int(payload['id_high'])}"
+        cursor = services.sql.execute(
+            "UPDATE records SET version = version + 1, score = score + ? "
+            "WHERE id >= ? AND id < ?",
+            (payload["score_bump"], int(payload["id_low"]),
+             int(payload["id_high"])),
         )
-        return {"updated": result.rowcount}
+        return {"updated": cursor.rowcount}
 
 
 __all__ = ["SqlSelectWorkload", "SqlUpdateWorkload"]

@@ -21,9 +21,7 @@ from repro.reliability import (
     ChaosPlan,
     ChaosProfile,
 )
-from repro.services import ServiceFaultInjector, ServiceUnavailable
 from repro.services.backend import BackendCapacityModel
-from repro.services.kvstore import KeyValueStore
 from repro.sim.rng import RandomStreams
 
 
@@ -401,39 +399,6 @@ def test_fault_study_validation():
         fault_study.run(worker_count=1)
     with pytest.raises(ValueError):
         fault_study.run(invocations_per_function=0)
-
-
-# ---------------------------------------------------------------------------
-# Service-level fault injection (semantic faults)
-# ---------------------------------------------------------------------------
-
-
-def test_service_fault_injector_gates_entry_points():
-    clock = {"now": 0.0}
-    injector = ServiceFaultInjector(clock=lambda: clock["now"])
-    store = KeyValueStore()
-    injector.install("redis", store)
-    store.execute(["SET", "k", "v"])
-    injector.fail("redis", duration_s=5.0)
-    with pytest.raises(ServiceUnavailable):
-        store.execute(["GET", "k"])
-    assert injector.is_down("redis")
-    assert injector.refusals and injector.refusals[0][1] == "redis"
-    clock["now"] = 6.0
-    assert store.execute(["GET", "k"]) == "v"
-    assert not injector.is_down("redis")
-
-
-def test_service_fault_injector_restore_and_uninstall():
-    clock = {"now": 0.0}
-    injector = ServiceFaultInjector(clock=lambda: clock["now"])
-    store = KeyValueStore()
-    injector.install("redis", store)
-    injector.fail("redis", duration_s=100.0)
-    injector.restore("redis")
-    store.execute(["SET", "k", "v"])  # no refusal after restore
-    injector.uninstall("redis")
-    assert store.fault_gate is None
 
 
 # ---------------------------------------------------------------------------

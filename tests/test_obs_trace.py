@@ -418,6 +418,20 @@ def test_spans_are_built_on_first_read_only():
     assert isinstance(spans[0], Span) and spans[0] is ring[0].root
 
 
+def test_built_spans_replace_the_rows():
+    cluster = make_cluster(trace=TraceConfig(max_traces=4))
+    cluster.run_saturated(invocations_per_function=1)
+    trace = cluster.tracer.traces()[0]
+    start_s, end_s = trace.start_s, trace.end_s
+    shipped = pickle.dumps(trace)
+    spans = trace.spans
+    assert trace._rows is None
+    assert (trace.start_s, trace.end_s) == (start_s, end_s)
+    assert (spans[0].start_s, spans[0].end_s) == (start_s, end_s)
+    assert pickle.dumps(trace) == shipped
+    assert span_fields(pickle.loads(shipped)) == span_fields(trace)
+
+
 def test_end_attempt_patches_its_row_in_place():
     recorder = TraceRecorder()
     recorder.begin_trace(1, 0.0, "f")

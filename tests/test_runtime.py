@@ -1,9 +1,11 @@
 """Tests for the live local FaaS platform (real execution)."""
 
+import random
+
 import pytest
 
 from repro.runtime import LocalFaaSPlatform
-from repro.workloads import ALL_FUNCTION_NAMES
+from repro.workloads import ALL_FUNCTION_NAMES, get_function
 
 
 @pytest.fixture
@@ -100,10 +102,19 @@ def test_invoke_many_validation(platform):
 
 def test_concurrent_network_functions_are_serialized_safely(platform):
     """Parallel Redis inserts through the service lock never collide."""
+    function = get_function("RedisInsert")
+    payloads = [
+        function.generate_input(random.Random(seed), scale=0.1)
+        for seed in range(12)
+    ]
     futures = [
-        platform.invoke_async("RedisInsert", scale=0.1) for _ in range(12)
+        platform.invoke_async("RedisInsert", payload=payload)
+        for payload in payloads
     ]
     results = [f.result(timeout=30) for f in futures]
     total = sum(r["inserted"] for r in results)
     assert total == sum(r["requested"] for r in results)
-    assert platform.services.kv.dbsize() == total
+    for payload in payloads:
+        for index, value in enumerate(payload["values"]):
+            key = f"{payload['key_prefix']}:{index}"
+            assert platform.services.kv.get(key) == value

@@ -52,38 +52,6 @@ def test_set_nx_xx_conflict(kv):
         kv.set("k", "v", nx=True, xx=True)
 
 
-def test_delete_counts_removed(kv):
-    kv.set("a", "1")
-    kv.set("b", "2")
-    assert kv.delete("a", "b", "ghost") == 2
-    assert kv.get("a") is None
-
-
-def test_exists_counts(kv):
-    kv.set("a", "1")
-    assert kv.exists("a", "a", "b") == 2
-
-
-def test_incr_from_missing_starts_at_zero(kv):
-    assert kv.incr("counter") == 1
-    assert kv.incr("counter", 10) == 11
-    assert kv.decr("counter", 1) == 10
-
-
-def test_incr_non_integer_value_errors(kv):
-    kv.set("k", "hello")
-    with pytest.raises(KvError):
-        kv.incr("k")
-
-
-def test_append_and_strlen(kv):
-    assert kv.append("k", "abc") == 3
-    assert kv.append("k", "de") == 5
-    assert kv.get("k") == "abcde"
-    assert kv.strlen("k") == 5
-    assert kv.strlen("missing") == 0
-
-
 def test_expiry_with_injected_clock():
     clock = FakeClock()
     kv = KeyValueStore(clock=clock)
@@ -92,74 +60,14 @@ def test_expiry_with_injected_clock():
     assert kv.get("k") == "v"
     clock.t = 10.0
     assert kv.get("k") is None
-    assert kv.exists("k") == 0
-
-
-def test_expire_command():
-    clock = FakeClock()
-    kv = KeyValueStore(clock=clock)
-    kv.set("k", "v")
-    assert kv.expire("k", 5.0) is True
-    assert kv.expire("ghost", 5.0) is False
-    clock.t = 6.0
-    assert kv.get("k") is None
+    assert kv.set("k", "w", xx=True) is False  # expired keys are absent
 
 
 def test_expire_rejects_non_positive(kv):
-    kv.set("k", "v")
     with pytest.raises(KvError):
-        kv.expire("k", 0.0)
+        kv.set("k", "v", ex=0.0)
     with pytest.raises(KvError):
         kv.set("k2", "v", ex=-1.0)
-
-
-def test_persist_removes_ttl():
-    clock = FakeClock()
-    kv = KeyValueStore(clock=clock)
-    kv.set("k", "v", ex=5.0)
-    assert kv.persist("k") is True
-    clock.t = 100.0
-    assert kv.get("k") == "v"
-    assert kv.persist("k") is False  # no TTL anymore
-    assert kv.persist("ghost") is False
-
-
-def test_ttl_semantics():
-    clock = FakeClock()
-    kv = KeyValueStore(clock=clock)
-    assert kv.ttl("ghost") == -2.0
-    kv.set("forever", "v")
-    assert kv.ttl("forever") == -1.0
-    kv.set("mortal", "v", ex=30.0)
-    clock.t = 10.0
-    assert kv.ttl("mortal") == pytest.approx(20.0)
-
-
-def test_incr_preserves_ttl():
-    clock = FakeClock()
-    kv = KeyValueStore(clock=clock)
-    kv.set("c", "5", ex=100.0)
-    kv.incr("c")
-    assert kv.ttl("c") == pytest.approx(100.0)
-
-
-def test_keys_glob(kv):
-    for key in ("user:1", "user:2", "session:1"):
-        kv.set(key, "x")
-    assert kv.keys("user:*") == ["user:1", "user:2"]
-    assert kv.keys() == ["session:1", "user:1", "user:2"]
-
-
-def test_dbsize_and_flushall():
-    clock = FakeClock()
-    kv = KeyValueStore(clock=clock)
-    kv.set("a", "1")
-    kv.set("b", "2", ex=5.0)
-    assert kv.dbsize() == 2
-    clock.t = 6.0
-    assert kv.dbsize() == 1
-    kv.flushall()
-    assert kv.dbsize() == 0
 
 
 # -- command protocol ----------------------------------------------------------
@@ -170,25 +78,21 @@ def test_execute_set_get(kv):
     assert kv.execute(["GET", "k"]) == "v"
 
 
-def test_execute_set_with_options(kv):
+def test_execute_set_with_options():
+    clock = FakeClock()
+    kv = KeyValueStore(clock=clock)
     assert kv.execute(["SET", "k", "v", "EX", "5", "NX"]) is True
     assert kv.execute(["SET", "k", "w", "NX"]) is False
-    assert kv.execute(["TTL", "k"]) == pytest.approx(5.0)
+    clock.t = 4.99
+    assert kv.execute(["GET", "k"]) == "v"
+    clock.t = 5.0
+    assert kv.execute(["GET", "k"]) is None
+    assert kv.execute(["SET", "k", "w", "XX"]) is False
 
 
 def test_execute_case_insensitive(kv):
     assert kv.execute(["set", "k", "v"]) is True
     assert kv.execute(["get", "k"]) == "v"
-
-
-def test_execute_incrby(kv):
-    assert kv.execute(["INCRBY", "c", "7"]) == 7
-
-
-def test_execute_keys_and_dbsize(kv):
-    kv.execute(["SET", "a", "1"])
-    assert kv.execute(["KEYS"]) == ["a"]
-    assert kv.execute(["DBSIZE"]) == 1
 
 
 def test_execute_errors(kv):
@@ -206,13 +110,6 @@ def test_execute_errors(kv):
         kv.execute(["SET", "k", "v", "EX"])
 
 
-def test_ops_counter_increments(kv):
-    before = kv.ops_processed
-    kv.set("a", "1")
-    kv.get("a")
-    assert kv.ops_processed == before + 2
-
-
 @given(
     st.dictionaries(
         st.text(min_size=1, max_size=10),
@@ -226,13 +123,3 @@ def test_property_store_retrieves_everything_it_stored(mapping):
         kv.set(key, value)
     for key, value in mapping.items():
         assert kv.get(key) == value
-    assert kv.dbsize() == len(mapping)
-
-
-@given(st.lists(st.integers(min_value=-100, max_value=100), max_size=30))
-def test_property_incr_matches_running_sum(deltas):
-    kv = KeyValueStore(clock=FakeClock())
-    total = 0
-    for delta in deltas:
-        total += delta
-        assert kv.incr("c", delta) == total

