@@ -39,7 +39,9 @@ print; the studies with CSV data also expose ``tables(result)``, the
 :mod:`repro.experiments.runner` is the shared execution layer: the
 sweep-shaped experiments fan their independent points across worker
 processes via :func:`repro.experiments.runner.run_map`, which computes
-every point afresh on each call.
+every point afresh on each call.  The studies that honour ``--trace``
+go through :func:`repro.experiments.runner.map_traced`: their chosen
+point records spans inside the sweep, so no point is simulated twice.
 """
 
 from repro.experiments import (

@@ -22,7 +22,7 @@ Two sweeps over one diurnal arrival trace on the paper's SBC cluster:
    does not hold.
 
 Every point is an independent, seeded task on
-:func:`~repro.experiments.runner.run_map`, so the sweep is
+:func:`~repro.experiments.runner.map_traced`, so the sweep is
 bit-identical at any ``--jobs``.
 """
 
@@ -35,9 +35,8 @@ from repro.cluster.microfaas import MicroFaaSCluster
 from repro.cluster.replay import replay_trace
 from repro.core.policies import BudgetPolicy
 from repro.experiments.report import Table, format_table
-from repro.experiments.runner import run_map
-from repro.obs.export import write_trace_file
-from repro.obs.trace import TraceConfig
+from repro.experiments.runner import map_traced
+from repro.obs.trace import FinishedTrace, TraceConfig
 from repro.shard import ClusterSpec, ShardedCluster
 from repro.sim.rng import RandomStreams
 from repro.workloads.traces import diurnal_trace
@@ -82,6 +81,7 @@ class EnergyStudyTask:
     seed: int
     #: Shards for frontier points (budget points always run serial).
     shards: int = 1
+    trace: Optional[TraceConfig] = None
 
 
 @dataclass(frozen=True)
@@ -171,55 +171,44 @@ def _budget_policy(task: EnergyStudyTask) -> BudgetPolicy:
     )
 
 
-def _build_budgeted_cluster(
-    task: EnergyStudyTask, trace: Optional[TraceConfig] = None
-) -> MicroFaaSCluster:
-    """A seeded, capped, tenanted cluster for one budget point."""
-    cluster = MicroFaaSCluster(
-        worker_count=task.worker_count, seed=task.seed, trace=trace
-    )
-    if task.cap_watts is not None:
-        cluster.set_power_cap(task.cap_watts)
-    cluster.enable_tenant_budgets(_budget_policy(task))
-    tenants = task.tenants
-    cluster.orchestrator.tenant_namer = (
-        lambda job_id, function: f"tenant-{job_id % tenants}"
-    )
-    return cluster
+def _run_point(
+    task: EnergyStudyTask,
+) -> Tuple[EnergyStudyPoint, List[FinishedTrace]]:
+    """Worker: one diurnal replay at one (cap, budget) setting.
 
-
-def _run_point(task: EnergyStudyTask) -> EnergyStudyPoint:
-    """Worker: one diurnal replay at one (cap, budget) setting."""
+    Frontier points (no budget) carry no control-plane state and shard;
+    budget points are tenanted, metered and always serial, as is a
+    traced point (its recorder lives in the one cluster).
+    """
+    if task.budget_scale is None and task.shards > 1 and task.trace is None:
+        sharded = ShardedCluster(
+            ClusterSpec(
+                kind="microfaas",
+                worker_count=task.worker_count,
+                seed=task.seed,
+                power_cap_watts=task.cap_watts,
+            ),
+            task.shards,
+            executor="inline",
+        )
+        result = sharded.replay_trace(_point_trace(task))
+        traces: List[FinishedTrace] = []
+    else:
+        cluster = MicroFaaSCluster(
+            worker_count=task.worker_count, seed=task.seed, trace=task.trace
+        )
+        if task.cap_watts is not None:
+            cluster.set_power_cap(task.cap_watts)
+        if task.budget_scale is not None:
+            cluster.enable_tenant_budgets(_budget_policy(task))
+            tenants = task.tenants
+            cluster.orchestrator.tenant_namer = (
+                lambda job_id, function: f"tenant-{job_id % tenants}"
+            )
+        result = replay_trace(cluster, _point_trace(task))
+        traces = cluster.finished_traces()
     if task.budget_scale is None:
-        # Cap frontier: untenanted, no control-plane state, shardable.
-        if task.shards > 1:
-            sharded = ShardedCluster(
-                ClusterSpec(
-                    kind="microfaas",
-                    worker_count=task.worker_count,
-                    seed=task.seed,
-                    power_cap_watts=task.cap_watts,
-                ),
-                task.shards,
-                executor="inline",
-            )
-            result = sharded.replay_trace(_point_trace(task))
-        else:
-            cluster = MicroFaaSCluster(
-                worker_count=task.worker_count, seed=task.seed
-            )
-            if task.cap_watts is not None:
-                cluster.set_power_cap(task.cap_watts)
-            result = replay_trace(cluster, _point_trace(task))
-        return EnergyStudyPoint(
-            cap_watts=task.cap_watts,
-            budget_scale=None,
-            jobs_completed=result.jobs_completed,
-            duration_s=result.duration_s,
-            throughput_per_min=result.throughput_per_min,
-            energy_joules=result.energy_joules,
-            joules_per_function=result.joules_per_function,
-            p99_latency_s=result.telemetry.percentile_latency_s(99.0),
+        control = dict(
             jobs_delayed=0,
             jobs_shed=0,
             tenant_joules=(),
@@ -227,13 +216,19 @@ def _run_point(task: EnergyStudyTask) -> EnergyStudyPoint:
             idle_overhead_j=None,
             wasted_j=None,
         )
-    # Budget point: tenanted + metered, always serial.
-    cluster = _build_budgeted_cluster(task)
-    result = replay_trace(cluster, _point_trace(task))
-    ledger = cluster.orchestrator.ledger
-    report = ledger.reconcile(end=result.duration_s)
-    controller = cluster.orchestrator.budgets
-    return EnergyStudyPoint(
+    else:
+        ledger = cluster.orchestrator.ledger
+        # Settle the ledger's tails before reading its joules.
+        report = ledger.reconcile(end=result.duration_s)
+        control = dict(
+            jobs_delayed=cluster.orchestrator.budgets.jobs_delayed,
+            jobs_shed=cluster.orchestrator.jobs_shed,
+            tenant_joules=tuple(sorted(ledger.tenant_joules.items())),
+            reconciliation_residual_j=report.residual_joules,
+            idle_overhead_j=ledger.overhead_joules["idle"],
+            wasted_j=ledger.overhead_joules["wasted"],
+        )
+    point = EnergyStudyPoint(
         cap_watts=task.cap_watts,
         budget_scale=task.budget_scale,
         jobs_completed=result.jobs_completed,
@@ -242,20 +237,9 @@ def _run_point(task: EnergyStudyTask) -> EnergyStudyPoint:
         energy_joules=result.energy_joules,
         joules_per_function=result.joules_per_function,
         p99_latency_s=result.telemetry.percentile_latency_s(99.0),
-        jobs_delayed=controller.jobs_delayed,
-        jobs_shed=cluster.orchestrator.jobs_shed,
-        tenant_joules=tuple(sorted(ledger.tenant_joules.items())),
-        reconciliation_residual_j=report.residual_joules,
-        idle_overhead_j=ledger.overhead_joules["idle"],
-        wasted_j=ledger.overhead_joules["wasted"],
+        **control,
     )
-
-
-def _trace_point(task: EnergyStudyTask, trace_path: str) -> None:
-    """Re-run the capped+budgeted point inline with span recording."""
-    cluster = _build_budgeted_cluster(task, trace=TraceConfig())
-    replay_trace(cluster, _point_trace(task))
-    write_trace_file(cluster.finished_traces(), trace_path)
+    return point, traces
 
 
 def run(
@@ -278,7 +262,7 @@ def run(
     is measured against.  ``shards > 1`` runs each frontier point
     through the sharded engine (bit-identical; budget points stay
     serial).  With ``trace_path`` set, the largest-scale budget point
-    is re-run inline with tracing and its span trees written there.
+    records spans as it runs and its span trees are written there.
     """
     if None not in caps:
         raise ValueError("caps must include None (the uncapped baseline)")
@@ -313,11 +297,17 @@ def run(
     ] + [
         make_task(BUDGETED_CAP_WATTS, scale, 1) for scale in budget_scales
     ]
-    points = run_map(tasks, _run_point, jobs=jobs)
-    if trace_path is not None and budget_scales:
-        _trace_point(
-            make_task(BUDGETED_CAP_WATTS, max(budget_scales), 1), trace_path
-        )
+    points = map_traced(
+        tasks,
+        _run_point,
+        jobs=jobs,
+        trace_path=trace_path,
+        traced=max(
+            (t for t in tasks if t.budget_scale is not None),
+            key=lambda t: t.budget_scale,
+            default=None,
+        ),
+    )
     return EnergyStudyResult(points=points)
 
 

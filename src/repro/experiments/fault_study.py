@@ -17,7 +17,7 @@ activity (resubmissions, timeout retries, hedges, duplicates
 suppressed), and the energy overhead relative to the fault-free run.
 
 Every point is an independent, seeded task on the shared
-:func:`~repro.experiments.runner.run_map` runner, so the sweep is
+:func:`~repro.experiments.runner.map_traced` runner, so the sweep is
 bit-identical at any ``--jobs``.
 """
 
@@ -31,9 +31,8 @@ from repro.core.policies import RecoveryPolicy
 from repro.core.telemetry import percentiles
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.experiments.report import Table, format_table
-from repro.experiments.runner import run_map
-from repro.obs.export import write_trace_file
-from repro.obs.trace import TraceConfig
+from repro.experiments.runner import map_traced
+from repro.obs.trace import FinishedTrace, TraceConfig
 from repro.reliability.chaos import ChaosEngine, ChaosPlan, ChaosProfile
 from repro.services.backend import BackendCapacityModel
 
@@ -51,6 +50,7 @@ class FaultStudyTask:
     worker_count: int
     invocations_per_function: int
     seed: int
+    trace: Optional[TraceConfig] = None
 
 
 @dataclass(frozen=True)
@@ -101,21 +101,17 @@ class FaultStudyResult:
         return sum(point.jobs_lost for point in self.points)
 
 
-def _build_point_cluster(
-    task: FaultStudyTask, trace: Optional[TraceConfig] = None
-) -> Tuple[MicroFaaSCluster, ChaosEngine]:
-    """A seeded cluster with this point's chaos plan armed.
-
-    Shared between the sweep workers and the inline traced
-    re-run, so a traced point sees the exact same fault schedule.
-    """
+def _run_fault_point(
+    task: FaultStudyTask,
+) -> Tuple[FaultStudyPoint, List[FinishedTrace]]:
+    """Worker: one saturated run under one chaos rate scale."""
     cluster = MicroFaaSCluster(
         worker_count=task.worker_count,
         seed=task.seed,
         policy=LeastLoadedPolicy(),
         backend=BackendCapacityModel(),
         recovery=RecoveryPolicy(),
-        trace=trace,
+        trace=task.trace,
     )
     plan = ChaosPlan.sample(
         ChaosProfile(scale=task.fault_rate_scale),
@@ -126,12 +122,6 @@ def _build_point_cluster(
     )
     engine = ChaosEngine(cluster)
     engine.apply(plan)
-    return cluster, engine
-
-
-def _run_fault_point(task: FaultStudyTask) -> FaultStudyPoint:
-    """Worker: one saturated run under one chaos rate scale."""
-    cluster, engine = _build_point_cluster(task)
     result = cluster.run_saturated(
         invocations_per_function=task.invocations_per_function
     )
@@ -152,7 +142,7 @@ def _run_fault_point(task: FaultStudyTask) -> FaultStudyPoint:
         for job in orchestrator.jobs.values()
         if job.t_completed is not None and job.failure is None
     ]
-    return FaultStudyPoint(
+    point = FaultStudyPoint(
         fault_rate_scale=task.fault_rate_scale,
         jobs_submitted=submitted,
         jobs_delivered=delivered,
@@ -173,21 +163,7 @@ def _run_fault_point(task: FaultStudyTask) -> FaultStudyPoint:
         duration_s=result.duration_s,
         energy_joules=result.energy_joules,
     )
-
-
-def _trace_point(task: FaultStudyTask, trace_path: str) -> None:
-    """Re-run one point inline with span recording and export it.
-
-    The sweep itself stays on the ``run_map`` path; the traced
-    re-run is a separate cluster with the same seed and chaos plan, so
-    the exported spans (including ``chaos_event`` annotations and the
-    linked crashed/retried attempt spans) match the reported numbers.
-    """
-    cluster, _ = _build_point_cluster(task, trace=TraceConfig())
-    cluster.run_saturated(
-        invocations_per_function=task.invocations_per_function
-    )
-    write_trace_file(cluster.finished_traces(), trace_path)
+    return point, cluster.finished_traces()
 
 
 def run(
@@ -200,9 +176,11 @@ def run(
 ) -> FaultStudyResult:
     """Sweep chaos rate scales over independent seeded cluster runs.
 
-    With ``trace_path`` set, the highest-rate point is re-run inline
-    with tracing enabled and its span trees written to that path — the
-    most fault-dense point is the one worth looking at in Perfetto.
+    With ``trace_path`` set, the highest-rate point records spans as
+    it runs (its ``chaos_event`` annotations and the linked crashed and
+    retried attempt spans) and its span trees are written to that path
+    — the most fault-dense point is the one worth looking at in
+    Perfetto.
     """
     if worker_count < 2:
         raise ValueError("the fault study needs at least two workers")
@@ -212,11 +190,13 @@ def run(
         FaultStudyTask(scale, worker_count, invocations_per_function, seed)
         for scale in fault_rate_scales
     ]
-    points = run_map(tasks, _run_fault_point, jobs=jobs)
-    if trace_path is not None:
-        _trace_point(
-            max(tasks, key=lambda t: t.fault_rate_scale), trace_path
-        )
+    points = map_traced(
+        tasks,
+        _run_fault_point,
+        jobs=jobs,
+        trace_path=trace_path,
+        traced=max(tasks, key=lambda t: t.fault_rate_scale, default=None),
+    )
     return FaultStudyResult(points=points)
 
 

@@ -19,7 +19,7 @@ invocations per user-second (10⁶ users ≈ 10 func/s federation-wide);
 regions are sized from the rate against the BeagleBone's sustained
 per-worker service rate at :data:`TARGET_UTILIZATION`.  Every sweep
 point is an independent, seeded task on the shared
-:func:`~repro.experiments.runner.run_map` runner, so it is bit-identical at
+:func:`~repro.experiments.runner.map_traced` runner, so it is bit-identical at
 any ``--jobs``.
 """
 
@@ -30,16 +30,14 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.report import Table, format_table
-from repro.experiments.runner import derive_seed, run_map
+from repro.experiments.runner import derive_seed, map_traced
 from repro.federation import (
     FederatedCluster,
-    FederationResult,
     GatewayConfig,
     RegionChaosInjector,
     RegionSpec,
 )
-from repro.obs.export import write_trace_file
-from repro.obs.trace import TraceConfig
+from repro.obs.trace import FinishedTrace, TraceConfig
 from repro.reliability.chaos import ChaosPlan, RegionChaosProfile
 from repro.sim.rng import RandomStreams
 from repro.workloads.traces import poisson_trace
@@ -71,6 +69,7 @@ class FederationStudyTask:
     outage_rate_scale: float
     duration_s: float
     seed: int
+    trace: Optional[TraceConfig] = None
 
     @property
     def rate_per_s(self) -> float:
@@ -166,14 +165,10 @@ class FederationStudyResult:
         return sum(point.jobs_lost for point in self.points)
 
 
-def _build_point(
-    task: FederationStudyTask, trace: Optional[TraceConfig] = None
-) -> Tuple[FederatedCluster, Optional[RegionChaosInjector]]:
-    """A seeded federation with this point's chaos plan armed.
-
-    Shared between the sweep workers and the inline traced
-    re-run, so a traced point sees the exact same outage schedule.
-    """
+def _run_federation_point(
+    task: FederationStudyTask,
+) -> Tuple[FederationStudyPoint, List[FinishedTrace]]:
+    """Worker: one federated arrival replay under one outage rate."""
     specs = [
         RegionSpec(
             name=f"region-{index}",
@@ -188,9 +183,8 @@ def _build_point(
         specs,
         config=GatewayConfig(hedge_after_s=30.0),
         telemetry_exact=exact,
-        trace=trace,
+        trace=task.trace,
     )
-    injector: Optional[RegionChaosInjector] = None
     if task.outage_rate_scale > 0 and task.region_count > 1:
         profile = RegionChaosProfile(scale=task.outage_rate_scale)
         plan = ChaosPlan.sample_regions(
@@ -199,15 +193,7 @@ def _build_point(
             horizon_s=task.duration_s,
             streams=RandomStreams(derive_seed(task.seed, "region-chaos")),
         )
-        injector = RegionChaosInjector(fed, plan.events, profile=profile)
-        injector.start()
-    return fed, injector
-
-
-def _run_point_inline(
-    task: FederationStudyTask, trace: Optional[TraceConfig] = None
-) -> Tuple[FederatedCluster, FederationResult]:
-    fed, _ = _build_point(task, trace=trace)
+        RegionChaosInjector(fed, plan.events, profile=profile).start()
     streams = RandomStreams(derive_seed(task.seed, "arrivals"))
     arrivals = poisson_trace(
         task.rate_per_s,
@@ -222,12 +208,7 @@ def _run_point_inline(
         f"region-{min(int(u * task.region_count), task.region_count - 1)}"
         for u in geo_draws
     ]
-    return fed, fed.run_arrivals(arrivals, geos)
-
-
-def _run_federation_point(task: FederationStudyTask) -> FederationStudyPoint:
-    """Worker: one federated arrival replay under one outage rate."""
-    _, result = _run_point_inline(task)
+    result = fed.run_arrivals(arrivals, geos)
     if not result.reconciles():
         raise RuntimeError(
             f"federation accounting failed at users={task.users} "
@@ -236,7 +217,7 @@ def _run_federation_point(task: FederationStudyTask) -> FederationStudyPoint:
             f"{result.jobs_delivered} delivered, {result.jobs_shed} shed, "
             f"{result.jobs_lost} lost"
         )
-    return FederationStudyPoint(
+    point = FederationStudyPoint(
         users=task.users,
         region_count=task.region_count,
         outage_rate_scale=task.outage_rate_scale,
@@ -276,18 +257,7 @@ def _run_federation_point(task: FederationStudyTask) -> FederationStudyPoint:
             for geo, (count, mean, p50, p99) in result.geo_latency.items()
         ),
     )
-
-
-def _trace_point(task: FederationStudyTask, trace_path: str) -> None:
-    """Re-run one point inline with span recording and export it.
-
-    The traced re-run is a fresh federation with the same seeds and the
-    same outage schedule; the merged per-region traces (labels are
-    region names) include the gateway's ``reroute``/``region_outage``
-    annotations, so a failover is followable span by span.
-    """
-    fed, _ = _run_point_inline(task, trace=TraceConfig())
-    write_trace_file(fed.finished_traces(), trace_path)
+    return point, fed.finished_traces()
 
 
 def run(
@@ -302,8 +272,10 @@ def run(
     """Sweep users × regions × outage rates over independent runs.
 
     With ``trace_path`` set, the faultiest point at the smallest
-    population is re-run inline with tracing enabled and its merged
-    span trees written there (failovers are the spans worth reading).
+    population records spans as it runs and its merged per-region span
+    trees (labels are region names) are written there, with the
+    gateway's ``reroute``/``region_outage`` annotations: a failover is
+    followable span by span.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
@@ -313,13 +285,17 @@ def run(
         for regions in region_counts
         for scale in outage_rate_scales
     ]
-    points = run_map(tasks, _run_federation_point, jobs=jobs)
-    if trace_path is not None:
-        target = min(
+    points = map_traced(
+        tasks,
+        _run_federation_point,
+        jobs=jobs,
+        trace_path=trace_path,
+        traced=min(
             tasks,
             key=lambda t: (t.users, -t.outage_rate_scale, t.region_count),
-        )
-        _trace_point(target, trace_path)
+            default=None,
+        ),
+    )
     return FederationStudyResult(points=points)
 
 

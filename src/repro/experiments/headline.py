@@ -12,14 +12,13 @@ reports the four numbers the abstract leads with:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.cluster import ClusterResult, ConventionalCluster, MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.experiments.report import Table, format_table
-from repro.experiments.runner import run_map
-from repro.obs.export import write_trace_file
-from repro.obs.trace import TraceConfig, merge_traces
+from repro.experiments.runner import map_traced
+from repro.obs.trace import FinishedTrace, TraceConfig
 
 PAPER = {
     "microfaas_fpm": 200.6,
@@ -57,54 +56,27 @@ class HeadlineTask:
     platform: str  # "microfaas" or "conventional"
     invocations_per_function: int
     seed: int
+    trace: Optional[TraceConfig] = None
 
 
-def _run_cluster(task: HeadlineTask) -> ClusterResult:
+def _run_cluster(
+    task: HeadlineTask,
+) -> Tuple[ClusterResult, List[FinishedTrace]]:
     """Worker: run one throughput-matched cluster at capacity."""
     if task.platform == "microfaas":
         cluster = MicroFaaSCluster(
-            worker_count=10, seed=task.seed, policy=LeastLoadedPolicy()
+            worker_count=10, seed=task.seed, policy=LeastLoadedPolicy(),
+            trace=task.trace,
         )
     else:
         cluster = ConventionalCluster(
-            vm_count=6, seed=task.seed, policy=LeastLoadedPolicy()
+            vm_count=6, seed=task.seed, policy=LeastLoadedPolicy(),
+            trace=task.trace,
         )
-    return cluster.run_saturated(
+    result = cluster.run_saturated(
         invocations_per_function=task.invocations_per_function
     )
-
-
-def _run_traced(
-    invocations_per_function: int,
-    seed: int,
-    trace_path: str,
-    trace: TraceConfig,
-) -> HeadlineResult:
-    """Inline traced run: both clusters in-process, one merged export.
-
-    The span recorders live inside the cluster objects, so traced runs
-    cannot go through :func:`run_map` (subprocess fan-out would strand
-    the recorders in the workers).  Tracing draws from its own spawned
-    RNG stream, so these numbers are bit-identical to the ``run_map``
-    path.
-    """
-    mf_cluster = MicroFaaSCluster(
-        worker_count=10, seed=seed, policy=LeastLoadedPolicy(), trace=trace
-    )
-    mf_result = mf_cluster.run_saturated(
-        invocations_per_function=invocations_per_function
-    )
-    cv_cluster = ConventionalCluster(
-        vm_count=6, seed=seed, policy=LeastLoadedPolicy(), trace=trace
-    )
-    cv_result = cv_cluster.run_saturated(
-        invocations_per_function=invocations_per_function
-    )
-    mf_cluster.finished_traces()
-    cv_cluster.finished_traces()
-    traces = merge_traces([mf_cluster.tracer, cv_cluster.tracer])
-    write_trace_file(traces, trace_path)
-    return HeadlineResult(microfaas=mf_result, conventional=cv_result)
+    return result, cluster.finished_traces()
 
 
 def run(
@@ -113,7 +85,6 @@ def run(
     jobs: int = 1,
     cache: bool = True,  # ignored; simbench/workloads.py still passes it
     trace_path: Optional[str] = None,
-    trace: Optional[TraceConfig] = None,
 ) -> HeadlineResult:
     """Run the headline comparison.
 
@@ -123,25 +94,20 @@ def run(
     straggler tails at smaller counts).  The two clusters are
     independent simulations, so they fan out like any sweep.
 
-    With ``trace_path`` set, both clusters run inline with per
-    -invocation span recording and the merged span trees are written to
-    that path (Chrome trace-event JSON, or JSONL if the path ends in
-    ``.jsonl``); the headline numbers are unchanged.
+    With ``trace_path`` set, both clusters record per-invocation spans
+    as they run and their merged span trees are written to that path
+    (Chrome trace-event JSON, or JSONL if the path ends in ``.jsonl``);
+    the headline numbers are unchanged.
     """
-    if trace_path is not None:
-        return _run_traced(
-            invocations_per_function,
-            seed,
-            trace_path,
-            trace if trace is not None else TraceConfig(),
-        )
-    mf_result, cv_result = run_map(
+    trace = TraceConfig() if trace_path is not None else None
+    mf_result, cv_result = map_traced(
         [
-            HeadlineTask("microfaas", invocations_per_function, seed),
-            HeadlineTask("conventional", invocations_per_function, seed),
+            HeadlineTask(platform, invocations_per_function, seed, trace)
+            for platform in ("microfaas", "conventional")
         ],
         _run_cluster,
         jobs=jobs,
+        trace_path=trace_path,
     )
     return HeadlineResult(microfaas=mf_result, conventional=cv_result)
 

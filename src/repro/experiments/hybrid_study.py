@@ -12,7 +12,7 @@ queue pressure, so the sweep shows how much throughput each VM buys and
 what it costs in J/function.
 
 Every mix is an independent, seeded task on the shared
-:func:`~repro.experiments.runner.run_map` runner, so the sweep is
+:func:`~repro.experiments.runner.map_traced` runner, so the sweep is
 bit-identical at any ``--jobs``.
 """
 
@@ -25,9 +25,8 @@ from repro.cluster.hybrid import HybridCluster
 from repro.cluster.matching import hybrid_throughput_per_min
 from repro.core.platform import ARM, X86
 from repro.experiments.report import Table, format_table
-from repro.experiments.runner import run_map
-from repro.obs.export import write_trace_file
-from repro.obs.trace import TraceConfig
+from repro.experiments.runner import map_traced
+from repro.obs.trace import FinishedTrace, TraceConfig
 from repro.shard import ClusterSpec, ShardedCluster
 
 #: Default sweep: the paper's two endpoints (10 SBCs / 6 VMs) and the
@@ -55,6 +54,7 @@ class HybridStudyTask:
     #: are bit-identical to serial ones — this is purely an
     #: execution-mode knob for very wide mixes.
     shards: int = 1
+    trace: Optional[TraceConfig] = None
 
 
 @dataclass(frozen=True)
@@ -92,22 +92,15 @@ class HybridStudyResult:
         return max(self.points, key=lambda p: p.throughput_per_min)
 
 
-def _build_point_cluster(
-    task: HybridStudyTask, trace: Optional[TraceConfig] = None
-) -> HybridCluster:
-    """A seeded hybrid cluster for one mix (shared between the sweep
-    workers and the inline traced re-run)."""
-    return HybridCluster(
-        sbc_count=task.sbc_count,
-        vm_count=task.vm_count,
-        seed=task.seed,
-        trace=trace,
-    )
+def _run_mix_point(
+    task: HybridStudyTask,
+) -> Tuple[HybridStudyPoint, List[FinishedTrace]]:
+    """Worker: one saturated run of one SBC:VM mix.
 
-
-def _run_mix_point(task: HybridStudyTask) -> HybridStudyPoint:
-    """Worker: one saturated run of one SBC:VM mix."""
-    if task.shards > 1:
+    A traced mix runs the serial engine (its recorder lives in the one
+    cluster); the sharded engine's numbers are bit-identical.
+    """
+    if task.shards > 1 and task.trace is None:
         # Inline executor: this worker may itself be a run_map child
         # process, and the results are bit-identical either way — the
         # win here is memory (per-shard record pools), not wall-clock.
@@ -124,11 +117,18 @@ def _run_mix_point(task: HybridStudyTask) -> HybridStudyPoint:
         result = sharded.run_saturated(
             invocations_per_function=task.invocations_per_function
         )
+        traces: List[FinishedTrace] = []
     else:
-        cluster = _build_point_cluster(task)
+        cluster = HybridCluster(
+            sbc_count=task.sbc_count,
+            vm_count=task.vm_count,
+            seed=task.seed,
+            trace=task.trace,
+        )
         result = cluster.run_saturated(
             invocations_per_function=task.invocations_per_function
         )
+        traces = cluster.finished_traces()
     telemetry = result.telemetry
     energy = result.energy_by_platform
 
@@ -142,7 +142,7 @@ def _run_mix_point(task: HybridStudyTask) -> HybridStudyPoint:
 
     arm_jobs, arm_p99 = platform_stats(ARM)
     x86_jobs, x86_p99 = platform_stats(X86)
-    return HybridStudyPoint(
+    point = HybridStudyPoint(
         sbc_count=task.sbc_count,
         vm_count=task.vm_count,
         jobs_completed=result.jobs_completed,
@@ -160,20 +160,7 @@ def _run_mix_point(task: HybridStudyTask) -> HybridStudyPoint:
         arm_p99_latency_s=arm_p99,
         x86_p99_latency_s=x86_p99,
     )
-
-
-def _trace_point(task: HybridStudyTask, trace_path: str) -> None:
-    """Re-run one mix inline with span recording and export it.
-
-    The sweep itself stays on the ``run_map`` path; the traced
-    re-run is a separate cluster with the same seed, so the exported
-    platform-tagged attempt spans match the reported numbers.
-    """
-    cluster = _build_point_cluster(task, trace=TraceConfig())
-    cluster.run_saturated(
-        invocations_per_function=task.invocations_per_function
-    )
-    write_trace_file(cluster.finished_traces(), trace_path)
+    return point, traces
 
 
 def run(
@@ -187,8 +174,9 @@ def run(
     """Sweep SBC:VM mixes over independent seeded cluster runs.
 
     With ``trace_path`` set, the most heterogeneous point (largest
-    ``min(sbc, vm)``, i.e. the most evenly mixed) is re-run inline with
-    tracing enabled and its span trees written to that path.
+    ``min(sbc, vm)``, i.e. the most evenly mixed) records spans as it
+    runs, on the serial engine, and its span trees are written to that
+    path.
 
     ``shards > 1`` runs each point through the sharded engine
     (bit-identical results; see :class:`repro.shard.ShardedCluster`).
@@ -215,12 +203,15 @@ def run(
         )
         for sbc, vm in mixes
     ]
-    points = run_map(tasks, _run_mix_point, jobs=jobs)
-    if trace_path is not None:
-        _trace_point(
-            max(tasks, key=lambda t: (min(t.sbc_count, t.vm_count), t.sbc_count)),
-            trace_path,
-        )
+    points = map_traced(
+        tasks,
+        _run_mix_point,
+        jobs=jobs,
+        trace_path=trace_path,
+        traced=max(
+            tasks, key=lambda t: (min(t.sbc_count, t.vm_count), t.sbc_count)
+        ),
+    )
     return HybridStudyResult(points=points)
 
 

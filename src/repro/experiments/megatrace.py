@@ -22,15 +22,14 @@ from __future__ import annotations
 import resource
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.cluster.microfaas import MicroFaaSCluster
 from repro.cluster.replay import replay_trace
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.experiments.report import Table, format_table
-from repro.experiments.runner import derive_seed, run_map
-from repro.obs.export import write_trace_file
-from repro.obs.trace import TraceConfig, merge_traces
+from repro.experiments.runner import derive_seed, map_traced
+from repro.obs.trace import FinishedTrace, TraceConfig
 from repro.shard.runtime import ClusterSpec
 from repro.sim.rng import RandomStreams
 from repro.workloads.traces import (
@@ -112,134 +111,50 @@ class MegatraceResult:
 
 @dataclass(frozen=True)
 class _StripeTask:
-    """One partition of a sharded megatrace replay (picklable).
+    """One partition of a megatrace replay (picklable).
 
-    ``stripe`` is either an eager :class:`ColumnarTrace` slice or a
-    :class:`ChunkedPoissonTrace` stripe (a few parameters instead of
-    arrays — what makes 10⁸-arrival partitioned replays picklable at
-    all).
+    ``stripe`` is the whole trace for a one-partition replay, else an
+    eager :class:`ColumnarTrace` slice or a :class:`ChunkedPoissonTrace`
+    stripe (a few parameters instead of arrays — what makes 10⁸-arrival
+    partitioned replays picklable at all).
     """
 
     stripe: object
     worker_count: int
     seed: int
-    trace_config: Optional[TraceConfig]
+    trace: Optional[TraceConfig]
     streaming: bool = False
     #: Precomputed construction plan (a few hundred bytes of names and
     #: ints) so each partition process skips topology discovery.
     blueprint: Optional[object] = None
 
 
-def _replay_stripe(task: _StripeTask) -> dict:
+def _replay_stripe(task: _StripeTask) -> Tuple[dict, List[FinishedTrace]]:
     """Worker: replay one traffic stripe on its own cluster + OP."""
     cluster = MicroFaaSCluster(
         worker_count=task.worker_count,
         seed=task.seed,
         policy=LeastLoadedPolicy(),
         telemetry_exact=False,
-        trace=task.trace_config,
+        trace=task.trace,
         blueprint=task.blueprint,
     )
     cluster.orchestrator.evict_finished = True
     if task.streaming:
         cluster.bound_power_traces(POWER_TRACE_MAX_POINTS)
     result = replay_trace(cluster, task.stripe)
-    telemetry = cluster.orchestrator.telemetry
-    out = {
+    traces = cluster.finished_traces()
+    tracer = cluster.tracer
+    return {
         "jobs_completed": result.jobs_completed,
         "duration_s": result.duration_s,
         "energy_joules": result.energy_joules,
-        "telemetry": telemetry,
+        "telemetry": cluster.orchestrator.telemetry,
         "peak_rss_mib": peak_rss_mib(),
-        "traces": [],
-        "traces_finished": 0,
-        "traces_dropped": 0,
-    }
-    if task.trace_config is not None:
-        out["traces"] = list(cluster.finished_traces())
-        out["traces_finished"] = cluster.tracer.traces_finished
-        out["traces_dropped"] = cluster.tracer.traces_dropped
-    return out
-
-
-def _run_partitioned(
-    trace,
-    worker_count: int,
-    rate: float,
-    seed: int,
-    shards: int,
-    trace_path: Optional[str],
-    trace_config: Optional[TraceConfig],
-    start: float,
-    streaming: bool = False,
-) -> MegatraceResult:
-    """Stripe the trace over ``shards`` independent clusters.
-
-    This models a *partitioned* deployment — N orchestrators, each
-    owning ``worker_count / N`` boards and a round-robin slice of the
-    traffic — and runs the partitions as parallel processes.  Unlike
-    :class:`repro.shard.ShardedCluster` there is no cross-partition
-    scheduling, so the numbers are those of the partitioned deployment,
-    not bit-identical to the single-OP replay (each partition's
-    least-loaded scheduler sees only its own slice).  Deterministic for
-    a given (seed, shards) regardless of process scheduling: each task
-    carries a derived seed and its stripe, and results merge in
-    partition order.
-    """
-    base, extra = divmod(worker_count, shards)
-    # One blueprint per distinct partition size (there are at most two:
-    # base and base+1), computed once and shipped to every process.
-    blueprints = {
-        count: ClusterSpec(kind="microfaas", worker_count=count).blueprint()
-        for count in ({base, base + 1} if extra else {base})
-    }
-    tasks = [
-        _StripeTask(
-            stripe=trace.stripe(index, shards),
-            worker_count=base + (1 if index < extra else 0),
-            seed=derive_seed(seed, "megatrace-shard", index),
-            trace_config=trace_config,
-            streaming=streaming,
-            blueprint=blueprints[base + (1 if index < extra else 0)],
-        )
-        for index in range(shards)
-    ]
-    outs = run_map(tasks, _replay_stripe, jobs=shards)
-    telemetry = outs[0]["telemetry"]
-    for out in outs[1:]:
-        telemetry.merge(out["telemetry"])
-    jobs_completed = sum(out["jobs_completed"] for out in outs)
-    duration = max(out["duration_s"] for out in outs)
-    energy = sum(out["energy_joules"] for out in outs)
-    wall = time.perf_counter() - start
-    traces_finished = traces_dropped = traces_exported = 0
-    if trace_path is not None:
-        finished = merge_traces([out["traces"] for out in outs])
-        write_trace_file(finished, trace_path)
-        traces_finished = sum(out["traces_finished"] for out in outs)
-        traces_dropped = sum(out["traces_dropped"] for out in outs)
-        traces_exported = len(finished)
-    return MegatraceResult(
-        invocations=jobs_completed,
-        worker_count=worker_count,
-        rate_per_s=rate,
-        sim_duration_s=duration,
-        wall_clock_s=wall,
-        peak_rss_mib=max(
-            max(out["peak_rss_mib"] for out in outs), peak_rss_mib()
-        ),
-        throughput_per_min=jobs_completed * 60.0 / duration,
-        mean_latency_s=telemetry.mean_latency_s(),
-        p99_latency_s=telemetry.percentile_latency_s(99),
-        joules_per_function=energy / jobs_completed if jobs_completed else 0.0,
-        records_retained=len(telemetry.records),
-        sketch_buckets=telemetry._latency_sketch.bucket_count,
-        traces_finished=traces_finished,
-        traces_dropped=traces_dropped,
-        traces_exported=traces_exported,
-        shards=shards,
-        streaming=streaming,
-    )
+        "traces_finished": tracer.traces_finished if tracer is not None else 0,
+        "traces_dropped": tracer.traces_dropped if tracer is not None else 0,
+        "traces_exported": len(traces),
+    }, traces
 
 
 def run(
@@ -266,9 +181,17 @@ def run(
     are sampled.  Boot-stage sub-spans are disabled to keep sampled
     traces lean at this scale.
 
-    ``shards > 1`` switches to the partitioned deployment: the trace is
-    round-robin-striped over that many independent cluster slices which
-    replay as parallel processes (see :func:`_run_partitioned`).
+    ``shards > 1`` switches to the partitioned deployment — N
+    orchestrators, each owning ``worker_count / N`` boards and a
+    round-robin slice of the traffic — and replays the partitions as
+    parallel processes.  Unlike :class:`repro.shard.ShardedCluster`
+    there is no cross-partition scheduling, so the numbers are those of
+    the partitioned deployment, not bit-identical to the single-OP
+    replay (each partition's least-loaded scheduler sees only its own
+    slice).  Deterministic for a given (seed, shards) regardless of
+    process scheduling: each partition carries a derived seed and its
+    stripe, and results merge in partition order.  One partition
+    replays the whole trace in-process under ``seed`` itself.
 
     ``streaming`` selects the bounded-RSS fast path for very long
     replays: the arrival trace is generated lazily in chunks
@@ -310,57 +233,56 @@ def run(
         trace = poisson_trace(
             rate, duration, streams=RandomStreams(seed), columnar=True
         )
-    if shards > 1:
-        return _run_partitioned(
-            trace,
-            worker_count,
-            rate,
-            seed,
-            shards,
-            trace_path,
-            trace_config,
-            start,
-            streaming,
+    base, extra = divmod(worker_count, shards)
+    # One blueprint per distinct partition size (there are at most two:
+    # base and base+1), computed once and shipped to every process.
+    blueprints = {
+        count: ClusterSpec(kind="microfaas", worker_count=count).blueprint()
+        for count in ({base, base + 1} if extra else {base})
+    }
+    tasks = [
+        _StripeTask(
+            stripe=trace if shards == 1 else trace.stripe(index, shards),
+            worker_count=base + (1 if index < extra else 0),
+            seed=(
+                seed if shards == 1
+                else derive_seed(seed, "megatrace-shard", index)
+            ),
+            trace=trace_config,
+            streaming=streaming,
+            blueprint=blueprints[base + (1 if index < extra else 0)],
         )
-    cluster = MicroFaaSCluster(
-        worker_count=worker_count,
-        seed=seed,
-        policy=LeastLoadedPolicy(),
-        telemetry_exact=False,
-        trace=trace_config,
-        blueprint=ClusterSpec(
-            kind="microfaas", worker_count=worker_count
-        ).blueprint(),
+        for index in range(shards)
+    ]
+    outs = map_traced(
+        tasks, _replay_stripe, jobs=shards, trace_path=trace_path
     )
-    cluster.orchestrator.evict_finished = True
-    if streaming:
-        cluster.bound_power_traces(POWER_TRACE_MAX_POINTS)
-    result = replay_trace(cluster, trace)
     wall = time.perf_counter() - start
-    telemetry = cluster.orchestrator.telemetry
-    traces_finished = traces_dropped = traces_exported = 0
-    if trace_path is not None:
-        finished = cluster.finished_traces()
-        write_trace_file(finished, trace_path)
-        traces_finished = cluster.tracer.traces_finished
-        traces_dropped = cluster.tracer.traces_dropped
-        traces_exported = len(finished)
+    telemetry = outs[0]["telemetry"]
+    for out in outs[1:]:
+        telemetry.merge(out["telemetry"])
+    jobs_completed = sum(out["jobs_completed"] for out in outs)
+    sim_duration = max(out["duration_s"] for out in outs)
+    energy = sum(out["energy_joules"] for out in outs)
     return MegatraceResult(
-        invocations=result.jobs_completed,
+        invocations=jobs_completed,
         worker_count=worker_count,
         rate_per_s=rate,
-        sim_duration_s=result.duration_s,
+        sim_duration_s=sim_duration,
         wall_clock_s=wall,
-        peak_rss_mib=peak_rss_mib(),
-        throughput_per_min=result.throughput_per_min,
+        peak_rss_mib=max(
+            max(out["peak_rss_mib"] for out in outs), peak_rss_mib()
+        ),
+        throughput_per_min=jobs_completed * 60.0 / sim_duration,
         mean_latency_s=telemetry.mean_latency_s(),
         p99_latency_s=telemetry.percentile_latency_s(99),
-        joules_per_function=result.joules_per_function,
+        joules_per_function=energy / jobs_completed if jobs_completed else 0.0,
         records_retained=len(telemetry.records),
         sketch_buckets=telemetry._latency_sketch.bucket_count,
-        traces_finished=traces_finished,
-        traces_dropped=traces_dropped,
-        traces_exported=traces_exported,
+        traces_finished=sum(out["traces_finished"] for out in outs),
+        traces_dropped=sum(out["traces_dropped"] for out in outs),
+        traces_exported=sum(out["traces_exported"] for out in outs),
+        shards=shards,
         streaming=streaming,
     )
 

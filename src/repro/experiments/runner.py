@@ -10,6 +10,12 @@ collect a small result record.  This module factors that pattern out:
   Each task spec carries its own seed, so parallel execution is
   bit-identical to serial execution regardless of completion order.
   Every call computes every point afresh.
+- :func:`map_traced` is :func:`run_map` for the studies that honour
+  ``--trace``: the chosen point records spans inside the sweep, in
+  whichever process computes it, and its sealed traces come back
+  beside its numbers to be written to one file.  No point is
+  simulated twice, and tracing draws from its own RNG stream, so the
+  traced point's numbers are the untraced ones.
 - :func:`derive_seed` derives per-task seeds deterministically from a
   base seed plus arbitrary task components, for experiments that need
   distinct-but-reproducible streams per point.
@@ -21,12 +27,16 @@ import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import fields, is_dataclass
-from typing import Any, Callable, Iterable, List, Optional
+from dataclasses import fields, is_dataclass, replace
+from typing import Any, Callable, Iterable, List, Optional, Tuple
+
+from repro.obs.export import write_trace_file
+from repro.obs.trace import FinishedTrace, TraceConfig, merge_traces
 
 __all__ = [
     "TaskExecutionError",
     "derive_seed",
+    "map_traced",
     "run_map",
 ]
 
@@ -149,3 +159,42 @@ def run_map(
             except Exception as exc:
                 raise TaskExecutionError(task, index, exc) from exc
     return results
+
+
+def map_traced(
+    tasks: Iterable[Any],
+    fn: Callable[[Any], Tuple[Any, List[FinishedTrace]]],
+    jobs: Optional[int] = 1,
+    trace_path: Optional[str] = None,
+    traced: Any = None,
+) -> List[Any]:
+    """:func:`run_map` over points that can record spans; returns the points.
+
+    Each task has a ``trace`` field (a :class:`TraceConfig`, or
+    ``None`` for no recorder).  ``fn`` builds its cluster with it and
+    returns ``(point, traces)``: the point and the cluster's sealed
+    traces (empty when untraced).
+
+    With ``trace_path`` set, ``traced`` (the sweep's chosen element of
+    ``tasks``) records with the default :class:`TraceConfig`, and so
+    does every task built with a ``trace`` of its own.  The traced
+    points' spans are written to ``trace_path``
+    (:func:`~repro.obs.export.write_trace_file`): one point's in its
+    recorder's order, several merged by start time.
+    """
+    task_list = list(tasks)
+    if trace_path is not None and traced is not None:
+        index = task_list.index(traced)
+        task_list[index] = replace(traced, trace=TraceConfig())
+    outs = run_map(task_list, fn, jobs=jobs)
+    if trace_path is not None:
+        sources = [
+            traces
+            for task, (_, traces) in zip(task_list, outs)
+            if task.trace is not None
+        ]
+        write_trace_file(
+            sources[0] if len(sources) == 1 else merge_traces(sources),
+            trace_path,
+        )
+    return [point for point, _ in outs]

@@ -16,7 +16,7 @@ latency (p50/p99 over the map futures, mean reduce latency), plus the
 monitor's duplicate/timeout counters.
 
 Every point is an independent seeded task on
-:func:`~repro.experiments.runner.run_map`, so the sweep is
+:func:`~repro.experiments.runner.map_traced`, so the sweep is
 bit-identical at any ``--jobs``.
 :func:`headline_via_sdk` re-derives the paper headline through the
 SDK — the bit-identity pin the tests and CI hold.
@@ -35,9 +35,8 @@ from repro.cluster import (
 )
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.experiments.report import Table, format_table
-from repro.experiments.runner import run_map
-from repro.obs.export import write_trace_file
-from repro.obs.trace import TraceConfig
+from repro.experiments.runner import map_traced
+from repro.obs.trace import FinishedTrace, TraceConfig
 from repro.workloads.base import ALL_FUNCTION_NAMES
 
 #: Backend kinds the study sweeps (constructor shapes match the
@@ -56,6 +55,7 @@ class SdkStudyTask:
     fanout: int
     kind: str
     seed: int
+    trace: Optional[TraceConfig] = None
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class SdkStudyResult:
 
 def build_backend(kind: str, seed: int, trace: Optional[TraceConfig] = None):
     """A seeded cluster for one backend kind (shared by the sweep
-    workers and the inline traced re-run)."""
+    workers and :func:`headline_via_sdk`)."""
     if kind == "microfaas":
         return MicroFaaSCluster(
             worker_count=10, seed=seed, policy=LeastLoadedPolicy(),
@@ -122,10 +122,11 @@ def _percentile(sorted_values: Sequence[float], pct: float) -> float:
     return sorted_values[rank]
 
 
-def _drive_point(task: SdkStudyTask, trace: Optional[TraceConfig] = None):
-    """Build the backend, drive the client workload, return
-    ``(cluster, executor, map_futures, reduce_futures)``."""
-    cluster = build_backend(task.kind, task.seed, trace=trace)
+def _run_point(
+    task: SdkStudyTask,
+) -> Tuple[SdkStudyPoint, List[FinishedTrace]]:
+    """Worker: one client-driven run of one sweep point."""
+    cluster = build_backend(task.kind, task.seed, trace=task.trace)
     executor = FunctionExecutor(cluster)
     reduce_futures = []
     map_futures = []
@@ -139,20 +140,14 @@ def _drive_point(task: SdkStudyTask, trace: Optional[TraceConfig] = None):
         reduce_future = executor.map_reduce(fan, REDUCE_FUNCTION)
         map_futures.extend(reduce_future.parents)
         reduce_futures.append(reduce_future)
-    done, not_done = executor.wait()
+    _done, not_done = executor.wait()
     if not_done:
         raise RuntimeError(f"{len(not_done)} unresolved SDK calls")
-    return cluster, executor, map_futures, reduce_futures
-
-
-def _run_point(task: SdkStudyTask) -> SdkStudyPoint:
-    """Worker: one client-driven run of one sweep point."""
-    cluster, executor, map_futures, reduce_futures = _drive_point(task)
     duration_s = cluster.env.now
     result = cluster.result_snapshot(duration_s)
     latencies = sorted(f.latency_s for f in map_futures if f.success)
     stats = executor.stats
-    return SdkStudyPoint(
+    point = SdkStudyPoint(
         users=task.users,
         fanout=task.fanout,
         kind=task.kind,
@@ -172,19 +167,7 @@ def _run_point(task: SdkStudyTask) -> SdkStudyPoint:
         duplicates_suppressed=stats.duplicates_suppressed,
         batches_flushed=getattr(executor.invoker, "batches_flushed", 0),
     )
-
-
-def _trace_point(task: SdkStudyTask, trace_path: str) -> None:
-    """Re-run one point inline with span recording and export it.
-
-    Client spans (``client_submit``/``client_wait``/``client_retry``)
-    land as annotations in each sampled job's span tree, so the
-    exported trace shows the SDK layer nested into the platform's.
-    """
-    cluster, _executor, _maps, _reduces = _drive_point(
-        task, trace=TraceConfig()
-    )
-    write_trace_file(cluster.finished_traces(), trace_path)
+    return point, cluster.finished_traces()
 
 
 def headline_via_sdk(
@@ -229,8 +212,11 @@ def run(
     """Sweep users × fan-out × backend kind over independent tasks.
 
     With ``trace_path`` set, the widest point (most users × fan-out)
-    on the first backend kind is re-run inline with tracing enabled
-    and its span trees written to that path.
+    on the first backend kind records spans as it runs and its span
+    trees are written to that path.  Client spans
+    (``client_submit``/``client_wait``/``client_retry``) land as
+    annotations in each sampled job's span tree, so the trace shows
+    the SDK layer nested into the platform's.
     """
     if not user_counts or not fanouts or not kinds:
         raise ValueError("need at least one user count, fanout, and kind")
@@ -249,12 +235,15 @@ def run(
         for fanout in fanouts
         for kind in kinds
     ]
-    points = run_map(tasks, _run_point, jobs=jobs)
-    if trace_path is not None:
-        _trace_point(
-            max(tasks, key=lambda t: (t.users * t.fanout, t.kind == kinds[0])),
-            trace_path,
-        )
+    points = map_traced(
+        tasks,
+        _run_point,
+        jobs=jobs,
+        trace_path=trace_path,
+        traced=max(
+            tasks, key=lambda t: (t.users * t.fanout, t.kind == kinds[0])
+        ),
+    )
     return SdkStudyResult(points=points)
 
 
