@@ -5,20 +5,19 @@ The aggregate telemetry says *what* the cluster did (199 func/min at
 sampled invocation records its queue wait, the 1.51 s boot with
 per-stage children, input transfer, execute, result transfer, and the
 clean-state reboot — plus orchestrator annotations (assign, retries,
-hedges, chaos events).  This example runs a small traced cluster, walks
-one trace's critical path, attributes its joules span by span, shows
-both reconciling exactly with the aggregate accounting, and writes a
-Perfetto-ready trace file.
+hedges, chaos events).  This example runs a small traced cluster with
+an energy ledger, walks one trace's critical path, attributes its
+joules span by span through the ledger, shows both reconciling exactly
+with the aggregate accounting, and writes a Perfetto-ready trace file.
 
 Run:  python examples/tracing.py
 """
 
 from repro.cluster import MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy
-from repro.energy.accounting import per_function_active_joules
 from repro.obs import TraceConfig
 from repro.obs.critical_path import analyze, max_reconciliation_gap, reconcile
-from repro.obs.energy import attribute, cluster_power_traces
+from repro.obs.energy import attribute
 from repro.obs.export import validate_chrome_trace_file, write_chrome_trace
 
 
@@ -30,6 +29,7 @@ def main() -> None:
         policy=LeastLoadedPolicy(),
         trace=TraceConfig(sample_rate=1.0),
     )
+    ledger = cluster.enable_energy_ledger()
     result = cluster.run_saturated(invocations_per_function=3)
     traces = cluster.finished_traces()
     print(f"  jobs completed : {result.jobs_completed}")
@@ -46,8 +46,7 @@ def main() -> None:
           f"({path.unattributed_s * 1e3:.3f} ms unattributed)")
 
     print("\n=== The same invocation's joules, span by span ===")
-    powers = cluster_power_traces(cluster)
-    energy = attribute(trace, powers)
+    energy = attribute(trace, ledger)
     for phase, joules in energy.phase_totals().items():
         print(f"  {phase:16s}: {joules:8.3f} J")
     print(f"  {'total':16s}: {energy.total_j:8.3f} J "
@@ -59,18 +58,15 @@ def main() -> None:
         reconcile(traces, cluster.orchestrator.telemetry)
     )
     print(f"  worst span-vs-telemetry working/overhead gap: {gap:.2e} s")
-    ground_truth = per_function_active_joules(
-        cluster.orchestrator.telemetry.records, cluster.sbcs
-    )
     span_side = {}
     for t in traces:
-        e = attribute(t, powers)
+        e = attribute(t, ledger)
         span_side[t.function] = (
             span_side.get(t.function, 0.0) + e.delivered_active_j
         )
     worst = max(
         abs(span_side[name] - joules)
-        for name, joules in ground_truth.items()
+        for name, joules in ledger.function_joules.items()
     )
     print(f"  worst span-vs-accounting energy gap         : {worst:.2e} J")
 

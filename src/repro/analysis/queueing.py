@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.workloads.base import ALL_FUNCTION_NAMES
 from repro.workloads.profiles import PROFILES

@@ -10,8 +10,6 @@ SLOs below that are rejected as infeasible.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.queueing import ClusterQueueModel
 
 

@@ -12,8 +12,8 @@ the right NIC driver compiled in, image fits the SBC's flash).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Mapping, Tuple
 
 #: Kernel features a worker image may enable, with rough binary-size cost.
 KERNEL_FEATURE_SIZES: Mapping[str, int] = {

@@ -14,7 +14,7 @@ the paper's final boot times: 1.51 s real on ARM and 0.96 s on x86.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.bootos.stages import BootSequence, StageName

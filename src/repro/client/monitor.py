@@ -23,7 +23,7 @@ monitor at the simulated instant they resolve; nothing ever polls
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.client.futures import FutureState, ResponseFuture

@@ -2,11 +2,10 @@
 
 Every cluster in this repo is the same machine wired to different
 hardware: a simulation environment, deterministic RNG streams, an
-optional tracer, a network topology, the orchestrator with its
-telemetry, and a wall-plug power meter.  :class:`ClusterHarness` builds
-that shared stack exactly once and delegates everything
-platform-specific to a list of :class:`~repro.cluster.pool.WorkerPool`
-instances:
+optional tracer, a network topology, and the orchestrator with its
+telemetry.  :class:`ClusterHarness` builds that shared stack exactly
+once and delegates everything platform-specific to a list of
+:class:`~repro.cluster.pool.WorkerPool` instances:
 
 * ``build_fabric`` — each pool adds its switches (SBC ToR chain, VM
   host bridge) to the shared topology, then the harness attaches the
@@ -22,7 +21,7 @@ same orchestrator, same telemetry, per-pool energy metering.
 
 Construction order (env → streams → tracer → service fleets → topology
 → pool fabrics → shared endpoints → transfers → GPIO → orchestrator →
-pool workers → meter) is bit-identical to the pre-harness clusters:
+pool workers) is bit-identical to the pre-harness clusters:
 stream spawns are name-keyed, endpoint/switch names are unchanged, and
 worker processes start in the same order.
 """
@@ -40,7 +39,6 @@ from repro.core.orchestrator import Orchestrator
 from repro.core.policies import RecoveryPolicy
 from repro.core.scheduler import AssignmentPolicy, RandomSamplingPolicy
 from repro.core.telemetry import TelemetryCollector
-from repro.hardware.meter import PowerMeter
 from repro.hardware.sbc import SingleBoardComputer
 from repro.hardware.specs import GIGABIT_ETHERNET
 from repro.net.link import Endpoint
@@ -169,8 +167,6 @@ class ClusterHarness:
         for pool in self.pools:
             pool.build_workers(self)
 
-        self.meter = PowerMeter(self.env, self.metered_watts)
-
     def owns_worker(self, worker_id: int) -> bool:
         """Whether this harness simulates ``worker_id`` (always True
         outside sharded execution)."""
@@ -270,19 +266,14 @@ class ClusterHarness:
         hardware, plus the switches if configured (the paper meters the
         compute, not the fabric).
 
-        The one summation every meter reads through — the harness wall
-        meter and the federation's per-region meters alike — so adding
-        metered equipment means overriding this (or a pool's
-        ``metered_watts``), never re-deriving the sum at a wiring site.
+        The wattage counterpart of :meth:`energy_joules`, which covers
+        the same equipment: a reading at one instant, where that is an
+        exact integral over a window.
         """
         watts = sum(pool.metered_watts() for pool in self.pools)
         if self.include_switch_power:
             watts += sum(switch.watts for switch in self.switches)
         return watts
-
-    def cluster_watts(self) -> float:
-        """Alias of :meth:`metered_watts` (pre-hoist name)."""
-        return self.metered_watts()
 
     def set_power_cap(self, cap) -> None:
         """Clamp the whole cluster under a power-cap governor.

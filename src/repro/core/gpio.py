@@ -9,8 +9,8 @@ accounting (real power buttons are edge-triggered).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict
 
 #: Time between asserting the line and the board reacting, seconds.
 DEFAULT_ACTUATION_S = 5e-3

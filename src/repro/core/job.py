@@ -10,7 +10,7 @@ them to split runtime into *Working* and *Overhead*).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 

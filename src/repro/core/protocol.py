@@ -21,7 +21,7 @@ import enum
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 MAGIC = b"uFaS"

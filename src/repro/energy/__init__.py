@@ -1,22 +1,19 @@
 """Energy accounting and analysis.
 
-- :mod:`repro.energy.accounting` — per-state energy breakdowns from
-  power traces, unit helpers.
-- :mod:`repro.energy.efficiency` — J/function metrics, efficiency
-  ratios, and the peak-efficiency search behind Fig. 4.
+- :mod:`repro.energy.controlplane` — the one per-invocation attribution
+  engine, :class:`EnergyLedger` (it holds the worker → board power
+  trace map and the window integral every joule report reads), plus
+  arrival forecasts for predictive warm pools, warming balance sheets,
+  and carbon/price signals.
+- :mod:`repro.energy.accounting` — energy per power state
+  (:func:`sbc_state_breakdown`).
+- :mod:`repro.energy.efficiency` — the peak-efficiency search behind
+  Fig. 4 and the analytic per-function energy model.
 - :mod:`repro.energy.proportionality` — energy-proportionality metrics
   and the power-vs-active-workers series of Fig. 5.
-- :mod:`repro.energy.controlplane` — the online side: the per-invocation
-  :class:`EnergyLedger`, arrival forecasts for predictive warm pools,
-  warming balance sheets, and carbon/price signals.
 """
 
-from repro.energy.accounting import (
-    EnergyBreakdown,
-    joules_to_kwh,
-    kwh_to_joules,
-    sbc_state_breakdown,
-)
+from repro.energy.accounting import EnergyBreakdown, sbc_state_breakdown
 from repro.energy.controlplane import (
     ArrivalForecast,
     CarbonSignal,
@@ -24,11 +21,7 @@ from repro.energy.controlplane import (
     ReconciliationReport,
     WarmingAccount,
 )
-from repro.energy.efficiency import (
-    efficiency_ratio,
-    joules_per_function,
-    peak_efficiency,
-)
+from repro.energy.efficiency import peak_efficiency
 from repro.energy.proportionality import (
     ProportionalitySeries,
     linearity_r_squared,
@@ -45,10 +38,6 @@ __all__ = [
     "ProportionalitySeries",
     "ReconciliationReport",
     "WarmingAccount",
-    "efficiency_ratio",
-    "joules_per_function",
-    "joules_to_kwh",
-    "kwh_to_joules",
     "linearity_r_squared",
     "peak_efficiency",
     "proportionality_index",

@@ -1,25 +1,16 @@
-"""Energy breakdowns and unit helpers."""
+"""Energy per power state: where a fleet's joules went.
+
+Per-invocation joules come from the one attribution engine,
+:class:`repro.energy.controlplane.EnergyLedger`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping
 
-from repro.core.telemetry import InvocationRecord
 from repro.hardware.power import PowerState
 from repro.hardware.sbc import SingleBoardComputer
-
-JOULES_PER_KWH = 3.6e6
-
-
-def joules_to_kwh(joules: float) -> float:
-    """Convert joules to kilowatt-hours."""
-    return joules / JOULES_PER_KWH
-
-
-def kwh_to_joules(kwh: float) -> float:
-    """Convert kilowatt-hours to joules."""
-    return kwh * JOULES_PER_KWH
 
 
 @dataclass(frozen=True)
@@ -68,35 +59,7 @@ def sbc_state_breakdown(
     return EnergyBreakdown(by_state=totals)
 
 
-def per_function_active_joules(
-    records: Iterable[InvocationRecord],
-    sbcs: Iterable[SingleBoardComputer],
-) -> Dict[str, float]:
-    """Trace-integrated joules per function over each record's service
-    window (``t_started`` to ``t_completed``) on its worker's board.
-
-    This is the record-level ground truth the per-span attribution in
-    :mod:`repro.obs.energy` reconciles against: a delivered attempt's
-    boot + transfer + execute spans tile exactly that window, so their
-    energies must sum to this integral.  Only per-board-metered workers
-    (SBCs) can be attributed; records from other platforms are skipped.
-    """
-    traces = {sbc.node_id: sbc.trace for sbc in sbcs}
-    totals: Dict[str, float] = {}
-    for record in records:
-        trace = traces.get(record.worker_id)
-        if trace is None:
-            continue
-        joules = trace.energy_joules(record.t_started, record.t_completed)
-        totals[record.function] = totals.get(record.function, 0.0) + joules
-    return totals
-
-
 __all__ = [
     "EnergyBreakdown",
-    "JOULES_PER_KWH",
-    "joules_to_kwh",
-    "kwh_to_joules",
-    "per_function_active_joules",
     "sbc_state_breakdown",
 ]

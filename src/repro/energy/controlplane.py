@@ -1,20 +1,17 @@
 """The energy control plane: online attribution, forecasts, signals.
 
-The measurement layer (:mod:`repro.energy.accounting`,
-:mod:`repro.obs.energy`) answers "where did the joules go" *after* a
-run.  This module turns the same trace arithmetic into state the
-platform can consult *while the run is in flight*:
-
-- :class:`EnergyLedger` — double-entry per-invocation attribution,
-  updated incrementally from the orchestrator's job-transition path.
-  Each per-board-metered worker carries a billing cursor; a delivered
-  attempt bills its service window (``t_started`` → ``t_completed``, the
-  same window :func:`repro.energy.accounting.per_function_active_joules`
-  integrates post-hoc) to its function and tenant, the gap since the
-  previous bill goes to the shared ``idle`` overhead pool, and crashed
-  or duplicate attempts bill to ``wasted`` — never double-counted.  By
-  construction the billed segments partition each covered trace, so
-  invocation + overhead joules reconcile against the metered total to
+- :class:`EnergyLedger` — the one per-invocation energy engine.  It
+  holds the worker → board power-trace map and the window integral
+  (:meth:`EnergyLedger.window_joules`) that both its own billing and
+  the per-span view (:func:`repro.obs.energy.attribute`) read.  Updated
+  incrementally from the orchestrator's job-transition path, each
+  per-board-metered worker carries a billing cursor; a delivered
+  attempt bills its service window (``t_started`` → ``t_completed``)
+  to its function and tenant, the gap since the previous bill goes to
+  the shared ``idle`` overhead pool, and crashed or duplicate attempts
+  bill to ``wasted`` — never double-counted.  By construction the
+  billed segments partition each covered trace, so invocation +
+  overhead joules reconcile against the metered total to
   float-accumulation error (≤1e-9 in the test suite).
 - :class:`ArrivalForecast` — EWMA rate estimate over fixed sampling
   ticks, with idle-detection reset, feeding predictive warm-pool sizing.
@@ -59,8 +56,8 @@ class EnergyLedger:
 
     Scope: workers with their own power trace (SBCs).  A microVM is
     metered at the host wall shared with its siblings, so per-guest
-    attribution is not physically meaningful — exactly the limitation
-    :func:`repro.energy.accounting.per_function_active_joules` has.
+    attribution is not physically meaningful; its windows integrate to
+    0.0 J.
 
     The orchestrator drives the ledger from its completion/failure/
     recovery paths; nothing here advances simulated time or draws RNG,
@@ -101,9 +98,14 @@ class EnergyLedger:
                 count += 1
         return count
 
-    @property
-    def covered_worker_ids(self):
-        return sorted(self._traces)
+    def window_joules(self, worker_id, start: float, end: float) -> float:
+        """Joules ``worker_id``'s board drew over ``[start, end]``; 0.0
+        for a worker the ledger does not cover (VM guests, remote
+        shard workers, no worker at all)."""
+        trace = self._traces.get(worker_id)
+        if trace is None:
+            return 0.0
+        return trace.energy_joules(start, end)
 
     # -- billing (orchestrator hooks) ------------------------------------------
 
@@ -116,24 +118,23 @@ class EnergyLedger:
         the ``idle`` pool either way.  Unmetered workers (VM guests,
         remote shard workers) are ignored.
         """
-        if job.worker_id is None or job.t_started is None:
-            return
-        trace = self._traces.get(job.worker_id)
-        if trace is None:
-            return
+        worker_id = job.worker_id
         start = job.t_started
-        cursor = self._cursor[job.worker_id]
-        if start >= cursor:
-            if start > cursor:
-                self.overhead_joules["idle"] += trace.energy_joules(
-                    cursor, start
-                )
-        else:
+        if start is None or worker_id not in self._cursor:
+            return
+        cursor = self._cursor[worker_id]
+        if start > cursor:
+            self.overhead_joules["idle"] += self.window_joules(
+                worker_id, cursor, start
+            )
+        elif start < cursor:
             # An interim settle() billed part of this running attempt's
             # window to idle; reclaim it so the invocation keeps its
-            # exact post-hoc window and nothing is counted twice.
-            self.overhead_joules["idle"] -= trace.energy_joules(start, cursor)
-        window_j = trace.energy_joules(start, t_end)
+            # exact service window and nothing is counted twice.
+            self.overhead_joules["idle"] -= self.window_joules(
+                worker_id, start, cursor
+            )
+        window_j = self.window_joules(worker_id, start, t_end)
         if delivered:
             self.function_joules[job.function] = (
                 self.function_joules.get(job.function, 0.0) + window_j
@@ -146,7 +147,7 @@ class EnergyLedger:
             self.tenant_joules[tenant] = (
                 self.tenant_joules.get(tenant, 0.0) + window_j
             )
-        self._cursor[job.worker_id] = max(cursor, t_end)
+        self._cursor[worker_id] = max(cursor, t_end)
         self.attempts_billed += 1
 
     def bill_crashed_attempt(self, job, t_end: float) -> None:

@@ -1,23 +1,10 @@
-"""Energy-efficiency metrics (the Fig. 4 quantities)."""
+"""Energy-efficiency analysis: the Fig. 4 peak search and the analytic
+per-function energy model.  Measured J/function lives on the results
+(:attr:`repro.cluster.result.ClusterResult.joules_per_function`)."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence, Tuple
-
-from repro.cluster.result import ClusterResult
-
-
-def joules_per_function(result: ClusterResult) -> float:
-    """The paper's headline metric for one run."""
-    return result.joules_per_function
-
-
-def efficiency_ratio(
-    conventional: ClusterResult, microfaas: ClusterResult
-) -> float:
-    """How many times more energy the conventional cluster burns per
-    function (the paper reports 5.6x)."""
-    return conventional.joules_per_function / microfaas.joules_per_function
+from typing import Sequence, Tuple
 
 
 def peak_efficiency(
@@ -68,8 +55,6 @@ def per_function_energy_j(
 
 
 __all__ = [
-    "efficiency_ratio",
-    "joules_per_function",
     "peak_efficiency",
     "per_function_energy_j",
 ]

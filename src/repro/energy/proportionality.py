@@ -11,7 +11,7 @@ R-squared, and Barroso-Hölzle-style proportionality indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 from repro.hardware.specs import (
     BEAGLEBONE_BLACK,

@@ -11,7 +11,7 @@ inventory, verified against the live topology objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.cluster import MicroFaaSCluster
 from repro.experiments.report import format_table

@@ -14,7 +14,7 @@ energy efficiency (J/function).  The paper's observations to reproduce:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.cluster import ConventionalCluster, MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy

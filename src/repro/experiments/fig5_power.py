@@ -11,7 +11,7 @@ must land on the analytic lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.cluster import ConventionalCluster, MicroFaaSCluster
 from repro.core.scheduler import RoundRobinPolicy

@@ -11,7 +11,7 @@ throughput, and 5-year cost per million invocations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.cluster import MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy

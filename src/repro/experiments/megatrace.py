@@ -32,11 +32,7 @@ from repro.experiments.runner import derive_seed, map_traced
 from repro.obs.trace import FinishedTrace, TraceConfig
 from repro.shard.runtime import ClusterSpec
 from repro.sim.rng import RandomStreams
-from repro.workloads.traces import (
-    ChunkedPoissonTrace,
-    ColumnarTrace,
-    poisson_trace,
-)
+from repro.workloads.traces import ChunkedPoissonTrace, poisson_trace
 
 #: Sustained per-worker service rate of a BeagleBone through the full
 #: boot→execute→report cycle (the testbed does ~200 func/min across 10
@@ -114,9 +110,10 @@ class _StripeTask:
     """One partition of a megatrace replay (picklable).
 
     ``stripe`` is the whole trace for a one-partition replay, else an
-    eager :class:`ColumnarTrace` slice or a :class:`ChunkedPoissonTrace`
-    stripe (a few parameters instead of arrays — what makes 10⁸-arrival
-    partitioned replays picklable at all).
+    eager :class:`~repro.workloads.traces.ColumnarTrace` slice or a
+    :class:`ChunkedPoissonTrace` stripe (a few parameters instead of
+    arrays — what makes 10⁸-arrival partitioned replays picklable at
+    all).
     """
 
     stripe: object

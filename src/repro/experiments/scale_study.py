@@ -14,7 +14,7 @@ per-invocation dispatch/collect CPU caps the cluster around
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.cluster import MicroFaaSCluster
 from repro.core.controlplane import ControlPlaneModel

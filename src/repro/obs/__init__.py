@@ -3,8 +3,8 @@
 - :mod:`repro.obs.trace` — span model, recorders, sampling, ring buffer
 - :mod:`repro.obs.critical_path` — latency decomposition + telemetry
   reconciliation
-- :mod:`repro.obs.energy` — per-span energy attribution against
-  :mod:`repro.hardware.power` traces
+- :mod:`repro.obs.energy` — per-span energy attribution, a view over
+  the :class:`~repro.energy.controlplane.EnergyLedger` window integral
 - :mod:`repro.obs.export` — Chrome/Perfetto trace-event JSON and JSONL
   exporters, plus the CI schema validator
 """

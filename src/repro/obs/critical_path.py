@@ -17,8 +17,9 @@ means computed here must agree with the collector's to float-addition
 noise — the headline-run reconciliation test pins the gap below 1e-9.
 
 Only the **delivered attempt** contributes to a critical path: a losing
-hedge or a crashed attempt burns energy (see :mod:`repro.obs.energy`)
-but does not sit on the latency path of the result the client saw.
+hedge or a crashed attempt burns energy (the energy ledger bills it to
+``wasted``; :mod:`repro.obs.energy` shows it per span) but does not sit
+on the latency path of the result the client saw.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Per-span energy attribution (FaasMeter-style J-per-stage).
 
-Each worker board records a step-function power trace
-(:class:`repro.hardware.power.PowerTrace`); joining a span's
-``[start_s, end_s]`` interval against its worker's trace via
-``PowerTrace.energy_joules`` yields the joules that board spent inside
-that span.  Attribution walks the attempt spans of a trace:
+A thin view over the one energy engine,
+:class:`repro.energy.controlplane.EnergyLedger`: its ``window_joules``
+over a span's ``[start_s, end_s]`` on the span's worker yields the
+joules that board spent inside the span.  Attribution walks the attempt
+spans of a trace:
 
 - every *phase* child (``boot``, ``input_transfer``, ``execute``,
   ``result_transfer``, ``reboot``) gets its integral;
@@ -16,19 +16,16 @@ that span.  Attribution walks the attempt spans of a trace:
   runs on its own window, so retries and hedges can never double-count
   a joule — the chaos-fault reconciliation test pins this.
 
-``active_joules`` (boot + input + execute + result of the delivered
-attempt) is the quantity :func:`repro.energy.accounting.
-per_function_active_joules` computes from telemetry records over the
-same ``[t_started, t_completed]`` window, which is what the two are
-reconciled against.
+The delivered attempt's ``active_j`` (boot + transfers + execute) tiles
+the ``[t_started, t_completed]`` window the ledger bills to
+``ledger.function_joules``; the tests reconcile the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
-from repro.hardware.power import PowerTrace
 from repro.obs.trace import ACTIVE_PHASES, FinishedTrace, REBOOT
 
 #: Attempt children that get their own energy integral; everything else
@@ -56,9 +53,7 @@ class AttemptEnergy:
     @property
     def active_j(self) -> float:
         """Boot + transfers + execute — the working envelope."""
-        return sum(
-            self.phase_j.get(name, 0.0) for name in ACTIVE_PHASES
-        )
+        return sum(self.phase_j.get(name, 0.0) for name in ACTIVE_PHASES)
 
 
 @dataclass(frozen=True)
@@ -101,41 +96,34 @@ class TraceEnergy:
         return totals
 
 
-def attribute(
-    trace: FinishedTrace,
-    power_traces: Mapping[int, PowerTrace],
-) -> TraceEnergy:
-    """Join one trace's span intervals against per-board power traces.
+def attribute(trace: FinishedTrace, ledger) -> TraceEnergy:
+    """Join one trace's span intervals against the ledger's boards.
 
-    power_traces:
-        ``worker_id -> PowerTrace``.  Use :func:`cluster_power_traces`
-        to build it from a cluster.  Attempts on boards missing from
-        the mapping (e.g. a chaos-killed board whose replacement took
-        over the id) are attributed zero energy rather than failing.
+    ledger:
+        An :class:`~repro.energy.controlplane.EnergyLedger` covering the
+        cluster (``cluster.enable_energy_ledger()``).  Attempts on
+        workers it does not cover (VM guests, remote shard workers) are
+        attributed zero energy rather than failing.
     """
+    window_joules = ledger.window_joules
     attempt_energies: List[AttemptEnergy] = []
     for attempt in trace.attempts():
         worker_id = attempt.worker_id
-        power = (
-            power_traces.get(worker_id) if worker_id is not None else None
-        )
         phase_j: Dict[str, float] = {}
-        if power is None:
-            total = 0.0
-        else:
-            total = power.energy_joules(attempt.start_s, attempt.end_s)
-            for child in trace.children_of(attempt.span_id):
-                if child.name not in ENERGY_PHASES:
-                    continue
-                joules = power.energy_joules(child.start_s, child.end_s)
-                phase_j[child.name] = phase_j.get(child.name, 0.0) + joules
+        for child in trace.children_of(attempt.span_id):
+            if child.name not in ENERGY_PHASES:
+                continue
+            joules = window_joules(worker_id, child.start_s, child.end_s)
+            phase_j[child.name] = phase_j.get(child.name, 0.0) + joules
         attempt_energies.append(
             AttemptEnergy(
                 attempt_span_id=attempt.span_id,
                 worker_id=worker_id if worker_id is not None else -1,
                 start_s=attempt.start_s,
                 end_s=attempt.end_s,
-                total_j=total,
+                total_j=window_joules(
+                    worker_id, attempt.start_s, attempt.end_s
+                ),
                 phase_j=phase_j,
                 delivered=attempt.span_id == trace.delivered_attempt,
             )
@@ -148,75 +136,9 @@ def attribute(
     )
 
 
-def attribute_all(
-    traces: Iterable[FinishedTrace],
-    power_traces: Mapping[int, PowerTrace],
-) -> List[TraceEnergy]:
-    return [attribute(trace, power_traces) for trace in traces]
-
-
-def cluster_power_traces(cluster) -> Dict[int, PowerTrace]:
-    """``worker_id -> PowerTrace`` for a cluster's current boards.
-
-    Duck-typed (no cluster imports in :mod:`repro.obs`): any worker
-    whose board (``.sbc`` or ``.vm``) exposes a per-board ``.trace``
-    contributes.  MicroVMs are metered at the host wall, not per guest,
-    so conventional-cluster attempts get no per-span attribution here.
-    """
-    traces: Dict[int, PowerTrace] = {}
-    for worker in cluster.workers:
-        board = getattr(worker, "sbc", None) or getattr(worker, "vm", None)
-        trace = getattr(board, "trace", None)
-        if trace is not None:
-            traces[_worker_id_of(worker)] = trace
-    return traces
-
-
-def _worker_id_of(worker) -> int:
-    board = getattr(worker, "sbc", None)
-    if board is not None:
-        return board.node_id
-    return worker.vm.vm_id
-
-
-@dataclass(frozen=True)
-class FunctionEnergy:
-    """Mean per-invocation energy for one function, trace-derived."""
-
-    function: str
-    count: int
-    mean_total_j: float
-    mean_active_j: float
-    mean_wasted_j: float
-
-
-def per_function_energy(
-    energies: Iterable[TraceEnergy],
-) -> Dict[str, FunctionEnergy]:
-    by_function: Dict[str, List[TraceEnergy]] = {}
-    for energy in energies:
-        by_function.setdefault(energy.function, []).append(energy)
-    out: Dict[str, FunctionEnergy] = {}
-    for function in sorted(by_function):
-        group = by_function[function]
-        n = len(group)
-        out[function] = FunctionEnergy(
-            function=function,
-            count=n,
-            mean_total_j=sum(e.total_j for e in group) / n,
-            mean_active_j=sum(e.active_j for e in group) / n,
-            mean_wasted_j=sum(e.wasted_j for e in group) / n,
-        )
-    return out
-
-
 __all__ = [
     "ENERGY_PHASES",
     "AttemptEnergy",
-    "FunctionEnergy",
     "TraceEnergy",
     "attribute",
-    "attribute_all",
-    "cluster_power_traces",
-    "per_function_energy",
 ]

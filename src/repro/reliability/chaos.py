@@ -37,7 +37,7 @@ modelling the loops themselves.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import trace as obs

@@ -7,7 +7,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.core.protocol import (
     InvokeMessage,
@@ -15,7 +15,7 @@ from repro.core.protocol import (
     decode_message,
     encode_message,
 )
-from repro.workloads.base import ServiceBundle, WorkloadFunction, get_function
+from repro.workloads.base import ServiceBundle, get_function
 
 
 @dataclass
@@ -28,7 +28,7 @@ class WorkItem:
     """
 
     frame: bytes
-    future: "Future"
+    future: Future
     submitted_at: float = field(default_factory=time.perf_counter)
 
 
@@ -46,7 +46,7 @@ class LocalWorker:
     def __init__(
         self,
         worker_id: int,
-        jobs: "queue.Queue",
+        jobs: queue.Queue,
         services: ServiceBundle,
         service_lock: threading.Lock,
     ):

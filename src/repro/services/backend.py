@@ -15,7 +15,7 @@ queues — the wire is idle waiting, not backend work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.sim.kernel import Environment
 from repro.sim.resources import Resource

@@ -15,7 +15,7 @@ milliseconds for query processing and object handling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Mapping
 
 #: Service processing time per operation, seconds.
 SERVICE_LATENCY: Mapping[str, float] = {

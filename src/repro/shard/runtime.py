@@ -22,7 +22,7 @@ buffers it for the coordinator instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.blueprint import (
@@ -35,7 +35,7 @@ from repro.cluster.hybrid import HybridCluster
 from repro.cluster.microfaas import MicroFaaSCluster
 from repro.cluster.pool import SbcPool
 from repro.core.controlplane import ControlPlaneModel
-from repro.core.job import Job, JobStatus
+from repro.core.job import Job
 from repro.core.scheduler import (
     NO_BARRED,
     SHARDABLE_POLICIES,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.tco.assumptions import (
     CostAssumptions,
@@ -14,7 +14,7 @@ from repro.tco.assumptions import (
     PAPER_MICROFAAS_RACK,
     REALISTIC,
 )
-from repro.tco.model import CostBreakdown, TcoModel
+from repro.tco.model import TcoModel
 
 
 @dataclass(frozen=True)

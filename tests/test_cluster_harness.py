@@ -171,7 +171,7 @@ def test_conventional_bridge_contributes_no_switch_power():
     must not change the old single-switch accounting."""
     cluster = ConventionalCluster(vm_count=2, include_switch_power=True)
     assert cluster.bridge.watts == 0.0
-    assert cluster.cluster_watts() == (
+    assert cluster.metered_watts() == (
         cluster.server.watts + cluster.switch.watts
     )
 

@@ -6,9 +6,6 @@ from repro.cluster import MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.energy import (
     EnergyBreakdown,
-    efficiency_ratio,
-    joules_to_kwh,
-    kwh_to_joules,
     linearity_r_squared,
     peak_efficiency,
     proportionality_index,
@@ -17,14 +14,6 @@ from repro.energy import (
     vm_host_power_series,
 )
 from repro.energy.proportionality import ProportionalitySeries
-
-
-# -- units -----------------------------------------------------------------------
-
-
-def test_unit_roundtrip():
-    assert joules_to_kwh(kwh_to_joules(1.5)) == pytest.approx(1.5)
-    assert kwh_to_joules(1.0) == pytest.approx(3.6e6)
 
 
 # -- breakdown --------------------------------------------------------------------
@@ -142,9 +131,11 @@ def test_linearity_validation():
 
 def test_efficiency_ratio_from_results():
     from repro.cluster import ConventionalCluster
+    from repro.experiments.headline import HeadlineResult
 
     mf = MicroFaaSCluster(worker_count=10, seed=1, policy=LeastLoadedPolicy())
     mf_result = mf.run_saturated(invocations_per_function=12)
     cv = ConventionalCluster(vm_count=6, seed=1, policy=LeastLoadedPolicy())
     cv_result = cv.run_saturated(invocations_per_function=12)
-    assert efficiency_ratio(cv_result, mf_result) == pytest.approx(5.6, rel=0.1)
+    result = HeadlineResult(microfaas=mf_result, conventional=cv_result)
+    assert result.efficiency_ratio == pytest.approx(5.6, rel=0.1)

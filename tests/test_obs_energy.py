@@ -1,29 +1,25 @@
-"""Per-span energy attribution reconciled with the energy accounting.
+"""Per-span energy attribution reconciled with the energy ledger.
 
 Two ground truths, one per claim:
 
 - The per-function sums of delivered attempts' active joules (boot +
-  transfers + execute, integrated from span intervals) must equal
-  :func:`repro.energy.accounting.per_function_active_joules`, which
-  integrates the same boards over the telemetry records' service
-  windows.
+  transfers + execute, integrated from span intervals) must equal the
+  ledger's ``function_joules``, which bills the same boards over each
+  delivered attempt's service window.
 - Under chaos, attempts of the same logical job run on disjoint time
   windows, so retried/hedged invocations never double-count a joule:
   summing attempt energies equals integrating the union of their
   windows.
 """
 
+from collections import Counter
+
 from repro.cluster import MicroFaaSCluster
 from repro.core.policies import RecoveryPolicy
 from repro.core.scheduler import LeastLoadedPolicy
-from repro.energy.accounting import per_function_active_joules
+from repro.energy.controlplane import EnergyLedger
 from repro.obs import trace as obs
-from repro.obs.energy import (
-    attribute,
-    attribute_all,
-    cluster_power_traces,
-    per_function_energy,
-)
+from repro.obs.energy import attribute
 from repro.obs.trace import TraceConfig
 from repro.reliability import ChaosEngine, ChaosPlan, ChaosProfile
 from repro.services.backend import BackendCapacityModel
@@ -32,7 +28,8 @@ TOLERANCE_J = 1e-9
 
 
 def traced_cluster(worker_count=4, seed=7, recovery=None, trace=None):
-    return MicroFaaSCluster(
+    """A traced cluster with an energy ledger attached."""
+    cluster = MicroFaaSCluster(
         worker_count=worker_count,
         seed=seed,
         policy=LeastLoadedPolicy(),
@@ -40,38 +37,39 @@ def traced_cluster(worker_count=4, seed=7, recovery=None, trace=None):
         recovery=recovery,
         trace=trace if trace is not None else TraceConfig(),
     )
+    cluster.enable_energy_ledger()
+    return cluster
 
 
-def span_side_active_joules(traces, powers):
-    """Per-function sums of delivered attempts' active joules."""
-    totals = {}
-    for energy in attribute_all(traces, powers):
-        totals[energy.function] = (
-            totals.get(energy.function, 0.0) + energy.delivered_active_j
+def trace_energies(cluster):
+    ledger = cluster.orchestrator.ledger
+    return [attribute(trace, ledger) for trace in cluster.finished_traces()]
+
+
+def assert_span_side_matches_ledger(cluster):
+    """Per-function sums of delivered attempts' active joules equal the
+    ledger's delivered joules per function."""
+    span_side = {}
+    for energy in trace_energies(cluster):
+        span_side[energy.function] = (
+            span_side.get(energy.function, 0.0) + energy.delivered_active_j
         )
-    return totals
+    billed = cluster.orchestrator.ledger.function_joules
+    assert billed and set(span_side) == set(billed)
+    for function, joules in billed.items():
+        assert abs(span_side[function] - joules) <= TOLERANCE_J
 
 
 def test_fault_free_energy_reconciles_with_accounting():
     cluster = traced_cluster()
     cluster.run_saturated(invocations_per_function=3)
-    traces = cluster.finished_traces()
-    powers = cluster_power_traces(cluster)
-    span_side = span_side_active_joules(traces, powers)
-    ground_truth = per_function_active_joules(
-        cluster.orchestrator.telemetry.records, cluster.sbcs
-    )
-    assert set(span_side) == set(ground_truth)
-    for function, joules in ground_truth.items():
-        assert abs(span_side[function] - joules) < TOLERANCE_J
+    assert_span_side_matches_ledger(cluster)
 
 
 def test_phase_energies_tile_the_attempt_window():
     cluster = traced_cluster()
     cluster.run_saturated(invocations_per_function=2)
-    powers = cluster_power_traces(cluster)
-    for trace in cluster.finished_traces():
-        energy = attribute(trace, powers)
+    for energy in trace_energies(cluster):
         for attempt in energy.attempts:
             assert attempt.total_j > 0
             # Phases never claim more than the window holds.
@@ -85,22 +83,21 @@ def test_phase_energies_tile_the_attempt_window():
 def test_per_function_energy_summary():
     cluster = traced_cluster()
     cluster.run_saturated(invocations_per_function=2)
-    powers = cluster_power_traces(cluster)
-    energies = attribute_all(cluster.finished_traces(), powers)
-    summary = per_function_energy(energies)
-    assert len(summary) == 17
-    for stats in summary.values():
-        assert stats.count == 2
-        assert stats.mean_total_j >= stats.mean_active_j - TOLERANCE_J
-        assert stats.mean_active_j > 0
-        assert stats.mean_wasted_j == 0.0  # fault-free: nothing wasted
+    energies = trace_energies(cluster)
+    counts = Counter(energy.function for energy in energies)
+    assert len(counts) == 17
+    assert set(counts.values()) == {2}
+    for energy in energies:
+        assert energy.total_j >= energy.active_j - TOLERANCE_J
+        assert energy.active_j > 0
+        assert energy.wasted_j == 0.0  # fault-free: nothing wasted
 
 
 def test_unknown_worker_attributes_zero_not_crash():
     cluster = traced_cluster()
     cluster.run_saturated(invocations_per_function=1)
     (first, *_) = cluster.finished_traces()
-    energy = attribute(first, {})  # no boards known
+    energy = attribute(first, EnergyLedger(clock=lambda: 0.0))  # no boards
     assert energy.total_j == 0.0
     assert energy.attempts
 
@@ -169,18 +166,11 @@ def test_chaos_attempt_windows_are_disjoint_per_board():
 
 def test_chaos_energy_still_reconciles_and_waste_is_positive():
     cluster = chaos_run()
-    traces = cluster.finished_traces()
-    powers = cluster_power_traces(cluster)
-    span_side = span_side_active_joules(traces, powers)
-    ground_truth = per_function_active_joules(
-        cluster.orchestrator.telemetry.records, cluster.sbcs
-    )
-    # Delivered attempts reconcile with the record-level accounting
-    # even when crashed attempts are interleaved on the same boards.
-    for function, joules in ground_truth.items():
-        assert abs(span_side[function] - joules) < TOLERANCE_J
+    # Delivered attempts reconcile with the ledger's billing even when
+    # crashed attempts are interleaved on the same boards.
+    assert_span_side_matches_ledger(cluster)
     # Crashed attempts burned real, separately-billed joules.
-    energies = attribute_all(traces, powers)
+    energies = trace_energies(cluster)
     wasted = sum(e.wasted_j for e in energies)
     retried = [e for e in energies if len(e.attempts) > 1]
     assert retried and wasted > 0
