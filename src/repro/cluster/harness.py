@@ -376,6 +376,9 @@ class ClusterHarness:
         """Sealed traces (draining in-flight stragglers first)."""
         if self.tracer is None:
             return []
+        for worker in self.workers:
+            if worker is not None:
+                worker.emit_open_spans()
         self.tracer.drain()
         return self.tracer.traces()
 

@@ -265,6 +265,10 @@ class SbcPool(WorkerPool):
         harness.gpio.connect(
             node_id, sbc.power_on, sbc.power_off, lambda s=sbc: s.is_powered
         )
+        orchestrator = harness.orchestrator
+        if orchestrator.recovery is not None:
+            # The stuck-worker scan hears of boards losing power.
+            sbc.on_power_off = orchestrator.note_power_off
         self.sbcs.append(sbc)
         return self._start_worker(harness, sbc, queue, endpoint_name)
 

@@ -13,8 +13,11 @@ vCPUs outnumber physical cores — and the host is never powered off
   when the policy says so;
 - executor: :meth:`MicroVm.execute` per phase or
   :meth:`MicroVm.book_execute` booked.  Only an uncontended host books
-  (:attr:`Hypervisor.uncontended`), and only the booking tells the
-  burst's end, so a job on the per-phase path reports an open end;
+  (:attr:`Hypervisor.uncontended`), and the booking tells the burst's
+  end, so a job on the per-phase path reports an open end.  Under
+  network chaos :meth:`MicroVm.boot_end` and :meth:`MicroVm.execute_end`
+  walk the same quanta without booking, to price each transfer at its
+  start;
 - pricing: the x86 profile, stretched by the host's DVFS step;
 - overhead: the sum of the transfer and session durations.
 
@@ -73,6 +76,9 @@ class VmWorker(Worker):
     def _book_boot(self, claim: float) -> float:
         return self.vm.book_boot(claim)
 
+    def _boot_end(self, claim: float) -> float:
+        return self.vm.boot_end(claim)
+
     def _work(self, profile, jitter: float):
         work_s = profile.work_x86_s * jitter
         cpu_s = work_s * profile.cpu_fraction_x86
@@ -88,6 +94,13 @@ class VmWorker(Worker):
 
     def _book_execute(self, start: float, cpu_s: float, io_s: float) -> float:
         return self.vm.book_execute(start, cpu_s, io_s)
+
+    def _execute_end(self, start: float, cpu_s: float, io_s: float) -> float:
+        return self.vm.execute_end(start, cpu_s, io_s)
+
+    def _predict(self, booting: bool, plan) -> Optional[float]:
+        # Booking tells the end without walking the quanta twice.
+        return None
 
     def _overhead_s(self, inbound, outbound, inbound_start, inbound_end,
                     outbound_start, end) -> float:

@@ -16,16 +16,24 @@ so the cluster-level calibration holds); the input/result overhead comes
 from the network transfer model, so payload sizes and NIC speed
 determine Fig. 3's overhead bars.
 
-An untraced job whose timeline nothing later can move is fixed at the
-claim (:meth:`Worker._plan`) and, where the platform can book it, booked
-whole — every power-state transition on the board
+A job whose timeline nothing later can move is fixed at the claim
+(:meth:`Worker._plan`) and, where the platform can book it, booked whole
+— every power-state transition on the board
 (:meth:`~repro.hardware.power.PowerStateMachine.book`) or every guest
-burst on the host — with one wait, for the result transfer's end.  The
-books are written before any later write or read, and a crash truncates
-the rest, so every record, time-in-state sum and joule matches the
-per-phase path — the differential oracle, which every other job takes:
-one wait each for the boot, inbound transfer + session overhead, the
-CPU phase, the I/O phase and the result transfer.
+burst on the host — with one wait, for the result transfer's end.
+Tracing does not matter, and neither does network chaos as long as no
+announced link or switch change (see :mod:`repro.net.transfer`) touches
+the job's path between its claim and its end: each transfer is then
+priced at its own start.  The books
+are written before any later write or read, and a crash truncates the
+rest, so every record, time-in-state sum and joule matches the per-phase
+path — the differential oracle, which every other job takes: one wait
+each for the boot, inbound transfer + session overhead, the CPU phase,
+the I/O phase and the result transfer.
+
+Either path writes a traced job's phase spans once, when the job ends
+or a crash cuts it short (:meth:`Worker._emit_spans`), from the phase
+endpoints it reached.
 
 When the orchestrator carries an ``on_claim`` hook (only shard runtimes
 set one), the worker reports at the claim the instant it will finish,
@@ -66,10 +74,12 @@ class Worker:
       kind of boot the claim pays, or None; ``_next_claim_boots``, the
       same answer for the next claim, read before it;
     - its boot source: ``_boot()`` runs a boot one wait at a time,
-      ``_book_boot(claim)`` books one and returns its end;
+      ``_book_boot(claim)`` books one and returns its end,
+      ``_boot_end(claim)`` returns that end without booking;
     - its CPU/I/O executor: ``_execute(profile, cpu_s, io_s)`` runs the
       function body one wait at a time, ``_book_execute(start, cpu_s,
-      io_s)`` books it and returns its end;
+      io_s)`` books it and returns its end, ``_execute_end(start,
+      cpu_s, io_s)`` returns that end without booking;
     - ``_work(profile, jitter)``: CPU and I/O seconds at the current
       clock;
     - ``_overhead_s(...)``: the record's transfer + session overhead;
@@ -90,7 +100,8 @@ class Worker:
     default_policy: RunToCompletionPolicy
     #: Wall length of one worker-OS boot.
     boot_real_s: float
-    #: Whether an untraced, fixed job's timeline can be booked whole.
+    #: Whether a job whose timeline is fixed at the claim can be booked
+    #: whole.
     _bookable = True
     #: Seconds of a boot that ran before this claim and is charged to it.
     _charged_boot_s = 0.0
@@ -115,6 +126,11 @@ class Worker:
         self.backend = backend
         #: Job currently executing (fault recovery reads this).
         self.current_job: Optional[Job] = None
+        #: The traced job in service, while some of its phase spans are
+        #: unwritten: ``[job, boot kind, charged boot seconds, plan,
+        #: phase endpoints, phases written (-1: nothing yet)]`` (see
+        #: :meth:`_emit_spans`).
+        self._spans: Optional[list] = None
         self._pending_pop = None
         self.process = self.env.process(
             self._run(), name=f"{self.kind}-worker-{self.worker_id}"
@@ -169,11 +185,10 @@ class Worker:
             # again (a revived one gets a fresh stream), so every job
             # still gets the draw it got at execute time.
             jitter = self._jitter()
-            booting = boot_kind is not None
-            plan, t_done = self._plan(job, booting, jitter)
-            if plan is not None and job.trace_id is None and self._bookable:
+            plan, t_done = self._plan(job, boot_kind is not None, jitter)
+            if plan is not None and self._bookable:
                 record = yield from self._serve_booked(
-                    job, booting, charged_s, plan, t_done
+                    job, boot_kind, charged_s, plan, t_done
                 )
             else:
                 self._report_claim(job, t_done)
@@ -216,29 +231,44 @@ class Worker:
     def _plan(self, job: Job, booting: bool, jitter: float):
         """Everything the serve paths wait on, fixed at the claim — or
         None when something later can still move the timeline: a
-        control-plane model, a contended backend or transfer fault
-        accounting.
+        control-plane model, a contended backend or, under transfer
+        fault accounting, an announced network change within the job's
+        window (or a worker that cannot book, so nothing tells the
+        window before it runs).
 
         Returns ``(plan, t_done)``: the inbound and outbound transfer
-        estimates with the CPU and I/O seconds, and :meth:`_predict`'s
-        completion instant.
+        estimates with the CPU and I/O seconds, and the completion
+        instant (:meth:`_predict`'s, or None when open).  Under fault
+        accounting each transfer is priced at its own start.
         """
         profile = self.profiles[job.function]
-        if (
-            self.control_plane is not None
-            or self.transfers.chaos_enabled
-            or (self.backend is not None and profile.service_op is not None)
+        if self.control_plane is not None or (
+            self.backend is not None and profile.service_op is not None
         ):
             return None, None
-        inbound = self.transfers.transfer(
-            self.orchestrator_endpoint, self.endpoint, job.input_bytes
-        )
-        outbound = self.transfers.transfer(
-            self.endpoint, self.orchestrator_endpoint, job.output_bytes
-        )
+        transfers = self.transfers
+        src, dst = self.orchestrator_endpoint, self.endpoint
         cpu_s, io_s = self._work(profile, jitter)
-        plan = (inbound, outbound, cpu_s, io_s)
-        return plan, self._predict(booting, plan)
+        if not transfers.chaos_enabled:
+            plan = (
+                transfers.transfer(src, dst, job.input_bytes),
+                transfers.transfer(dst, src, job.output_bytes),
+                cpu_s, io_s,
+            )
+            return plan, self._predict(booting, plan)
+        if not self._bookable:
+            return None, None
+        claim = self.env.now
+        start = self._boot_end(claim) if booting else claim
+        inbound = transfers.transfer(src, dst, job.input_bytes, at=start)
+        start = self._execute_end(
+            (start + inbound.total_s) + self.session_s, cpu_s, io_s
+        )
+        outbound = transfers.transfer(dst, src, job.output_bytes, at=start)
+        end = start + outbound.total_s
+        if transfers.changes_within(src, dst, claim, end):
+            return None, None
+        return (inbound, outbound, cpu_s, io_s), end
 
     def _report_claim(self, job: Job, t_done: Optional[float]) -> None:
         """Tell ``on_claim`` when the job will finish (None: open)."""
@@ -246,15 +276,15 @@ class Worker:
         if on_claim is not None:
             on_claim(job.job_id, self.worker_id, t_done, self.env.now)
 
-    def _serve_booked(self, job: Job, booting: bool, charged_s: float,
-                      plan, t_done: Optional[float]):
+    def _serve_booked(self, job: Job, boot_kind: Optional[str],
+                      charged_s: float, plan, t_done: Optional[float]):
         """Book the timeline :meth:`_plan` fixed at the claim — boot,
         inbound transfer + session overhead, CPU and I/O phases, result
         transfer — at the floats :meth:`_serve_phases`'s waits reach,
         report its end and wait once."""
         inbound, outbound, cpu_s, io_s = plan
         claim = self.env.now
-        if booting:
+        if boot_kind is not None:
             inbound_start = self._book_boot(claim)
         else:
             inbound_start = claim
@@ -268,10 +298,22 @@ class Worker:
                 f"timeline ends at {end!r}, predicted {t_done!r} at its claim"
             )
         self._report_claim(job, end)
-        yield self.env.timeout_at(end)
+        if job.trace_id is not None:
+            self._spans = [job, boot_kind, charged_s, plan,
+                           (claim, inbound_start, inbound_end,
+                            outbound_start, end), -1]
+        try:
+            yield self.env.timeout_at(end)
+        except Interrupt:
+            # A phase ending at the crash instant is cut, as the
+            # per-phase wait for it is: the crash's event came first.
+            self._emit_spans(cut=self.env.now, done=True)
+            raise
         self._finish_job()
+        if self._spans is not None:
+            self._emit_spans(done=True)
         return self._record(
-            job, inbound_start - claim if booting else charged_s,
+            job, inbound_start - claim if boot_kind is not None else charged_s,
             outbound_start - inbound_end,
             self._overhead_s(inbound, outbound, inbound_start, inbound_end,
                              outbound_start, end),
@@ -283,85 +325,133 @@ class Worker:
         :meth:`_plan`'s claim-time plan, or None to price each phase
         when it starts."""
         env = self.env
+        # The phase endpoints reached so far — claim, inbound start,
+        # inbound end, outbound start, end — and what the phases ran.
+        stamps = [env.now]
+        priced = plan is not None
+        plan = list(plan) if priced else [None] * 4
+        if job.trace_id is not None:
+            self._spans = [job, boot_kind, charged_s, plan, stamps, -1]
+        try:
+            if boot_kind is not None:
+                yield from self._boot()
+            inbound_start = env.now
+            stamps.append(inbound_start)
+            # Receive the invocation input (overhead, I/O bound).  With
+            # a control-plane model, the OP must first find CPU to
+            # dispatch us.
+            self._begin_inbound()
+            if not priced:
+                if self.control_plane is not None:
+                    yield from self.control_plane.dispatch()
+                plan[0] = self.transfers.transfer(
+                    self.orchestrator_endpoint, self.endpoint,
+                    job.input_bytes,
+                )
+            # Transfer, then session overhead: one wait, ending where
+            # the two chained timeouts would.
+            inbound_end = (env.now + plan[0].total_s) + self.session_s
+            yield env.timeout_at(inbound_end)
+            stamps.append(inbound_end)
+            profile = self.profiles[job.function]
+            if not priced:
+                plan[2:] = self._work(profile, jitter)
+            yield from self._execute(profile, plan[2], plan[3])
+            outbound_start = env.now
+            stamps.append(outbound_start)
+            # Return the result (overhead); the OP must ingest it.
+            if not priced:
+                plan[1] = self.transfers.transfer(
+                    self.endpoint, self.orchestrator_endpoint,
+                    job.output_bytes,
+                )
+            yield env.timeout_at(outbound_start + plan[1].total_s)
+            if self.control_plane is not None:
+                yield from self.control_plane.collect()
+            self._finish_job()
+            stamps.append(env.now)
+        except Interrupt:
+            # Every phase reached has ended (a crash interrupts a wait).
+            self._emit_spans(done=True)
+            raise
+        self._emit_spans(done=True)
+        return self._record(
+            job, inbound_start - stamps[0] if boot_kind is not None
+            else charged_s,
+            outbound_start - inbound_end,
+            self._overhead_s(plan[0], plan[1], inbound_start, inbound_end,
+                             outbound_start, env.now),
+        )
+
+    def emit_open_spans(self) -> None:
+        """Write the spans of the traced job in service for phases that
+        ended by now, ahead of the trace being sealed mid-flight at the
+        end of a run (per-phase waits up to now have all fired)."""
+        if self._spans is not None:
+            self._emit_spans(cut=math.nextafter(self.env.now, math.inf))
+
+    def _emit_spans(self, cut: float = math.inf, done: bool = False) -> None:
+        """Write the traced job's phase spans not written yet, for the
+        phases that ended before ``cut``; ``done`` forgets the job.
+
+        Spans go under the job's attempt: boot (with its stage
+        children), ``input_transfer``, ``execute`` and
+        ``result_transfer``, from the phase endpoints either serve path
+        recorded — all of them for a booked timeline, those reached so
+        far for the per-phase path.
+        """
+        state = self._spans
+        if state is None:
+            return
+        if done:
+            self._spans = None
+        job, boot_kind, charged_s, plan, stamps, written = state
+        ended = 0
+        for t in stamps[1:]:
+            if t >= cut:
+                break
+            ended += 1
+        if ended <= written:
+            return
+        state[5] = ended
         tracer = self.orchestrator.tracer
-        traced = job.trace_id is not None
-        boot_s = charged_s
-        if boot_kind is not None:
-            start = env.now
-            yield from self._boot()
-            boot_s = env.now - start
-            if traced:
-                self._trace_boot(job, start, obs.BOOT, boot_kind)
-        elif boot_s and traced:
+        trace_id, attempt = job.trace_id, job.trace_attempt
+        worker_id = self.worker_id
+        inbound, outbound, cpu_s, io_s = plan
+        claim = stamps[0]
+        if written < 0 and boot_kind is None and charged_s:
             # A boot that ran before this claim cannot be a child
             # interval of the attempt; record it as a zero-duration
             # marker carrying the charged cost.
             tracer.span(
-                job.trace_id, obs.BOOT, env.now, env.now,
-                parent_id=job.trace_attempt, worker_id=self.worker_id,
-                attrs={"kind": "initial", "charged_s": boot_s},
+                trace_id, obs.BOOT, claim, claim, parent_id=attempt,
+                worker_id=worker_id,
+                attrs={"kind": "initial", "charged_s": charged_s},
             )
-        inbound_start = env.now
-        # Receive the invocation input (overhead, I/O bound).  With a
-        # control-plane model, the OP must first find CPU to dispatch us.
-        self._begin_inbound()
-        if plan is None:
-            if self.control_plane is not None:
-                yield from self.control_plane.dispatch()
-            inbound = self.transfers.transfer(
-                self.orchestrator_endpoint, self.endpoint, job.input_bytes
-            )
-        else:
-            inbound, outbound, cpu_s, io_s = plan
-        # Transfer, then session overhead: one wait, ending where the
-        # two chained timeouts would.
-        inbound_end = (env.now + inbound.total_s) + self.session_s
-        yield env.timeout_at(inbound_end)
-        if traced:
+        if boot_kind is not None and written < 1 <= ended:
+            self._trace_boot(job, claim, stamps[1], obs.BOOT, boot_kind)
+        if written < 2 <= ended:
             tracer.span(
-                job.trace_id, obs.INPUT_TRANSFER, inbound_start,
-                inbound_end, parent_id=job.trace_attempt,
-                worker_id=self.worker_id,
+                trace_id, obs.INPUT_TRANSFER, stamps[1], stamps[2],
+                parent_id=attempt, worker_id=worker_id,
                 attrs={"bytes": job.input_bytes, **inbound.as_attrs(),
                        "session_s": self.session_s},
             )
-        profile = self.profiles[job.function]
-        if plan is None:
-            cpu_s, io_s = self._work(profile, jitter)
-        working_start = env.now
-        yield from self._execute(profile, cpu_s, io_s)
-        outbound_start = env.now
-        working_s = outbound_start - working_start
-        if traced:
+        if written < 3 <= ended:
             # The execute span's duration IS working_s (same endpoints),
             # which is what lets the critical-path analyzer reconcile
             # with TelemetryCollector exactly.
             tracer.span(
-                job.trace_id, obs.EXECUTE, working_start, outbound_start,
-                parent_id=job.trace_attempt, worker_id=self.worker_id,
+                trace_id, obs.EXECUTE, stamps[2], stamps[3],
+                parent_id=attempt, worker_id=worker_id,
                 attrs={"cpu_s": cpu_s, "io_s": io_s},
             )
-        # Return the result (overhead); the OP must ingest it.
-        if plan is None:
-            outbound = self.transfers.transfer(
-                self.endpoint, self.orchestrator_endpoint, job.output_bytes
-            )
-        yield env.timeout_at(outbound_start + outbound.total_s)
-        if self.control_plane is not None:
-            yield from self.control_plane.collect()
-        self._finish_job()
-        if traced:
+        if written < 4 <= ended:
             tracer.span(
-                job.trace_id, obs.RESULT_TRANSFER, outbound_start,
-                env.now, parent_id=job.trace_attempt,
-                worker_id=self.worker_id,
+                trace_id, obs.RESULT_TRANSFER, stamps[3], stamps[4],
+                parent_id=attempt, worker_id=worker_id,
                 attrs={"bytes": job.output_bytes, **outbound.as_attrs()},
             )
-        return self._record(
-            job, boot_s, working_s,
-            self._overhead_s(inbound, outbound, inbound_start, inbound_end,
-                             outbound_start, env.now),
-        )
 
     def _record(self, job: Job, boot_s: float, working_s: float,
                 overhead_s: float) -> InvocationRecord:
@@ -389,11 +479,11 @@ class Worker:
             )
             job.trace_attempt = None
 
-    def _trace_boot(self, job: Job, start: float, name: str, kind: str):
-        """Attach a boot span ending now to the job's open attempt;
-        returns its id."""
+    def _trace_boot(self, job: Job, start: float, end: float, name: str,
+                    kind: str):
+        """Attach a boot span to the job's open attempt; returns its id."""
         return self.orchestrator.tracer.span(
-            job.trace_id, name, start, self.env.now,
+            job.trace_id, name, start, end,
             parent_id=job.trace_attempt, worker_id=self.worker_id,
             attrs={"kind": kind},
         )
@@ -405,9 +495,15 @@ class Worker:
         return ()
 
     def _predict(self, booting: bool, plan) -> Optional[float]:
-        """The completion instant of a planned job claimed now, or None
+        """The completion instant of a planned job claimed now, chained
+        with exactly the float additions the waits perform — or None
         when only booking it tells."""
-        return None
+        inbound, outbound, cpu_s, io_s = plan
+        now = self.env.now
+        start = self._boot_end(now) if booting else now
+        return self._execute_end(
+            (start + inbound.total_s) + self.session_s, cpu_s, io_s
+        ) + outbound.total_s
 
     def _begin_inbound(self) -> None:
         """The inbound transfer starts now."""
@@ -481,6 +577,9 @@ class SbcWorker(Worker):
         yield self.env.timeout(self.boot_real_s)
         self.sbc.boot_complete()
 
+    def _boot_end(self, claim: float) -> float:
+        return claim + self.boot_real_s
+
     def _book_boot(self, claim: float) -> float:
         """Boot end: IDLE, then IO_WAIT for the inbound transfer."""
         end = claim + self.boot_real_s
@@ -513,6 +612,11 @@ class SbcWorker(Worker):
                 yield self.env.timeout(io_s)
             self.sbc.start_io_wait()
 
+    def _execute_end(self, start: float, cpu_s: float, io_s: float) -> float:
+        if cpu_s > 0:
+            start = start + cpu_s
+        return start + io_s if io_s > 0 else start
+
     def _book_execute(self, start: float, cpu_s: float, io_s: float) -> float:
         """CPU phase, I/O phase and the I/O end's same-state re-entry."""
         self.sbc.clean = False
@@ -533,18 +637,6 @@ class SbcWorker(Worker):
         # is overhead too.
         return (inbound_end - inbound_start) + (end - outbound_start)
 
-    def _predict(self, booting: bool, plan) -> float:
-        """Chained with exactly the float additions the waits perform."""
-        inbound, outbound, cpu_s, io_s = plan
-        now = self.env.now
-        t = now + self.boot_real_s if booting else now
-        t = (t + inbound.total_s) + self.session_s
-        if cpu_s > 0:
-            t = t + cpu_s
-        if io_s > 0:
-            t = t + io_s
-        return t + outbound.total_s
-
     def _begin_inbound(self) -> None:
         self.sbc.start_io_wait()
 
@@ -562,7 +654,8 @@ class SbcWorker(Worker):
                 start = self.env.now
                 yield from self._boot()
                 if traced:
-                    self._trace_boot(job, start, obs.REBOOT, "pre-boot")
+                    self._trace_boot(job, start, self.env.now, obs.REBOOT,
+                                     "pre-boot")
         elif self.queue.depth == 0 and self.policy.power_off_when_idle:
             if self.policy.idle_grace_s > 0:
                 yield self.env.timeout(self.policy.idle_grace_s)
@@ -574,9 +667,10 @@ class SbcWorker(Worker):
                         worker_id=self.worker_id,
                     )
 
-    def _trace_boot(self, job: Job, start: float, name: str, kind: str):
+    def _trace_boot(self, job: Job, start: float, end: float, name: str,
+                    kind: str):
         """The boot span, with per-stage children."""
-        boot_id = super()._trace_boot(job, start, name, kind)
+        boot_id = super()._trace_boot(job, start, end, name, kind)
         config = getattr(self.orchestrator.tracer, "config", None)
         if boot_id is None or config is None or not config.boot_stages:
             return boot_id

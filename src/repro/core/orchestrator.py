@@ -21,6 +21,7 @@ Without a policy the orchestrator behaves exactly as before.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
@@ -123,6 +124,23 @@ class Orchestrator:
         self._hedged: Set[int] = set()
         #: When each worker's board was first seen off with work queued.
         self._board_stuck_since: Dict[int, float] = {}
+        #: Boards that may have gone off owing work since the last
+        #: stuck-worker scan (see :meth:`_scan_stuck_workers`).  Kept
+        #: only under a recovery policy.
+        self._maybe_stuck: Optional[Set[int]] = (
+            set() if recovery is not None else None
+        )
+        #: No job scan can act before this instant (see
+        #: :meth:`_scan_jobs`); lowered at every launch stamp.
+        self._scan_due = math.inf
+        #: Shortest launch-to-action wait: a timeout retry or a hedge.
+        self._launch_wait_s: Optional[float] = None
+        if recovery is not None:
+            self._launch_wait_s = min(
+                recovery.attempt_timeout_s,
+                math.inf if recovery.hedge_after_s is None
+                else recovery.hedge_after_s,
+            )
         self._supervisor_running = False
         #: Sharding hooks (see :mod:`repro.shard`).  ``assign_override``
         #: lets a shard runtime capture policy-driven assignments (chaos
@@ -204,11 +222,20 @@ class Orchestrator:
         except KeyError:
             return  # worker manages its own power (e.g. microVM host)
         pulsed = self.gpio.assert_power_on(worker_id)
-        if pulsed and job is not None and job.trace_id is not None:
-            self.tracer.annotate(
-                job.trace_id, obs.POWER_ON, self.env.now,
-                worker_id=worker_id,
-            )
+        if pulsed:
+            if job is not None and job.trace_id is not None:
+                self.tracer.annotate(
+                    job.trace_id, obs.POWER_ON, self.env.now,
+                    worker_id=worker_id,
+                )
+        elif self._maybe_stuck is not None and self.gpio.is_stuck(worker_id):
+            # The pulse went nowhere: the board may stay off owing work.
+            self._maybe_stuck.add(worker_id)
+
+    def note_power_off(self, worker_id: int) -> None:
+        """A board lost power (recovery runs wire this to each board)."""
+        if self.queues[worker_id].outstanding > 0:
+            self._maybe_stuck.add(worker_id)
 
     def _is_powered(self, worker_id: int) -> bool:
         try:
@@ -236,6 +263,9 @@ class Orchestrator:
     def mark_worker_alive(self, worker_id: int) -> None:
         """A replaced/repaired worker rejoins the assignment pool."""
         self.state.mark_alive(worker_id)
+        if self._maybe_stuck is not None:
+            # A revived board may still be off owing work.
+            self._maybe_stuck.add(worker_id)
         if self.on_worker_alive is not None:
             self.on_worker_alive(worker_id)
 
@@ -333,7 +363,8 @@ class Orchestrator:
         if self.recovery is not None:
             self._in_flight[job.job_id] = job
             self._attempt_count[job.job_id] = 1
-            self._attempt_started[job.job_id] = self.env.now
+            self._stamp_launch(job.job_id, self.env.now)
+            self._lower_scan_due(job.t_submit, self.recovery.job_deadline_s)
             if not self._supervisor_running:
                 self._supervisor_running = True
                 self.env.process(self._supervise())
@@ -346,7 +377,7 @@ class Orchestrator:
                 if self.recovery is not None:
                     # Count the hold against the attempt clock so the
                     # supervisor doesn't fire a retry for the wait.
-                    self._attempt_started[job.job_id] = self.env.now + delay
+                    self._stamp_launch(job.job_id, self.env.now + delay)
                 self.env.process(self._launch_later(job, delay, exclude=None))
                 return job
         self._assign(job)
@@ -378,6 +409,8 @@ class Orchestrator:
         self._submitted += 1
         if self._in_flight is not None:
             self._in_flight[job.job_id] = job
+            self._lower_scan_due(self.env.now, self._launch_wait_s)
+            self._lower_scan_due(job.t_submit, self.recovery.job_deadline_s)
         if job.trace_id is not None:
             self.tracer.annotate(
                 job.trace_id, obs.ASSIGN, self.env.now,
@@ -403,6 +436,11 @@ class Orchestrator:
         self._submitted += 1
         if self._in_flight is not None:
             self._in_flight[job.job_id] = job
+            self._lower_scan_due(self.env.now, self._launch_wait_s)
+            if job.t_submit is not None:
+                self._lower_scan_due(
+                    job.t_submit, self.recovery.job_deadline_s
+                )
         self.queues[worker_id].push(job)
         return job
 
@@ -446,7 +484,7 @@ class Orchestrator:
             self._attempt_count[job.job_id] = (
                 self._attempt_count.get(job.job_id, 1) + 1
             )
-            self._attempt_started[job.job_id] = self.env.now
+            self._stamp_launch(job.job_id, self.env.now)
         self._assign(job)
         return True
 
@@ -678,8 +716,9 @@ class Orchestrator:
         """Recovery supervisor: scan in-flight jobs every ``tick_s``.
 
         Runs only when a :class:`RecoveryPolicy` is installed.  A tick
-        costs O(in-flight jobs + workers): the job scan walks the
-        in-flight index, never the run's whole job history.  Draws no
+        with nothing due costs O(boards that may be stuck); the job
+        scan walks the in-flight index, never the run's whole job
+        history, and only once something can fire.  Draws no
         random numbers (jitter is hashed from job ids), so its presence
         never perturbs the simulation's RNG streams — a zero-fault run
         with recovery enabled is bit-identical to one without.
@@ -695,7 +734,32 @@ class Orchestrator:
             # Re-armed by the next submit() if more work arrives.
             self._supervisor_running = False
 
+    def _stamp_launch(self, job_id: int, launched: float) -> None:
+        """Record when a job's attempt launched (or will, after a hold)."""
+        self._attempt_started[job_id] = launched
+        self._lower_scan_due(launched, self._launch_wait_s)
+
+    def _lower_scan_due(self, start: float, wait_s: Optional[float]) -> None:
+        """Let the job scan run from ``start + wait_s`` on (None never
+        fires), less a margin far above float rounding: the scan's own
+        tests subtract where this adds."""
+        if wait_s is None:
+            return
+        due = start + wait_s
+        due -= 1e-9 * (1.0 + abs(due))
+        if due < self._scan_due:
+            self._scan_due = due
+
     def _scan_jobs(self, policy: RecoveryPolicy, now: float) -> None:
+        """Give up on, retry or hedge in-flight jobs whose clocks ran out.
+
+        Runs its loop only from :attr:`_scan_due` on: a lower bound on
+        the first instant any in-flight job can give up, retry or hedge,
+        lowered at every launch stamp and recomputed after each loop.
+        Before it the loop would act on nothing.
+        """
+        if now < self._scan_due:
+            return
         # A snapshot: a give-up's subscribers may submit or resolve
         # jobs mid-scan.
         for job in list(self._in_flight.values()):
@@ -725,6 +789,19 @@ class Orchestrator:
                 and count < policy.max_attempts
             ):
                 self._hedge(job)
+        self._scan_due = math.inf
+        wait_s = self._launch_wait_s
+        deadline_s = policy.job_deadline_s
+        started = self._attempt_started
+        for job in self._in_flight.values():
+            # The loop's own launch instant; a queued job's claim (and
+            # so its launch) comes no earlier than now.
+            launched = started.get(job.job_id, 0.0)
+            t_started = job.t_started
+            launched = max(now if t_started is None else t_started, launched)
+            self._lower_scan_due(launched, wait_s)
+            if job.t_submit is not None:
+                self._lower_scan_due(job.t_submit, deadline_s)
 
     def _shed(self, job: Job) -> None:
         """Budget shed: reject an over-budget tenant's submission.
@@ -773,7 +850,7 @@ class Orchestrator:
         delay = self.recovery.backoff_s(count, job.job_id)
         # Stamp the launch time now (including the backoff) so the next
         # tick does not fire a second retry for the same stall.
-        self._attempt_started[job.job_id] = now + delay
+        self._stamp_launch(job.job_id, now + delay)
         if job.trace_id is not None:
             self.tracer.annotate(
                 job.trace_id, obs.RETRY, now, worker_id=job.worker_id,
@@ -819,19 +896,42 @@ class Orchestrator:
         serve it.  After ``stuck_worker_grace_s`` of that state the
         worker is declared dead and its queue recovered, exactly like a
         crash detection.
+
+        Only boards that can be in that state are visited, in worker-id
+        order: those already on the clock, and :attr:`_maybe_stuck` —
+        boards a wake pulse missed, that lost power owing work or that
+        were revived since the last scan.  A board neither holds is on,
+        or owes nothing, and a visit would only clear its (absent) clock.
         """
-        for queue in self.queues:
-            wid = queue.worker_id
+        stuck = self._board_stuck_since
+        maybe = self._maybe_stuck
+        if not maybe and not stuck:
+            return
+        visit = sorted(maybe.union(stuck))
+        maybe.clear()
+        index = 0
+        while index < len(visit):
+            wid = visit[index]
+            index += 1
+            queue = self.queues[wid]
             if wid in self.dead_workers:
-                self._board_stuck_since.pop(wid, None)
+                stuck.pop(wid, None)
                 continue
             if queue.outstanding > 0 and not self._is_powered(wid):
-                since = self._board_stuck_since.setdefault(wid, now)
+                since = stuck.setdefault(wid, now)
                 if now - since >= policy.stuck_worker_grace_s:
-                    self._board_stuck_since.pop(wid, None)
+                    stuck.pop(wid, None)
                     self._recover_stuck_worker(wid)
+                    # Left alive (the last worker), it stays off owing
+                    # work; the recovery's wake pulses may strand boards
+                    # further on, which this scan still reaches.
+                    maybe.add(wid)
+                    ahead = {w for w in maybe if w > wid}
+                    if ahead:
+                        maybe.difference_update(ahead)
+                        visit[index:] = sorted(ahead.union(visit[index:]))
             else:
-                self._board_stuck_since.pop(wid, None)
+                stuck.pop(wid, None)
 
     def _recover_stuck_worker(self, worker_id: int) -> None:
         if len(self.dead_workers) + 1 >= len(self.queues):

@@ -45,6 +45,10 @@ class SingleBoardComputer:
         Identifier within the cluster.
     """
 
+    #: Called with the node id after each :meth:`power_off` (recovery
+    #: runs only), or None.
+    on_power_off: Optional[Callable[[int], None]] = None
+
     def __init__(
         self,
         clock: Callable[[], float],
@@ -104,6 +108,8 @@ class SingleBoardComputer:
         """Cut power (energy-proportional idle, Sec. III-b)."""
         self.clean = False
         self.psm.set_state(PowerState.OFF)
+        if self.on_power_off is not None:
+            self.on_power_off(self.node_id)
 
     # -- DVFS / power capping --------------------------------------------------
 

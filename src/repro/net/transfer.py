@@ -14,12 +14,20 @@ path.  A per-invocation *session overhead* models what a freshly booted
 MicroPython worker pays to open its TCP connection to the orchestrator
 and parse/serialize the JSON payloads — measurably larger on the slow
 ARM core than on x86.
+
+Under chaos a transfer's fault penalty depends on the instant it starts.
+The chaos engine announces every network state change ahead of time
+(:meth:`TransferModel.announce`), so a worker can price a transfer at a
+later start (``transfer(..., at=t)``) and book its whole timeline at the
+claim when no announced change touches the path in between
+(:meth:`TransferModel.changes_within`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.net.topology import NetworkTopology
 
@@ -66,6 +74,10 @@ class TransferModel:
     and degraded links add their extra latency.  Fault accounting is
     gated on both so un-faulted simulations compute byte-identical
     estimates to the pre-chaos code.
+
+    Between two announced changes the links' and switches' state holds
+    still, so a penalty read at the claim for a later start ``at`` is
+    the one the clock would read then.
     """
 
     def __init__(
@@ -76,6 +88,9 @@ class TransferModel:
         self.topology = topology
         self.clock = clock
         self._chaos = False
+        #: Announced state-change instants, sorted, per link (keyed by
+        #: its endpoint name) or switch name.
+        self._changes: Dict[str, List[float]] = {}
 
     def enable_chaos(self) -> None:
         """Turn on fault accounting (requires a clock)."""
@@ -89,11 +104,39 @@ class TransferModel:
         the instant a transfer starts."""
         return self._chaos
 
-    def _fault_s(self, src: str, dst: str) -> float:
-        """One-way fault penalty for a message entering the fabric now."""
+    def announce(self, name: str, at: float) -> None:
+        """The link of endpoint ``name``, or switch ``name``, changes
+        state at ``at``."""
+        insort(self._changes.setdefault(name, []), at)
+
+    def is_announced(self, name: str, at: float) -> bool:
+        """Whether :meth:`announce` named ``name`` changing at ``at``."""
+        instants = self._changes.get(name, ())
+        index = bisect_left(instants, at)
+        return index < len(instants) and instants[index] == at
+
+    def changes_within(self, src: str, dst: str, start: float,
+                       end: float) -> bool:
+        """Whether an announced change touches either endpoint's link or
+        a switch on the path from ``src`` to ``dst`` within
+        ``[start, end]``."""
+        changes = self._changes
+        if not changes:
+            return False
+        for name in self.topology.path(src, dst):
+            instants = changes.get(name)
+            if instants:
+                index = bisect_left(instants, start)
+                if index < len(instants) and instants[index] <= end:
+                    return True
+        return False
+
+    def _fault_s(self, src: str, dst: str, at: Optional[float]) -> float:
+        """One-way fault penalty for a message entering the fabric at
+        ``at`` (None: now)."""
         if not self._chaos or self.clock is None:
             return 0.0
-        now = self.clock()
+        now = self.clock() if at is None else at
         outage = 0.0
         extra = 0.0
         for name in (src, dst):
@@ -128,12 +171,15 @@ class TransferModel:
         dst: str,
         nbytes: int,
         include_session: bool = False,
+        at: Optional[float] = None,
     ) -> TransferEstimate:
         """Estimate moving ``nbytes`` from ``src`` to ``dst``.
 
         ``include_session`` adds the source's per-invocation session
         overhead (connection setup and payload codec) — used once per
-        function invocation, not per service operation.
+        function invocation, not per service operation.  ``at`` prices
+        a transfer starting then instead of now (see the class
+        docstring).
         """
         if nbytes < 0:
             raise ValueError(f"negative byte count: {nbytes}")
@@ -151,7 +197,7 @@ class TransferModel:
             serialization_s=serialization,
             latency_s=latency,
             session_s=session,
-            fault_s=self._fault_s(src, dst),
+            fault_s=self._fault_s(src, dst, at),
         )
 
     def transfer_s(self, src: str, dst: str, nbytes: int) -> float:

@@ -42,7 +42,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import trace as obs
 from repro.services.backend import SERVICE_OF_OP
-from repro.sim.kernel import NORMAL as NORMAL_PRIORITY, URGENT
+from repro.sim.kernel import NORMAL as NORMAL_PRIORITY, URGENT, SimulationError
 from repro.sim.rng import RandomStreams
 
 #: Same-instant order of board liveness changes.  In the kernel queue
@@ -518,19 +518,51 @@ class ChaosEngine:
 
         Transfer fault accounting is switched on only for a plan that
         holds a network event: board and backend faults leave transfer
-        times alone, so their jobs keep the booked (wait-once) path.
+        times alone.  Each network event's state-change instants (a
+        link-down or switch-outage start, a degrade's start and
+        restore) are announced to the transfer model, so a worker books
+        a job whose window none of them touches.  A job claimed before
+        the announcement may have booked blind, so a plan holding a
+        network event raises once any job has left its queue.
         """
+        env = self.cluster.env
         transfers = self.cluster.transfers
-        if not transfers.chaos_enabled and any(
-            event.kind.value in ChaosPlan.NETWORK_KINDS
-            for event in plan.events
-        ):
-            transfers.enable_chaos()
+        network = [
+            event for event in plan.events
+            if event.kind.value in ChaosPlan.NETWORK_KINDS
+        ]
+        if network:
+            if any(getattr(queue, "jobs_dequeued", 0)
+                   for queue in self.cluster.orchestrator.queues):
+                raise RuntimeError(
+                    "a plan with network events must be applied before "
+                    "any job is claimed"
+                )
+            if not transfers.chaos_enabled:
+                transfers.enable_chaos()
+            for event in network:
+                self._announce(transfers, event, env.now + event.time_s)
         for index, event in enumerate(plan.events):
-            self.cluster.env.process(
+            env.process(
                 self._dispatch(event),
                 name=f"chaos-{index}-{event.kind.value}",
             )
+
+    def _announce(self, transfers, event: ChaosEvent, start: float) -> None:
+        """Tell ``transfers`` when a network event changes link or switch
+        state: the instants :meth:`_link_fault` and
+        :meth:`_switch_fault` act at, as the kernel sums them."""
+        if event.kind is ChaosKind.SWITCH_OUTAGE:
+            name = self._switch_name(event)
+            if name is not None:
+                transfers.announce(name, start)
+            return
+        endpoint = self._link_endpoint(event)
+        if endpoint is None:
+            return
+        transfers.announce(endpoint, start)
+        if event.kind is ChaosKind.LINK_DEGRADE:
+            transfers.announce(endpoint, start + event.duration_s)
 
     @property
     def mean_recovery_s(self) -> Optional[float]:
@@ -754,17 +786,37 @@ class ChaosEngine:
             yield env.timeout(event.duration_s)
             gpio.repair_line(worker_id)
 
+    def _link_endpoint(self, event: ChaosEvent) -> Optional[str]:
+        """The endpoint whose access link a link event hits, or None
+        when the target has no link in the topology."""
+        endpoint = self._worker_endpoint(int(event.target))
+        if endpoint is None or endpoint not in self.cluster.topology.links:
+            return None
+        return endpoint
+
+    def _switch_name(self, event: ChaosEvent) -> Optional[str]:
+        """The switch a switch outage hits, or None when out of range."""
+        index = int(event.target)
+        if not 0 <= index < len(self.cluster.switches):
+            return None
+        return self.cluster.switches[index].name
+
+    def _check_announced(self, name: str) -> None:
+        """An unannounced change could land inside a booked window."""
+        now = self.cluster.env.now
+        if not self.cluster.transfers.is_announced(name, now):
+            raise SimulationError(
+                f"network change on {name!r} at {now!r} was not announced"
+            )
+
     def _link_fault(self, event: ChaosEvent):
         """LINK_DOWN / LINK_DEGRADE on one worker's access link."""
         env = self.cluster.env
-        endpoint = self._worker_endpoint(int(event.target))
-        link = (
-            self.cluster.topology.links.get(endpoint)
-            if endpoint is not None
-            else None
-        )
-        if link is None:
+        endpoint = self._link_endpoint(event)
+        if endpoint is None:
             return
+        link = self.cluster.topology.links[endpoint]
+        self._check_announced(endpoint)
         self.injected += 1
         if event.kind is ChaosKind.LINK_DOWN:
             link.drop_until(env.now + event.duration_s)
@@ -772,16 +824,20 @@ class ChaosEngine:
         else:
             link.degrade(event.magnitude)
             yield env.timeout(event.duration_s)
+            self._check_announced(endpoint)
             link.restore()
 
     def _switch_fault(self, event: ChaosEvent):
         """SWITCH_OUTAGE: one ToR switch stops forwarding for a window."""
         env = self.cluster.env
-        index = int(event.target)
-        if not 0 <= index < len(self.cluster.switches):
+        name = self._switch_name(event)
+        if name is None:
             return
+        self._check_announced(name)
         self.injected += 1
-        self.cluster.switches[index].fail_until(env.now + event.duration_s)
+        self.cluster.switches[int(event.target)].fail_until(
+            env.now + event.duration_s
+        )
         return
         yield  # pragma: no cover - generator marker
 

@@ -157,12 +157,22 @@ class Hypervisor:
         """
         if start < self.env.now:
             raise ValueError(f"burst start {start} is in the past")
-        remaining = cpu_seconds * self.overhead.cpu_multiplier
-        if remaining <= 1e-12:
+        if cpu_seconds * self.overhead.cpu_multiplier <= 1e-12:
             return start
         # Write what is due first: only running bursts stay booked.
         self._trace.flush()
-        book = self._trace.book
+        return self._chain(start, cpu_seconds, self._trace.book, owner)
+
+    def burst_end(self, start: float, cpu_seconds: float) -> float:
+        """The instant :meth:`book_burst` would return, booking nothing."""
+        return self._chain(start, cpu_seconds, _book_nothing, None)
+
+    def _chain(self, start: float, cpu_seconds: float, book, owner) -> float:
+        """Walk a burst's quanta from ``start``, passing each core claim,
+        dip and release to ``book``; returns the burst's end."""
+        remaining = cpu_seconds * self.overhead.cpu_multiplier
+        if remaining <= 1e-12:
+            return start
         quantum_s = self.quantum_s
         switch_s = self.overhead.context_switch_s
         book(start, (1, 0.0), owner)
@@ -224,6 +234,10 @@ class Hypervisor:
             f"<Hypervisor vms={self.vm_count} busy={self.busy_cores}/"
             f"{self.server.cores} queued={self.cores.queue_length}>"
         )
+
+
+def _book_nothing(_time: float, _change, _owner) -> None:
+    """:meth:`Hypervisor._chain`'s sink when only the end is wanted."""
 
 
 __all__ = ["Hypervisor"]

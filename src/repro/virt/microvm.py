@@ -98,6 +98,13 @@ class MicroVm:
             start = start + io_wait
         return self.hypervisor.book_burst(start, self.boot_cpu_s)
 
+    def boot_end(self, start: float) -> float:
+        """The instant :meth:`book_boot` would return, booking nothing."""
+        io_wait = self.boot_real_s - self.boot_cpu_s
+        if io_wait > 0:
+            start = start + io_wait
+        return self.hypervisor.burst_end(start, self.boot_cpu_s)
+
     def execute(self, cpu_s: float, io_s: float):
         """Process helper: run one function body (CPU phase + I/O phase)."""
         self._begin_execute(cpu_s, io_s)
@@ -125,6 +132,12 @@ class MicroVm:
         self.jobs_completed += 1
         if cpu_s > 0:
             start = self.hypervisor.book_burst(start, cpu_s)
+        return start + io_s if io_s > 0 else start
+
+    def execute_end(self, start: float, cpu_s: float, io_s: float) -> float:
+        """The instant :meth:`book_execute` would return, booking nothing."""
+        if cpu_s > 0:
+            start = self.hypervisor.burst_end(start, cpu_s)
         return start + io_s if io_s > 0 else start
 
     def shutdown(self) -> None:

@@ -22,6 +22,7 @@ from repro.reliability import (
     ChaosProfile,
 )
 from repro.services.backend import BackendCapacityModel
+from repro.sim.kernel import SimulationError
 from repro.sim.rng import RandomStreams
 
 
@@ -236,6 +237,55 @@ def test_switch_outage_delays_but_loses_nothing():
     cluster, engine, result = run_with_chaos(events)
     assert_exactly_once(cluster, result, 4)
     assert cluster.switches[0].down_until == pytest.approx(6.5)
+
+
+def test_network_plan_after_a_claim_is_refused():
+    """A job claimed before the announcements may have booked through a
+    fault window, so a plan holding a network event must come first; a
+    board-level plan may still arrive mid-run."""
+    cluster = make_cluster()
+    engine = ChaosEngine(cluster)
+    cluster.orchestrator.submit_batch(["FloatOps", "COSGet"])
+    cluster.env.run(until=0.5)
+    with pytest.raises(RuntimeError, match="before any job is claimed"):
+        engine.apply(ChaosPlan(events=(
+            ChaosEvent(ChaosKind.LINK_DOWN, 1.0, 1, 2.0),
+        )))
+    assert not cluster.transfers.chaos_enabled
+    engine.apply(ChaosPlan(events=(
+        ChaosEvent(ChaosKind.WORKER_CRASH, 1.0, 1, 2.0),
+    )))
+
+
+@pytest.mark.parametrize("event", [
+    ChaosEvent(ChaosKind.LINK_DOWN, 2.0, 1, 1.0),
+    ChaosEvent(ChaosKind.LINK_DEGRADE, 2.0, 1, 1.0, magnitude=0.05),
+    ChaosEvent(ChaosKind.SWITCH_OUTAGE, 2.0, 0, 1.0),
+], ids=lambda event: event.kind.value)
+def test_unannounced_network_change_raises(event):
+    """A link or switch change that ``apply`` did not announce could
+    land inside a booked window: its handler refuses to act."""
+    cluster = make_cluster()
+    cluster.transfers.enable_chaos()
+    cluster.env.process(ChaosEngine(cluster)._dispatch(event))
+    with pytest.raises(SimulationError, match="was not announced"):
+        cluster.env.run()
+
+
+def test_degrade_restore_is_announced():
+    cluster = make_cluster()
+    ChaosEngine(cluster).apply(ChaosPlan(events=(
+        ChaosEvent(ChaosKind.LINK_DEGRADE, 2.0, 1, 1.5, magnitude=0.05),
+        ChaosEvent(ChaosKind.SWITCH_OUTAGE, 4.0, 0, 1.0),
+    )))
+    transfers = cluster.transfers
+    assert transfers.is_announced("sbc-1", 2.0)
+    assert transfers.is_announced("sbc-1", 3.5)
+    assert transfers.is_announced(cluster.switches[0].name, 4.0)
+    assert transfers.changes_within("op", "sbc-1", 3.5, 3.5)
+    assert transfers.changes_within("op", "sbc-2", 3.9, 4.0)
+    assert not transfers.changes_within("op", "sbc-2", 2.0, 3.99)
+    cluster.env.run()
 
 
 def test_backend_fault_delays_but_loses_nothing():

@@ -359,26 +359,57 @@ def observed_shaped_run(recovery, chaos_scale, rounds=6, fanout=8):
     return cluster
 
 
+def relabelled_chrome_trace(traces):
+    """The exported Chrome trace with span ids renumbered canonically.
+
+    Span ids count spans in the order they are written, which depends on
+    when a worker writes its phase spans.  Relabelling ``span_id``,
+    ``parent_id`` and ``attempt_span`` in sorted (trace, start, end,
+    name, worker) order leaves every name, endpoint, worker, attribute
+    and tree edge in the document, and nothing of the write order.
+    """
+    spans = [span for trace in traces for span in trace.spans]
+    keys = sorted(
+        ((span.trace_id, span.start_s, span.end_s, span.name,
+          -1 if span.worker_id is None else span.worker_id), span.span_id)
+        for span in spans
+    )
+    assert len({key for key, _ in keys}) == len(keys), "ambiguous relabel"
+    label = {span_id: index for index, (_, span_id) in enumerate(keys, 1)}
+    events = chrome_trace_events(traces)
+    body = [event for event in events if event["ph"] != "M"]
+    for event in body:
+        args = event["args"]
+        args["span_id"] = label[args["span_id"]]
+        if args["parent_id"] is not None:
+            args["parent_id"] = label[args["parent_id"]]
+        if "attempt_span" in args:
+            args["attempt_span"] = label[args["attempt_span"]]
+    body.sort(key=lambda event: (event["ts"], event["args"]["span_id"]))
+    return body + [event for event in events if event["ph"] == "M"]
+
+
 @pytest.mark.parametrize(
     "recovery,chaos_scale,digest",
     [
         # Crash resubmissions and boot failures.
         (RecoveryPolicy(), 2.0,
-         "a989266df02130d6971b476ac7a5ba508e35229b46115b0cf212947c55fa61d8"),
+         "a5e57e6c50af8175a9e2fc23c7a34ba6f0a8a8747e203fad39c21b019e9359b2"),
         # Hedges, a timeout retry and duplicate completions.
         (RecoveryPolicy(hedge_after_s=2.0, attempt_timeout_s=6.0), 1.0,
-         "8304461fdc6994333d6d722204ad37a4dca08e184ef5b7654b60763d61fbf197"),
+         "93a956832283d43591a3a78c8c95811c7f89266519e2575e80371018d5aeb25c"),
     ],
 )
 def test_observed_shaped_chrome_trace_matches_recorded_digest(
     recovery, chaos_scale, digest
 ):
-    """Pinned when every span was a mutable Span object built at record
-    time: the row store must export the same bytes."""
+    """Pinned from the worker that wrote each phase span as the phase
+    ended, relabelled: booked jobs, which write theirs when they end,
+    must export the same spans."""
     cluster = observed_shaped_run(recovery, chaos_scale)
     assert cluster.tracer.traces_dropped > 0
     document = json.dumps(
-        {"traceEvents": chrome_trace_events(cluster.finished_traces())},
+        {"traceEvents": relabelled_chrome_trace(cluster.finished_traces())},
         sort_keys=True,
     )
     assert hashlib.sha256(document.encode()).hexdigest() == digest

@@ -550,6 +550,28 @@ def test_hybrid_replay_rendezvous_past_idle_vm_reboots(monkeypatch):
     assert rounds <= 200
 
 
+def test_traced_hybrid_replay_reports_vm_claims():
+    """Traced, a VM job on an uncontended host books like an untraced
+    one, so it reports its end at the claim and the two-shard replay
+    rendezvous as seldom (431 rounds when traced jobs waited per
+    phase and reported open ends)."""
+    spec = ClusterSpec(
+        kind="hybrid", sbc_count=8, vm_count=4, seed=3,
+        policy="least-loaded", trace=TraceConfig(sample_rate=1.0),
+    )
+    rate = 12 * WORKER_JOBS_PER_S * 0.85
+    trace = poisson_trace(
+        rate, 600 / rate, streams=RandomStreams(4), columnar=True
+    )
+    assert len(trace) == 608
+    serial = replay_trace(spec.build(), trace)
+    with ShardedCluster(spec, 2, executor="inline") as sharded:
+        result = sharded.replay_trace(trace)
+        rounds = sharded.stats.rounds
+    assert_identical(serial, result)
+    assert rounds <= 200
+
+
 def test_control_plane_runs_predict_nothing(claims):
     """A control-plane model queues dispatch and collection, so no
     claim fixes its completion.  One OP core per worker keeps the

@@ -1,12 +1,12 @@
 """Kernel events per invocation, and the exactness of the workers'
 booked timelines.
 
-An untraced SBC or uncontended VM job books its whole power timeline at
-the claim and waits once.  The floats it computes must be the ones the
-chained per-phase timeouts produced: every pin below was recorded from
-the per-phase worker, and the differential tests compare a traced run
-(per-phase waits) with an untraced one at checkpoints inside the
-booked stretches.
+An SBC or uncontended VM job books its whole power timeline at the
+claim and waits once, traced or not.  The floats it computes must be
+the ones the chained per-phase timeouts produced: every pin below was
+recorded from the per-phase worker, and the differential tests compare
+runs forced onto the per-phase path (``_bookable`` patched to False)
+with booked ones, traced and untraced.
 """
 
 import hashlib
@@ -17,6 +17,7 @@ import random
 
 from repro.cluster import ConventionalCluster, MicroFaaSCluster
 from repro.cluster.replay import replay_trace
+from repro.cluster.worker import SbcWorker
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.energy.accounting import sbc_state_breakdown
 from repro.hardware.power import PowerState
@@ -94,18 +95,32 @@ def _boards(cluster):
     ]
 
 
-def test_traced_run_matches_untraced_records(untraced):
-    """Tracing keeps one wait per phase (its spans close at the phase
-    ends); the booked untraced path must give the same floats: records,
-    every board's change points and its time-in-state sums, which split
-    at each booked same-state re-entry."""
+def test_traced_run_matches_untraced_records(untraced, monkeypatch):
+    """A traced job books too; forced onto one wait per phase it must
+    give the same floats: records, every board's change points and its
+    time-in-state sums, which split at each booked same-state
+    re-entry."""
     cluster, _ = untraced
     traced, _ = _stream_replay(500, trace=TraceConfig(sample_rate=1.0))
-    assert traced.env._sequence > cluster.env._sequence
-    assert [repr(r) for r in traced.orchestrator.telemetry.records] == [
-        repr(r) for r in cluster.orchestrator.telemetry.records
-    ]
-    assert _boards(traced) == _boards(cluster)
+    with monkeypatch.context() as patch:
+        patch.setattr(SbcWorker, "_bookable", False)
+        forced, _ = _stream_replay(500, trace=TraceConfig(sample_rate=1.0))
+    assert traced.env._sequence == cluster.env._sequence
+    assert forced.env._sequence > cluster.env._sequence
+    for run in (traced, forced):
+        assert [repr(r) for r in run.orchestrator.telemetry.records] == [
+            repr(r) for r in cluster.orchestrator.telemetry.records
+        ]
+        assert _boards(run) == _boards(cluster)
+
+
+def test_traced_stream_replay_books_each_invocation():
+    """2,000 arrivals at sample rate 1: as many kernel events per
+    invocation as untraced (the per-phase worker paid seven)."""
+    traced, result = _stream_replay(
+        2000, trace=TraceConfig(sample_rate=1.0)
+    )
+    assert traced.env._sequence / result.jobs_completed <= 3.05
 
 
 # Worker 0's first job (COSGet) on a 2-board cluster: boot ends at 1.51,
