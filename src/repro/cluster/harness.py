@@ -261,20 +261,6 @@ class ClusterHarness:
 
     # -- measurement ---------------------------------------------------------------------
 
-    def metered_watts(self) -> float:
-        """Instantaneous draw of the metered equipment: every pool's
-        hardware, plus the switches if configured (the paper meters the
-        compute, not the fabric).
-
-        The wattage counterpart of :meth:`energy_joules`, which covers
-        the same equipment: a reading at one instant, where that is an
-        exact integral over a window.
-        """
-        watts = sum(pool.metered_watts() for pool in self.pools)
-        if self.include_switch_power:
-            watts += sum(switch.watts for switch in self.switches)
-        return watts
-
     def set_power_cap(self, cap) -> None:
         """Clamp the whole cluster under a power-cap governor.
 
@@ -324,8 +310,16 @@ class ClusterHarness:
         return controller
 
     def energy_joules(self, start: float, end: float) -> float:
-        """Exact trace-integrated energy over a window."""
-        total = sum(pool.energy_joules(start, end) for pool in self.pools)
+        """Exact trace-integrated energy over a window: every pool's
+        metered hardware, plus the switches if configured (the paper
+        meters the compute, not the fabric)."""
+        return self._total_joules(
+            self.pool_energy_joules(start, end), start, end
+        )
+
+    def _total_joules(self, pool_energy, start: float, end: float) -> float:
+        """:meth:`energy_joules` from its :meth:`pool_energy_joules`."""
+        total = sum(joules for _platform, joules in pool_energy)
         if self.include_switch_power:
             total += sum(
                 switch.trace.energy_joules(start, end)
@@ -351,12 +345,13 @@ class ClusterHarness:
         """Enable autocompaction on every metered power trace.
 
         Caps each board/server/switch trace at ``max_points`` retained
-        change points; older points fold into an exact running energy
-        prefix (see :meth:`repro.hardware.power.PowerTrace.enable_autocompact`).
+        change points; older points are dropped, and the trace's running
+        energy total stands in for them (see
+        :meth:`repro.hardware.power.PowerTrace.enable_autocompact`).
         Full-range energy accounting — which is all
         :meth:`result_snapshot` ever asks for — stays bit-identical, but
-        sub-range energy queries on a compacted trace raise, so this is
-        opt-in for bounded-memory runs (the 10⁸-invocation megatrace).
+        energy queries that reach into the dropped points raise, so this
+        is opt-in for bounded-memory runs (the 10⁸-invocation megatrace).
         Returns the number of traces now bounded.
         """
         traces = []
@@ -385,14 +380,15 @@ class ClusterHarness:
     def result_snapshot(self, duration_s: float) -> ClusterResult:
         """Freeze the run into a :class:`ClusterResult` (shared by every
         driver: saturated, paper arrivals, and trace replay)."""
+        pool_energy = self.pool_energy_joules(0.0, duration_s)
         return ClusterResult(
             platform=self.platform,
             worker_count=len(self.workers),
             jobs_completed=self.orchestrator.telemetry.count,
             duration_s=duration_s,
-            energy_joules=self.energy_joules(0.0, duration_s),
+            energy_joules=self._total_joules(pool_energy, 0.0, duration_s),
             telemetry=self.orchestrator.telemetry,
-            pool_energy=self.pool_energy_joules(0.0, duration_s),
+            pool_energy=pool_energy,
         )
 
     # -- experiment entry points ---------------------------------------------------------

@@ -160,16 +160,6 @@ class WorkerPool(abc.ABC):
             self.worker_ids.append(worker_id)
             harness.register_worker(self, worker_id, worker, endpoint_name)
 
-    def metered_watts(self) -> float:
-        """What a wall meter on this pool reads right now.
-
-        The single shared summation point: the harness cluster meter and
-        the federation's per-region meters both read through this, so a
-        pool that meters extra equipment overrides one method and every
-        meter wiring agrees.
-        """
-        return self.watts()
-
     def set_power_cap(self, cap) -> None:
         """Clamp this pool's hardware under a power-cap governor.
 

@@ -1,4 +1,4 @@
-"""Hardware models: SBC and rack-server specs, power states, metering.
+"""Hardware models: SBC and rack-server specs, power states and traces.
 
 This package models the physical substrate of the paper's two test
 clusters:
@@ -13,10 +13,8 @@ clusters:
 - :mod:`repro.hardware.sbc` — a single-board computer with GPIO-driven
   power control (the paper's worker node).
 - :mod:`repro.hardware.rackserver` — the virtualization host.
-- :mod:`repro.hardware.meter` — a WattsUp-Pro-style sampling power meter.
 """
 
-from repro.hardware.meter import PowerMeter
 from repro.hardware.power import (
     PowerState,
     PowerStateMachine,
@@ -45,7 +43,6 @@ __all__ = [
     "CpuSpec",
     "DELL_POWEREDGE_R6515",
     "NicSpec",
-    "PowerMeter",
     "PowerState",
     "PowerStateMachine",
     "PowerTrace",

@@ -2,10 +2,10 @@
 
 Everything energy-related in the reproduction flows through
 :class:`PowerTrace`: a piecewise-constant record of instantaneous power.
-State machines append to a trace whenever a device changes state; the
-energy accounting layer (:mod:`repro.energy`) integrates traces, and the
-:class:`~repro.hardware.meter.PowerMeter` samples them the way a wall-plug
-meter would.
+State machines append to a trace whenever a device changes state, and
+every energy figure (cluster results, :mod:`repro.energy`'s bills) is an
+exact integral of traces; nothing samples them the way the paper's 1 Hz
+wall-plug meter does.
 """
 
 from __future__ import annotations
@@ -49,13 +49,16 @@ class PowerTrace:
         # change points — 8 bytes each here vs ~32 for boxed floats.
         self._times: array = array("d", [float(initial_time)])
         self._watts: array = array("d", [float(initial_watts)])
-        # Autocompaction (off by default): when enabled, the trace folds
-        # its oldest change points into a running energy prefix so RSS
-        # stays bounded on 10⁸-event runs.  The fold replays the exact
-        # left-to-right segment additions of :meth:`energy_joules`, so a
-        # full-range query over a compacted trace returns bit-identical
-        # floats; queries that start or end inside the folded region are
-        # no longer answerable and raise.
+        # Energy from the origin to the last change point, summed as each
+        # point is appended: the same left-to-right segment additions
+        # :meth:`energy_joules` makes, so a full-range query is O(1) and
+        # bit-identical to the loop.
+        self._joules_to_last = 0.0
+        # Autocompaction (off by default): when enabled, the trace drops
+        # its oldest change points so RSS stays bounded on 10⁸-event
+        # runs, keeping the running total up to the first retained point
+        # as the folded prefix.  Queries that start or end inside the
+        # folded region are no longer answerable and raise.
         self._compact_limit: Optional[int] = None
         self._folded = False
         self._folded_joules = 0.0
@@ -109,25 +112,20 @@ class PowerTrace:
         """Bound the trace to ``max_points`` retained change points.
 
         Once the trace grows past the limit, all but the most recent
-        point fold into a running energy prefix.  After the first fold,
-        only queries spanning the full trace (``start`` at or before the
-        trace origin, ``end`` at or after the newest retained point's
-        predecessor) are supported.
+        point are dropped; the running energy total up to that point
+        becomes the folded prefix.  After the first fold, only queries
+        from at or before the trace origin to at or after the oldest
+        retained point are supported, and full-range ones stay
+        bit-identical.
         """
         if max_points < 2:
             raise ValueError(f"need max_points >= 2, got {max_points}")
         self._compact_limit = max_points
 
     def _fold(self) -> None:
-        times = self._times
-        watts = self._watts
-        last = len(times) - 1
-        total = self._folded_joules
-        for index in range(last):
-            total += watts[index] * (times[index + 1] - times[index])
-        self._folded_joules = total
-        self._times = array("d", [times[last]])
-        self._watts = array("d", [watts[last]])
+        self._folded_joules = self._joules_to_last
+        self._times = array("d", [self._times[-1]])
+        self._watts = array("d", [self._watts[-1]])
         self._folded = True
 
     @property
@@ -156,8 +154,35 @@ class PowerTrace:
         if time == last:
             self._watts[-1] = watts
             return
-        if watts == self._watts[-1]:
+        previous = self._watts[-1]
+        if watts == previous:
             return  # no change; keep the trace compact
+        self._append(time, watts, last, previous)
+
+    def record_dip(self, time: float, dip_watts: float, watts: float) -> None:
+        """Record a drop to ``dip_watts`` and a return to ``watts`` within
+        the instant ``time``, as one write.
+
+        Leaves the change points that :meth:`record` to ``dip_watts`` and
+        then to ``watts`` at ``time`` leave: a split point at ``time``
+        drawing ``watts``, or none when the dip lands on the last point's
+        instant or nothing changes.
+        """
+        if dip_watts < 0 or watts < 0:
+            raise ValueError(f"negative power: {min(dip_watts, watts)}")
+        last = self._times[-1]
+        if time < last:
+            raise ValueError(f"non-monotonic trace: {time} < {last}")
+        previous = self._watts[-1]
+        if time == last or dip_watts == previous == watts:
+            self._watts[-1] = watts
+            return
+        self._append(time, watts, last, previous)
+
+    def _append(self, time, watts, last, previous) -> None:
+        """Append a change point after the last one, at ``last``, which
+        draws ``previous``."""
+        self._joules_to_last += previous * (time - last)
         self._times.append(time)
         self._watts.append(watts)
         if (
@@ -187,6 +212,9 @@ class PowerTrace:
             return 0.0
         self.flush()
         times = self._times
+        last = times[-1]
+        if start <= self._origin_time and end >= last:
+            return self._joules_to_last + self._watts[-1] * (end - last)
         total = 0.0
         if self._folded:
             # Only full-span queries survive compaction: the folded

@@ -86,10 +86,12 @@ class RackServer:
     def record_requantum(self, time: float) -> None:
         """Write a quantum boundary at ``time``: one core drops its vCPU
         and takes it straight back, so the busy count dips by one and
-        returns within the instant."""
+        returns within the instant.  The trace gets one split point at
+        the unchanged draw (see :meth:`PowerTrace.record_dip`)."""
         busy = self._busy_cores
-        self.trace.record(time, self._watts_for(busy - 1))
-        self.trace.record(time, self._watts_for(busy))
+        self.trace.record_dip(
+            time, self._watts_for(busy - 1), self._watts_for(busy)
+        )
 
     def _watts_for(self, busy: float) -> float:
         watts = self._watts_by_busy.get(busy)

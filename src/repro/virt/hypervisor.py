@@ -15,6 +15,8 @@ its core claim, quantum dips and release are booked on the host trace
 (:meth:`~repro.hardware.power.PowerTrace.book`) and written — trace
 points, context switches, executed CPU seconds — before anything later
 is recorded or read, so every float matches the per-quantum loop.  A
+dip is written as one split point at the unchanged draw, the point the
+loop's release and re-claim in one instant leave.  A
 burst that needs a core while booked bursts hold them all raises
 :class:`~repro.sim.kernel.SimulationError`.
 

@@ -27,7 +27,6 @@ from repro.cluster.vmworker import VmWorker
 from repro.cluster.worker import SbcWorker
 from repro.core.scheduler import make_policy
 from repro.core.warmpool import WarmPool
-from repro.hardware.meter import PowerMeter
 from repro.hardware.power import PowerState
 from repro.obs import trace as obs
 from repro.obs.export import validate_chrome_trace
@@ -39,6 +38,7 @@ from repro.reliability.chaos import (
     ChaosPlan,
 )
 from repro.services.backend import BackendCapacityModel
+from tests.power_meter import PowerMeter, metered_watts
 from tests.test_obs_trace import relabelled_chrome_trace
 
 #: Instants inside the booked stretches of the scenarios below: mid-boot,
@@ -86,7 +86,9 @@ def _observed_run(cluster, scenario, checkpoints=CHECKPOINTS):
     """Run ``scenario(cluster, ledger)`` to the end; return what
     :func:`_observe` saw at each checkpoint and at the end."""
     ledger = cluster.enable_energy_ledger()
-    meter = PowerMeter(cluster.env, cluster.metered_watts, interval_s=0.37)
+    meter = PowerMeter(
+        cluster.env, lambda: metered_watts(cluster), interval_s=0.37
+    )
     meter.start()
     scenario(cluster, ledger)
     observed = []

@@ -22,6 +22,7 @@ from repro.core.platform import ARM, CONVENTIONAL, HYBRID, MICROFAAS, X86
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.sim.rng import RandomStreams
 from repro.workloads.traces import poisson_trace
+from tests.power_meter import metered_watts
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +172,7 @@ def test_conventional_bridge_contributes_no_switch_power():
     must not change the old single-switch accounting."""
     cluster = ConventionalCluster(vm_count=2, include_switch_power=True)
     assert cluster.bridge.watts == 0.0
-    assert cluster.metered_watts() == (
+    assert metered_watts(cluster) == (
         cluster.server.watts + cluster.switch.watts
     )
 

@@ -22,6 +22,7 @@ from repro.hardware.power import PowerTrace
 from repro.reliability.chaos import ChaosEngine, ChaosPlan, ChaosProfile
 from repro.sim.rng import RandomStreams
 from repro.workloads.traces import poisson_trace
+from tests.power_meter import metered_watts
 
 
 class FakeJob:
@@ -244,29 +245,29 @@ def test_ledger_attachment_does_not_perturb_the_run():
     )
 
 
-# -- metered_watts hoist --------------------------------------------------------------
+# -- metered_watts (the sampling oracle's reading) ------------------------------------
 
 
 def test_metered_watts_matches_manual_summation():
-    """The hoisted summation reads the same watts the wiring sites
-    summed by hand before — meter readings are unchanged."""
+    """The oracle meter's reading is the boards' draw, plus the
+    switches' when the cluster meters them."""
     cluster = MicroFaaSCluster(worker_count=5)
     manual = sum(sbc.watts for sbc in cluster.sbcs)
-    assert cluster.metered_watts() == manual
+    assert metered_watts(cluster) == manual
 
     wired = MicroFaaSCluster(worker_count=5, include_switch_power=True)
     manual = sum(sbc.watts for sbc in wired.sbcs) + sum(
         switch.watts for switch in wired.switches
     )
-    assert wired.metered_watts() == manual
+    assert metered_watts(wired) == manual
 
 
 def test_metered_watts_matches_on_hybrid():
     from repro.cluster import HybridCluster
 
     cluster = HybridCluster(sbc_count=3, vm_count=2)
-    manual = sum(pool.metered_watts() for pool in cluster.pools)
-    assert cluster.metered_watts() == manual
+    manual = sum(pool.watts() for pool in cluster.pools)
+    assert metered_watts(cluster) == manual
 
 
 # -- forecast -------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.hardware import PowerMeter, PowerTrace
+from repro.hardware import PowerTrace
 from repro.sim import Environment
+from tests.power_meter import PowerMeter
 
 
 def test_meter_constant_power_exact():

@@ -10,6 +10,8 @@ from repro.hardware.power import (
     UtilizationPowerModel,
     combine_traces,
 )
+from repro.hardware.rackserver import RackServer
+from repro.hardware.specs import THINKMATE_RAX
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +160,155 @@ def test_trace_energy_bounded_by_peak_property(segments):
     end = t + 1.0
     energy = trace.energy_joules(0.0, end)
     assert 0.0 <= energy <= peak * end + 1e-6
+
+
+def _shadow_record(points, time, watts):
+    """What :meth:`PowerTrace.record` leaves, on a plain list."""
+    if time == points[-1][0]:
+        points[-1] = (time, watts)
+    elif watts != points[-1][1]:
+        points.append((time, watts))
+
+
+def _reference_joules(points, start, end):
+    """Left-to-right piecewise integral of ``points`` over the window."""
+    total = 0.0
+    for index, (time, watts) in enumerate(points):
+        seg_start = max(time, start)
+        seg_end = points[index + 1][0] if index + 1 < len(points) else end
+        seg_end = min(seg_end, end)
+        if seg_end > seg_start:
+            total += watts * (seg_end - seg_start)
+    return total
+
+
+TRACE_WATTS = st.one_of(
+    st.sampled_from([0.0, 1.5, 2.2]), st.floats(0.0, 500.0)
+)
+TRACE_WRITES = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+        TRACE_WATTS,
+        TRACE_WATTS,
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=500)
+@given(
+    writes=TRACE_WRITES,
+    max_points=st.one_of(st.none(), st.integers(2, 5)),
+    windows=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=4
+    ),
+)
+def test_trace_running_total_matches_reference_loop(
+    writes, max_points, windows
+):
+    """Full-range energy is the running total, bit-identical to a
+    left-to-right loop over every change point ever written, through
+    same-instant overwrites, equal-watt no-ops, quantum dips and
+    autocompaction; windowed queries still integrate, or raise where
+    they reach into compacted points."""
+    origin = 3.0
+    trace = PowerTrace(origin, 2.2)
+    if max_points is not None:
+        trace.enable_autocompact(max_points)
+    points = [(origin, 2.2)]
+    t = origin
+    for dt, watts, dip_watts, dip in writes:
+        t += dt
+        if dip:
+            trace.record_dip(t, dip_watts, watts)
+            _shadow_record(points, t, dip_watts)
+        else:
+            trace.record(t, watts)
+        _shadow_record(points, t, watts)
+    retained = trace.change_points
+    assert retained == points[len(points) - len(retained):]
+    assert max_points is not None or retained == points
+    last = points[-1][0]
+    for start in (origin, origin - 1.0):
+        for end in (last, last + 0.75):
+            if end > start:
+                assert trace.energy_joules(start, end) == _reference_joules(
+                    points, start, end
+                )
+    span = last + 1.0 - (origin - 1.0)
+    for a, b in windows:
+        start, end = sorted((origin - 1.0 + a * span, origin - 1.0 + b * span))
+        if end == start:
+            continue
+        if len(retained) == len(points) or (
+            start <= origin and end >= retained[0][0]
+        ):
+            assert trace.energy_joules(start, end) == _reference_joules(
+                points, start, end
+            )
+        else:
+            with pytest.raises(ValueError):
+                trace.energy_joules(start, end)
+
+
+def _two_record_requantum(server, time):
+    """The dip as two trace writes: the busy count drops by one and
+    returns within the instant."""
+    busy = server._busy_cores
+    server.trace.record(time, server._watts_for(busy - 1))
+    server.trace.record(time, server._watts_for(busy))
+
+
+@settings(max_examples=300)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+            st.integers(0, 12),
+            st.booleans(),
+        ),
+        max_size=30,
+    ),
+    powered=st.booleans(),
+)
+def test_requantum_matches_two_record_dip(steps, powered):
+    """``record_requantum`` leaves the change points and joules of the
+    two-record dip, at the last point's instant and on a powered-off
+    host too."""
+    split, reference = (
+        RackServer(lambda: 0.0, THINKMATE_RAX, powered_on=powered)
+        for _ in range(2)
+    )
+    t = 0.0
+    for dt, busy, requantum in steps:
+        t += dt
+        if requantum:
+            split.record_requantum(t)
+            _two_record_requantum(reference, t)
+        else:
+            split.record_busy(t, busy)
+            reference.record_busy(t, busy)
+    assert split.trace.change_points == reference.trace.change_points
+    assert split.trace.energy_joules(0.0, t + 1.0) == (
+        reference.trace.energy_joules(0.0, t + 1.0)
+    )
+
+
+def test_requantum_writes_one_split_point():
+    now = [0.0]
+    server = RackServer(lambda: now[0], THINKMATE_RAX)
+    server.record_busy(1.0, 3)
+    points = [(0.0, THINKMATE_RAX.idle_watts), (1.0, server.watts)]
+    server.record_requantum(1.0)  # at the last point's instant
+    assert server.trace.change_points == points
+    server.record_requantum(1.1)
+    points.append((1.1, server.watts))
+    assert server.trace.change_points == points
+    now[0] = 2.0
+    server.power_off()
+    server.record_requantum(2.5)  # the dip draws the host's 0 W
+    assert server.trace.change_points == points + [(2.0, 0.0)]
 
 
 def test_combine_traces_sums_power():
