@@ -44,7 +44,11 @@ def test_bench_ablation_reboot_vs_warm(benchmark):
     security guarantee the architecture rests on."""
     warm = benchmark.pedantic(
         run_cluster,
-        kwargs={"worker_policy": RunToCompletionPolicy.warm_workers()},
+        kwargs={
+            "worker_policy": RunToCompletionPolicy(
+                reboot_between_jobs=False, power_off_when_idle=False
+            )
+        },
         rounds=1,
         iterations=1,
     )

@@ -115,4 +115,4 @@ def test_bench_full_sampling_bounded_memory(benchmark):
     )
     assert tracer.traces_finished == result.jobs_completed
     assert len(traces) == 256  # the ring, not the run, bounds memory
-    assert tracer.live_count == 0
+    assert not tracer._live  # every trace sealed

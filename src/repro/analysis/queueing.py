@@ -140,13 +140,6 @@ class ClusterQueueModel:
         mmc_wait = p_wait * mean / (self.workers * (1 - rho))
         return mmc_wait * (1 + scv) / 2
 
-    def imbalance_tax(self, arrival_rate_per_s: float) -> float:
-        """Random-sampling wait over least-loaded wait at this load."""
-        central = self.central_queue_wait_s(arrival_rate_per_s)
-        if central == 0:
-            return float("inf")
-        return self.random_split_wait_s(arrival_rate_per_s) / central
-
     def mean_latency_s(
         self, arrival_rate_per_s: float, policy: str = "least-loaded"
     ) -> float:

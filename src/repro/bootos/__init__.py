@@ -15,8 +15,7 @@ This package models:
   transformation of the pipeline.
 - :mod:`repro.bootos.image` — the OS image artifact (kernel config,
   initramfs manifest, reproducibility hash).
-- :mod:`repro.bootos.timeline` — boot timelines, reboot times, and the
-  Fig. 1 development trajectory.
+- :mod:`repro.bootos.timeline` — the Fig. 1 development trajectory.
 """
 
 from repro.bootos.image import (
@@ -43,7 +42,6 @@ from repro.bootos.timeline import (
     FINAL_ARM_REAL_S,
     FINAL_X86_CPU_S,
     FINAL_X86_REAL_S,
-    BootTimeline,
     development_trajectory,
 )
 
@@ -51,7 +49,6 @@ __all__ = [
     "BootOptimization",
     "BootSequence",
     "BootStage",
-    "BootTimeline",
     "DEVELOPMENT_HISTORY",
     "FINAL_ARM_CPU_S",
     "FINAL_ARM_REAL_S",

@@ -139,17 +139,6 @@ class WorkerOsImage:
     def total_size_bytes(self) -> int:
         return self.kernel.binary_size_bytes + self.initramfs.size_bytes
 
-    def fits_storage(self, storage_bytes: int) -> bool:
-        return self.total_size_bytes <= storage_bytes
-
-    def fits_ram(self, ram_bytes: int) -> bool:
-        """The initramfs plus kernel must leave working RAM for functions.
-
-        We require the image to take at most a quarter of RAM, leaving the
-        rest for the MicroPython heap and network buffers.
-        """
-        return self.total_size_bytes <= ram_bytes // 4
-
 
 def _image_hash(
     platform: str,

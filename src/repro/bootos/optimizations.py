@@ -59,9 +59,6 @@ class BootOptimization:
     #: platform -> stage -> effect; platforms absent are unaffected.
     effects: Mapping[str, Mapping[StageName, StageEffect]]
 
-    def applies_to(self, platform: str) -> bool:
-        return platform in self.effects
-
     def apply(self, sequence: BootSequence) -> BootSequence:
         """Apply this change to ``sequence`` (no-op on other platforms)."""
         for stage, effect in self.effects.get(sequence.platform, {}).items():

@@ -12,7 +12,7 @@ The programming-model front door over the cluster/federation stack
     records = [f.result() for f in done]
 
 Layers: :class:`FunctionExecutor` (call_async / map / map_reduce /
-wait / get_result) → invokers (sync or same-tick batching) → backend
+wait) → invokers (sync or same-tick batching) → backend
 adapters (any harness cluster, or a federation gateway) → a
 :class:`JobMonitor` fed by push-style ``on_job_done`` hooks →
 :class:`ResponseFuture` state machines, with an optional client-side
@@ -38,7 +38,6 @@ from repro.client.futures import (
     LEGAL_TRANSITIONS,
     ResponseFuture,
     RetryRecord,
-    is_legal_sequence,
 )
 from repro.client.invokers import BatchInvoker, SyncInvoker, make_invoker
 from repro.client.monitor import JobMonitor, MonitorStats
@@ -64,6 +63,5 @@ __all__ = [
     "RetryRecord",
     "SyncInvoker",
     "as_backend",
-    "is_legal_sequence",
     "make_invoker",
 ]

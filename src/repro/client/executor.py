@@ -34,7 +34,7 @@ per call id.  Client trace spans (``client_submit`` / ``client_wait``
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.client.backends import CallSpec, as_backend
 from repro.client.futures import ResponseFuture, RetryRecord
@@ -323,33 +323,6 @@ class FunctionExecutor:
         done = [f for f in waited if f.done]
         not_done = [f for f in waited if not f.done]
         return done, not_done
-
-    def get_result(
-        self,
-        futures: Union[ResponseFuture, Sequence[ResponseFuture], None] = None,
-        timeout: Optional[float] = None,
-    ) -> Any:
-        """Wait for and return results.
-
-        One future in → its result; a sequence (or None = every call)
-        in → the list of results, in order.  Raises
-        :class:`~repro.client.futures.FutureError` if any waited call
-        ended in ERROR.
-        """
-        single = isinstance(futures, ResponseFuture)
-        waited = [futures] if single else futures
-        done, not_done = self.wait(
-            waited, return_when=ALL_COMPLETED, timeout=timeout
-        )
-        if not_done:
-            raise TimeoutError(
-                f"{len(not_done)} of {len(done) + len(not_done)} calls "
-                "unresolved after wait"
-            )
-        if single:
-            return futures.result()
-        targets = list(waited) if waited is not None else list(self.futures)
-        return [future.result() for future in targets]
 
     def drain(self) -> None:
         """Run until the backend itself is idle (late duplicate

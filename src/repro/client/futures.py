@@ -65,16 +65,6 @@ LEGAL_TRANSITIONS = {
 }
 
 
-def is_legal_sequence(states: List[FutureState]) -> bool:
-    """Whether a recorded state sequence obeys the transition relation."""
-    if not states or states[0] is not FutureState.NEW:
-        return False
-    return all(
-        after in LEGAL_TRANSITIONS[before]
-        for before, after in zip(states, states[1:])
-    )
-
-
 class IllegalTransition(RuntimeError):
     """A future was driven through a transition outside the relation."""
 
@@ -257,5 +247,4 @@ __all__ = [
     "LEGAL_TRANSITIONS",
     "ResponseFuture",
     "RetryRecord",
-    "is_legal_sequence",
 ]

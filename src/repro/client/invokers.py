@@ -14,7 +14,7 @@ sees them:
 Both invokers bind each submitted call back to its future through the
 ``bind(future, handle)`` callback the executor installs, at the
 simulated instant the backend accepted it.  The executor flushes the
-batching invoker before every ``wait``/``get_result`` and whenever a
+batching invoker before every ``wait`` and whenever a
 chained call must observe prior submissions, so buffering is never
 visible to client code.
 """

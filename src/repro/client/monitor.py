@@ -47,10 +47,6 @@ class MonitorStats:
     t_first_resolved: Optional[float] = None
     t_last_resolved: Optional[float] = None
 
-    @property
-    def in_flight(self) -> int:
-        return self.calls_tracked - self.resolved
-
     def progress(self) -> float:
         """Resolved fraction of everything tracked so far."""
         if self.calls_tracked == 0:

@@ -222,17 +222,6 @@ class ClusterHarness:
 
     # -- worker lookup -------------------------------------------------------------------
 
-    def pool_for(self, worker_id: int) -> WorkerPool:
-        """The pool that owns a global worker id."""
-        try:
-            return self._pool_by_worker[worker_id]
-        except KeyError:
-            raise KeyError(f"no worker {worker_id}") from None
-
-    def worker_platform(self, worker_id: int) -> str:
-        """Platform tag of one worker (chaos and policies key on this)."""
-        return self.pool_for(worker_id).platform
-
     def worker_endpoint(self, worker_id: int) -> str:
         """Topology endpoint name of one worker (e.g. link faults)."""
         try:
@@ -337,9 +326,6 @@ class ClusterHarness:
             (pool.platform, pool.energy_joules(start, end))
             for pool in self.pools
         )
-
-    def powered_worker_count(self) -> int:
-        return sum(pool.powered_worker_count() for pool in self.pools)
 
     def bound_power_traces(self, max_points: int = 65536) -> int:
         """Enable autocompaction on every metered power trace.

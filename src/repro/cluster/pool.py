@@ -99,16 +99,8 @@ class WorkerPool(abc.ABC):
         """Register queues and start this pool's worker processes."""
 
     @abc.abstractmethod
-    def watts(self) -> float:
-        """Instantaneous draw of this pool's metered hardware."""
-
-    @abc.abstractmethod
     def energy_joules(self, start: float, end: float) -> float:
         """Trace-integrated energy of this pool's metered hardware."""
-
-    @abc.abstractmethod
-    def powered_worker_count(self) -> int:
-        """Workers currently able to take work without a power-on."""
 
     @abc.abstractmethod
     def _spawn_worker(self, harness, worker_id, endpoint_name, queue):
@@ -253,7 +245,7 @@ class SbcPool(WorkerPool):
             lambda: harness.env.now, spec=self.sbc_spec, node_id=node_id
         )
         harness.gpio.connect(
-            node_id, sbc.power_on, sbc.power_off, lambda s=sbc: s.is_powered
+            node_id, sbc.power_on, lambda s=sbc: s.is_powered
         )
         orchestrator = harness.orchestrator
         if orchestrator.recovery is not None:
@@ -278,9 +270,6 @@ class SbcPool(WorkerPool):
             harness.backend,
         )
 
-    def watts(self) -> float:
-        return sum(sbc.watts for sbc in self.sbcs)
-
     def energy_joules(self, start: float, end: float) -> float:
         return sum(sbc.trace.energy_joules(start, end) for sbc in self.sbcs)
 
@@ -296,9 +285,6 @@ class SbcPool(WorkerPool):
             (sbc.node_id, sbc.trace.energy_joules(start, end))
             for sbc in self.sbcs
         ]
-
-    def powered_worker_count(self) -> int:
-        return sum(1 for sbc in self.sbcs if sbc.is_powered)
 
     def set_power_cap(self, cap) -> None:
         if cap is None:
@@ -408,16 +394,8 @@ class MicroVmPool(WorkerPool):
             self.jitter_sigma,
         )
 
-    def watts(self) -> float:
-        return self.server.watts
-
     def energy_joules(self, start: float, end: float) -> float:
         return self.server.trace.energy_joules(start, end)
-
-    def powered_worker_count(self) -> int:
-        # The host stays hot; every booted guest can take work without
-        # a power transition.
-        return len(self.vms)
 
     def set_power_cap(self, cap) -> None:
         if cap is None:

@@ -46,12 +46,6 @@ class ControlPlaneModel:
             return float("inf")
         return self.cores / per_job
 
-    def max_saturated_workers(self, mean_cycle_s: float) -> float:
-        """How many busy workers the OP can keep fed."""
-        if mean_cycle_s <= 0:
-            raise ValueError("cycle time must be positive")
-        return self.capacity_jobs_per_s * mean_cycle_s
-
 
 class ControlPlane:
     """The OP's shared CPU, claimed per dispatch/collect."""

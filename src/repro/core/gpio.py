@@ -1,10 +1,11 @@
 """GPIO power-control lines between the OP and its workers.
 
 The testbed wires the OP's GPIO pins to each worker SBC's PWR_BUT pin
-(Sec. IV-D) so the OP can power workers on and off.  A
-:class:`GpioBank` models that wiring: one line per worker, each bound to
-power-on/power-off callables, with a small actuation latency and pulse
-accounting (real power buttons are edge-triggered).
+(Sec. IV-D) so the OP can wake workers; a worker powers itself off
+when its job is done.  A :class:`GpioBank` models that wiring: one line
+per worker, each bound to a power-on callable and a power sense, with a
+small actuation latency and pulse accounting (real power buttons are
+edge-triggered).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ class GpioLine:
 
     worker_id: int
     power_on: Callable[[], None]
-    power_off: Callable[[], None]
     is_powered: Callable[[], bool]
     pulses: int = 0
 
@@ -54,15 +54,12 @@ class GpioBank:
         self,
         worker_id: int,
         power_on: Callable[[], None],
-        power_off: Callable[[], None],
         is_powered: Callable[[], bool],
     ) -> None:
         """Wire a worker's PWR_BUT to the bank."""
         if worker_id in self._lines:
             raise ValueError(f"worker {worker_id} already wired")
-        self._lines[worker_id] = GpioLine(
-            worker_id, power_on, power_off, is_powered
-        )
+        self._lines[worker_id] = GpioLine(worker_id, power_on, is_powered)
 
     def line(self, worker_id: int) -> GpioLine:
         if worker_id not in self._lines:
@@ -86,21 +83,6 @@ class GpioBank:
             return False  # the pulse went nowhere
         line.power_on()
         return True
-
-    def assert_power_off(self, worker_id: int) -> bool:
-        """Pulse the line to cut a worker's power; no-op if already off."""
-        line = self.line(worker_id)
-        if not line.is_powered():
-            return False
-        line.pulses += 1
-        if worker_id in self._stuck:
-            return False  # the pulse went nowhere
-        line.power_off()
-        return True
-
-    def powered_count(self) -> int:
-        """How many wired workers are currently powered."""
-        return sum(1 for line in self._lines.values() if line.is_powered())
 
 
 __all__ = ["DEFAULT_ACTUATION_S", "GpioBank", "GpioLine"]

@@ -36,10 +36,5 @@ class RunToCompletionPolicy:
         """The policy the paper evaluates."""
         return cls(reboot_between_jobs=True, power_off_when_idle=True)
 
-    @classmethod
-    def warm_workers(cls) -> "RunToCompletionPolicy":
-        """Ablation: conventional warm workers (no reboot, never off)."""
-        return cls(reboot_between_jobs=False, power_off_when_idle=False)
-
 
 __all__ = ["RunToCompletionPolicy"]

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Mapping, Optional, Set, Tuple
 
 from repro.core.backoff import backoff_delay_s
 
@@ -375,18 +375,6 @@ class WorkerHealthTracker:
     def state_of(self, worker_id: int) -> BreakerState:
         health = self._workers.get(worker_id)
         return health.state if health is not None else BreakerState.CLOSED
-
-    def quarantined(self, now: float) -> List[int]:
-        """Worker ids currently barred from assignment."""
-        return sorted(
-            wid
-            for wid, health in self._workers.items()
-            if health.state is BreakerState.OPEN and now < health.open_until
-        )
-
-    def snapshot(self) -> Dict[int, WorkerHealth]:
-        """The raw health records (for telemetry/experiments)."""
-        return dict(self._workers)
 
 
 __all__ = [

@@ -22,7 +22,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 MAGIC = b"uFaS"
 PROTOCOL_VERSION = 1
@@ -232,17 +232,6 @@ def decode_stream(buffer: bytes) -> Tuple[Optional[Message], bytes]:
     return message, buffer[HEADER_SIZE + length :]
 
 
-def decode_all(buffer: bytes) -> List[Message]:
-    """Parse every complete frame in a buffer (must end on a boundary)."""
-    messages: List[Message] = []
-    while buffer:
-        message, buffer = decode_stream(buffer)
-        if message is None:
-            raise ProtocolError(f"{len(buffer)} bytes of incomplete frame")
-        messages.append(message)
-    return messages
-
-
 __all__ = [
     "ErrorMessage",
     "HEADER_SIZE",
@@ -255,7 +244,6 @@ __all__ = [
     "PongMessage",
     "ProtocolError",
     "ResultMessage",
-    "decode_all",
     "decode_message",
     "decode_stream",
     "encode_message",

@@ -15,12 +15,11 @@ Two collection modes share one API:
   10-SBC testbed experiments — use this.
 - **streaming** (``TelemetryCollector(exact=False)``): records are *not*
   retained.  The collector maintains per-function running accumulators
-  (count / sum / sum-of-squares for working, overhead, runtime, and
-  queue wait), running min/max for the measurement window, a
-  log-bucketed :class:`QuantileSketch` per latency metric for p95/p99,
-  and a bounded :class:`ReservoirSample` of records for exact-mode
-  cross-checks.  Memory is O(1) per completed job, which is what lets
-  the megatrace experiment replay millions of invocations.
+  (count and sum for working, overhead and runtime), the running
+  first start and last completion that bound the measurement window,
+  and a log-bucketed :class:`QuantileSketch` per latency metric for
+  p95/p99.  Memory is O(1) per completed job, which is what lets the
+  megatrace experiment replay millions of invocations.
 
 Means are **bit-identical** between the modes: both accumulate the same
 left-to-right float additions (``sum(list)`` and a running ``total +=``
@@ -37,7 +36,6 @@ percentiles are requested (see :data:`SORT_COUNT`).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -257,60 +255,23 @@ class QuantileSketch:
             self._buckets[index] = self._buckets.get(index, 0) + count
 
 
-class ReservoirSample:
-    """Bounded uniform sample of a stream (Vitter's Algorithm R).
-
-    Streaming mode keeps a reservoir of :class:`InvocationRecord` so
-    exact-mode cross-checks (and debugging) can inspect representative
-    raw records without unbounded growth.  Deterministic: the internal
-    RNG is seeded from the capacity, not global state.
-    """
-
-    __slots__ = ("capacity", "items", "seen", "_rng")
-
-    def __init__(self, capacity: int = 2048, seed: int = 0x5EED):
-        if capacity < 1:
-            raise ValueError("reservoir capacity must be >= 1")
-        self.capacity = capacity
-        self.items: List = []
-        self.seen = 0
-        self._rng = random.Random(seed ^ capacity)
-
-    def add(self, item) -> None:
-        self.seen += 1
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-            return
-        slot = self._rng.randrange(self.seen)
-        if slot < self.capacity:
-            self.items[slot] = item
-
-
 class _RunningStat:
-    """Count / sum / sum-of-squares / min / max of one metric stream.
+    """Count and sum of one metric stream.
 
     The running ``total`` performs the same left-to-right additions as
     ``sum()`` over the equivalent list, so means computed here are
     bit-identical to the exact-mode list path.
     """
 
-    __slots__ = ("count", "total", "sum_sq", "minimum", "maximum")
+    __slots__ = ("count", "total")
 
     def __init__(self):
         self.count = 0
         self.total = 0.0
-        self.sum_sq = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
 
     def add(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self.sum_sq += value * value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
 
     @property
     def mean(self) -> float:
@@ -318,36 +279,21 @@ class _RunningStat:
             raise ValueError("no values")
         return self.total / self.count
 
-    @property
-    def variance(self) -> float:
-        """Population variance from the running moments."""
-        if self.count == 0:
-            raise ValueError("no values")
-        mean = self.total / self.count
-        return max(0.0, self.sum_sq / self.count - mean * mean)
-
     def merge(self, other: "_RunningStat") -> None:
-        """Fold another stat's moments into this one."""
+        """Fold another stat's count and sum into this one."""
         self.count += other.count
         self.total += other.total
-        self.sum_sq += other.sum_sq
-        if other.minimum < self.minimum:
-            self.minimum = other.minimum
-        if other.maximum > self.maximum:
-            self.maximum = other.maximum
 
 
 class _FunctionAccumulator:
     """Streaming per-function aggregates (one Fig. 3 bar group)."""
 
-    __slots__ = ("working", "overhead", "runtime", "queue_wait",
-                 "runtime_sketch")
+    __slots__ = ("working", "overhead", "runtime", "runtime_sketch")
 
     def __init__(self, gamma: float):
         self.working = _RunningStat()
         self.overhead = _RunningStat()
         self.runtime = _RunningStat()
-        self.queue_wait = _RunningStat()
         self.runtime_sketch = QuantileSketch(gamma=gamma)
 
     def add(self, record: InvocationRecord) -> None:
@@ -355,35 +301,30 @@ class _FunctionAccumulator:
         self.working.add(record.working_s)
         self.overhead.add(record.overhead_s)
         self.runtime.add(runtime)
-        self.queue_wait.add(record.queue_wait_s)
         self.runtime_sketch.add(runtime)
 
     def merge(self, other: "_FunctionAccumulator") -> None:
         self.working.merge(other.working)
         self.overhead.merge(other.overhead)
         self.runtime.merge(other.runtime)
-        self.queue_wait.merge(other.queue_wait)
         self.runtime_sketch.merge(other.runtime_sketch)
 
 
 class _PlatformAccumulator:
     """Streaming per-platform aggregates (the hybrid-cluster dimension)."""
 
-    __slots__ = ("latency", "queue_wait", "latency_sketch")
+    __slots__ = ("latency", "latency_sketch")
 
     def __init__(self, gamma: float):
         self.latency = _RunningStat()
-        self.queue_wait = _RunningStat()
         self.latency_sketch = QuantileSketch(gamma=gamma)
 
-    def add(self, latency: float, queue_wait: float) -> None:
+    def add(self, latency: float) -> None:
         self.latency.add(latency)
-        self.queue_wait.add(queue_wait)
         self.latency_sketch.add(latency)
 
     def merge(self, other: "_PlatformAccumulator") -> None:
         self.latency.merge(other.latency)
-        self.queue_wait.merge(other.queue_wait)
         self.latency_sketch.merge(other.latency_sketch)
 
 
@@ -410,22 +351,16 @@ class TelemetryCollector:
         per completed job (see the module docstring for the contract).
     sketch_gamma:
         Bucket growth factor of the streaming quantile sketches.
-    reservoir_capacity:
-        Size of the streaming-mode record reservoir.
     """
 
     def __init__(
         self,
         exact: bool = True,
         sketch_gamma: float = 1.02,
-        reservoir_capacity: int = 2048,
     ):
         self.exact = exact
         self.sketch_gamma = sketch_gamma
         self.records: List[InvocationRecord] = []
-        self.reservoir: Optional[ReservoirSample] = (
-            None if exact else ReservoirSample(reservoir_capacity)
-        )
         # Running aggregates are maintained in *both* modes: they make
         # first_start/last_completion/mean_* O(1) in exact mode too, and
         # they are what the streaming==exact property tests compare.
@@ -470,11 +405,9 @@ class TelemetryCollector:
         if platform_acc is None:
             platform_acc = _PlatformAccumulator(self.sketch_gamma)
             self._platforms[record.platform] = platform_acc
-        platform_acc.add(latency, queue_wait)
+        platform_acc.add(latency)
         if self.exact:
             self.records.append(record)
-        else:
-            self.reservoir.add(record)
 
     @property
     def count(self) -> int:
@@ -495,10 +428,10 @@ class TelemetryCollector:
 
         - exact ← exact: record lists concatenate, so every exact-mode
           query (percentiles, windowed throughput) stays exact.
-        - streaming ← anything: running moments and sketches add
+        - streaming ← anything: running sums and sketches add
           (sketch bucket counts are integers, so merged quantiles are
-          identical to single-pass streaming); the reservoir absorbs
-          the other side's retained/reservoir records.
+          identical to single-pass streaming); the other side's
+          retained records are not kept.
         - exact ← streaming: raises — the streaming side's records are
           gone, so the merged collector could not honour its exactness
           contract.
@@ -540,10 +473,6 @@ class TelemetryCollector:
         self._version += 1
         if self.exact:
             self.records.extend(other.records)
-        else:
-            source = other.records if other.exact else other.reservoir.items
-            for record in source:
-                self.reservoir.add(record)
 
     def _require_records(self) -> None:
         if self._count == 0:
@@ -659,10 +588,6 @@ class TelemetryCollector:
         """Completed jobs attributed to one worker platform."""
         return self._platform_accumulator(platform).latency.count
 
-    def platform_mean_latency_s(self, platform: str) -> float:
-        """Mean submission-to-completion latency on one platform."""
-        return self._platform_accumulator(platform).latency.mean
-
     def platform_percentile_latency_s(self, platform: str, p: float) -> float:
         """Latency percentile on one platform (exact or sketch)."""
         accumulator = self._platform_accumulator(platform)
@@ -679,10 +604,6 @@ class TelemetryCollector:
             )
             return _percentile_of_sorted(ordered, p)
         return accumulator.latency_sketch.quantile(p)
-
-    def platform_mean_queue_wait_s(self, platform: str) -> float:
-        """Mean queue wait on one platform."""
-        return self._platform_accumulator(platform).queue_wait.mean
 
     # -- cluster-level aggregates ---------------------------------------------
 
@@ -758,7 +679,6 @@ __all__ = [
     "FunctionStats",
     "InvocationRecord",
     "QuantileSketch",
-    "ReservoirSample",
     "RunningStat",
     "SORT_COUNT",
     "TelemetryCollector",

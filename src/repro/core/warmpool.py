@@ -68,11 +68,6 @@ class WarmPool:
     def size(self) -> int:
         return self._size
 
-    @property
-    def warmable_count(self) -> int:
-        """Workers eligible for warming (the SBC subset)."""
-        return len(self._warmable)
-
     def set_size(self, size: int, proactive: bool = False) -> None:
         """Keep the first ``size`` warmable workers warm.
 
@@ -138,13 +133,6 @@ class WarmPool:
                 # Shrunk back out of the pool while booting; the boot
                 # is complete (never cut mid-boot), so power down now.
                 sbc.power_off()
-
-    def warm_worker_ids(self) -> List[int]:
-        return [
-            worker.sbc.node_id
-            for worker in self._warmable
-            if worker.keep_warm
-        ]
 
     # -- the energy account ----------------------------------------------------------
 

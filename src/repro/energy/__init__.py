@@ -8,7 +8,7 @@
 - :mod:`repro.energy.accounting` — energy per power state
   (:func:`sbc_state_breakdown`).
 - :mod:`repro.energy.efficiency` — the peak-efficiency search behind
-  Fig. 4 and the analytic per-function energy model.
+  Fig. 4.
 - :mod:`repro.energy.proportionality` — energy-proportionality metrics
   and the power-vs-active-workers series of Fig. 5.
 """

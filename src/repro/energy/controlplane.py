@@ -18,9 +18,8 @@
 - :class:`WarmingAccount` — the explicit joules-spent-warming vs
   cold-boots-avoided balance sheet a warm pool settles.
 - :class:`CarbonSignal` — a deterministic time-varying carbon-intensity
-  (or price) curve per region; optional noise is pre-sampled from a
-  named RNG stream at construction, so reading the signal mid-run draws
-  nothing.
+  (or price) curve per region; an optional noise table is fixed at
+  construction, so reading the signal mid-run draws nothing.
 
 Everything here is opt-in: an orchestrator without a ledger, a warm
 pool without a forecast, and a scheduler without signals behave
@@ -267,10 +266,9 @@ class CarbonSignal:
     """A deterministic time-varying carbon-intensity (or price) curve.
 
     ``cost_at(now)`` is a diurnal sinusoid around ``base`` plus an
-    optional piecewise-constant noise table.  The noise is pre-sampled
-    at construction from a named RNG stream, so reading the signal
-    mid-run draws nothing — routing decisions stay bit-identical no
-    matter how often anyone looks.
+    optional piecewise-constant noise table.  The table is fixed at
+    construction, so reading the signal mid-run draws nothing — routing
+    decisions stay bit-identical no matter how often anyone looks.
     """
 
     def __init__(
@@ -294,39 +292,6 @@ class CarbonSignal:
         self.phase_s = phase_s
         self.noise_steps = tuple(noise_steps)
         self.noise_step_s = noise_step_s
-
-    @classmethod
-    def from_stream(
-        cls,
-        streams,
-        name: str,
-        base: float,
-        amplitude: float = 0.0,
-        period_s: float = 86400.0,
-        phase_s: float = 0.0,
-        noise: float = 0.0,
-        noise_slots: int = 24,
-        noise_step_s: float = 3600.0,
-    ) -> "CarbonSignal":
-        """Pre-sample a noisy signal from a named stream family.
-
-        All ``noise_slots`` offsets are drawn here, from the spawned
-        ``carbon-<name>`` stream — nothing shared with the simulation's
-        streams, nothing drawn later.
-        """
-        spawned = streams.spawn(f"carbon-{name}")
-        steps = tuple(
-            spawned.uniform(f"slot-{slot}", -noise, noise)
-            for slot in range(noise_slots)
-        )
-        return cls(
-            base=base,
-            amplitude=amplitude,
-            period_s=period_s,
-            phase_s=phase_s,
-            noise_steps=steps if noise > 0 else (),
-            noise_step_s=noise_step_s,
-        )
 
     def cost_at(self, now: float) -> float:
         """Signal value at simulated time ``now`` (clamped to >= 0)."""

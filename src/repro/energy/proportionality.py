@@ -141,42 +141,6 @@ def linearity_r_squared(series: ProportionalitySeries) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def proportionality_score(series: ProportionalitySeries) -> float:
-    """Area-based energy-proportionality score (Wong & Annavaram style).
-
-    1.0 means power tracks load exactly (the ideal line from the origin
-    to peak); 0.0 means power is flat at peak regardless of load.
-    Computed as ``1 - (A_actual - A_ideal) / A_flat-ideal-gap`` over the
-    normalized load axis, clamped to [0, 1].
-    """
-    xs = series.worker_counts
-    ys = series.watts
-    if len(xs) < 2:
-        raise ValueError("need at least two points")
-    peak = series.peak_watts
-    if peak == 0:
-        raise ValueError("series never draws power")
-    max_x = max(xs)
-    if max_x == 0:
-        raise ValueError("series has no load axis")
-    # Trapezoidal areas of the normalized curves.
-    def area(values):
-        total = 0.0
-        for (x0, y0), (x1, y1) in zip(
-            zip(xs, values), list(zip(xs, values))[1:]
-        ):
-            total += (y0 + y1) / 2 * (x1 - x0) / max_x
-        return total
-
-    actual = area([y / peak for y in ys])
-    ideal = area([x / max_x for x in xs])
-    flat = 1.0  # constant-at-peak curve
-    if flat == ideal:
-        return 1.0
-    score = 1.0 - (actual - ideal) / (flat - ideal)
-    return min(1.0, max(0.0, score))
-
-
 def proportionality_index(series: ProportionalitySeries) -> float:
     """1 - idle/peak: 1.0 is perfectly energy-proportional.
 
@@ -193,7 +157,6 @@ __all__ = [
     "ProportionalitySeries",
     "linearity_r_squared",
     "proportionality_index",
-    "proportionality_score",
     "sbc_cluster_power_series",
     "vm_host_power_series",
 ]

@@ -16,17 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro import paper
 from repro.cluster import ConventionalCluster, MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.energy.efficiency import peak_efficiency
 from repro.experiments.report import Table, format_table
 from repro.experiments.runner import run_map
-
-#: Published reference values.
-PAPER_SIX_VM_JPF = 32.0
-PAPER_PEAK_JPF = 16.1
-PAPER_MICROFAAS_JPF = 5.7
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -118,7 +113,7 @@ def run(
     if measure_microfaas:
         points, microfaas_jpf = outputs[:-1], outputs[-1]
     else:
-        points, microfaas_jpf = outputs, PAPER_MICROFAAS_JPF
+        points, microfaas_jpf = outputs, paper.MICROFAAS_J_PER_FUNC
     return Fig4Result(points=list(points), microfaas_jpf=microfaas_jpf)
 
 
@@ -138,7 +133,9 @@ def render(result: Fig4Result) -> str:
         ["VMs", "func/min", "J/func", "avg W"],
         rows,
         title="Fig. 4 - Conventional cluster vs VM count "
-              "(paper: 32.0 J/func at 6 VMs, peak 16.1 J/func)",
+              f"(paper: {paper.CONVENTIONAL_J_PER_FUNC} J/func at "
+              f"{paper.CONVENTIONAL_VMS} VMs, "
+              f"peak {paper.CONVENTIONAL_PEAK_J_PER_FUNC} J/func)",
     )
     peak = result.peak
     xs = [p.vm_count for p in result.points]

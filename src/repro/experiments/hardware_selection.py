@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro import paper
 from repro.cluster import MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.experiments.report import format_table
@@ -56,7 +57,9 @@ class HardwareSelectionResult:
 #: Throughput target: what Table II's MicroFaaS rack delivers — 989
 #: BeagleBones at their nominal 20.06 func/min (the paper's sizing of a
 #: fleet "with equivalent throughput" to 41 saturated rack servers).
-RACK_TARGET_PER_MIN = 989 * (200.6 / 10)
+RACK_TARGET_PER_MIN = paper.RACK_SBCS * (
+    paper.MICROFAAS_FUNC_PER_MIN / paper.MICROFAAS_WORKERS
+)
 
 
 def _evaluate(

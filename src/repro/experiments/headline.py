@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro import paper
 from repro.cluster import ClusterResult, ConventionalCluster, MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.experiments.report import Table, format_table
@@ -21,11 +22,11 @@ from repro.experiments.runner import map_traced
 from repro.obs.trace import FinishedTrace, TraceConfig
 
 PAPER = {
-    "microfaas_fpm": 200.6,
-    "conventional_fpm": 211.7,
-    "microfaas_jpf": 5.7,
-    "conventional_jpf": 32.0,
-    "ratio": 5.6,
+    "microfaas_fpm": paper.MICROFAAS_FUNC_PER_MIN,
+    "conventional_fpm": paper.CONVENTIONAL_FUNC_PER_MIN,
+    "microfaas_jpf": paper.MICROFAAS_J_PER_FUNC,
+    "conventional_jpf": paper.CONVENTIONAL_J_PER_FUNC,
+    "ratio": paper.ENERGY_EFFICIENCY_RATIO,
 }
 
 

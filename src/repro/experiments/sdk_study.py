@@ -18,8 +18,6 @@ monitor's duplicate/timeout counters.
 Every point is an independent seeded task on
 :func:`~repro.experiments.runner.map_traced`, so the sweep is
 bit-identical at any ``--jobs``.
-:func:`headline_via_sdk` re-derives the paper headline through the
-SDK — the bit-identity pin the tests and CI hold.
 """
 
 from __future__ import annotations
@@ -95,8 +93,7 @@ class SdkStudyResult:
 
 
 def build_backend(kind: str, seed: int, trace: Optional[TraceConfig] = None):
-    """A seeded cluster for one backend kind (shared by the sweep
-    workers and :func:`headline_via_sdk`)."""
+    """A seeded cluster for one backend kind."""
     if kind == "microfaas":
         return MicroFaaSCluster(
             worker_count=10, seed=seed, policy=LeastLoadedPolicy(),
@@ -168,37 +165,6 @@ def _run_point(
         batches_flushed=getattr(executor.invoker, "batches_flushed", 0),
     )
     return point, cluster.finished_traces()
-
-
-def headline_via_sdk(
-    invocations_per_function: int = 30, seed: int = 1
-) -> Tuple[object, object]:
-    """The paper headline, driven through the SDK.
-
-    Maps the exact saturated batch of
-    ``ClusterHarness.run_saturated`` — every function
-    ``invocations_per_function`` times, submitted in one batching
-    -invoker flush at t=0 — on both throughput-matched clusters, and
-    snapshots results at the last client resolution.  Bit-identical
-    to the server-driven seed headline; the tests pin the exact
-    floats.
-    """
-    batch = [
-        function
-        for _ in range(invocations_per_function)
-        for function in ALL_FUNCTION_NAMES
-    ]
-
-    def one(kind: str):
-        cluster = build_backend(kind, seed)
-        executor = FunctionExecutor(cluster)
-        futures = executor.map(batch)
-        _done, not_done = executor.wait(futures)
-        if not_done:
-            raise RuntimeError("SDK headline run did not drain")
-        return cluster.result_snapshot(cluster.env.now)
-
-    return one("microfaas"), one("conventional")
 
 
 def run(

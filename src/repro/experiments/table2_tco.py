@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro import paper
 from repro.experiments.report import Table, format_table
 from repro.tco import (
     IDEAL,
@@ -71,8 +72,9 @@ def render(result: Table2Result) -> str:
     )
     return table + (
         f"\nsavings: ideal {result.ideal_savings * 100:.1f}% "
-        f"(paper 34.2%), realistic {result.realistic_savings * 100:.1f}% "
-        f"(paper 32.5%)"
+        f"(paper {paper.TCO_SAVINGS_IDEAL * 100:.1f}%), "
+        f"realistic {result.realistic_savings * 100:.1f}% "
+        f"(paper {paper.TCO_SAVINGS_REALISTIC * 100:.1f}%)"
         f"\nSBC-price sensitivity (realistic): {sensitivity}"
     )
 

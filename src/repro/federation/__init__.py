@@ -20,8 +20,6 @@ from repro.federation.region import Region, RegionSpec, build_region_cluster
 from repro.federation.router import (
     FederationRouter,
     LatencyAwarePolicy,
-    LoadSpillPolicy,
-    LocalityPolicy,
     RoutingPolicy,
 )
 
@@ -32,8 +30,6 @@ __all__ = [
     "FederationRouter",
     "GatewayConfig",
     "LatencyAwarePolicy",
-    "LoadSpillPolicy",
-    "LocalityPolicy",
     "Region",
     "RegionChaosInjector",
     "RegionReport",

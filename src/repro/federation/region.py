@@ -34,7 +34,7 @@ class RegionSpec:
 
     name: str
     #: Client geography the region serves natively (ingress-latency
-    #: tables and locality routing key on geo names).
+    #: tables key on geo names).
     geo: str
     worker_count: int
     seed: int
@@ -139,10 +139,6 @@ class Region:
     @property
     def worker_count(self) -> int:
         return len(self.cluster.workers)
-
-    def load(self) -> float:
-        """Outstanding jobs per worker (the router's spill signal)."""
-        return self.cluster.orchestrator.pending / max(1, self.worker_count)
 
     def in_brownout(self, now: float) -> bool:
         return now < self.brownout_until

@@ -13,18 +13,11 @@ orchestrator's scheduler the router never starves: constraints fall
 away one at a time (breaker quarantine first, then the exclusion
 preference, then declared outages) until a candidate set survives.
 
-All three shipped policies are deterministic and draw no random
-numbers, so routing never perturbs any region's RNG streams:
-
-- :class:`LatencyAwarePolicy` — nearest region by configured ingress
-  latency (brownout degradation included, so a browning-out region
-  loses its edge);
-- :class:`LocalityPolicy` — the region natively serving the client's
-  geo (data affinity), falling back to nearest;
-- :class:`LoadSpillPolicy` — locality first, spilling to the least
-  loaded region when the home region's backlog crosses a threshold
-  and somewhere else is strictly shallower (the same pressure-gate
-  shape as the hybrid cluster's energy-aware spill).
+The shipped policy, :class:`LatencyAwarePolicy`, picks the nearest
+region by configured ingress latency (brownout degradation included,
+so a browning-out region loses its edge).  It is deterministic and
+draws no random numbers, so routing never perturbs any region's RNG
+streams.
 """
 
 from __future__ import annotations
@@ -79,57 +72,6 @@ class LatencyAwarePolicy(RoutingPolicy):
             cost = _ingress_cost_s(geo, candidates[index], wan, now)
             if cost < best_cost:
                 best, best_cost = index, cost
-        return best
-
-
-class LocalityPolicy(RoutingPolicy):
-    """Data affinity: the region natively serving the client's geo.
-
-    Keeps a geo's working set in one region (no cross-region input
-    fetch).  When the home region is not a candidate, falls back to
-    nearest-by-latency — the job then pays the WAN fetch from home.
-    """
-
-    name = "locality"
-
-    def __init__(self):
-        self._fallback = LatencyAwarePolicy()
-
-    def select(self, geo, candidates, wan, now):
-        for index, region in enumerate(candidates):
-            if region.geo == geo:
-                return index
-        return self._fallback.select(geo, candidates, wan, now)
-
-
-class LoadSpillPolicy(RoutingPolicy):
-    """Locality with pressure-gated spill to the shallowest region.
-
-    The home region keeps the job unless its backlog reaches
-    ``spill_threshold`` outstanding jobs per worker AND some other
-    region is strictly shallower — both conditions, so idle federations
-    never spill and a uniformly overloaded one doesn't shuffle load
-    around for nothing.
-    """
-
-    name = "load-spill"
-
-    def __init__(self, spill_threshold: float = 3.0):
-        if spill_threshold <= 0:
-            raise ValueError("spill threshold must be positive")
-        self.spill_threshold = spill_threshold
-        self._locality = LocalityPolicy()
-
-    def select(self, geo, candidates, wan, now):
-        home = self._locality.select(geo, candidates, wan, now)
-        home_load = candidates[home].load()
-        if home_load < self.spill_threshold:
-            return home
-        best, best_load = home, home_load
-        for index, region in enumerate(candidates):
-            load = region.load()
-            if load < best_load:
-                best, best_load = index, load
         return best
 
 
@@ -199,7 +141,5 @@ class FederationRouter:
 __all__ = [
     "FederationRouter",
     "LatencyAwarePolicy",
-    "LoadSpillPolicy",
-    "LocalityPolicy",
     "RoutingPolicy",
 ]

@@ -20,7 +20,6 @@ from repro.hardware.power import (
     PowerStateMachine,
     PowerTrace,
     UtilizationPowerModel,
-    combine_traces,
 )
 from repro.hardware.rackserver import RackServer
 from repro.hardware.sbc import SingleBoardComputer
@@ -54,5 +53,4 @@ __all__ = [
     "SwitchSpec",
     "THINKMATE_RAX",
     "UtilizationPowerModel",
-    "combine_traces",
 ]

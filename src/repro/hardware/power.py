@@ -15,7 +15,7 @@ import enum
 import math
 from array import array
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 
 class PowerState(enum.Enum):
@@ -139,11 +139,6 @@ class PowerTrace:
         self.flush()
         return self._times[0]
 
-    @property
-    def last_time(self) -> float:
-        self.flush()
-        return self._times[-1]
-
     def record(self, time: float, watts: float) -> None:
         """Record that power changed to ``watts`` at ``time``."""
         if watts < 0:
@@ -245,28 +240,6 @@ class PowerTrace:
         if end <= start:
             raise ValueError(f"need end > start, got [{start}, {end}]")
         return self.energy_joules(start, end) / (end - start)
-
-
-def combine_traces(
-    traces: Iterable[PowerTrace],
-) -> PowerTrace:
-    """Sum several power traces into one aggregate trace.
-
-    The aggregate has a change point wherever any constituent changes.
-    Useful for modelling a whole cluster plugged into one meter.
-    """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("need at least one trace")
-    times = sorted({t for trace in traces for t, _ in trace.change_points})
-    start = times[0]
-    combined = PowerTrace(
-        initial_time=start,
-        initial_watts=sum(trace.power_at(start) for trace in traces),
-    )
-    for t in times[1:]:
-        combined.record(t, sum(trace.power_at(t) for trace in traces))
-    return combined
 
 
 #: Enum members in declaration order.  Each member also carries a dense
@@ -440,21 +413,6 @@ class UtilizationPowerModel:
             u, self.exponent
         )
 
-    def utilization_for_watts(self, watts: float) -> float:
-        """Inverse of :meth:`watts` (clamped)."""
-        if watts <= self.idle_watts:
-            return 0.0
-        if watts >= self.loaded_watts:
-            return 1.0
-        frac = (watts - self.idle_watts) / (self.loaded_watts - self.idle_watts)
-        return math.pow(frac, 1.0 / self.exponent)
-
-    def dynamic_range(self) -> float:
-        """Barroso-Hölzle dynamic range: (loaded - idle) / loaded."""
-        if self.loaded_watts == 0:
-            return 0.0
-        return (self.loaded_watts - self.idle_watts) / self.loaded_watts
-
 
 __all__ = [
     "PowerCap",
@@ -462,5 +420,4 @@ __all__ = [
     "PowerStateMachine",
     "PowerTrace",
     "UtilizationPowerModel",
-    "combine_traces",
 ]

@@ -205,11 +205,6 @@ class DvfsCurve:
         if freqs != sorted(freqs, reverse=True):
             raise ValueError("steps must be ordered fastest first")
 
-    @property
-    def nominal(self) -> DvfsStep:
-        """The full-speed step."""
-        return self.steps[0]
-
     def step_for_cap(self, cap_watts: float, peak_watts: float) -> DvfsStep:
         """Fastest step whose scaled peak fits ``cap_watts``.
 

@@ -17,11 +17,8 @@ testbed:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.hardware.specs import NicSpec
-from repro.sim.kernel import Environment
-from repro.sim.resources import Resource
 
 #: One-way per-message protocol-stack latency by host class, seconds.
 STACK_LATENCY_S = {
@@ -58,28 +55,13 @@ class Endpoint:
 
 
 class Link:
-    """A full-duplex link between an endpoint and a switch port.
+    """A full-duplex link between an endpoint and a switch port."""
 
-    When given an :class:`~repro.sim.kernel.Environment`, the link owns a
-    capacity-1 :class:`~repro.sim.resources.Resource` per direction so
-    simulated transfers can contend for it.
-    """
-
-    def __init__(
-        self,
-        endpoint: Endpoint,
-        port_bandwidth_bps: float,
-        env: Optional[Environment] = None,
-    ):
+    def __init__(self, endpoint: Endpoint, port_bandwidth_bps: float):
         if port_bandwidth_bps <= 0:
             raise ValueError("port bandwidth must be positive")
         self.endpoint = endpoint
         self.port_bandwidth_bps = port_bandwidth_bps
-        self.env = env
-        self.tx = Resource(env, capacity=1) if env is not None else None
-        self.rx = Resource(env, capacity=1) if env is not None else None
-        self.bytes_sent = 0
-        self.bytes_received = 0
         #: Chaos state: the link is dropped until this simulated time
         #: (frames buffer at the endpoints and flow once it recovers)...
         self.down_until = 0.0
@@ -115,35 +97,6 @@ class Link:
         if nbytes < 0:
             raise ValueError(f"negative byte count: {nbytes}")
         return nbytes * 8.0 / self.effective_bandwidth_bps
-
-    def transmit(self, nbytes: int):
-        """Simulated transmission claiming the TX side (a process helper).
-
-        Usage from a process::
-
-            yield from link.transmit(65536)
-        """
-        if self.tx is None:
-            raise RuntimeError("link was built without a simulation env")
-        request = self.tx.request()
-        yield request
-        try:
-            self.bytes_sent += nbytes
-            yield self.env.timeout(self.serialization_s(nbytes))
-        finally:
-            self.tx.release(request)
-
-    def receive(self, nbytes: int):
-        """Simulated reception claiming the RX side (a process helper)."""
-        if self.rx is None:
-            raise RuntimeError("link was built without a simulation env")
-        request = self.rx.request()
-        yield request
-        try:
-            self.bytes_received += nbytes
-            yield self.env.timeout(self.serialization_s(nbytes))
-        finally:
-            self.rx.release(request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -8,12 +8,11 @@ per hop, bounds how many devices can attach, and draws constant power
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.hardware.power import PowerTrace
 from repro.hardware.specs import SwitchSpec, TESTBED_SWITCH
 from repro.net.link import Endpoint, Link
-from repro.sim.kernel import Environment
 
 
 class PortExhaustedError(RuntimeError):
@@ -27,12 +26,10 @@ class Switch:
         self,
         clock: Callable[[], float],
         spec: SwitchSpec = TESTBED_SWITCH,
-        env: Optional[Environment] = None,
         name: str = "switch",
     ):
         self.spec = spec
         self.name = name
-        self.env = env
         self._clock = clock
         self.links: Dict[str, Link] = {}
         self.trunks: set = set()
@@ -78,11 +75,7 @@ class Switch:
             raise PortExhaustedError(
                 f"{self.name}: all {self.spec.ports} ports in use"
             )
-        link = Link(
-            endpoint,
-            port_bandwidth_bps=self.spec.port_bandwidth_bps,
-            env=self.env,
-        )
+        link = Link(endpoint, port_bandwidth_bps=self.spec.port_bandwidth_bps)
         self.links[endpoint.name] = link
         return link
 
@@ -95,16 +88,6 @@ class Switch:
                 f"{self.name}: no port free for trunk to {peer_name!r}"
             )
         self.trunks.add(peer_name)
-
-    def detach(self, endpoint_name: str) -> None:
-        """Free the port held by ``endpoint_name``."""
-        if endpoint_name not in self.links:
-            raise KeyError(endpoint_name)
-        del self.links[endpoint_name]
-
-    def link_for(self, endpoint_name: str) -> Link:
-        """The link of an attached endpoint."""
-        return self.links[endpoint_name]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -4,7 +4,7 @@ The cluster simulation and the workload profiles need two quantities:
 
 - ``rtt(src, dst)`` — request/response round-trip time for a small
   message (dominates the network-bound workloads' per-operation cost);
-- ``transfer_s(src, dst, nbytes)`` — time to move a payload end to end
+- ``transfer(src, dst, nbytes)`` — time to move a payload end to end
   (dominates function input/result *overhead* and the object-store
   workloads).
 
@@ -199,10 +199,6 @@ class TransferModel:
             session_s=session,
             fault_s=self._fault_s(src, dst, at),
         )
-
-    def transfer_s(self, src: str, dst: str, nbytes: int) -> float:
-        """Shorthand for ``transfer(...).total_s`` without session cost."""
-        return self.transfer(src, dst, nbytes).total_s
 
     def invocation_overhead_s(
         self,

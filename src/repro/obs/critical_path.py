@@ -153,35 +153,6 @@ def analyze_all(traces: Iterable[FinishedTrace]) -> List[CriticalPath]:
 
 
 @dataclass(frozen=True)
-class SegmentSummary:
-    """Mean segment durations over a set of critical paths."""
-
-    count: int
-    mean_latency_s: float
-    mean_queue_wait_s: float
-    mean_boot_s: float
-    mean_working_s: float
-    mean_overhead_s: float
-    mean_unattributed_s: float
-
-
-def summarize(paths: Iterable[CriticalPath]) -> SegmentSummary:
-    paths = list(paths)
-    if not paths:
-        raise ValueError("no critical paths")
-    n = len(paths)
-    return SegmentSummary(
-        count=n,
-        mean_latency_s=sum(p.latency_s for p in paths) / n,
-        mean_queue_wait_s=sum(p.queue_wait_s for p in paths) / n,
-        mean_boot_s=sum(p.boot_s for p in paths) / n,
-        mean_working_s=sum(p.working_s for p in paths) / n,
-        mean_overhead_s=sum(p.overhead_s for p in paths) / n,
-        mean_unattributed_s=sum(p.unattributed_s for p in paths) / n,
-    )
-
-
-@dataclass(frozen=True)
 class Reconciliation:
     """Trace-derived vs. collector-derived Fig. 3 split, per function."""
 
@@ -203,13 +174,6 @@ class Reconciliation:
             self.trace_mean_overhead_s - self.telemetry_mean_overhead_s
         )
 
-    def agrees(self, tolerance: float = 1e-9) -> bool:
-        return (
-            self.count_traces == self.count_records
-            and self.working_gap_s <= tolerance
-            and self.overhead_gap_s <= tolerance
-        )
-
 
 def reconcile(
     traces: Iterable[FinishedTrace],
@@ -220,7 +184,8 @@ def reconcile(
     Meaningful only when every completed invocation was traced
     (``sample_rate=1.0`` and a ring large enough to hold the run) —
     otherwise the trace-side means are computed over a subset and the
-    per-function counts will disagree, which ``agrees()`` reports.
+    per-function counts will disagree (``count_traces`` against
+    ``count_records``).
     """
     by_function: Dict[str, List[CriticalPath]] = {}
     for path in analyze_all(traces):
@@ -260,10 +225,8 @@ def max_reconciliation_gap(
 __all__ = [
     "CriticalPath",
     "Reconciliation",
-    "SegmentSummary",
     "analyze",
     "analyze_all",
     "max_reconciliation_gap",
     "reconcile",
-    "summarize",
 ]

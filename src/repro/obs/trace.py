@@ -384,10 +384,6 @@ class TraceRecorder:
 
     # -- span recording ------------------------------------------------------
 
-    @property
-    def live_count(self) -> int:
-        return len(self._live)
-
     def begin_trace(
         self,
         trace_id: int,

@@ -29,8 +29,6 @@ from repro.reliability.mtbf import (
     SERVER_MTBF_HOURS,
     FailureModel,
     expected_replacements,
-    fleet_availability,
-    online_rate_after,
 )
 
 __all__ = [
@@ -43,6 +41,4 @@ __all__ = [
     "SBC_MTBF_HOURS",
     "SERVER_MTBF_HOURS",
     "expected_replacements",
-    "fleet_availability",
-    "online_rate_after",
 ]

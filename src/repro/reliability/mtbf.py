@@ -9,7 +9,6 @@ reading) and derive the quantities the TCO analysis needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 #: Footnote-4 MTBF figures, hours.
@@ -31,20 +30,6 @@ class FailureModel:
         if self.repair_hours < 0:
             raise ValueError("repair time cannot be negative")
 
-    @property
-    def failure_rate_per_hour(self) -> float:
-        return 1.0 / self.mtbf_hours
-
-    def survival(self, hours: float) -> float:
-        """P(node still alive after ``hours``)."""
-        if hours < 0:
-            raise ValueError("hours cannot be negative")
-        return math.exp(-hours / self.mtbf_hours)
-
-    def failure_probability(self, hours: float) -> float:
-        """P(node fails within ``hours``)."""
-        return 1.0 - self.survival(hours)
-
     def availability(self) -> float:
         """Steady-state availability: MTBF / (MTBF + MTTR)."""
         return self.mtbf_hours / (self.mtbf_hours + self.repair_hours)
@@ -60,26 +45,6 @@ def expected_replacements(
     if horizon_hours < 0:
         raise ValueError("horizon cannot be negative")
     return node_count * horizon_hours / model.mtbf_hours
-
-
-def fleet_availability(model: FailureModel) -> float:
-    """Fraction of the fleet online in steady state (per-node
-    availability; fleet-level by linearity of expectation)."""
-    return model.availability()
-
-
-def online_rate_after(
-    model: FailureModel, horizon_hours: float, replace: bool = True
-) -> float:
-    """The TCO model's "online rate" analogue.
-
-    With replacement (the realistic scenario) the online rate is the
-    fraction of node-hours served: ~availability.  Without replacement
-    it decays as the survival function.
-    """
-    if replace:
-        return model.availability()
-    return model.survival(horizon_hours)
 
 
 def sbc_failure_model(repair_hours: float = 24.0) -> FailureModel:
@@ -100,8 +65,6 @@ __all__ = [
     "SBC_MTBF_HOURS",
     "SERVER_MTBF_HOURS",
     "expected_replacements",
-    "fleet_availability",
-    "online_rate_after",
     "sbc_failure_model",
     "server_failure_model",
 ]

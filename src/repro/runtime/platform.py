@@ -132,14 +132,6 @@ class LocalFaaSPlatform:
                 raise KeyError(f"no invocations recorded for {function_name!r}")
             return sum(values) / len(values)
 
-    @property
-    def total_completed(self) -> int:
-        return sum(worker.jobs_completed for worker in self.workers)
-
-    @property
-    def total_failed(self) -> int:
-        return sum(worker.jobs_failed for worker in self.workers)
-
     # -- lifecycle ---------------------------------------------------------------------
 
     def shutdown(self, wait: bool = True) -> None:

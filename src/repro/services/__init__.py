@@ -15,16 +15,13 @@ to in-process stand-ins that serve exactly what they call:
 - :mod:`repro.services.mq` — a Kafka-style partitioned log with
   key-hashed routing and per-group consumer offsets.
 
-Two modules model the same services inside the simulation instead:
-
-- :mod:`repro.services.latency` — calibrated per-operation service times.
-- :mod:`repro.services.backend` — per-service concurrency and outages
-  (:class:`BackendFleet`).
+:mod:`repro.services.backend` models the same services inside the
+simulation instead: per-service concurrency and outages
+(:class:`BackendFleet`).
 """
 
 from repro.services.backend import BackendCapacityModel, BackendFleet
 from repro.services.kvstore import KeyValueStore, KvError
-from repro.services.latency import SERVICE_LATENCY, ServiceLatencyModel
 from repro.services.mq import MessageQueue, MqError
 from repro.services.objectstore import ObjectStore, ObjectStoreError
 
@@ -37,6 +34,4 @@ __all__ = [
     "MqError",
     "ObjectStore",
     "ObjectStoreError",
-    "SERVICE_LATENCY",
-    "ServiceLatencyModel",
 ]

@@ -11,14 +11,13 @@ of workers, network transfers, CPU contention, and power-state machines:
 
 - :class:`Environment` — event loop and simulated clock.
 - :class:`Event`, :class:`Timeout`, :class:`Process` — the event types.
-- :class:`AnyOf` / :class:`AllOf` — event composition.
+- :class:`AnyOf` — event composition.
 - :class:`Interrupt` — asynchronous process interruption.
 - :class:`Resource`, :class:`Store` — queued resources.
 - :class:`RandomStreams` — named, reproducible random-number streams.
 """
 
 from repro.sim.kernel import (
-    AllOf,
     AnyOf,
     Environment,
     Event,
@@ -31,7 +30,6 @@ from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Environment",
     "Event",

@@ -263,7 +263,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         if self._triggered:
             return
-        self.env._active_process = self
         try:
             if event._exception is None:
                 next_event = self._generator.send(event._value)
@@ -279,8 +278,6 @@ class Process(Event):
             self._exception = exc
             self.env._schedule(self, NORMAL, 0.0)
             return
-        finally:
-            self.env._active_process = None
         if not isinstance(next_event, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded non-event {next_event!r}"
@@ -312,7 +309,7 @@ class Process(Event):
 
 
 class ConditionEvent(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf` event composition."""
+    """Base for :class:`AnyOf` event composition."""
 
     __slots__ = ("events", "_fired_count")
 
@@ -358,15 +355,6 @@ class AnyOf(ConditionEvent):
         return self._fired_count >= 1
 
 
-class AllOf(ConditionEvent):
-    """Fires when *all* constituent events have fired."""
-
-    __slots__ = ()
-
-    def _condition_met(self) -> bool:
-        return self._fired_count >= len(self.events)
-
-
 class Environment:
     """The simulation environment: clock plus event queue.
 
@@ -380,7 +368,6 @@ class Environment:
         "_now",
         "_queue",
         "_sequence",
-        "_active_process",
         "_bulk",
         "_bulk_depth",
         "_timeout_pool",
@@ -391,7 +378,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
-        self._active_process: Optional[Process] = None
         #: Deferred-insertion buffer, non-None only inside a bulk window.
         self._bulk: Optional[list[tuple[float, int, int, Event]]] = None
         self._bulk_depth = 0
@@ -404,11 +390,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event factories ---------------------------------------------------
 
@@ -479,10 +460,6 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that fires when any of ``events`` fires."""
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
 
     # -- scheduling and execution -------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Dict, Iterator, List, Sequence, TypeVar
+from typing import Dict, List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -82,21 +82,9 @@ class RandomStreams:
         k = min(k, len(items))
         return self.stream(name).sample(list(items), k)
 
-    def shuffled(self, name: str, items: Sequence[T]) -> list[T]:
-        """Return a shuffled copy of ``items``."""
-        out = list(items)
-        self.stream(name).shuffle(out)
-        return out
-
     def integers(self, name: str, low: int, high: int) -> int:
         """One integer in ``[low, high]`` inclusive."""
         return self.stream(name).randint(low, high)
-
-    def iter_uniform(self, name: str, low: float, high: float) -> Iterator[float]:
-        """Endless iterator of uniform draws from the named stream."""
-        stream = self.stream(name)
-        while True:
-            yield stream.uniform(low, high)
 
     # -- batch draws ---------------------------------------------------------
     #

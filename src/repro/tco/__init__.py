@@ -24,7 +24,6 @@ from repro.tco.analysis import (
     sbc_price_sensitivity,
     table2,
     tco_savings_fraction,
-    utilization_sweep,
 )
 from repro.tco.model import CostBreakdown, TcoModel
 
@@ -42,5 +41,4 @@ __all__ = [
     "sbc_price_sensitivity",
     "table2",
     "tco_savings_fraction",
-    "utilization_sweep",
 ]

@@ -71,32 +71,6 @@ def tco_savings_fraction(
     return 1.0 - microfaas_total / conventional_total
 
 
-def utilization_sweep(
-    points: int = 11,
-    assumptions: CostAssumptions = CostAssumptions(),
-) -> List[Tuple[float, float, float]]:
-    """(utilization, conventional_total, microfaas_total) across
-    utilizations — shows the saving grow as utilization falls (idle
-    conventional racks still burn 60 W/server; idle SBCs are off)."""
-    if points < 2:
-        raise ValueError("need at least two sweep points")
-    model = TcoModel(assumptions)
-    rows = []
-    for i in range(points):
-        u = i / (points - 1)
-        conditions = OperatingConditions(
-            name=f"u={u:.2f}", utilization=u, online_rate=1.0
-        )
-        rows.append(
-            (
-                u,
-                model.evaluate(PAPER_CONVENTIONAL_RACK, conditions).total_usd,
-                model.evaluate(PAPER_MICROFAAS_RACK, conditions).total_usd,
-            )
-        )
-    return rows
-
-
 def sbc_price_sensitivity(
     prices_usd: Tuple[float, ...] = (35.0, 52.5, 75.0, 100.0, 150.0),
     conditions: OperatingConditions = REALISTIC,
@@ -128,5 +102,4 @@ __all__ = [
     "sbc_price_sensitivity",
     "table2",
     "tco_savings_fraction",
-    "utilization_sweep",
 ]

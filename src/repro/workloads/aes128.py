@@ -239,22 +239,6 @@ def decrypt_ecb(data: bytes, key: bytes) -> bytes:
     return unpad_pkcs7(plaintext)
 
 
-def ctr_keystream_xor(data: bytes, key: bytes, nonce: bytes) -> bytes:
-    """CTR mode: encrypt == decrypt; ``nonce`` is 8 bytes."""
-    if len(nonce) != 8:
-        raise ValueError(f"nonce must be 8 bytes, got {len(nonce)}")
-    round_keys = expand_key(key)
-    out = bytearray(len(data))
-    for block_index in range((len(data) + 15) // 16):
-        counter = nonce + block_index.to_bytes(8, "big")
-        keystream = encrypt_block(counter, round_keys)
-        offset = 16 * block_index
-        chunk = data[offset : offset + 16]
-        for i, byte in enumerate(chunk):
-            out[offset + i] = byte ^ keystream[i]
-    return bytes(out)
-
-
 # ---------------------------------------------------------------------------
 # Workload function
 # ---------------------------------------------------------------------------
@@ -304,7 +288,6 @@ __all__ = [
     "Aes128Workload",
     "INV_SBOX",
     "SBOX",
-    "ctr_keystream_xor",
     "decrypt_block",
     "decrypt_ecb",
     "encrypt_block",

@@ -75,10 +75,6 @@ class FunctionProfile:
             return self.cpu_fraction_x86
         raise ValueError(f"unknown platform {platform!r}")
 
-    @property
-    def is_network_bound(self) -> bool:
-        return self.service_op is not None
-
 
 #: Calibrated profiles, one per Table I function.
 PROFILES: Dict[str, FunctionProfile] = {

@@ -35,7 +35,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -108,13 +108,6 @@ class FunctionMix:
         indices = np.searchsorted(self._cumulative_array, points, side="left")
         return np.minimum(indices, len(self.names) - 1)
 
-    def sample_batch(
-        self, streams: RandomStreams, n: int, name: str = "mix"
-    ) -> List[str]:
-        """``n`` weighted draws as names (see :meth:`sample_indices`)."""
-        names = self.names
-        return [names[i] for i in self.sample_indices(streams, n, name)]
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -147,31 +140,6 @@ class ArrivalTrace:
     def __len__(self) -> int:
         return len(self.events)
 
-    @cached_property
-    def _times(self) -> np.ndarray:
-        """Sorted arrival times, materialized once per trace."""
-        return np.asarray([e.time_s for e in self.events])
-
-    @property
-    def mean_rate_per_s(self) -> float:
-        return len(self.events) / self.duration_s
-
-    def arrivals_in(self, start: float, end: float) -> int:
-        """Events with ``start <= time < end``."""
-        if end < start:
-            raise ValueError("window end before start")
-        times = self._times
-        return int(
-            np.searchsorted(times, end, side="left")
-            - np.searchsorted(times, start, side="left")
-        )
-
-    def function_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.function] = counts.get(event.function, 0) + 1
-        return counts
-
     def iter_pairs(self) -> Iterator[Tuple[float, str]]:
         """Yield ``(time_s, function)`` in arrival order."""
         for event in self.events:
@@ -183,9 +151,8 @@ class ColumnarTrace:
     """A time-sorted invocation trace in columnar form.
 
     ``times[i]`` pairs with ``functions[function_ids[i]]``.  Sixteen
-    bytes per event regardless of trace length; replay and window
-    queries go through the same ``iter_pairs``/``arrivals_in`` interface
-    as :class:`ArrivalTrace`.
+    bytes per event regardless of trace length; replay goes through the
+    same ``iter_pairs`` interface as :class:`ArrivalTrace`.
     """
 
     times: np.ndarray
@@ -212,27 +179,6 @@ class ColumnarTrace:
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def mean_rate_per_s(self) -> float:
-        return len(self.times) / self.duration_s
-
-    def arrivals_in(self, start: float, end: float) -> int:
-        """Events with ``start <= time < end``."""
-        if end < start:
-            raise ValueError("window end before start")
-        return int(
-            np.searchsorted(self.times, end, side="left")
-            - np.searchsorted(self.times, start, side="left")
-        )
-
-    def function_counts(self) -> Dict[str, int]:
-        counts = np.bincount(self.function_ids, minlength=len(self.functions))
-        return {
-            name: int(count)
-            for name, count in zip(self.functions, counts)
-            if count
-        }
-
     def iter_pairs(self) -> Iterator[Tuple[float, str]]:
         """Yield ``(time_s, function)`` in arrival order."""
         functions = self.functions
@@ -240,15 +186,6 @@ class ColumnarTrace:
         ids = self.function_ids
         for i in range(len(times)):
             yield float(times[i]), functions[ids[i]]
-
-    def to_events(self) -> ArrivalTrace:
-        """Materialize as an :class:`ArrivalTrace` (small traces only)."""
-        return ArrivalTrace(
-            events=tuple(
-                TraceEvent(time_s=t, function=f) for t, f in self.iter_pairs()
-            ),
-            duration_s=self.duration_s,
-        )
 
     def stripe(self, index: int, count: int) -> "ColumnarTrace":
         """The ``index``-th of ``count`` round-robin stripes.
@@ -304,10 +241,6 @@ class ChunkedPoissonTrace:
             raise ValueError("stripe count must be >= 1")
         if not 0 <= self.stripe_index < self.stripe_count:
             raise ValueError("stripe index out of range")
-
-    @property
-    def mean_rate_per_s(self) -> float:
-        return self.rate_per_s / self.stripe_count
 
     def stripe(self, index: int, count: int) -> "ChunkedPoissonTrace":
         """Round-robin stripe, matching :meth:`ColumnarTrace.stripe`.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
+from repro.cluster.pool import SbcPool
 from repro.sim.kernel import Environment, Interrupt
 
 
@@ -108,12 +109,20 @@ class PowerMeter:
         return max(w for _, w in self.samples)
 
 
+def pool_watts(pool) -> float:
+    """Instantaneous draw of one pool's metered hardware: its boards, or
+    its VM host."""
+    if isinstance(pool, SbcPool):
+        return sum(sbc.watts for sbc in pool.sbcs)
+    return pool.server.watts
+
+
 def metered_watts(cluster) -> float:
     """Instantaneous draw of what
     :meth:`~repro.cluster.harness.ClusterHarness.energy_joules` covers:
     every pool's hardware, plus the switches if the cluster meters them
     (the paper meters the compute, not the fabric)."""
-    watts = sum(pool.watts() for pool in cluster.pools)
+    watts = sum(pool_watts(pool) for pool in cluster.pools)
     if cluster.include_switch_power:
         watts += sum(switch.watts for switch in cluster.switches)
     return watts

@@ -91,7 +91,13 @@ def test_random_split_waits_dominate_central_queue():
         assert model.random_split_wait_s(rate) > model.central_queue_wait_s(
             rate
         )
-    assert model.imbalance_tax(0.5) > model.imbalance_tax(3.2) > 1.0
+
+    def imbalance_tax(rate):
+        return model.random_split_wait_s(rate) / model.central_queue_wait_s(
+            rate
+        )
+
+    assert imbalance_tax(0.5) > imbalance_tax(3.2) > 1.0
 
 
 def test_mean_latency_composition():

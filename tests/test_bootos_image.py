@@ -102,8 +102,10 @@ def test_micropython_is_dramatically_smaller_than_cpython():
 
 def test_default_image_fits_beaglebone():
     image = build_worker_image("arm")
-    assert image.fits_storage(BEAGLEBONE_BLACK.storage_bytes)
-    assert image.fits_ram(BEAGLEBONE_BLACK.ram_bytes)
+    assert image.total_size_bytes <= BEAGLEBONE_BLACK.storage_bytes
+    # At most a quarter of RAM, leaving the rest for the MicroPython heap
+    # and network buffers.
+    assert image.total_size_bytes <= BEAGLEBONE_BLACK.ram_bytes // 4
 
 
 def test_cpython_glibc_image_is_an_order_of_magnitude_bigger():
@@ -113,7 +115,7 @@ def test_cpython_glibc_image_is_an_order_of_magnitude_bigger():
     assert image.total_size_bytes > 9 * default.total_size_bytes
     # Both still fit the board, but the fat image wastes the RAM the
     # MicroPython heap needs.
-    assert image.fits_ram(BEAGLEBONE_BLACK.ram_bytes)
+    assert image.total_size_bytes <= BEAGLEBONE_BLACK.ram_bytes // 4
 
 
 def test_image_hash_is_reproducible():

@@ -117,8 +117,8 @@ def test_history_has_nine_changes_lettered_a_to_i():
 def test_phy_patch_is_arm_only():
     """Change G is a vendor-specific SBC patch (Sec. IV-A)."""
     opt_g = next(o for o in DEVELOPMENT_HISTORY if o.letter == "G")
-    assert opt_g.applies_to("arm")
-    assert not opt_g.applies_to("x86")
+    assert "arm" in opt_g.effects
+    assert "x86" not in opt_g.effects
     x86 = baseline_sequence("x86")
     assert opt_g.apply(x86).real_s == x86.real_s
 

@@ -2,42 +2,18 @@
 
 import pytest
 
-from repro.bootos import (
-    BootTimeline,
-    development_trajectory,
-    optimized_sequence,
-)
-from repro.bootos.stages import StageName, baseline_sequence
-from repro.bootos.timeline import reboot_time_s
+from repro.bootos import development_trajectory, optimized_sequence
+from repro.bootos.stages import baseline_sequence
 
 
-def test_timeline_intervals_are_contiguous():
-    timeline = BootTimeline(optimized_sequence("arm"))
-    previous_end = 0.0
-    for interval in timeline.intervals:
-        assert interval.start_s == pytest.approx(previous_end)
-        previous_end = interval.end_s
-    assert previous_end == pytest.approx(timeline.real_s)
-
-
-def test_timeline_respects_start_time():
-    timeline = BootTimeline(optimized_sequence("arm"), start_time=100.0)
-    assert timeline.intervals[0].start_s == 100.0
-    assert timeline.end_time == pytest.approx(100.0 + timeline.real_s)
-
-
-def test_timeline_interval_lookup():
-    timeline = BootTimeline(optimized_sequence("arm"))
-    interval = timeline.interval(StageName.KERNEL_INIT)
-    assert interval.duration_s > 0
-    with pytest.raises(KeyError):
-        BootTimeline(baseline_sequence("x86")).interval("nope")
+def reboot_time_s(platform):
+    """A clean-state reboot runs the optimized boot sequence."""
+    return optimized_sequence(platform).real_s
 
 
 def test_timeline_cpu_never_exceeds_duration():
-    timeline = BootTimeline(baseline_sequence("arm"))
-    for interval in timeline.intervals:
-        assert interval.cpu_s <= interval.duration_s + 1e-12
+    for stage in baseline_sequence("arm"):
+        assert stage.cpu_s <= stage.real_s + 1e-12
 
 
 def test_trajectory_starts_at_baseline_and_ends_optimized():

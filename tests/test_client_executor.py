@@ -15,13 +15,13 @@ from repro.client import (
     ResponseFuture,
     RetryPolicy,
     SyncInvoker,
-    is_legal_sequence,
     make_invoker,
 )
 from repro.cluster.microfaas import MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.federation import FederatedCluster, RegionSpec
 from repro.workloads.profiles import profile_for
+from tests.test_client_futures import is_legal_sequence
 
 
 def small_executor(seed=3, workers=4, **kwargs):
@@ -47,7 +47,7 @@ def test_map_wait_all_resolves_everything():
         assert f.output_bytes == profile_for("MatMul").output_bytes
         assert is_legal_sequence([s for s, _t in f.state_log])
     assert ex.stats.succeeded == 6
-    assert ex.stats.in_flight == 0
+    assert ex.stats.resolved == ex.stats.calls_tracked
 
 
 def test_wait_always_never_advances_the_clock():
@@ -91,16 +91,6 @@ def test_wait_rejects_unknown_mode():
     _cluster, ex = small_executor()
     with pytest.raises(ValueError):
         ex.wait(return_when="SOME_COMPLETED")
-
-
-def test_get_result_single_and_sequence():
-    _cluster, ex = small_executor()
-    one = ex.call_async("MatMul")
-    record = ex.get_result(one)
-    assert record.function == "MatMul"
-    more = ex.map("AES128", 3)
-    records = ex.get_result(more)
-    assert [r.function for r in records] == ["AES128"] * 3
 
 
 @settings(

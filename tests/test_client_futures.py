@@ -19,8 +19,18 @@ from repro.client import (
     LEGAL_TRANSITIONS,
     ResponseFuture,
     RetryRecord,
-    is_legal_sequence,
 )
+
+
+def is_legal_sequence(states):
+    """Whether a recorded state sequence obeys the transition relation."""
+    if not states or states[0] is not FutureState.NEW:
+        return False
+    return all(
+        after in LEGAL_TRANSITIONS[before]
+        for before, after in zip(states, states[1:])
+    )
+
 
 # The operations the executor/monitor pair can drive a future through.
 # Guards mirror the call sites: nothing re-invokes or times a future

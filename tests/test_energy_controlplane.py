@@ -266,7 +266,8 @@ def test_metered_watts_matches_on_hybrid():
     from repro.cluster import HybridCluster
 
     cluster = HybridCluster(sbc_count=3, vm_count=2)
-    manual = sum(pool.watts() for pool in cluster.pools)
+    sbc_pool, vm_pool = cluster.pools
+    manual = sum(sbc.watts for sbc in sbc_pool.sbcs) + vm_pool.server.watts
     assert metered_watts(cluster) == manual
 
 
@@ -313,17 +314,15 @@ def test_carbon_signal_sinusoid_and_clamp():
     assert signal.cost_at(3.0) == pytest.approx(0.0)  # clamped at zero
 
 
-def test_carbon_signal_from_stream_is_deterministic_and_presampled():
-    a = CarbonSignal.from_stream(
-        RandomStreams(5), "eu", base=10.0, noise=2.0, noise_slots=4
+def test_carbon_signal_noise_table_is_read_not_drawn():
+    signal = CarbonSignal(
+        base=10.0, noise_steps=(2.0, -2.0), noise_step_s=10.0
     )
-    b = CarbonSignal.from_stream(
-        RandomStreams(5), "eu", base=10.0, noise=2.0, noise_slots=4
-    )
-    assert a.noise_steps == b.noise_steps
-    assert len(a.noise_steps) == 4
+    assert [signal.cost_at(t) for t in (5.0, 15.0, 25.0)] == [
+        12.0, 8.0, 12.0
+    ]
     # Reading the signal draws nothing: repeated reads are identical.
-    assert a.cost_at(1234.5) == a.cost_at(1234.5)
+    assert signal.cost_at(1234.5) == signal.cost_at(1234.5)
 
 
 def test_carbon_signal_validation():

@@ -17,7 +17,6 @@ from repro.core import telemetry
 from repro.core.telemetry import (
     InvocationRecord,
     QuantileSketch,
-    ReservoirSample,
     TelemetryCollector,
     percentiles,
 )
@@ -134,9 +133,6 @@ def test_property_streaming_matches_exact(latencies):
 def test_streaming_collector_state_is_bounded():
     _, streaming = _fill_pair([0.5 + (i % 7) * 0.1 for i in range(5000)])
     assert streaming.records == []  # no per-record growth
-    assert streaming.reservoir.capacity == 2048
-    assert len(streaming.reservoir.items) <= streaming.reservoir.capacity
-    assert streaming.reservoir.seen == 5000
     assert streaming._latency_sketch.bucket_count < 2000
 
 
@@ -184,16 +180,6 @@ def test_sketch_merge_equals_single_sketch():
 def test_sketch_merge_rejects_mismatched_geometry():
     with pytest.raises(ValueError, match="geometry"):
         QuantileSketch(gamma=1.02).merge(QuantileSketch(gamma=1.05))
-
-
-def test_reservoir_is_uniformly_bounded_and_deterministic():
-    a = ReservoirSample(capacity=32)
-    b = ReservoirSample(capacity=32)
-    for i in range(1000):
-        a.add(i)
-        b.add(i)
-    assert len(a.items) == 32
-    assert a.items == b.items  # seeded, not global-RNG dependent
 
 
 # -- sort-once discipline -----------------------------------------------------
@@ -267,18 +253,6 @@ def test_columnar_traces_match_row_wise_traces():
         ]
         assert cols.duration_s == rows.duration_s
         assert list(cols.iter_pairs()) == list(rows.iter_pairs())
-
-
-def test_columnar_trace_window_and_counts():
-    mix = FunctionMix({"sha256": 1.0})
-    rows = constant_rate_trace(1.0, 10.0, mix=mix, columnar=False)
-    cols = constant_rate_trace(1.0, 10.0, mix=mix, columnar=True)
-    for window in ((0.0, 5.0), (2.0, 2.0), (0.0, 20.0), (3.0, 7.5)):
-        assert cols.arrivals_in(*window) == rows.arrivals_in(*window)
-    assert cols.function_counts() == rows.function_counts()
-    round_trip = cols.to_events()
-    assert isinstance(round_trip, ArrivalTrace)
-    assert [e.time_s for e in round_trip.events] == cols.times.tolist()
 
 
 def test_replay_is_identical_for_both_trace_layouts():

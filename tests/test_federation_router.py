@@ -7,8 +7,6 @@ from repro.federation import (
     FederatedCluster,
     FederationRouter,
     LatencyAwarePolicy,
-    LoadSpillPolicy,
-    LocalityPolicy,
     RegionSpec,
 )
 from repro.net.wan import WanFabric
@@ -38,48 +36,6 @@ def test_latency_aware_sees_brownout_degradation():
     fed.wan.ingress_link("r1").degrade(1.0)
     index = policy.select("r1", fed.regions, fed.wan, now=0.0)
     assert fed.regions[index].name != "r1"
-
-
-def test_locality_prefers_home_then_falls_back():
-    fed = make_fed()
-    policy = LocalityPolicy()
-    index = policy.select("r2", fed.regions, fed.wan, now=0.0)
-    assert fed.regions[index].name == "r2"
-    # Home region missing from the candidate list -> nearest-by-latency.
-    candidates = [r for r in fed.regions if r.name != "r2"]
-    index = policy.select("r2", candidates, fed.wan, now=0.0)
-    assert candidates[index].name in {"r0", "r1"}
-
-
-def test_load_spill_stays_home_under_threshold():
-    fed = make_fed()
-    policy = LoadSpillPolicy(spill_threshold=3.0)
-    index = policy.select("r0", fed.regions, fed.wan, now=0.0)
-    assert fed.regions[index].name == "r0"
-    with pytest.raises(ValueError):
-        LoadSpillPolicy(spill_threshold=0)
-
-
-def test_load_spill_moves_when_home_is_deep():
-    fed = make_fed()
-    policy = LoadSpillPolicy(spill_threshold=3.0)
-    # Pile jobs into r0 past the threshold; r1/r2 stay empty.
-    for _ in range(8):
-        fed.regions[0].cluster.orchestrator.submit_function("CascSHA")
-    assert fed.regions[0].load() >= 3.0
-    index = policy.select("r0", fed.regions, fed.wan, now=0.0)
-    assert fed.regions[index].name != "r0"
-
-
-def test_load_spill_holds_when_everyone_is_deep():
-    fed = make_fed()
-    policy = LoadSpillPolicy(spill_threshold=3.0)
-    for region in fed.regions:
-        for _ in range(8):
-            region.cluster.orchestrator.submit_function("CascSHA")
-    # Nowhere strictly shallower: stay home rather than shuffle load.
-    index = policy.select("r0", fed.regions, fed.wan, now=0.0)
-    assert fed.regions[index].name == "r0"
 
 
 def test_router_skips_quarantined_regions():

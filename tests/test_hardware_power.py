@@ -8,7 +8,6 @@ from repro.hardware.power import (
     PowerStateMachine,
     PowerTrace,
     UtilizationPowerModel,
-    combine_traces,
 )
 from repro.hardware.rackserver import RackServer
 from repro.hardware.specs import THINKMATE_RAX
@@ -311,25 +310,6 @@ def test_requantum_writes_one_split_point():
     assert server.trace.change_points == points + [(2.0, 0.0)]
 
 
-def test_combine_traces_sums_power():
-    a = PowerTrace(0.0, 1.0)
-    b = PowerTrace(0.0, 2.0)
-    a.record(5.0, 3.0)
-    b.record(7.0, 0.0)
-    combined = combine_traces([a, b])
-    assert combined.power_at(0.0) == 3.0
-    assert combined.power_at(5.0) == 5.0
-    assert combined.power_at(7.0) == 3.0
-    assert combined.energy_joules(0.0, 10.0) == pytest.approx(
-        a.energy_joules(0.0, 10.0) + b.energy_joules(0.0, 10.0)
-    )
-
-
-def test_combine_traces_requires_input():
-    with pytest.raises(ValueError):
-        combine_traces([])
-
-
 # ---------------------------------------------------------------------------
 # PowerStateMachine
 # ---------------------------------------------------------------------------
@@ -440,21 +420,11 @@ def test_upm_calibrated_six_vm_operating_point():
     assert model.watts(utilization) == pytest.approx(112.9, abs=1.0)
 
 
-def test_upm_inverse_roundtrip():
-    model = UtilizationPowerModel(60.0, 150.0, 0.547)
-    for u in (0.1, 0.3, 0.5, 0.9):
-        assert model.utilization_for_watts(model.watts(u)) == pytest.approx(u)
-
-
-def test_upm_inverse_clamps():
-    model = UtilizationPowerModel(60.0, 150.0, 0.547)
-    assert model.utilization_for_watts(10.0) == 0.0
-    assert model.utilization_for_watts(500.0) == 1.0
-
-
 def test_upm_dynamic_range():
     model = UtilizationPowerModel(60.0, 150.0, 0.547)
-    assert model.dynamic_range() == pytest.approx(0.6)
+    # Barroso-Hoelzle dynamic range: (loaded - idle) / loaded.
+    loaded = model.watts(1.0)
+    assert (loaded - model.watts(0.0)) / loaded == pytest.approx(0.6)
 
 
 def test_upm_validation():
@@ -653,7 +623,7 @@ def test_dvfs_curve_for_unknown_spec_is_single_step():
     unknown = SbcSpec(**{**spec.__dict__, "name": "mystery-board"})
     curve = dvfs_curve_for(unknown)
     assert len(curve.steps) == 1
-    assert curve.nominal.perf_scale == 1.0
+    assert curve.steps[0].perf_scale == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +725,7 @@ def _observe_psm(psm):
         repr(psm.watts),
         _all_time_in_state(psm),
         psm.trace.change_points,
-        repr(psm.trace.energy_joules(0.0, psm.trace.last_time)),
+        repr(psm.trace.energy_joules(0.0, psm.trace.change_points[-1][0])),
     )
 
 
@@ -825,7 +795,7 @@ def test_trace_reads_write_the_bookings_first():
     assert trace.change_points == [(0.0, 0.1), (1.0, 2.0)]
     clock.t = 2.0
     assert trace.energy_joules(0.0, 2.0) == 0.1 * 1.0 + 2.0 * 1.0
-    assert trace.last_time == 2.0
+    assert trace.change_points[-1][0] == 2.0
     assert len(trace) == 3
 
 

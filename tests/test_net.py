@@ -11,7 +11,6 @@ from repro.hardware.specs import (
 from repro.net import Endpoint, NetworkTopology, Switch, TransferModel
 from repro.net.link import Link, STACK_LATENCY_S
 from repro.net.switch import PortExhaustedError, switches_needed
-from repro.sim import Environment
 
 
 class FakeClock:
@@ -78,50 +77,6 @@ def test_link_validation():
         Link(Endpoint("a", FAST_ETHERNET, "arm-bare"), 0.0)
 
 
-def test_link_simulated_transfers_contend():
-    env = Environment()
-    link = Link(Endpoint("a", FAST_ETHERNET, "arm-bare"), 1e9, env=env)
-    finish_times = []
-
-    def sender(nbytes):
-        yield from link.transmit(nbytes)
-        finish_times.append(env.now)
-
-    one_transfer_s = link.serialization_s(1_000_000)
-    env.process(sender(1_000_000))
-    env.process(sender(1_000_000))
-    env.run()
-    assert finish_times[0] == pytest.approx(one_transfer_s)
-    assert finish_times[1] == pytest.approx(2 * one_transfer_s)
-    assert link.bytes_sent == 2_000_000
-
-
-def test_link_rx_and_tx_are_independent():
-    env = Environment()
-    link = Link(Endpoint("a", FAST_ETHERNET, "arm-bare"), 1e9, env=env)
-    finish = {}
-
-    def tx():
-        yield from link.transmit(1_000_000)
-        finish["tx"] = env.now
-
-    def rx():
-        yield from link.receive(1_000_000)
-        finish["rx"] = env.now
-
-    env.process(tx())
-    env.process(rx())
-    env.run()
-    # Full duplex: both complete in one serialization time.
-    assert finish["tx"] == pytest.approx(finish["rx"])
-
-
-def test_link_sim_helpers_require_env():
-    link = Link(Endpoint("a", FAST_ETHERNET, "arm-bare"), 1e9)
-    with pytest.raises(RuntimeError):
-        next(link.transmit(10))
-
-
 # ---------------------------------------------------------------------------
 # Switch
 # ---------------------------------------------------------------------------
@@ -132,8 +87,7 @@ def test_switch_port_accounting():
     assert switch.ports_free == 24
     switch.attach(Endpoint("a", FAST_ETHERNET, "arm-bare"))
     assert switch.ports_used == 1
-    switch.detach("a")
-    assert switch.ports_used == 0
+    assert switch.ports_free == 23
 
 
 def test_switch_duplicate_attach_rejected():
@@ -149,12 +103,6 @@ def test_switch_port_exhaustion():
         switch.attach(Endpoint(f"n{i}", FAST_ETHERNET, "arm-bare"))
     with pytest.raises(PortExhaustedError):
         switch.attach(Endpoint("extra", FAST_ETHERNET, "arm-bare"))
-
-
-def test_switch_detach_unknown_rejected():
-    switch = Switch(FakeClock(), TESTBED_SWITCH)
-    with pytest.raises(KeyError):
-        switch.detach("ghost")
 
 
 def test_switch_constant_power():
@@ -254,8 +202,8 @@ def test_vm_rtt_exceeds_bare_metal_rtt():
 def test_transfer_scales_with_bytes():
     topo = make_testbed()
     model = TransferModel(topo)
-    small = model.transfer_s("op", "sbc-0", 1_000)
-    large = model.transfer_s("op", "sbc-0", 10_000_000)
+    small = model.transfer("op", "sbc-0", 1_000).total_s
+    large = model.transfer("op", "sbc-0", 10_000_000).total_s
     assert large > 100 * small
 
 
@@ -272,9 +220,9 @@ def test_vm_bulk_transfer_is_faster_than_sbc():
     """GigE + virtio beats the SBC's Fast Ethernet for bulk payloads."""
     topo = make_testbed()
     model = TransferModel(topo)
-    assert model.transfer_s("op", "vm-0", 1_000_000) < model.transfer_s(
-        "op", "sbc-0", 1_000_000
-    )
+    vm = model.transfer("op", "vm-0", 1_000_000)
+    sbc = model.transfer("op", "sbc-0", 1_000_000)
+    assert vm.total_s < sbc.total_s
 
 
 def test_transfer_rejects_negative_bytes():
@@ -287,8 +235,9 @@ def test_invocation_overhead_includes_session():
     topo = make_testbed()
     model = TransferModel(topo)
     overhead = model.invocation_overhead_s("op", "sbc-0", 2_000, 1_000)
-    bare = model.transfer_s("op", "sbc-0", 2_000) + model.transfer_s(
-        "sbc-0", "op", 1_000
+    bare = (
+        model.transfer("op", "sbc-0", 2_000).total_s
+        + model.transfer("sbc-0", "op", 1_000).total_s
     )
     assert overhead > bare
     assert overhead - bare == pytest.approx(28e-3)  # ARM session overhead

@@ -146,7 +146,7 @@ def test_drain_seals_in_flight_traces_as_open():
     recorder.begin_attempt(1, 1.0, worker_id=0)
     (sealed,) = recorder.drain()
     assert sealed.status == "open"
-    assert recorder.live_count == 0
+    assert not recorder._live
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_ring_buffer_bounds_retained_traces_and_counts_evictions():
     assert len(traces) == 8  # ring capacity, not run size
     assert tracer.traces_finished == 3 * 17
     assert tracer.traces_dropped == 3 * 17 - 8
-    assert tracer.live_count == 0
+    assert not tracer._live
     # The survivors are the newest traces (deque semantics).
     sealed_ids = [t.trace_id for t in traces]
     assert len(set(sealed_ids)) == 8

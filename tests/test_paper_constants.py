@@ -10,7 +10,6 @@ from repro.cluster.matching import (
     vm_throughput_per_min,
 )
 from repro.energy.proportionality import (
-    proportionality_score,
     sbc_cluster_power_series,
     vm_host_power_series,
 )
@@ -93,22 +92,3 @@ def test_all_constants_exported():
 
 
 # -- proportionality score (Wong & Annavaram style) -------------------------------
-
-
-def test_proportionality_score_contrast():
-    sbc = proportionality_score(sbc_cluster_power_series(10))
-    vm = proportionality_score(vm_host_power_series(12))
-    assert sbc > 0.9  # nearly ideal (the 0.128 W standby residual costs a bit)
-    assert vm < 0.5  # idle floor + concavity
-    assert sbc > vm
-
-
-def test_proportionality_score_bounds_and_validation():
-    from repro.energy.proportionality import ProportionalitySeries
-
-    ideal = ProportionalitySeries("ideal", (0, 1, 2), (0.0, 5.0, 10.0))
-    assert proportionality_score(ideal) == pytest.approx(1.0)
-    flat = ProportionalitySeries("flat", (0, 1, 2), (10.0, 10.0, 10.0))
-    assert proportionality_score(flat) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        proportionality_score(ProportionalitySeries("one", (0,), (1.0,)))

@@ -14,7 +14,6 @@ from repro.core.protocol import (
     PongMessage,
     ProtocolError,
     ResultMessage,
-    decode_all,
     decode_message,
     decode_stream,
     encode_message,
@@ -85,18 +84,6 @@ def test_decode_stream_multiple_messages():
     assert first.job_id == 1
     assert second.job_id == 2
     assert empty == b""
-
-
-def test_decode_all():
-    buffer = b"".join(encode_message(invoke(i)) for i in range(5))
-    messages = decode_all(buffer)
-    assert [m.job_id for m in messages] == [0, 1, 2, 3, 4]
-
-
-def test_decode_all_rejects_trailing_partial():
-    buffer = encode_message(invoke()) + b"uFa"
-    with pytest.raises(ProtocolError, match="incomplete"):
-        decode_all(buffer)
 
 
 def test_decode_message_rejects_trailing_bytes():

@@ -14,7 +14,6 @@ from repro.reliability import (
     SBC_MTBF_HOURS,
     SERVER_MTBF_HOURS,
     expected_replacements,
-    online_rate_after,
 )
 from repro.reliability.mtbf import sbc_failure_model, server_failure_model
 
@@ -34,30 +33,6 @@ def test_failure_model_validation():
         FailureModel(mtbf_hours=0.0)
     with pytest.raises(ValueError):
         FailureModel(mtbf_hours=100.0, repair_hours=-1.0)
-
-
-def test_survival_decreases_monotonically():
-    model = sbc_failure_model()
-    values = [model.survival(h) for h in (0, 1000, 100_000, 1_000_000)]
-    assert values[0] == 1.0
-    assert all(b < a for a, b in zip(values, values[1:]))
-
-
-def test_survival_at_mtbf_is_1_over_e():
-    model = FailureModel(mtbf_hours=1000.0)
-    assert model.survival(1000.0) == pytest.approx(0.3679, abs=1e-3)
-
-
-def test_survival_rejects_negative():
-    with pytest.raises(ValueError):
-        sbc_failure_model().survival(-1.0)
-
-
-def test_failure_probability_complements_survival():
-    model = sbc_failure_model()
-    assert model.failure_probability(50_000) == pytest.approx(
-        1 - model.survival(50_000)
-    )
 
 
 def test_availability_is_high_for_sbc():
@@ -82,14 +57,6 @@ def test_expected_replacements_validation():
         expected_replacements(-1, sbc_failure_model(), 10.0)
     with pytest.raises(ValueError):
         expected_replacements(1, sbc_failure_model(), -10.0)
-
-
-def test_online_rate_with_and_without_replacement():
-    model = server_failure_model()
-    with_replacement = online_rate_after(model, 43_200.0, replace=True)
-    without = online_rate_after(model, 43_200.0, replace=False)
-    assert with_replacement > without
-    assert without == pytest.approx(model.survival(43_200.0))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
     AnyOf,
     Environment,
     Event,
@@ -353,33 +352,6 @@ def test_any_of_fires_on_first_event():
     assert winners == [(1.0, ["fast"])]
 
 
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    results = []
-
-    def proc():
-        events = [env.timeout(t, value=t) for t in (3.0, 1.0, 2.0)]
-        result = yield AllOf(env, events)
-        results.append((env.now, sorted(result.values())))
-
-    env.process(proc())
-    env.run()
-    assert results == [(3.0, [1.0, 2.0, 3.0])]
-
-
-def test_empty_all_of_fires_immediately():
-    env = Environment()
-    fired = []
-
-    def proc():
-        yield AllOf(env, [])
-        fired.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert fired == [0.0]
-
-
 def test_yielding_non_event_is_an_error():
     env = Environment()
 
@@ -429,20 +401,6 @@ def test_step_on_empty_queue_rejected():
         env.step()
 
 
-def test_active_process_visible_during_resume():
-    env = Environment()
-    seen = []
-
-    def proc():
-        seen.append(env.active_process)
-        yield env.timeout(1.0)
-
-    p = env.process(proc())
-    env.run()
-    assert seen == [p]
-    assert env.active_process is None
-
-
 def test_thousand_process_fan_in():
     env = Environment()
     done = []
@@ -453,8 +411,10 @@ def test_thousand_process_fan_in():
 
     def collector():
         procs = [env.process(worker(i)) for i in range(1000)]
-        result = yield AllOf(env, procs)
-        done.append(sum(result.values()))
+        total = 0
+        for proc in procs:
+            total += yield proc
+        done.append(total)
 
     env.process(collector())
     env.run()

@@ -91,25 +91,10 @@ def test_sample_clamps_k():
     assert sorted(streams.sample("s", [1, 2, 3], k=10)) == [1, 2, 3]
 
 
-def test_shuffled_returns_copy():
-    streams = RandomStreams(0)
-    original = [1, 2, 3, 4, 5]
-    shuffled = streams.shuffled("s", original)
-    assert original == [1, 2, 3, 4, 5]
-    assert sorted(shuffled) == original
-
-
 def test_integers_within_bounds():
     streams = RandomStreams(9)
     for _ in range(50):
         assert 3 <= streams.integers("s", 3, 7) <= 7
-
-
-def test_iter_uniform_is_endless_and_bounded():
-    streams = RandomStreams(4)
-    it = streams.iter_uniform("s", 2.0, 3.0)
-    values = [next(it) for _ in range(20)]
-    assert all(2.0 <= v <= 3.0 for v in values)
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.text(max_size=20))

@@ -1,4 +1,4 @@
-"""Tests for replication statistics and CSV export."""
+"""Tests for the headline across seeds and for CSV export."""
 
 import csv
 import os
@@ -6,80 +6,29 @@ import os
 import pytest
 
 from repro.cli import ARTIFACTS, main
-from repro.experiments import megatrace
+from repro.experiments import headline, megatrace
 from repro.experiments.report import write_tables
-from repro.experiments.stats import (
-    Estimate,
-    estimate,
-    headline_replication,
-    replicate,
-)
-
-
-# -- estimates -------------------------------------------------------------------
-
-
-def test_estimate_of_constant_samples_has_zero_width():
-    result = estimate([5.0, 5.0, 5.0, 5.0])
-    assert result.mean == 5.0
-    assert result.half_width == 0.0
-    assert result.contains(5.0)
-    assert not result.contains(5.1)
-
-
-def test_estimate_interval_widens_with_variance():
-    tight = estimate([10.0, 10.1, 9.9, 10.0])
-    loose = estimate([5.0, 15.0, 2.0, 18.0])
-    assert loose.half_width > 10 * tight.half_width
-
-
-def test_estimate_validation():
-    with pytest.raises(ValueError):
-        estimate([1.0])
-    with pytest.raises(ValueError):
-        estimate([1.0, 2.0], confidence=1.5)
-
-
-def test_estimate_matches_known_t_interval():
-    """n=4, s=1, mean=0: 95 % half-width = t(3) * 1/2 = 1.591."""
-    samples = [-1.0, 1.0, -1.0, 1.0]  # mean 0, sample std 2/sqrt(3)
-    result = estimate(samples)
-    import math
-
-    expected = 3.182 * (math.sqrt(4 / 3) / 2)
-    assert result.half_width == pytest.approx(expected, rel=0.01)
-
-
-def test_replicate_aggregates_metrics():
-    def run(seed):
-        return {"a": float(seed), "b": 2.0 * seed}
-
-    estimates = replicate(run, seeds=(1, 2, 3))
-    assert estimates["a"].mean == pytest.approx(2.0)
-    assert estimates["b"].mean == pytest.approx(4.0)
-
-
-def test_replicate_validation():
-    with pytest.raises(ValueError):
-        replicate(lambda s: {"a": 1.0}, seeds=(1,))
-
-    def inconsistent(seed):
-        return {"a": 1.0} if seed == 1 else {"b": 1.0}
-
-    with pytest.raises(ValueError):
-        replicate(inconsistent, seeds=(1, 2))
 
 
 def test_headline_replication_brackets_paper_numbers():
-    """Across seeds, the published values sit inside (or within a few
-    percent of) the replication intervals."""
-    estimates = headline_replication(
-        seeds=(1, 2, 3), invocations_per_function=20
-    )
-    assert estimates["microfaas_jpf"].mean == pytest.approx(5.7, rel=0.03)
-    assert estimates["conventional_jpf"].mean == pytest.approx(32.0, rel=0.04)
-    assert estimates["ratio"].mean == pytest.approx(5.6, rel=0.05)
-    assert estimates["microfaas_fpm"].mean == pytest.approx(200.6, rel=0.04)
+    """Averaged across seeds, the headline stays within a few percent
+    of the published values."""
+    results = [
+        headline.run(invocations_per_function=20, seed=seed)
+        for seed in (1, 2, 3)
+    ]
+
+    def mean(metric):
+        return sum(metric(result) for result in results) / len(results)
+
+    microfaas_jpf = mean(lambda r: r.microfaas.joules_per_function)
+    conventional_jpf = mean(lambda r: r.conventional.joules_per_function)
+    assert microfaas_jpf == pytest.approx(5.7, rel=0.03)
+    assert conventional_jpf == pytest.approx(32.0, rel=0.04)
+    assert mean(lambda r: r.efficiency_ratio) == pytest.approx(5.6, rel=0.05)
+    assert mean(
+        lambda r: r.microfaas.throughput_per_min
+    ) == pytest.approx(200.6, rel=0.04)
 
 
 # -- export ----------------------------------------------------------------------

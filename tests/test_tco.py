@@ -14,7 +14,6 @@ from repro.tco import (
     sbc_price_sensitivity,
     table2,
     tco_savings_fraction,
-    utilization_sweep,
 )
 
 #: Table II of the paper, to the dollar.
@@ -121,18 +120,6 @@ def test_conditions_validation():
         OperatingConditions("x", utilization=1.5, online_rate=1.0)
     with pytest.raises(ValueError):
         OperatingConditions("x", utilization=0.5, online_rate=0.0)
-
-
-def test_utilization_sweep_microfaas_cheaper_everywhere():
-    rows = utilization_sweep(points=11)
-    assert len(rows) == 11
-    for _u, conventional, microfaas in rows:
-        assert microfaas < conventional
-    # Totals rise with utilization for both (energy is a real cost).
-    conv_totals = [c for _u, c, _m in rows]
-    assert conv_totals == sorted(conv_totals)
-    with pytest.raises(ValueError):
-        utilization_sweep(points=1)
 
 
 def test_energy_proportionality_dominates_at_zero_utilization():

@@ -17,6 +17,15 @@ class FakeClock:
         return self.t
 
 
+def warm_ids(cluster):
+    """Worker ids whose warm flag is set."""
+    return [
+        worker.sbc.node_id
+        for worker in cluster.workers
+        if getattr(worker, "keep_warm", False)
+    ]
+
+
 # -- clean-state flag -----------------------------------------------------------------
 
 
@@ -72,9 +81,9 @@ def test_warm_pool_size_validation():
 def test_warm_pool_flags_workers():
     cluster = MicroFaaSCluster(worker_count=6)
     pool = WarmPool(cluster, size=3)
-    assert pool.warm_worker_ids() == [0, 1, 2]
+    assert warm_ids(cluster) == [0, 1, 2]
     pool.set_size(1)
-    assert pool.warm_worker_ids() == [0]
+    assert warm_ids(cluster) == [0]
 
 
 def test_warm_boards_stay_powered_and_clean_between_jobs():
@@ -152,8 +161,7 @@ def test_warm_pool_on_hybrid_warms_only_sbc_workers():
 
     cluster = HybridCluster(sbc_count=3, vm_count=2)
     pool = WarmPool(cluster, size=3)
-    assert pool.warmable_count == 3
-    assert pool.warm_worker_ids() == [0, 1, 2]
+    assert warm_ids(cluster) == [0, 1, 2]
     # Sizing is bounded by the warmable (SBC) fleet, not total workers.
     with pytest.raises(ValueError):
         WarmPool(cluster, size=4)
@@ -166,9 +174,9 @@ def test_warm_pool_on_hybrid_never_flags_vm_workers():
 
     cluster = HybridCluster(sbc_count=2, vm_count=2)
     pool = WarmPool(cluster, size=2)
-    warm = set(pool.warm_worker_ids())
+    warm = set(warm_ids(cluster))
     for worker_id in warm:
-        assert cluster.worker_platform(worker_id) == "arm"
+        assert cluster.workers[worker_id].platform == "arm"
     for worker in cluster.workers:
         if getattr(worker, "sbc", None) is None:
             assert not getattr(worker, "keep_warm", False)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.workloads.aes128 import (
     INV_SBOX,
     SBOX,
-    ctr_keystream_xor,
     decrypt_block,
     decrypt_ecb,
     encrypt_block,
@@ -84,20 +83,6 @@ def test_ecb_roundtrip_multiblock():
     key = bytes(range(16))
     message = b"The quick brown fox jumps over the lazy dog"
     assert decrypt_ecb(encrypt_ecb(message, key), key) == message
-
-
-def test_ctr_mode_is_its_own_inverse():
-    key = bytes(range(16))
-    nonce = b"\x01" * 8
-    message = b"counter mode payload, not block aligned!"
-    encrypted = ctr_keystream_xor(message, key, nonce)
-    assert encrypted != message
-    assert ctr_keystream_xor(encrypted, key, nonce) == message
-
-
-def test_ctr_nonce_length_checked():
-    with pytest.raises(ValueError):
-        ctr_keystream_xor(b"x", bytes(16), b"short")
 
 
 @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))

@@ -65,7 +65,8 @@ def test_profile_lookup():
 def test_profile_categories_match_function_categories():
     for name, function in registry().items():
         profile = profile_for(name)
-        assert profile.is_network_bound == (function.category == NETWORK_BOUND)
+        network_bound = profile.service_op is not None
+        assert network_bound == (function.category == NETWORK_BOUND)
 
 
 def test_profile_platform_accessors():
