@@ -26,7 +26,7 @@ def test_bench_megatrace(benchmark):
     result = benchmark.pedantic(
         run_in_child,
         kwargs={"invocations": INVOCATIONS},
-        rounds=1,
+        rounds=5,
         iterations=1,
     )
     emit(megatrace.render(result))
@@ -48,7 +48,7 @@ def test_bench_megatrace(benchmark):
 def test_bench_megatrace_streaming_rss_bound(benchmark):
     """The 10^8-invocation code path, held to a fixed memory bound.
 
-    ``streaming=True`` forces exactly what a 10^8 run executes — chunked
+    Every megatrace runs exactly what a 10^8 run executes — chunked
     arrival generation (no materialized trace) plus autocompacting power
     traces — so asserting RSS here pins the only property that run
     depends on.  A full 10^8 replay on this path measured ~160 MiB peak
@@ -58,7 +58,7 @@ def test_bench_megatrace_streaming_rss_bound(benchmark):
     """
     result = benchmark.pedantic(
         run_in_child,
-        kwargs={"invocations": 200_000, "streaming": True},
+        kwargs={"invocations": 200_000},
         rounds=1,
         iterations=1,
     )

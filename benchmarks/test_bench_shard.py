@@ -124,7 +124,7 @@ def _fleet_replay(workers):
     )
     rate = workers * WORKER_JOBS_PER_S * 0.85
     trace = poisson_trace(
-        rate, workers / rate, streams=RandomStreams(1), columnar=True
+        rate, workers / rate, streams=RandomStreams(1)
     )
     return spec, trace
 

@@ -53,13 +53,12 @@ class Artifact:
     #: writes.
     module: ModuleType
     #: Parsed arguments -> the study's result.  ``jobs`` is ``None`` for
-    #: one process per CPU core; ``trace``, ``shards`` and ``streaming``
-    #: reach only the artifacts that declare them below.
+    #: one process per CPU core; ``trace`` and ``shards`` reach only the
+    #: artifacts that declare them below.
     run: Callable[[argparse.Namespace], Any]
     #: Options the run honours; the CLI rejects each one elsewhere.
     trace: bool = False
     shards: bool = False
-    streaming: bool = False
     #: False where the module's tables would overwrite another entry's.
     exports: bool = True
 
@@ -201,11 +200,9 @@ ARTIFACTS: Dict[str, Artifact] = {
             invocations=a.invocations * 10_000,
             trace_path=a.trace,
             shards=a.shards,
-            streaming={"auto": None, "on": True, "off": False}[a.streaming],
         ),
         trace=True,
         shards=True,
-        streaming=True,
     ),
 }
 
@@ -256,14 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="split each simulation across N shard processes "
         f"({_only('shards')})",
-    )
-    parser.add_argument(
-        "--streaming",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help="bounded-RSS replay fast path: chunked arrival generation + "
-        f"autocompacting power traces ({_only('streaming')}; auto = on past "
-        f"{megatrace.STREAMING_THRESHOLD:,} invocations)",
     )
     parser.add_argument(
         "--profile",
@@ -325,7 +314,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     for flag, field, given in (
         ("--trace", "trace", args.trace is not None),
         ("--shards", "shards", args.shards > 1),
-        ("--streaming", "streaming", args.streaming != "auto"),
         # --export-dir also takes --profile output, and ``all`` exports
         # every artifact that has tables.
         ("--export-dir", "tables", args.export_dir is not None

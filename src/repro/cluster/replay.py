@@ -2,18 +2,37 @@
 
 Works on every :class:`~repro.cluster.harness.ClusterHarness`
 composition (MicroFaaS, conventional, hybrid) through its ``env``,
-``orchestrator`` and ``result_snapshot``.  Traces
-are duck-typed too: anything with ``iter_pairs()``/``duration_s`` —
-an :class:`~repro.workloads.traces.ArrivalTrace` or the columnar
-representation megatrace-scale runs use — replays the same way.
+``orchestrator`` and ``result_snapshot``.  A trace is anything with
+``iter_pairs()``/``duration_s``: a
+:class:`~repro.workloads.traces.ColumnarTrace` or the lazy
+:class:`~repro.workloads.traces.ChunkedPoissonTrace` megatrace-scale
+runs use.  :func:`_batches` is the one same-instant grouping that this
+replay, the sharded replay and the federation gateway share.
 """
 
 from __future__ import annotations
 
-from typing import List
+from itertools import chain
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.cluster.result import ClusterResult
 from repro.workloads.traces import Trace
+
+
+def _batches(
+    pairs: Iterable[Tuple[float, str]]
+) -> Iterator[Tuple[float, List[str]]]:
+    """Group ``(time, function)`` pairs into same-instant batches."""
+    batch_time: Optional[float] = None
+    batch: List[str] = []
+    for time_s, function in pairs:
+        if batch_time is not None and time_s != batch_time:
+            yield batch_time, batch
+            batch = []
+        batch_time = time_s
+        batch.append(function)
+    if batch_time is not None:
+        yield batch_time, batch
 
 
 def replay_trace(cluster, trace: Trace) -> ClusterResult:
@@ -28,31 +47,20 @@ def replay_trace(cluster, trace: Trace) -> ClusterResult:
     and the last completion — idle stretches count against energy, which
     is exactly where energy proportionality earns its keep.
     """
-    # Streaming traces (e.g. ChunkedPoissonTrace) are unsized — emptiness
-    # there surfaces from the iterator instead.
-    if hasattr(type(trace), "__len__") and len(trace) == 0:
+    batches = _batches(trace.iter_pairs())
+    # A lazy trace is unsized, so emptiness shows on the first batch.
+    first = next(batches, None)
+    if first is None:
         raise ValueError("empty trace")
     env = cluster.env
     orchestrator = cluster.orchestrator
 
     def submitter():
-        batch_time = None
-        batch: List[str] = []
-        for time_s, function in trace.iter_pairs():
-            if batch_time is not None and time_s != batch_time:
-                delay = batch_time - env.now
-                if delay > 0:
-                    yield env.timeout(delay)
-                orchestrator.submit_batch(batch)
-                batch = []
-            batch_time = time_s
-            batch.append(function)
-        if batch_time is None:
-            raise ValueError("empty trace")
-        delay = batch_time - env.now
-        if delay > 0:
-            yield env.timeout(delay)
-        orchestrator.submit_batch(batch)
+        for time_s, batch in chain((first,), batches):
+            delay = time_s - env.now
+            if delay > 0:
+                yield env.timeout(delay)
+            orchestrator.submit_batch(batch)
 
     def runner():
         yield env.process(submitter(), name="trace-submitter")

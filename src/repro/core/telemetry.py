@@ -310,24 +310,6 @@ class _FunctionAccumulator:
         self.runtime_sketch.merge(other.runtime_sketch)
 
 
-class _PlatformAccumulator:
-    """Streaming per-platform aggregates (the hybrid-cluster dimension)."""
-
-    __slots__ = ("latency", "latency_sketch")
-
-    def __init__(self, gamma: float):
-        self.latency = _RunningStat()
-        self.latency_sketch = QuantileSketch(gamma=gamma)
-
-    def add(self, latency: float) -> None:
-        self.latency.add(latency)
-        self.latency_sketch.add(latency)
-
-    def merge(self, other: "_PlatformAccumulator") -> None:
-        self.latency.merge(other.latency)
-        self.latency_sketch.merge(other.latency_sketch)
-
-
 @dataclass(frozen=True)
 class FunctionStats:
     """Aggregates for one function (one group of Fig. 3 bars)."""
@@ -365,9 +347,9 @@ class TelemetryCollector:
         # first_start/last_completion/mean_* O(1) in exact mode too, and
         # they are what the streaming==exact property tests compare.
         self._functions: Dict[str, _FunctionAccumulator] = {}
-        # Per-platform aggregates: heterogeneous (SBC + microVM)
+        # Per-platform latency sketches: heterogeneous (SBC + microVM)
         # clusters report latency and counts per worker platform.
-        self._platforms: Dict[str, _PlatformAccumulator] = {}
+        self._platforms: Dict[str, QuantileSketch] = {}
         self._cycle = _RunningStat()
         self._queue_wait = _RunningStat()
         self._latency = _RunningStat()
@@ -401,11 +383,11 @@ class TelemetryCollector:
         self._latency.add(latency)
         self._queue_wait_sketch.add(queue_wait)
         self._latency_sketch.add(latency)
-        platform_acc = self._platforms.get(record.platform)
-        if platform_acc is None:
-            platform_acc = _PlatformAccumulator(self.sketch_gamma)
-            self._platforms[record.platform] = platform_acc
-        platform_acc.add(latency)
+        platform_sketch = self._platforms.get(record.platform)
+        if platform_sketch is None:
+            platform_sketch = QuantileSketch(gamma=self.sketch_gamma)
+            self._platforms[record.platform] = platform_sketch
+        platform_sketch.add(latency)
         if self.exact:
             self.records.append(record)
 
@@ -454,12 +436,12 @@ class TelemetryCollector:
                 mine = _FunctionAccumulator(self.sketch_gamma)
                 self._functions[name] = mine
             mine.merge(accumulator)
-        for name, platform_acc in other._platforms.items():
+        for name, platform_sketch in other._platforms.items():
             mine_platform = self._platforms.get(name)
             if mine_platform is None:
-                mine_platform = _PlatformAccumulator(self.sketch_gamma)
+                mine_platform = QuantileSketch(gamma=self.sketch_gamma)
                 self._platforms[name] = mine_platform
-            mine_platform.merge(platform_acc)
+            mine_platform.merge(platform_sketch)
         self._cycle.merge(other._cycle)
         self._queue_wait.merge(other._queue_wait)
         self._latency.merge(other._latency)
@@ -575,22 +557,22 @@ class TelemetryCollector:
         """Worker platforms that completed at least one job."""
         return sorted(self._platforms)
 
-    def _platform_accumulator(self, platform: str) -> _PlatformAccumulator:
-        accumulator = self._platforms.get(platform)
-        if accumulator is None:
+    def _platform_sketch(self, platform: str) -> QuantileSketch:
+        sketch = self._platforms.get(platform)
+        if sketch is None:
             raise KeyError(
                 f"no records for platform {platform!r}; "
                 f"seen: {sorted(self._platforms)}"
             )
-        return accumulator
+        return sketch
 
     def platform_count(self, platform: str) -> int:
         """Completed jobs attributed to one worker platform."""
-        return self._platform_accumulator(platform).latency.count
+        return self._platform_sketch(platform).count
 
     def platform_percentile_latency_s(self, platform: str, p: float) -> float:
         """Latency percentile on one platform (exact or sketch)."""
-        accumulator = self._platform_accumulator(platform)
+        sketch = self._platform_sketch(platform)
         if not 0 <= p <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         if self.exact:
@@ -603,7 +585,7 @@ class TelemetryCollector:
                 ],
             )
             return _percentile_of_sorted(ordered, p)
-        return accumulator.latency_sketch.quantile(p)
+        return sketch.quantile(p)
 
     # -- cluster-level aggregates ---------------------------------------------
 

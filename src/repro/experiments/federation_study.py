@@ -55,8 +55,8 @@ WORKER_JOBS_PER_S = 1.0 / 3.0
 #: single-region outage is absorbable.
 TARGET_UTILIZATION = 0.6
 
-#: Arrival-count threshold above which a point switches to the
-#: large-run fast path: columnar traces and streaming telemetry.
+#: Arrival-count threshold above which a point collects its telemetry
+#: in streaming mode (the large-run fast path).
 FAST_PATH_ARRIVALS = 10_000
 
 
@@ -195,12 +195,7 @@ def _run_federation_point(
         )
         RegionChaosInjector(fed, plan.events, profile=profile).start()
     streams = RandomStreams(derive_seed(task.seed, "arrivals"))
-    arrivals = poisson_trace(
-        task.rate_per_s,
-        task.duration_s,
-        streams=streams,
-        columnar=task.rate_per_s * task.duration_s >= FAST_PATH_ARRIVALS,
-    )
+    arrivals = poisson_trace(task.rate_per_s, task.duration_s, streams=streams)
     # Client geographies: one uniform draw per arrival, batched so the
     # fast path stays fast and the draw count is arrival-count exact.
     geo_draws = streams.random_batch("client-geos", len(arrivals))

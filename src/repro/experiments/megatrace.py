@@ -2,19 +2,19 @@
 
 The ROADMAP's north star is "heavy traffic from millions of users";
 this experiment is the existence proof that the simulator can carry
-such a load end to end.  It generates a columnar Poisson trace
-(:func:`repro.workloads.traces.poisson_trace` with ``columnar=True``),
-replays it through a MicroFaaS cluster running the large-run fast path
-— streaming telemetry (no per-record retention), batched arrivals, and
-finished-job eviction at the OP — and reports what an operator would
+such a load end to end.  It replays a Poisson trace generated lazily,
+chunk by chunk (:class:`repro.workloads.traces.ChunkedPoissonTrace`),
+through a MicroFaaS cluster running the large-run fast path — streaming
+telemetry (no per-record retention), batched arrivals, finished-job
+eviction at the OP, and power traces that fold old change points into
+an exact running energy prefix — and reports what an operator would
 ask about the run: wall-clock, peak RSS, sustained throughput, latency
 tail, and energy per function.
 
 Every per-invocation structure is bounded or evicted, so memory stays
-O(in-flight + workers) regardless of trace length; the only O(N) state
-left is the packed power-trace arrays (16 bytes per state change) that
-exact energy integration needs.  A million invocations on 128 workers
-completes in roughly a minute of wall-clock within a few hundred MiB.
+O(in-flight + workers) regardless of trace length, even at 10⁸
+invocations.  A million invocations on 128 workers completes in
+roughly a minute of wall-clock within a few hundred MiB.
 """
 
 from __future__ import annotations
@@ -31,22 +31,15 @@ from repro.experiments.report import Table, format_table
 from repro.experiments.runner import derive_seed, map_traced
 from repro.obs.trace import FinishedTrace, TraceConfig
 from repro.shard.runtime import ClusterSpec
-from repro.sim.rng import RandomStreams
-from repro.workloads.traces import ChunkedPoissonTrace, poisson_trace
+from repro.workloads.traces import ChunkedPoissonTrace
 
 #: Sustained per-worker service rate of a BeagleBone through the full
 #: boot→execute→report cycle (the testbed does ~200 func/min across 10
 #: boards, Sec. V) — used to size the arrival rate against capacity.
 WORKER_JOBS_PER_S = 1.0 / 3.0
 
-#: Above this many invocations, :func:`run` switches to the streaming
-#: trace + bounded power traces automatically: the eager columnar trace
-#: alone would cost ~16 bytes/arrival, and unbounded per-board power
-#: traces another ~64 bytes/invocation.
-STREAMING_THRESHOLD = 10_000_000
-
-#: Retained change points per power trace in streaming mode (~1 MiB per
-#: board at 16 bytes/point; older points fold into an energy prefix).
+#: Retained change points per power trace (~1 MiB per board at 16
+#: bytes/point; older points fold into an energy prefix).
 POWER_TRACE_MAX_POINTS = 65_536
 
 
@@ -94,10 +87,6 @@ class MegatraceResult:
     #: cluster, one OP; N = the trace striped over N independent
     #: worker-slices, each with its own orchestrator).
     shards: int = 1
-    #: Which arrival path ran: True for the bounded-RSS streaming path
-    #: (chunked arrivals, autocompacting power traces), False for the
-    #: eager columnar trace.
-    streaming: bool = False
 
     @property
     def events_per_wall_s(self) -> float:
@@ -109,8 +98,7 @@ class MegatraceResult:
 class _StripeTask:
     """One partition of a megatrace replay (picklable).
 
-    ``stripe`` is the whole trace for a one-partition replay, else an
-    eager :class:`~repro.workloads.traces.ColumnarTrace` slice or a
+    ``stripe`` is the whole trace for a one-partition replay, else a
     :class:`ChunkedPoissonTrace` stripe (a few parameters instead of
     arrays — what makes 10⁸-arrival partitioned replays picklable at
     all).
@@ -120,7 +108,6 @@ class _StripeTask:
     worker_count: int
     seed: int
     trace: Optional[TraceConfig]
-    streaming: bool = False
     #: Precomputed construction plan (a few hundred bytes of names and
     #: ints) so each partition process skips topology discovery.
     blueprint: Optional[object] = None
@@ -137,8 +124,7 @@ def _replay_stripe(task: _StripeTask) -> Tuple[dict, List[FinishedTrace]]:
         blueprint=task.blueprint,
     )
     cluster.orchestrator.evict_finished = True
-    if task.streaming:
-        cluster.bound_power_traces(POWER_TRACE_MAX_POINTS)
+    cluster.bound_power_traces(POWER_TRACE_MAX_POINTS)
     result = replay_trace(cluster, task.stripe)
     traces = cluster.finished_traces()
     tracer = cluster.tracer
@@ -163,7 +149,6 @@ def run(
     trace_sample_rate: float = 0.001,
     trace_max: int = 2048,
     shards: int = 1,
-    streaming: Optional[bool] = None,
 ) -> MegatraceResult:
     """Replay ``invocations`` Poisson arrivals at ``utilization`` of the
     cluster's sustained capacity.
@@ -189,14 +174,6 @@ def run(
     process scheduling: each partition carries a derived seed and its
     stripe, and results merge in partition order.  One partition
     replays the whole trace in-process under ``seed`` itself.
-
-    ``streaming`` selects the bounded-RSS fast path for very long
-    replays: the arrival trace is generated lazily in chunks
-    (:class:`~repro.workloads.traces.ChunkedPoissonTrace`, bit-identical
-    to the eager trace) and every power trace autocompacts into an
-    exact running energy prefix — memory stays O(in-flight + workers)
-    even at 10⁸ invocations.  ``None`` (the default) turns it on
-    automatically past :data:`STREAMING_THRESHOLD`.
     """
     if invocations < 1:
         raise ValueError("invocations must be >= 1")
@@ -219,17 +196,8 @@ def run(
         if trace_path is not None
         else None
     )
-    if streaming is None:
-        streaming = invocations >= STREAMING_THRESHOLD
     start = time.perf_counter()
-    if streaming:
-        trace = ChunkedPoissonTrace(
-            rate_per_s=rate, duration_s=duration, seed=seed
-        )
-    else:
-        trace = poisson_trace(
-            rate, duration, streams=RandomStreams(seed), columnar=True
-        )
+    trace = ChunkedPoissonTrace(rate_per_s=rate, duration_s=duration, seed=seed)
     base, extra = divmod(worker_count, shards)
     # One blueprint per distinct partition size (there are at most two:
     # base and base+1), computed once and shipped to every process.
@@ -246,7 +214,6 @@ def run(
                 else derive_seed(seed, "megatrace-shard", index)
             ),
             trace=trace_config,
-            streaming=streaming,
             blueprint=blueprints[base + (1 if index < extra else 0)],
         )
         for index in range(shards)
@@ -280,7 +247,6 @@ def run(
         traces_dropped=sum(out["traces_dropped"] for out in outs),
         traces_exported=sum(out["traces_exported"] for out in outs),
         shards=shards,
-        streaming=streaming,
     )
 
 
@@ -297,12 +263,6 @@ def render(result: MegatraceResult) -> str:
             ),
         ),
         ("arrival rate", f"{result.rate_per_s:.1f} /s"),
-        (
-            "arrival path",
-            "streaming (chunked arrivals, compacting power traces)"
-            if result.streaming
-            else "eager (columnar trace, full power traces)",
-        ),
         ("simulated time", f"{result.sim_duration_s / 3600:.2f} h"),
         ("throughput", f"{result.throughput_per_min:.0f} func/min"),
         ("mean latency", f"{result.mean_latency_s:.2f} s"),

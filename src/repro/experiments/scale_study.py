@@ -24,9 +24,14 @@ from repro.experiments.runner import run_map
 from repro.shard import ClusterSpec, ShardedCluster
 from repro.workloads.profiles import PROFILES
 
+#: Points with at least this many workers collect telemetry in
+#: streaming mode so their memory stays bounded (throughput and OP
+#: utilization are mode-independent).
+STREAMING_TELEMETRY_WORKERS = 1000
+
 #: The frontier sweep: cluster sizes from two racks up to five times the
-#: TCO analysis's 989-SBC rack.  Points this large run with streaming
-#: telemetry (see :func:`run`'s ``streaming_threshold``).
+#: TCO analysis's 989-SBC rack.  Every point is past
+#: :data:`STREAMING_TELEMETRY_WORKERS`, so all run streaming telemetry.
 FRONTIER_WORKER_COUNTS = (2000, 3000, 4000, 5000)
 
 #: The sharded-execution limit point: a hundred thousand workers — two
@@ -184,16 +189,14 @@ def run(
     control_plane: ControlPlaneModel = ControlPlaneModel(),
     seed: int = 1,
     jobs: int = 1,
-    streaming_threshold: int = 1000,
     shards: int = 1,
 ) -> ScaleStudyResult:
     """Sweep cluster sizes under the single-SBC control plane.
 
     Each size is an independent task spec (seed included), so the sweep
     parallelizes across ``jobs`` processes without changing any value.
-    Points at or above ``streaming_threshold`` workers collect telemetry
-    in streaming mode so their memory stays bounded (throughput and OP
-    utilization are mode-independent).
+    Points at or above :data:`STREAMING_TELEMETRY_WORKERS` workers
+    collect telemetry in streaming mode.
 
     ``shards > 1`` splits every point's simulation across that many
     shard processes (see :mod:`repro.shard`) and shards the OP with it
@@ -212,7 +215,7 @@ def run(
             jobs_per_worker,
             seed,
             control_plane,
-            streaming_telemetry=count >= streaming_threshold,
+            streaming_telemetry=count >= STREAMING_TELEMETRY_WORKERS,
             shards=shards,
         )
         for count in worker_counts
@@ -229,7 +232,8 @@ def run_frontier(
     shards: int = 1,
     worker_counts: Sequence[int] = FRONTIER_WORKER_COUNTS,
 ) -> ScaleStudyResult:
-    """The 2,000–5,000-worker sweep (always streaming telemetry).
+    """The 2,000–5,000-worker sweep (streaming telemetry: every point
+    is past :data:`STREAMING_TELEMETRY_WORKERS`).
 
     Pass ``shards > 1`` with
     ``worker_counts=(*FRONTIER_WORKER_COUNTS, FRONTIER_LIMIT_WORKER_COUNT)``
@@ -241,7 +245,6 @@ def run_frontier(
         control_plane=control_plane,
         seed=seed,
         jobs=jobs,
-        streaming_threshold=0,
         shards=shards,
     )
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.cluster.replay import _batches
 from repro.core.backoff import backoff_delay_s
 from repro.core.policies import RecoveryPolicy, WorkerHealthTracker
 from repro.core.telemetry import QuantileSketch, RunningStat, TelemetryCollector
@@ -617,12 +618,12 @@ class FederatedCluster:
     ) -> "FederationResult":
         """Replay an arrival trace through the gateway.
 
-        ``trace`` is anything with ``iter_pairs()``/``duration_s``
-        (:class:`~repro.workloads.traces.ArrivalTrace` or the columnar
-        fast path); ``geos[i]`` is the i-th arrival's client geo and
-        ``priorities[i]`` its priority (default 1).  Arrivals sharing a
-        timestamp submit in one burst, as in
-        :func:`repro.cluster.replay.replay_trace`.
+        ``trace`` is a sized trace with ``iter_pairs()``/``duration_s``
+        (a :class:`~repro.workloads.traces.ColumnarTrace`); ``geos[i]``
+        is the i-th arrival's client geo and ``priorities[i]`` its
+        priority (default 1).  Arrivals sharing a timestamp submit in
+        one burst, grouped as :func:`repro.cluster.replay.replay_trace`
+        groups them.
         """
         if len(trace) == 0:
             raise ValueError("empty trace")
@@ -632,30 +633,16 @@ class FederatedCluster:
 
         def submitter():
             index = 0
-            batch_time = None
-            pending: List[Tuple[int, str]] = []
-            for time_s, function in trace.iter_pairs():
-                if batch_time is not None and time_s != batch_time:
-                    delay = batch_time - env.now
-                    if delay > 0:
-                        yield env.timeout(delay)
-                    for i, fn in pending:
-                        self.submit(
-                            fn, geos[i],
-                            priorities[i] if priorities is not None else 1,
-                        )
-                    pending = []
-                batch_time = time_s
-                pending.append((index, function))
-                index += 1
-            delay = batch_time - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            for i, fn in pending:
-                self.submit(
-                    fn, geos[i],
-                    priorities[i] if priorities is not None else 1,
-                )
+            for time_s, batch in _batches(trace.iter_pairs()):
+                delay = time_s - env.now
+                if delay > 0:
+                    yield env.timeout(delay)
+                for function in batch:
+                    self.submit(
+                        function, geos[index],
+                        priorities[index] if priorities is not None else 1,
+                    )
+                    index += 1
 
         def runner():
             yield env.process(submitter(), name="fed-submitter")

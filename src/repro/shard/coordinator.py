@@ -61,8 +61,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.cluster.replay import _batches
 from repro.cluster.result import ClusterResult
 from repro.core.platform import ARM, HYBRID, MICROFAAS, X86
 from repro.core.scheduler import SchedulingState
@@ -377,12 +379,11 @@ class ShardedCluster:
         the trace end and the last completion, matching the serial
         ``duration = max(env.now, trace.duration_s)``.
         """
-        if hasattr(type(trace), "__len__") and len(trace) == 0:
-            raise ValueError("empty trace")
         batches = _batches(trace.iter_pairs())
-        self._run(batches)
-        if self._next_job_id == 0:
+        first = next(batches, None)
+        if first is None:
             raise ValueError("empty trace")
+        self._run(chain((first,), batches))
         return self._finish(end_time=trace.duration_s)
 
     # -- result merging --------------------------------------------------------
@@ -502,20 +503,6 @@ class ShardedCluster:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _batches(pairs):
-    """Group ``(time, function)`` pairs into same-instant batches."""
-    batch_time: Optional[float] = None
-    batch: List[str] = []
-    for time_s, function in pairs:
-        if batch_time is not None and time_s != batch_time:
-            yield batch_time, batch
-            batch = []
-        batch_time = time_s
-        batch.append(function)
-    if batch_time is not None:
-        yield batch_time, batch
 
 
 __all__ = ["ClusterSpec", "ShardedCluster", "ShardedRunStats"]

@@ -8,25 +8,20 @@ energy-proportionality advantage at low utilization becomes visible in
 end-to-end runs).
 
 All generators are deterministic given a :class:`RandomStreams` and
-return a time-sorted trace replayable against either cluster via
-:func:`repro.cluster.replay.replay_trace`.  Two representations share
-one replay interface (``iter_pairs``):
-
-- :class:`ArrivalTrace` — a tuple of :class:`TraceEvent` objects; the
-  original representation, right for small traces that tests inspect
-  event by event.
-- :class:`ColumnarTrace` (``columnar=True`` on any generator) — a numpy
-  time array plus function-index array.  At ~16 bytes/event instead of
-  a boxed object each, this is what lets the megatrace experiment hold
-  millions of arrivals.
+return a time-sorted :class:`ColumnarTrace` — a numpy time array plus a
+function-index array, ~16 bytes per arrival — replayable against either
+cluster via :func:`repro.cluster.replay.replay_trace`.  The one lazy
+form, :class:`ChunkedPoissonTrace`, holds only its parameters and
+generates a Poisson trace chunk by chunk during replay; both yield
+``(time_s, function)`` pairs through ``iter_pairs``.
 
 Sampling is pre-batched: gaps are drawn in chunks through
 :meth:`RandomStreams.expovariate_batch` and accumulated with
 ``np.cumsum`` seeded by the running offset, which performs the same
 left-to-right float additions as the scalar ``t += gap`` loop — so for
 a given seed, batched traces are **bit-identical** to the pre-batching
-scalar generators, and ``columnar=True`` yields the same times and
-functions as ``columnar=False``.
+scalar generators, and a :class:`ChunkedPoissonTrace` yields the same
+times and functions as :func:`poisson_trace`.
 """
 
 from __future__ import annotations
@@ -110,49 +105,12 @@ class FunctionMix:
 
 
 @dataclass(frozen=True)
-class TraceEvent:
-    """One invocation arrival."""
-
-    time_s: float
-    function: str
-
-    def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ValueError("negative arrival time")
-
-
-@dataclass(frozen=True)
-class ArrivalTrace:
-    """A time-sorted invocation trace."""
-
-    events: Tuple[TraceEvent, ...]
-    duration_s: float
-
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
-        times = [e.time_s for e in self.events]
-        if times != sorted(times):
-            raise ValueError("trace events out of order")
-        if times and times[-1] > self.duration_s:
-            raise ValueError("event beyond trace duration")
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def iter_pairs(self) -> Iterator[Tuple[float, str]]:
-        """Yield ``(time_s, function)`` in arrival order."""
-        for event in self.events:
-            yield event.time_s, event.function
-
-
-@dataclass(frozen=True)
 class ColumnarTrace:
     """A time-sorted invocation trace in columnar form.
 
     ``times[i]`` pairs with ``functions[function_ids[i]]``.  Sixteen
     bytes per event regardless of trace length; replay goes through the
-    same ``iter_pairs`` interface as :class:`ArrivalTrace`.
+    same ``iter_pairs`` interface as :class:`ChunkedPoissonTrace`.
     """
 
     times: np.ndarray
@@ -187,27 +145,6 @@ class ColumnarTrace:
         for i in range(len(times)):
             yield float(times[i]), functions[ids[i]]
 
-    def stripe(self, index: int, count: int) -> "ColumnarTrace":
-        """The ``index``-th of ``count`` round-robin stripes.
-
-        Takes events ``index, index + count, index + 2*count, ...`` —
-        still time-sorted, same duration, and the stripes partition the
-        trace exactly (every event lands in one stripe).  This is how a
-        partitioned deployment splits traffic across independent
-        orchestrators: round-robin keeps each stripe's arrival process
-        statistically identical to a 1/``count``-thinned original.
-        """
-        if count < 1:
-            raise ValueError("stripe count must be >= 1")
-        if not 0 <= index < count:
-            raise ValueError("stripe index out of range")
-        return ColumnarTrace(
-            times=self.times[index::count],
-            function_ids=self.function_ids[index::count],
-            functions=self.functions,
-            duration_s=self.duration_s,
-        )
-
 
 @dataclass(frozen=True)
 class ChunkedPoissonTrace:
@@ -217,11 +154,9 @@ class ChunkedPoissonTrace:
     instead of materialized arrays, so a 10⁸-arrival megatrace costs a
     few hundred bytes of resident memory instead of ~1.6 GB.  The trace
     is **bit-identical** to ``poisson_trace(rate, duration,
-    streams=RandomStreams(seed), columnar=True)``: gap and mix draws
-    come from the same independent named streams ("poisson" / "mix"),
-    drawn in chunks of :data:`_CHUNK` exactly as the eager generator
-    draws them, and the cumsum chaining preserves the scalar loop's
-    float-addition order.
+    streams=RandomStreams(seed))``: gap and mix draws come from the same
+    independent named streams ("poisson" / "mix"), and both read their
+    arrival times from the one chunk sampler, :func:`_poisson_chunks`.
 
     Because arrivals are counted only as they stream past, the trace has
     no ``__len__``; replay detects emptiness from the iterator itself.
@@ -243,8 +178,14 @@ class ChunkedPoissonTrace:
             raise ValueError("stripe index out of range")
 
     def stripe(self, index: int, count: int) -> "ChunkedPoissonTrace":
-        """Round-robin stripe, matching :meth:`ColumnarTrace.stripe`.
+        """The ``index``-th of ``count`` round-robin stripes.
 
+        Takes events ``index, index + count, index + 2*count, ...`` —
+        still time-sorted, same duration, and the stripes partition the
+        trace exactly (every event lands in one stripe).  This is how a
+        partitioned deployment splits traffic across independent
+        orchestrators: round-robin keeps each stripe's arrival process
+        statistically identical to a 1/``count``-thinned original.
         Striping an already-striped trace is not supported.
         """
         if self.stripe_count != 1:
@@ -264,18 +205,12 @@ class ChunkedPoissonTrace:
         streams = RandomStreams(self.seed)
         mix = self.mix if self.mix is not None else FunctionMix.uniform()
         names = mix.names
-        duration = self.duration_s
-        rate = self.rate_per_s
         stride = self.stripe_count
         # Global index of the next event, modulo the stripe pattern.
         offset = self.stripe_index
-        t = 0.0
-        while True:
-            gaps = streams.expovariate_batch("poisson", rate, _CHUNK)
-            cumulative = np.cumsum([t] + gaps)
-            cut = int(np.searchsorted(cumulative, duration, side="right"))
-            done = cut < len(cumulative)
-            chunk = cumulative[1:cut] if done else cumulative[1:]
+        for chunk in _poisson_chunks(
+            streams, "poisson", self.rate_per_s, self.duration_s
+        ):
             ids = mix.sample_indices(streams, len(chunk))
             if stride == 1:
                 for i in range(len(chunk)):
@@ -284,35 +219,42 @@ class ChunkedPoissonTrace:
                 for i in range(offset, len(chunk), stride):
                     yield float(chunk[i]), names[ids[i]]
                 offset = (offset - len(chunk)) % stride
-            if done:
-                return
-            t = float(cumulative[-1])
 
 
-Trace = Union[ArrivalTrace, ColumnarTrace, ChunkedPoissonTrace]
+Trace = Union[ColumnarTrace, ChunkedPoissonTrace]
 
 
-def _accumulate_gaps(
+def _poisson_chunks(
     streams: RandomStreams, name: str, rate: float, limit: float
-) -> List[float]:
-    """Arrival times of a homogeneous Poisson process on ``(0, limit]``.
+) -> Iterator[np.ndarray]:
+    """Arrival times of a homogeneous Poisson process on ``(0, limit]``,
+    one chunk of at most :data:`_CHUNK` times at a time.
 
-    Gaps are drawn in chunks of :data:`_CHUNK`; each chunk's running sum
-    is seeded with the previous chunk's last time as the cumsum's first
-    element, so the additions happen in the exact order of the scalar
-    ``t += expovariate()`` loop and the times are bit-identical to it.
+    Each chunk's running sum is seeded with the previous chunk's last
+    time as the cumsum's first element, so the additions happen in the
+    exact order of the scalar ``t += expovariate()`` loop and the times
+    are bit-identical to it.
     """
-    times: List[float] = []
     t = 0.0
     while True:
         gaps = streams.expovariate_batch(name, rate, _CHUNK)
         cumulative = np.cumsum([t] + gaps)
         cut = int(np.searchsorted(cumulative, limit, side="right"))
         if cut < len(cumulative):
-            times.extend(cumulative[1:cut].tolist())
-            return times
-        times.extend(cumulative[1:].tolist())
+            yield cumulative[1:cut]
+            return
+        yield cumulative[1:]
         t = float(cumulative[-1])
+
+
+def _accumulate_gaps(
+    streams: RandomStreams, name: str, rate: float, limit: float
+) -> List[float]:
+    """Every time :func:`_poisson_chunks` yields, as one list."""
+    times: List[float] = []
+    for chunk in _poisson_chunks(streams, name, rate, limit):
+        times.extend(chunk.tolist())
+    return times
 
 
 def _assemble(
@@ -320,53 +262,14 @@ def _assemble(
     mix: FunctionMix,
     streams: RandomStreams,
     duration_s: float,
-    columnar: bool,
-) -> Trace:
-    """Draw one function per arrival and pack the chosen representation."""
-    ids = mix.sample_indices(streams, len(times))
-    if columnar:
-        return ColumnarTrace(
-            times=np.asarray(times),
-            function_ids=ids,
-            functions=mix.names,
-            duration_s=duration_s,
-        )
-    names = mix.names
-    return ArrivalTrace(
-        events=tuple(
-            TraceEvent(time_s=t, function=names[i])
-            for t, i in zip(times, ids)
-        ),
+) -> ColumnarTrace:
+    """Draw one function per arrival and pack the columnar trace."""
+    return ColumnarTrace(
+        times=np.asarray(times),
+        function_ids=mix.sample_indices(streams, len(times)),
+        functions=mix.names,
         duration_s=duration_s,
     )
-
-
-def constant_rate_trace(
-    rate_per_s: float,
-    duration_s: float,
-    mix: Optional[FunctionMix] = None,
-    streams: Optional[RandomStreams] = None,
-    columnar: bool = False,
-) -> Trace:
-    """Evenly spaced arrivals at a fixed rate."""
-    if rate_per_s <= 0 or duration_s <= 0:
-        raise ValueError("rate and duration must be positive")
-    mix = mix if mix is not None else FunctionMix.uniform()
-    streams = streams if streams is not None else RandomStreams(0)
-    interval = 1.0 / rate_per_s
-    times: List[float] = []
-    t = 0.0
-    while True:
-        # Repeated addition (not k * interval): matches the scalar loop's
-        # accumulated float error so existing traces stay bit-identical.
-        cumulative = np.cumsum([t] + [interval] * _CHUNK)
-        cut = int(np.searchsorted(cumulative, duration_s, side="right"))
-        if cut < len(cumulative):
-            times.extend(cumulative[1:cut].tolist())
-            break
-        times.extend(cumulative[1:].tolist())
-        t = float(cumulative[-1])
-    return _assemble(times, mix, streams, duration_s, columnar)
 
 
 def poisson_trace(
@@ -374,15 +277,15 @@ def poisson_trace(
     duration_s: float,
     mix: Optional[FunctionMix] = None,
     streams: Optional[RandomStreams] = None,
-    columnar: bool = False,
-) -> Trace:
+    columnar: bool = True,  # ignored; simbench/workloads.py still passes it
+) -> ColumnarTrace:
     """Homogeneous Poisson arrivals (exponential inter-arrival gaps)."""
     if rate_per_s <= 0 or duration_s <= 0:
         raise ValueError("rate and duration must be positive")
     mix = mix if mix is not None else FunctionMix.uniform()
     streams = streams if streams is not None else RandomStreams(0)
     times = _accumulate_gaps(streams, "poisson", rate_per_s, duration_s)
-    return _assemble(times, mix, streams, duration_s, columnar)
+    return _assemble(times, mix, streams, duration_s)
 
 
 def diurnal_trace(
@@ -392,8 +295,7 @@ def diurnal_trace(
     duration_s: float,
     mix: Optional[FunctionMix] = None,
     streams: Optional[RandomStreams] = None,
-    columnar: bool = False,
-) -> Trace:
+) -> ColumnarTrace:
     """Non-homogeneous Poisson with a sinusoidal day/night rate.
 
     Generated by thinning: candidates at the peak rate are kept with
@@ -422,7 +324,7 @@ def diurnal_trace(
         for t, u in zip(candidates, keep)
         if u <= (mid + amplitude * sin(two_pi * t / period_s)) / peak_rate_per_s
     ]
-    return _assemble(times, mix, streams, duration_s, columnar)
+    return _assemble(times, mix, streams, duration_s)
 
 
 def bursty_trace(
@@ -433,8 +335,7 @@ def bursty_trace(
     duration_s: float,
     mix: Optional[FunctionMix] = None,
     streams: Optional[RandomStreams] = None,
-    columnar: bool = False,
-) -> Trace:
+) -> ColumnarTrace:
     """On/off (interrupted Poisson) arrivals: quiet spells punctuated by
     bursts — the short-lived, bursty nature Sec. II attributes to
     serverless functions.
@@ -467,18 +368,15 @@ def bursty_trace(
             phase_end += -log(1.0 - phase_random()) / (1.0 / mean)
         if t <= duration_s:
             times.append(t)
-    return _assemble(times, mix, streams, duration_s, columnar)
+    return _assemble(times, mix, streams, duration_s)
 
 
 __all__ = [
-    "ArrivalTrace",
     "ChunkedPoissonTrace",
     "ColumnarTrace",
     "FunctionMix",
     "Trace",
-    "TraceEvent",
     "bursty_trace",
-    "constant_rate_trace",
     "diurnal_trace",
     "poisson_trace",
 ]

@@ -84,13 +84,9 @@ def test_fig2_command(capsys):
     [
         ["fig1", "--trace", "x.json"],
         ["fig1", "--shards", "2"],
-        ["fig1", "--streaming", "on"],
-        ["headline", "--streaming", "off"],
-        ["all", "--streaming", "on"],
         ["fig2", "--export-dir", "out"],
     ],
-    ids=["fig1-trace", "fig1-shards", "fig1-streaming", "headline-streaming",
-         "all-streaming", "fig2-export-dir"],
+    ids=["fig1-trace", "fig1-shards", "fig2-export-dir"],
 )
 def test_options_rejected_on_artifacts_that_ignore_them(argv, capsys):
     assert main(argv) == 2
@@ -99,17 +95,19 @@ def test_options_rejected_on_artifacts_that_ignore_them(argv, capsys):
 
 
 def test_streaming_reaches_megatrace(monkeypatch, capsys):
-    seen = []
+    """The streaming path is megatrace's only path: the CLI runs it with
+    no option and rejects the ``--streaming`` switch it once had."""
     real_run = megatrace.run
-
-    def spy(**kwargs):
-        seen.append(kwargs["streaming"])
-        return real_run(**{**kwargs, "invocations": 500})
-
-    monkeypatch.setattr(megatrace, "run", spy)
-    for flag in ("on", "off", "auto"):
-        assert main(["megatrace", "--streaming", flag]) == 0
-    assert seen == [True, False, None]
+    monkeypatch.setattr(
+        megatrace, "run",
+        lambda **kwargs: real_run(**{**kwargs, "invocations": 500}),
+    )
+    assert main(["megatrace"]) == 0
+    assert "arrival path" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["megatrace", "--streaming", "on"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --streaming" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -117,7 +115,6 @@ def test_streaming_reaches_megatrace(monkeypatch, capsys):
     [
         ("--trace", _declaring("trace")),
         ("--shards", _declaring("shards")),
-        ("--streaming", _declaring("streaming")),
         ("--export-dir", _declaring("tables")),
     ],
 )

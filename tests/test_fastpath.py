@@ -3,11 +3,12 @@
 Covers the streaming telemetry contract (means bit-identical to exact
 mode, sketch quantiles within their documented error bound, bounded
 state), the sort-once discipline of the exact percentile paths, the
-batched/columnar trace equivalences, the megatrace experiment, the
+batched trace generators' recorded outputs, the megatrace experiment, the
 module-level PROFILES hoisting in the scale study, and the headline
 bit-identity pin the whole refactor must preserve.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -24,11 +25,9 @@ from repro.experiments import headline, megatrace, scale_study
 from repro.sim.rng import RandomStreams
 from repro.workloads.profiles import PROFILES
 from repro.workloads.traces import (
-    ArrivalTrace,
+    ChunkedPoissonTrace,
     ColumnarTrace,
-    FunctionMix,
     bursty_trace,
-    constant_rate_trace,
     diurnal_trace,
     poisson_trace,
 )
@@ -229,30 +228,35 @@ def test_percentiles_helper_sorts_once_for_many_quantiles():
 # -- batched / columnar traces ------------------------------------------------
 
 
+#: sha256 of ``repr(list(trace.iter_pairs()))`` and the arrival count
+#: for each generator below.  Recorded when every generator could also
+#: return a tuple of per-event objects; both forms gave these digests.
+RECORDED_TRACE_DIGESTS = {
+    "poisson": (
+        176, "4585838a86680fb4befe659037b4e591f5617e32fac6d6531f4485ac590e3299"
+    ),
+    "diurnal": (
+        824, "409a38aba2b1c4944aef16c635ebdadab888e0e519f2598fe3b58e907ac2fcfd"
+    ),
+    "bursty": (
+        950, "8ee00069bc1c2f5bdf5a0900e98fd65ea9568fbd63ef5eab98ff4621f5361f17"
+    ),
+}
+
+
 def _generators():
     streams = lambda: RandomStreams(11)  # noqa: E731
-    yield lambda c: constant_rate_trace(2.0, 60.0, columnar=c)
-    yield lambda c: poisson_trace(3.0, 60.0, streams=streams(), columnar=c)
-    yield lambda c: diurnal_trace(
-        1.0, 6.0, 120.0, 240.0, streams=streams(), columnar=c
-    )
-    yield lambda c: bursty_trace(
-        0.5, 8.0, 10.0, 20.0, 240.0, streams=streams(), columnar=c
-    )
+    yield "poisson", poisson_trace(3.0, 60.0, streams=streams())
+    yield "diurnal", diurnal_trace(1.0, 6.0, 120.0, 240.0, streams=streams())
+    yield "bursty", bursty_trace(0.5, 8.0, 10.0, 20.0, 240.0, streams=streams())
 
 
 def test_columnar_traces_match_row_wise_traces():
-    for generate in _generators():
-        rows = generate(False)
-        cols = generate(True)
-        assert isinstance(rows, ArrivalTrace)
-        assert isinstance(cols, ColumnarTrace)
-        assert cols.times.tolist() == [e.time_s for e in rows.events]
-        assert [cols.functions[i] for i in cols.function_ids] == [
-            e.function for e in rows.events
-        ]
-        assert cols.duration_s == rows.duration_s
-        assert list(cols.iter_pairs()) == list(rows.iter_pairs())
+    for name, trace in _generators():
+        assert isinstance(trace, ColumnarTrace)
+        pairs = list(trace.iter_pairs())
+        digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+        assert (len(pairs), digest) == RECORDED_TRACE_DIGESTS[name], name
 
 
 def test_replay_is_identical_for_both_trace_layouts():
@@ -261,19 +265,19 @@ def test_replay_is_identical_for_both_trace_layouts():
     from repro.core.scheduler import LeastLoadedPolicy
 
     results = []
-    for columnar in (False, True):
-        trace = poisson_trace(
-            1.5, 120.0, streams=RandomStreams(5), columnar=columnar
-        )
+    for trace in (
+        poisson_trace(1.5, 120.0, streams=RandomStreams(5)),
+        ChunkedPoissonTrace(rate_per_s=1.5, duration_s=120.0, seed=5),
+    ):
         cluster = MicroFaaSCluster(
             worker_count=6, seed=5, policy=LeastLoadedPolicy()
         )
         results.append(replay_trace(cluster, trace))
-    rows, cols = results
-    assert rows.jobs_completed == cols.jobs_completed
-    assert rows.duration_s == cols.duration_s
-    assert rows.throughput_per_min == cols.throughput_per_min
-    assert rows.energy_joules == cols.energy_joules
+    cols, chunked = results
+    assert cols.jobs_completed == chunked.jobs_completed
+    assert cols.duration_s == chunked.duration_s
+    assert cols.throughput_per_min == chunked.throughput_per_min
+    assert cols.energy_joules == chunked.energy_joules
 
 
 # -- megatrace ----------------------------------------------------------------
@@ -290,9 +294,6 @@ def test_megatrace_smoke_is_bounded_and_complete():
     assert result.events_per_wall_s > 0
     rendered = megatrace.render(result)
     assert "invocations replayed" in rendered
-    # Below the streaming threshold the eager arrival path runs; the
-    # always-on sketch telemetry is reported as such.
-    assert "eager (columnar trace" in rendered
     assert "sketch telemetry" in rendered
 
 
@@ -332,24 +333,27 @@ def test_op_link_utilization_math_at_frontier_point():
     assert scale_study.FRONTIER_WORKER_COUNTS[-1] == 5000
 
 
-def test_frontier_tasks_always_stream():
-    tasks = [
-        scale_study.ScaleTask(
-            count, 3, 1, scale_study.ControlPlaneModel(),
-            streaming_telemetry=True,
-        )
-        for count in scale_study.FRONTIER_WORKER_COUNTS
+def test_frontier_tasks_always_stream(monkeypatch):
+    built = []
+
+    def capture(tasks, fn, jobs=None):
+        built.extend(tasks)
+        return []
+
+    monkeypatch.setattr(scale_study, "run_map", capture)
+    scale_study.run_frontier(
+        worker_counts=(
+            *scale_study.FRONTIER_WORKER_COUNTS,
+            scale_study.FRONTIER_LIMIT_WORKER_COUNT,
+        ),
+        shards=2,
+    )
+    assert [t.worker_count for t in built] == [
+        *scale_study.FRONTIER_WORKER_COUNTS,
+        scale_study.FRONTIER_LIMIT_WORKER_COUNT,
     ]
-    assert all(t.streaming_telemetry for t in tasks)
-    # run() applies the threshold rule that run_frontier relies on.
-    built = [
-        scale_study.ScaleTask(
-            count, 3, 1, scale_study.ControlPlaneModel(),
-            streaming_telemetry=count >= 0,
-        )
-        for count in scale_study.FRONTIER_WORKER_COUNTS
-    ]
-    assert built == tasks
+    assert all(t.streaming_telemetry for t in built)
+    assert all(t.shards == 2 for t in built)
 
 
 # -- the headline pin ---------------------------------------------------------

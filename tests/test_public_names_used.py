@@ -59,8 +59,6 @@ ALLOWLIST = {
     # Inputs to code that runs.
     "repro/energy/controlplane.py:CarbonSignal":
         "the signal CarbonAwarePolicy reads; simbench wraps that policy",
-    "repro/workloads/traces.py:constant_rate_trace":
-        "an arrival generator; merging the two trace forms settles the set",
     # Paper models the tests check against published values.
     "repro/cluster/matching.py:match_vm_count":
         "derives the paper's 6-VM throughput match (test_paper_constants)",

@@ -39,7 +39,8 @@ from repro.shard.runtime import ShardRuntime
 from repro.sim.kernel import SimulationError
 from repro.sim.rng import RandomStreams
 from repro.workloads.base import ALL_FUNCTION_NAMES
-from repro.workloads.traces import ArrivalTrace, TraceEvent, poisson_trace
+from repro.workloads.traces import poisson_trace
+from tests.arrivals import pairs_trace
 
 
 def assert_identical(serial_result, sharded_result):
@@ -218,14 +219,14 @@ def integer_mark_plan():
 def integer_mark_trace(jobs_per_second, total_jobs):
     """The paper arrival schedule written out as a trace."""
     functions = ALL_FUNCTION_NAMES
-    events = tuple(
-        TraceEvent(
+    pairs = [
+        (
             float(issued // jobs_per_second),
             functions[issued % len(functions)],
         )
         for issued in range(total_jobs)
-    )
-    return ArrivalTrace(events=events, duration_s=events[-1].time_s)
+    ]
+    return pairs_trace(pairs, duration_s=pairs[-1][0])
 
 
 @pytest.mark.parametrize("entry", ["paper_arrivals", "replay_trace"])
@@ -296,7 +297,7 @@ def small_fleet_trace(arrivals=300):
     """Open-loop Poisson arrivals at 85% of the 40 workers' capacity."""
     rate = 40 * WORKER_JOBS_PER_S * 0.85
     return poisson_trace(
-        rate, arrivals / rate, streams=RandomStreams(1), columnar=True
+        rate, arrivals / rate, streams=RandomStreams(1)
     )
 
 
@@ -484,7 +485,7 @@ def test_overloaded_burst_queues_behind_busy_workers():
     spec = small_fleet_spec()
     rate = 40 * WORKER_JOBS_PER_S * 1.5
     trace = poisson_trace(
-        rate, 300 / rate, streams=RandomStreams(3), columnar=True
+        rate, 300 / rate, streams=RandomStreams(3)
     )
     serial = replay_trace(spec.build(), trace)
     with ShardedCluster(spec, 2, executor="inline") as sharded:
@@ -502,7 +503,7 @@ def test_uncontended_hybrid_vm_claims_are_predicted(claims):
     )
     rate = 12 * WORKER_JOBS_PER_S * 0.85
     trace = poisson_trace(
-        rate, 120 / rate, streams=RandomStreams(4), columnar=True
+        rate, 120 / rate, streams=RandomStreams(4)
     )
     serial = replay_trace(spec.build(), trace)
     with ShardedCluster(spec, 3, executor="inline") as sharded:
@@ -533,7 +534,7 @@ def test_hybrid_replay_rendezvous_past_idle_vm_reboots(monkeypatch):
     )
     rate = 12 * WORKER_JOBS_PER_S * 0.85
     trace = poisson_trace(
-        rate, 600 / rate, streams=RandomStreams(4), columnar=True
+        rate, 600 / rate, streams=RandomStreams(4)
     )
     assert len(trace) == 608
     cluster = spec.build()
@@ -561,7 +562,7 @@ def test_traced_hybrid_replay_reports_vm_claims():
     )
     rate = 12 * WORKER_JOBS_PER_S * 0.85
     trace = poisson_trace(
-        rate, 600 / rate, streams=RandomStreams(4), columnar=True
+        rate, 600 / rate, streams=RandomStreams(4)
     )
     assert len(trace) == 608
     serial = replay_trace(spec.build(), trace)

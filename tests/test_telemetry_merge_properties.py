@@ -6,17 +6,15 @@ commutative monoid on the observables that matter: splitting a stream
 into any number of shards, merging in any order, and any grouping of
 the merges must agree with the single-pass aggregate.  These tests pin
 that down for :class:`~repro.core.telemetry.QuantileSketch` (integer
-buckets — bit-identical under any merge tree) and
-``_PlatformAccumulator`` (counts exact; means to float-summation
-noise).
+buckets — bit-identical under any merge tree), which is also all a
+collector keeps per worker platform.
 """
 
-import math
 from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.telemetry import QuantileSketch, _PlatformAccumulator
+from repro.core.telemetry import QuantileSketch
 
 values = st.lists(
     st.floats(min_value=0.0, max_value=1e4),
@@ -89,62 +87,3 @@ def test_sketch_merge_is_associative(samples, shards):
     )
     assert sketch_state(left) == sketch_state(right)
     assert sketch_state(left) == sketch_state(sketch_of(samples))
-
-
-latency_values = st.lists(
-    st.floats(min_value=1e-4, max_value=120.0),
-    min_size=1,
-    max_size=80,
-)
-
-
-def accumulator_of(latencies):
-    acc = _PlatformAccumulator(gamma=1.02)
-    for latency in latencies:
-        acc.add(latency)
-    return acc
-
-
-@settings(max_examples=60, deadline=None)
-@given(latencies=latency_values, shards=shard_counts)
-def test_platform_accumulator_merge_matches_single_pass(latencies, shards):
-    parts = split_round_robin(latencies, shards)
-    reference = accumulator_of(latencies)
-    for order in list(permutations(range(shards)))[:6]:
-        merged = _PlatformAccumulator(gamma=1.02)
-        for index in order:
-            merged.merge(accumulator_of(parts[index]))
-        # Integer / order-free observables: exact under any order.
-        assert merged.latency.count == reference.latency.count
-        assert sketch_state(merged.latency_sketch) == sketch_state(
-            reference.latency_sketch
-        )
-        # Float sums: addition order differs across shard orders, so
-        # means agree to accumulated rounding, not bit-for-bit.
-        assert math.isclose(
-            merged.latency.mean, reference.latency.mean, rel_tol=1e-12
-        )
-
-
-@settings(max_examples=40, deadline=None)
-@given(latencies=latency_values, shards=shard_counts)
-def test_platform_accumulator_merge_is_associative(latencies, shards):
-    parts = split_round_robin(latencies, shards)
-
-    fold_left = _PlatformAccumulator(gamma=1.02)
-    for part in parts:
-        fold_left.merge(accumulator_of(part))
-
-    fold_right = accumulator_of(parts[-1])
-    for part in reversed(parts[:-1]):
-        acc = accumulator_of(part)
-        acc.merge(fold_right)
-        fold_right = acc
-
-    assert fold_left.latency.count == fold_right.latency.count
-    assert sketch_state(fold_left.latency_sketch) == sketch_state(
-        fold_right.latency_sketch
-    )
-    assert math.isclose(
-        fold_left.latency.mean, fold_right.latency.mean, rel_tol=1e-12
-    )

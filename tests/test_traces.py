@@ -1,24 +1,24 @@
 """Tests for arrival traces and trace replay."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ConventionalCluster, MicroFaaSCluster, replay_trace
 from repro.sim.rng import RandomStreams
 from repro.workloads.traces import (
-    ArrivalTrace,
+    ColumnarTrace,
     FunctionMix,
-    TraceEvent,
     bursty_trace,
-    constant_rate_trace,
     diurnal_trace,
     poisson_trace,
 )
+from tests.arrivals import pairs_trace
 
 
 def arrivals_in(trace, start, end):
     """Events with ``start <= time < end``."""
-    return sum(1 for event in trace.events if start <= event.time_s < end)
+    return sum(1 for time_s, _ in trace.iter_pairs() if start <= time_s < end)
 
 
 # -- FunctionMix -------------------------------------------------------------------
@@ -49,32 +49,34 @@ def test_weighted_mix_is_biased():
 
 
 def test_trace_event_validation():
-    with pytest.raises(ValueError):
-        TraceEvent(-1.0, "CascSHA")
+    with pytest.raises(ValueError, match="negative"):
+        pairs_trace([(-1.0, "CascSHA")], duration_s=10.0)
 
 
 def test_trace_validation():
-    with pytest.raises(ValueError):
-        ArrivalTrace(events=(), duration_s=0.0)
-    with pytest.raises(ValueError):
-        ArrivalTrace(
-            events=(TraceEvent(2.0, "a"), TraceEvent(1.0, "b")),
+    with pytest.raises(ValueError, match="duration"):
+        pairs_trace([], duration_s=0.0)
+    with pytest.raises(ValueError, match="order"):
+        pairs_trace([(2.0, "a"), (1.0, "b")], duration_s=10.0)
+    with pytest.raises(ValueError, match="beyond"):
+        pairs_trace([(20.0, "a")], duration_s=10.0)
+    with pytest.raises(ValueError, match="mismatch"):
+        ColumnarTrace(
+            times=np.array([1.0]),
+            function_ids=np.array([], dtype=np.int64),
+            functions=("a",),
             duration_s=10.0,
         )
-    with pytest.raises(ValueError):
-        ArrivalTrace(events=(TraceEvent(20.0, "a"),), duration_s=10.0)
+    with pytest.raises(ValueError, match="function id"):
+        ColumnarTrace(
+            times=np.array([1.0]),
+            function_ids=np.array([1]),
+            functions=("a",),
+            duration_s=10.0,
+        )
 
 
 # -- generators ----------------------------------------------------------------------
-
-
-def test_constant_rate_trace_spacing():
-    trace = constant_rate_trace(2.0, 10.0)
-    assert len(trace) == 20
-    gaps = [
-        b.time_s - a.time_s for a, b in zip(trace.events, trace.events[1:])
-    ]
-    assert all(g == pytest.approx(0.5) for g in gaps)
 
 
 def test_poisson_trace_mean_rate():
@@ -85,7 +87,7 @@ def test_poisson_trace_mean_rate():
 def test_poisson_trace_is_reproducible():
     a = poisson_trace(2.0, 50.0, streams=RandomStreams(7))
     b = poisson_trace(2.0, 50.0, streams=RandomStreams(7))
-    assert a == b
+    assert list(a.iter_pairs()) == list(b.iter_pairs())
 
 
 def test_diurnal_trace_peaks_and_troughs():
@@ -120,8 +122,6 @@ def test_bursty_trace_has_quiet_and_busy_spells():
 
 def test_generator_validation():
     with pytest.raises(ValueError):
-        constant_rate_trace(0.0, 10.0)
-    with pytest.raises(ValueError):
         poisson_trace(1.0, 0.0)
     with pytest.raises(ValueError):
         diurnal_trace(5.0, 1.0, 10.0, 10.0)  # trough > peak
@@ -137,7 +137,7 @@ def test_generator_validation():
 )
 def test_property_poisson_traces_are_well_formed(rate, duration, seed):
     trace = poisson_trace(rate, duration, streams=RandomStreams(seed))
-    times = [e.time_s for e in trace.events]
+    times = trace.times.tolist()
     assert times == sorted(times)
     assert all(0 <= t <= duration for t in times)
 
@@ -162,7 +162,7 @@ def test_replay_on_conventional_completes_everything():
 
 
 def test_replay_rejects_empty_trace():
-    trace = ArrivalTrace(events=(), duration_s=10.0)
+    trace = pairs_trace([], duration_s=10.0)
     with pytest.raises(ValueError):
         replay_trace(MicroFaaSCluster(worker_count=2), trace)
 
