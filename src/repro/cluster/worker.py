@@ -18,14 +18,15 @@ determine Fig. 3's overhead bars.
 
 A job whose timeline nothing later can move is fixed at the claim
 (:meth:`Worker._plan`) and, where the platform can book it, booked whole
-— every power-state transition on the board
-(:meth:`~repro.hardware.power.PowerStateMachine.book`) or every guest
+— every power-state transition on the board, in one
+:meth:`~repro.hardware.power.PowerStateMachine.book_run` call for the
+boot end and one for the CPU, I/O and re-entry points, or every guest
 burst on the host — with one wait, for the result transfer's end.
 Tracing does not matter, and neither does network chaos as long as no
 announced link or switch change (see :mod:`repro.net.transfer`) touches
 the job's path between its claim and its end: each transfer is then
 priced at its own start.  The books
-are written before any later write or read, and a crash truncates the
+are written before any later write or read, and a crash drops the
 rest, so every record, time-in-state sum and joule matches the per-phase
 path — the differential oracle, which every other job takes: one wait
 each for the boot, inbound transfer + session overhead, the CPU phase,
@@ -583,8 +584,8 @@ class SbcWorker(Worker):
     def _book_boot(self, claim: float) -> float:
         """Boot end: IDLE, then IO_WAIT for the inbound transfer."""
         end = claim + self.boot_real_s
-        self.sbc.psm.book(end, PowerState.IDLE)
-        self.sbc.psm.book(end, PowerState.IO_WAIT)
+        self.sbc.psm.book_run(((end, PowerState.IDLE),
+                               (end, PowerState.IO_WAIT)))
         return end
 
     def _work(self, profile, jitter: float):
@@ -620,15 +621,16 @@ class SbcWorker(Worker):
     def _book_execute(self, start: float, cpu_s: float, io_s: float) -> float:
         """CPU phase, I/O phase and the I/O end's same-state re-entry."""
         self.sbc.clean = False
-        book = self.sbc.psm.book
         t = start
         if cpu_s > 0:
-            book(t, PowerState.CPU_BUSY)
             t = t + cpu_s
-        book(t, PowerState.IO_WAIT)
+            run = [(start, PowerState.CPU_BUSY), (t, PowerState.IO_WAIT)]
+        else:
+            run = [(t, PowerState.IO_WAIT)]
         if io_s > 0:
             t = t + io_s
-            book(t, PowerState.IO_WAIT)
+            run.append((t, PowerState.IO_WAIT))
+        self.sbc.psm.book_run(run)
         return t
 
     def _overhead_s(self, inbound, outbound, inbound_start, inbound_end,

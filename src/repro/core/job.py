@@ -23,19 +23,15 @@ class JobStatus(enum.Enum):
     COMPLETED = "completed"
     FAILED = "failed"
 
-    def can_transition_to(self, new: "JobStatus") -> bool:
-        return new in _ALLOWED_TRANSITIONS[self]
 
-
-#: Lifecycle DAG, built once — ``can_transition_to`` runs three times per
-#: job, so rebuilding this mapping per call dominated large replays.
-_ALLOWED_TRANSITIONS = {
-    JobStatus.SUBMITTED: frozenset({JobStatus.QUEUED}),
-    JobStatus.QUEUED: frozenset({JobStatus.RUNNING}),
-    JobStatus.RUNNING: frozenset({JobStatus.COMPLETED, JobStatus.FAILED}),
-    JobStatus.COMPLETED: frozenset(),
-    JobStatus.FAILED: frozenset(),
-}
+#: Lifecycle DAG: each status carries the tuple of statuses it may move
+#: to, so :meth:`Job.transition` (three times per job) checks by
+#: identity and never hashes an enum member.
+JobStatus.SUBMITTED._successors = (JobStatus.QUEUED,)
+JobStatus.QUEUED._successors = (JobStatus.RUNNING,)
+JobStatus.RUNNING._successors = (JobStatus.COMPLETED, JobStatus.FAILED)
+JobStatus.COMPLETED._successors = ()
+JobStatus.FAILED._successors = ()
 
 
 @dataclass
@@ -84,7 +80,7 @@ class Job:
 
     def transition(self, new: JobStatus, now: float) -> None:
         """Advance the lifecycle, stamping the matching timestamp."""
-        if not self.status.can_transition_to(new):
+        if new not in self.status._successors:
             raise ValueError(
                 f"job {self.job_id}: illegal transition "
                 f"{self.status.value} -> {new.value}"
@@ -94,7 +90,7 @@ class Job:
             self.t_queued = now
         elif new is JobStatus.RUNNING:
             self.t_started = now
-        elif new in (JobStatus.COMPLETED, JobStatus.FAILED):
+        else:
             self.t_completed = now
 
     def reset_for_retry(self) -> None:

@@ -6,6 +6,14 @@ State machines append to a trace whenever a device changes state, and
 every energy figure (cluster results, :mod:`repro.energy`'s bills) is an
 exact integral of traces; nothing samples them the way the paper's 1 Hz
 wall-plug meter does.
+
+A trace's owner may book change points ahead of the clock and keep them
+itself: a :class:`PowerStateMachine` keeps a board's booked transitions
+as a time-ordered list with a read index (:meth:`PowerStateMachine.book_run`),
+the hypervisor keeps one cursor per booked burst.  The owner registers
+one flush with its trace (:meth:`PowerTrace.defer_to`), and the trace
+calls it before every read, so each float matches an owner that woke up
+at every change.
 """
 
 from __future__ import annotations
@@ -14,7 +22,6 @@ import bisect
 import enum
 import math
 from array import array
-from heapq import heapify, heappop, heappush
 from typing import Callable, Mapping, Optional
 
 
@@ -35,11 +42,8 @@ class PowerTrace:
     power between change points is the wattage of the most recent point.
     Appending at a time equal to the last change point overwrites it (the
     device changed state twice in the same instant).  Its owner may also
-    book change points ahead of the clock (:meth:`defer_to`).
+    keep change points booked ahead of the clock (:meth:`defer_to`).
     """
-
-    #: Booked change points, a heap of ``(time, seq, change, owner)``.
-    _booked: Optional[list] = None
 
     def __init__(self, initial_time: float = 0.0, initial_watts: float = 0.0):
         if initial_watts < 0:
@@ -68,45 +72,20 @@ class PowerTrace:
         self.flush()
         return len(self._times)
 
-    def defer_to(self, clock: Callable[[], float],
-                 apply: Callable[[float, object], None]) -> None:
-        """Let the owner book change points ahead of ``clock``.
+    def defer_to(self, flush: Callable[[], None]) -> None:
+        """Let the owner book change points ahead of the clock.
 
-        ``apply(time, change)`` is the owner's own write at an explicit
-        instant, with the counters it keeps beside the trace.  Bookings
-        are applied in time order (booking order breaks ties) by
-        :meth:`flush`, before each of the owner's writes and reads and
-        each read here, so every float matches an owner that woke up at
-        each change.
+        The owner keeps its bookings itself; ``flush()`` writes those
+        due by now, in time order, with the counters it keeps beside the
+        trace.  It replaces :meth:`flush`, which runs before each read
+        here (and before each of the owner's own writes and reads), so
+        every float matches an owner that woke up at each change.
         """
-        self._clock = clock
-        self._apply = apply
-        self._booked = []
-        self._seq = 0
-
-    def book(self, time: float, change, owner=None) -> None:
-        """Queue ``change`` at ``time`` (not in the past) for ``owner``."""
-        self._seq += 1
-        heappush(self._booked, (time, self._seq, change, owner))
+        self.flush = flush
 
     def flush(self) -> None:
-        """Apply every booked change at or before now."""
-        booked = self._booked
-        if booked:
-            now, apply = self._clock(), self._apply
-            while booked and booked[0][0] <= now:
-                time, _seq, change, _owner = heappop(booked)
-                apply(time, change)
-
-    def truncate(self, owner=None) -> None:
-        """Apply the changes up to now and drop every later one (only
-        ``owner``'s, if given): their timeline ended early."""
-        booked = self._booked
-        if booked:
-            self.flush()
-            booked[:] = [e for e in booked
-                         if owner is not None and e[3] is not owner]
-            heapify(booked)
+        """Write the owner's change points booked up to now (none here;
+        see :meth:`defer_to`)."""
 
     def enable_autocompact(self, max_points: int = 65536) -> None:
         """Bound the trace to ``max_points`` retained change points.
@@ -296,10 +275,15 @@ class PowerStateMachine:
         self._state_entered_at = clock()
         self._time_in_state = [0.0] * len(_ALL_STATES)
 
+    #: Transitions booked ahead of the clock, ``(time, state)`` in time
+    #: order; those before ``_next`` are written.  None until the first
+    #: booking (:meth:`book_run`).
+    _booked: Optional[list] = None
+
     @property
     def state(self) -> PowerState:
-        if self.trace._booked:
-            self.trace.flush()
+        if self._booked:
+            self._flush()
         return self._state
 
     @property
@@ -313,22 +297,60 @@ class PowerStateMachine:
         self._state = state
         self.trace.record(time, self._watts[state._index])
 
+    def _flush(self) -> None:
+        """Enter every booked state due by now, in booking order."""
+        booked = self._booked
+        if booked:
+            now = self._clock()
+            index = self._next
+            count = len(booked)
+            while index < count:
+                time, state = booked[index]
+                if time > now:
+                    break
+                self._enter(time, state)
+                index += 1
+            if index == count:
+                booked.clear()
+                index = 0
+            self._next = index
+
     def set_state(self, state: PowerState) -> None:
         """Transition to ``state`` now, recording the change on the trace
         after the booked transitions up to now; later ones are dropped
         (the device left its booked timeline: it crashed, say)."""
-        self.trace.truncate()
+        booked = self._booked
+        if booked:
+            self._flush()
+            booked.clear()
+            self._next = 0
         self._enter(self._clock(), state)
 
-    def book(self, time: float, state: PowerState) -> None:
-        """Book :meth:`set_state` to ``state`` at the instant ``time``
-        instead of waking up then (see :meth:`PowerTrace.defer_to`).
-        Booking the current state splits its time-in-state sum."""
-        if time < self._clock():
-            raise ValueError(f"transition at {time} is in the past")
-        if self.trace._booked is None:
-            self.trace.defer_to(self._clock, self._enter)
-        self.trace.book(time, state)
+    def book_run(self, run) -> None:
+        """Book :meth:`set_state` at each ``(time, state)`` of the
+        sequence ``run`` instead of waking up then (see
+        :meth:`PowerTrace.defer_to`).
+
+        Bookings are monotone: a time in the past, or before the last
+        one booked, raises :class:`ValueError` and books nothing.
+        Booking the current state splits its time-in-state sum.
+        """
+        booked = self._booked
+        if booked is None:
+            booked = self._booked = []
+            self._next = 0
+            self.trace.defer_to(self._flush)
+        now = self._clock()
+        last = booked[-1][0] if booked else now
+        for time, _state in run:
+            if time < now:
+                raise ValueError(f"transition at {time} is in the past")
+            if time < last:
+                raise ValueError(
+                    f"transition at {time} is booked before one at {last}"
+                )
+            last = time
+        booked.extend(run)
 
     def time_in_state(self, state: PowerState) -> float:
         """Cumulative seconds spent in ``state`` so far."""

@@ -5,7 +5,9 @@ A :class:`MicroVm` is the conventional cluster's worker: one vCPU,
 The VM worker process drives it through boot → execute → reboot cycles;
 CPU phases go through the hypervisor (where contention lives) and I/O
 phases simply wait.  On an uncontended host a worker may book a whole
-cycle at its claim instead; the guest's state then moves at the booking.
+cycle at its claim instead (each burst becomes one cursor the
+hypervisor keeps, see :meth:`Hypervisor.book_burst`); the guest's state
+then moves at the booking.
 """
 
 from __future__ import annotations

@@ -251,6 +251,12 @@ def test_trace_running_total_matches_reference_loop(
                 trace.energy_joules(start, end)
 
 
+def _requantum(server, time):
+    """The dip as the hypervisor writes it: one ``record_dip`` of the
+    pair ``requantum`` returns at the server's busy count."""
+    server.trace.record_dip(time, *server.requantum(server._busy_cores))
+
+
 def _two_record_requantum(server, time):
     """The dip as two trace writes: the busy count drops by one and
     returns within the instant."""
@@ -272,7 +278,7 @@ def _two_record_requantum(server, time):
     powered=st.booleans(),
 )
 def test_requantum_matches_two_record_dip(steps, powered):
-    """``record_requantum`` leaves the change points and joules of the
+    """A written dip leaves the change points and joules of the
     two-record dip, at the last point's instant and on a powered-off
     host too."""
     split, reference = (
@@ -283,7 +289,7 @@ def test_requantum_matches_two_record_dip(steps, powered):
     for dt, busy, requantum in steps:
         t += dt
         if requantum:
-            split.record_requantum(t)
+            _requantum(split, t)
             _two_record_requantum(reference, t)
         else:
             split.record_busy(t, busy)
@@ -299,14 +305,14 @@ def test_requantum_writes_one_split_point():
     server = RackServer(lambda: now[0], THINKMATE_RAX)
     server.record_busy(1.0, 3)
     points = [(0.0, THINKMATE_RAX.idle_watts), (1.0, server.watts)]
-    server.record_requantum(1.0)  # at the last point's instant
+    _requantum(server, 1.0)  # at the last point's instant
     assert server.trace.change_points == points
-    server.record_requantum(1.1)
+    _requantum(server, 1.1)
     points.append((1.1, server.watts))
     assert server.trace.change_points == points
     now[0] = 2.0
     server.power_off()
-    server.record_requantum(2.5)  # the dip draws the host's 0 W
+    _requantum(server, 2.5)  # the dip draws the host's 0 W
     assert server.trace.change_points == points + [(2.0, 0.0)]
 
 
@@ -666,7 +672,7 @@ def test_psm_reenter_at_matches_same_state_set_state(
         psm.set_state(PowerState.CPU_BUSY)
         io_end = _io_stretch(clock, psm, io_end, io)
         if booked:
-            psm.book(io_end, PowerState.IO_WAIT)
+            psm.book_run([(io_end, PowerState.IO_WAIT)])
         else:
             clock.t = io_end
             psm.set_state(PowerState.IO_WAIT)
@@ -694,7 +700,7 @@ def test_psm_crash_before_reenter_at_drops_the_booking(first, io, crash,
         crash_at = first + io * crash
         assume(crash_at < io_end)
         if booked:
-            psm.book(io_end, PowerState.IO_WAIT)
+            psm.book_run([(io_end, PowerState.IO_WAIT)])
         clock.t = crash_at
         reads = _all_time_in_state(psm)
         psm.set_state(PowerState.OFF)
@@ -710,7 +716,7 @@ def test_psm_reenter_at_in_the_past_rejected():
     psm = PowerStateMachine(clock, STATE_WATTS)
     clock.t = 2.0
     with pytest.raises(ValueError):
-        psm.book(1.0, PowerState.IO_WAIT)
+        psm.book_run([(1.0, PowerState.IO_WAIT)])
 
 
 #: A worker's phase sequence after a cold claim: boot end, inbound,
@@ -733,13 +739,16 @@ def _observe_psm(psm):
 @given(durations=st.lists(DURATIONS, min_size=len(TIMELINE),
                           max_size=len(TIMELINE)),
        peek=st.floats(0.0, 1.0), cut=st.floats(0.0, 1.0),
-       crash=st.booleans(), rescale=st.booleans())
+       crash=st.booleans(), rescale=st.booleans(),
+       split=st.integers(0, len(TIMELINE)))
 def test_psm_booked_timeline_matches_live_transitions(durations, peek, cut,
-                                                      crash, rescale):
+                                                      crash, rescale, split):
     """A whole timeline booked at its first instant equals the live
     transitions at every read: ``state``, ``watts``, time-in-state and
     the trace, read mid-timeline.  A DVFS rescale there changes the draw
-    of every later booked state; a crash there drops the rest."""
+    of every later booked state; a crash there drops the rest.  The
+    timeline booked one state per ``book_run`` call equals it booked in
+    two runs split anywhere."""
     times = [1.0]
     for duration in durations:
         times.append(times[-1] + duration)
@@ -749,15 +758,19 @@ def test_psm_booked_timeline_matches_live_transitions(durations, peek, cut,
     scaled = {**STATE_WATTS, PowerState.CPU_BUSY: 1.9,
               PowerState.IO_WAIT: 0.9}
     results = []
-    for booked in (False, True):
+    for booked in ("live", "one by one", "two runs"):
         clock = FakeClock()
         psm = PowerStateMachine(clock, STATE_WATTS)
         clock.t = times[0]
         psm.set_state(PowerState.BOOT)
         pending = list(zip(times[1:], TIMELINE))
-        if booked:
+        if booked == "one by one":
             for when, state in pending:
-                psm.book(when, state)
+                psm.book_run([(when, state)])
+            pending = []
+        elif booked == "two runs":
+            psm.book_run(pending[:split])
+            psm.book_run(tuple(pending[split:]))
             pending = []
 
         def run_to(instant):
@@ -778,7 +791,24 @@ def test_psm_booked_timeline_matches_live_transitions(durations, peek, cut,
         run_to(times[-1] + 1.0)
         observed.append(_observe_psm(psm))
         results.append(observed)
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
+
+
+def test_psm_out_of_order_booking_rejected():
+    """Bookings are monotone: a run that steps back in time, or starts
+    before the last state booked, raises and books nothing of itself."""
+    clock = FakeClock()
+    psm = PowerStateMachine(clock, STATE_WATTS)
+    with pytest.raises(ValueError, match="booked before"):
+        psm.book_run([(2.0, PowerState.BOOT), (1.0, PowerState.IDLE)])
+    psm.book_run([(1.0, PowerState.BOOT), (2.0, PowerState.IDLE)])
+    with pytest.raises(ValueError, match="booked before"):
+        psm.book_run([(1.5, PowerState.CPU_BUSY)])
+    # A tie with the last booking is in order: it follows it.
+    psm.book_run([(2.0, PowerState.IO_WAIT)])
+    clock.t = 3.0
+    assert psm.state is PowerState.IO_WAIT
+    assert psm.trace.change_points == [(0.0, 0.1), (1.0, 2.0), (2.0, 1.2)]
 
 
 def test_trace_reads_write_the_bookings_first():
@@ -787,8 +817,8 @@ def test_trace_reads_write_the_bookings_first():
     clock = FakeClock()
     psm = PowerStateMachine(clock, STATE_WATTS)
     trace = psm.trace
-    psm.book(1.0, PowerState.BOOT)
-    psm.book(2.0, PowerState.IDLE)
+    psm.book_run([(1.0, PowerState.BOOT)])
+    psm.book_run([(2.0, PowerState.IDLE)])
     assert trace.change_points == [(0.0, 0.1)]
     clock.t = 1.5
     assert trace.power_at(1.5) == 2.0
