@@ -321,3 +321,32 @@ def test_self_path_is_zero_hops():
         assert topo.path(name, name) == [name]
         bottleneck, latency, hops = topo.path_properties(name, name)
         assert math.isinf(bottleneck) and latency == 0.0 and hops == 0
+
+
+def test_path_elements_gather_one_direction_and_drop_on_mutation():
+    topo = NetworkTopology()
+    topo.add_switch(make_switch("s0", 20e-6))
+    topo.add_switch(make_switch("s1", 35e-6))
+    topo.connect_switches("s0", "s1", trunk_bandwidth_bps=5e8)
+    topo.attach_endpoint(make_endpoint("a", fast=True), "s0")
+    topo.attach_endpoint(make_endpoint("b", fast=False), "s1")
+    links, switches = topo.links, topo.switches
+    expected = {
+        ("a", "b"): ([links["a"], links["b"]],
+                     [switches["s0"], switches["s1"]], ["a", "s0", "s1", "b"]),
+        ("b", "a"): ([links["b"], links["a"]],
+                     [switches["s1"], switches["s0"]], ["b", "s1", "s0", "a"]),
+        ("a", "s1"): ([links["a"]], [switches["s0"]], ["a", "s0", "s1"]),
+    }
+    for (src, dst), (want_links, want_switches, want_path) in expected.items():
+        bottleneck, latency, got_links, got_switches, path = (
+            topo.path_elements(src, dst)
+        )
+        assert (bottleneck, latency) == topo.path_properties(src, dst)[:2]
+        assert (got_links, got_switches, path) == (
+            want_links, want_switches, want_path
+        )
+    before = topo.path_elements("a", "b")
+    topo.add_switch(make_switch("s2", 20e-6))
+    after = topo.path_elements("a", "b")
+    assert after is not before and after == before
